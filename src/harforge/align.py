@@ -7,6 +7,10 @@ so steps land on the minutes that were actually active; a block whose pulses
 all sit below the cutoff falls back to a uniform spread. Device sleep
 segments and schedule blocks are painted onto the same grid.
 
+The fused result is a DayGrid: one row of 1440 local minutes per user-day
+and one numpy array per column, so every later stage reads columns rather
+than per-minute objects.
+
 Steps are apportioned as integers with the largest-remainder method, so the
 block total is conserved exactly; distance is split proportionally as a real
 number.
@@ -17,8 +21,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,12 +33,10 @@ import numpy as np
 from .core import (
     DEFAULT_TZ_OFFSET_MINUTES,
     MINUTES_PER_DAY,
-    MinuteIndex,
     ScheduleBlock,
     SleepState,
     epoch_minute,
     format_number,
-    local_day_and_index,
 )
 from .ingest import (
     BLOCK_MINUTES,
@@ -63,6 +68,25 @@ ALIGNED_HEADER = (
 )
 PROFILE_HEADER = ("user_id", "date", "min_hr", "max_hr", "n_pulses", "low_confidence")
 
+#: DayGrid.sleep code of each sleep state: its position in SleepState.
+SLEEP_CODE = {state: code for code, state in enumerate(SleepState)}
+
+#: dtype and empty-minute value of each DayGrid column.
+_COLUMNS = {
+    "pulse": (np.float64, np.nan),
+    "steps": (np.int64, 0),
+    "distance_m": (np.float64, 0.0),
+    "sleep": (np.int8, SLEEP_CODE[SleepState.UNKNOWN]),
+    "schedule": (np.int16, -1),
+}
+
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+#: Bits of a packed row key that hold the day ordinal; every date ordinal
+#: fits below 2**22.
+_ORDINAL_BITS = 22
+_ORDINAL_MASK = (1 << _ORDINAL_BITS) - 1
+
 
 class NoProfileError(ValueError):
     """No pulses were available to derive a heart-rate profile from."""
@@ -86,29 +110,75 @@ class PersonalHrProfile:
     low_confidence: bool
 
 
-@dataclass(frozen=True, slots=True)
-class AlignedMinute:
-    """One fused grid slot: pulse, redistributed steps/distance, sleep state,
-    and the scheduled activity label if any."""
+@dataclass(eq=False)
+class DayGrid:
+    """Per-minute columns of a set of user-days.
 
-    user_id: str
-    minute: MinuteIndex
-    pulse: float | None
-    steps: int
-    distance_m: float
-    sleep: SleepState
-    schedule_label: str | None
+    Row r of every column holds the 1440 local minutes of ``keys[r]``. The
+    keys are sorted, so each user's days sit in adjacent rows in date order.
+
+    - ``pulse``: float64 mean heart rate, NaN where there was no reading
+    - ``steps``: int64 redistributed steps
+    - ``distance_m``: float64 redistributed distance
+    - ``sleep``: int8 ``SLEEP_CODE`` of the minute's sleep state
+    - ``schedule``: int16 index into ``labels``, -1 where nothing is scheduled
+    """
+
+    keys: tuple[tuple[str, date], ...]
+    labels: tuple[str, ...]
+    pulse: np.ndarray
+    steps: np.ndarray
+    distance_m: np.ndarray
+    sleep: np.ndarray
+    schedule: np.ndarray
+
+    @classmethod
+    def empty(cls, keys: Sequence[tuple[str, date]], labels: Sequence[str] = ()) -> DayGrid:
+        """Rows for sorted ``keys``: no pulse or movement, Unknown sleep, no schedule."""
+        shape = (len(keys), MINUTES_PER_DAY)
+        return cls(
+            tuple(keys),
+            tuple(labels),
+            **{name: np.full(shape, empty, dtype) for name, (dtype, empty) in _COLUMNS.items()},
+        )
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def map_schedule(self, per_label: Sequence, unscheduled, rows=slice(None)) -> np.ndarray:
+        """Per-minute ``per_label[code]`` of the schedule column's ``rows``,
+        and ``unscheduled`` where nothing is scheduled."""
+        return np.array([*per_label, unscheduled])[self.schedule[rows]]
+
+    def user_rows(self) -> dict[str, slice]:
+        """The rows holding each user's days, in user order."""
+        rows: dict[str, slice] = {}
+        start = 0
+        for user, group in groupby(self.keys, key=itemgetter(0)):
+            end = start + sum(1 for _ in group)
+            rows[user] = slice(start, end)
+            start = end
+        return rows
+
+    def profile_columns(
+        self, profiles: Mapping[tuple[str, date], PersonalHrProfile]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row min_hr and max_hr; NaN for a day without a profile."""
+        envelope = np.full((len(self.keys), 2), np.nan)
+        for r, key in enumerate(self.keys):
+            profile = profiles.get(key)
+            if profile is not None:
+                envelope[r] = (profile.min_hr, profile.max_hr)
+        return envelope[:, 0], envelope[:, 1]
 
 
 @dataclass
 class AlignedData:
-    """Cohort-wide alignment result keyed by (user_id, local day)."""
+    """Cohort-wide alignment result: the fused grid and the profile of each
+    (user_id, local day) that had pulses."""
 
-    days: dict[tuple[str, date], list[AlignedMinute]]
+    days: DayGrid
     profiles: dict[tuple[str, date], PersonalHrProfile]
-
-    def sorted_keys(self) -> list[tuple[str, date]]:
-        return sorted(self.days)
 
 
 def percentile_linear(values: Sequence[float], q: float) -> float:
@@ -129,13 +199,6 @@ def percentile_linear(values: Sequence[float], q: float) -> float:
     if lo == hi:
         return float(v[lo])
     return v[lo] + (rank - lo) * (v[hi] - v[lo])
-
-
-def downsample_hr(samples: Sequence[float]) -> float | None:
-    """Mean of the raw readings inside one minute; None when there are none."""
-    if not samples:
-        return None
-    return sum(samples) / len(samples)
 
 
 def compute_hr_profile(
@@ -216,71 +279,6 @@ def ltm_redistribute(
     ]
 
 
-def _empty_day_arrays() -> dict:
-    return {
-        "pulse_sum": np.zeros(MINUTES_PER_DAY),
-        "pulse_n": np.zeros(MINUTES_PER_DAY, dtype=np.int64),
-        "blocks": [],  # (start_index, steps, distance_m)
-        "sleep": [SleepState.UNKNOWN] * MINUTES_PER_DAY,
-        "schedule": [None] * MINUTES_PER_DAY,
-    }
-
-
-def _paint_interval(day_map, user_id, start_min, end_min, offset, field, value):
-    """Write ``value`` into per-day arrays for epoch minutes [start, end)."""
-    m = start_min
-    while m < end_min:
-        day, idx = local_day_and_index(m, offset)
-        run = min(end_min - m, MINUTES_PER_DAY - idx)
-        arrays = day_map.setdefault((user_id, day), _empty_day_arrays())
-        target = arrays[field]
-        for k in range(idx, idx + run):
-            target[k] = value
-        m += run
-
-
-def _finish_day(
-    user_id: str,
-    day: date,
-    arrays: dict,
-    profile: PersonalHrProfile | None,
-) -> list[AlignedMinute]:
-    pulse = np.full(MINUTES_PER_DAY, np.nan)
-    has = arrays["pulse_n"] > 0
-    pulse[has] = arrays["pulse_sum"][has] / arrays["pulse_n"][has]
-
-    steps = [0] * MINUTES_PER_DAY
-    dist = [0.0] * MINUTES_PER_DAY
-    min_hr = profile.min_hr if profile is not None else math.inf
-    for start_idx, blk_steps, blk_dist in arrays["blocks"]:
-        if start_idx % BLOCK_MINUTES != 0 or start_idx + BLOCK_MINUTES > MINUTES_PER_DAY:
-            raise ValueError(
-                f"activity block at minute {start_idx} does not fit the local grid"
-            )
-        window = [
-            None if math.isnan(pulse[i]) else float(pulse[i])
-            for i in range(start_idx, start_idx + BLOCK_MINUTES)
-        ]
-        for j, (s, d) in enumerate(ltm_redistribute(blk_steps, blk_dist, window, min_hr)):
-            steps[start_idx + j] += s
-            dist[start_idx + j] += d
-
-    sleep = arrays["sleep"]
-    schedule = arrays["schedule"]
-    return [
-        AlignedMinute(
-            user_id=user_id,
-            minute=MinuteIndex(day=day, index=i),
-            pulse=None if math.isnan(pulse[i]) else float(pulse[i]),
-            steps=steps[i],
-            distance_m=dist[i],
-            sleep=sleep[i],
-            schedule_label=schedule[i],
-        )
-        for i in range(MINUTES_PER_DAY)
-    ]
-
-
 def align_cohort(
     hr_samples: Sequence[RawHrSample],
     activity_blocks: Sequence[RawActivityBlock],
@@ -292,8 +290,9 @@ def align_cohort(
 ) -> AlignedData:
     """Fuse all four streams for a whole cohort.
 
-    profile_scope picks where the heart-rate envelope comes from: "day"
-    derives one per user-day, "global" pools each user's whole history.
+    Every user-day that any stream touches gets a grid row. profile_scope
+    picks where the heart-rate envelope comes from: "day" derives one per
+    user-day, "global" pools each user's whole history.
 
     The offset must be a multiple of 15 so that device blocks stay inside a
     single local day.
@@ -303,177 +302,183 @@ def align_cohort(
     if profile_scope not in ("day", "global"):
         raise ValueError(f"unknown profile scope {profile_scope!r}")
 
-    day_map: dict[tuple[str, date], dict] = {}
+    def local(ts) -> int:
+        return epoch_minute(ts) + tz_offset_minutes
 
-    for s in hr_samples:
-        day, idx = local_day_and_index(epoch_minute(s.timestamp), tz_offset_minutes)
-        arrays = day_map.setdefault((s.user_id, day), _empty_day_arrays())
-        arrays["pulse_sum"][idx] += s.hr_bpm
-        arrays["pulse_n"][idx] += 1
+    labels = tuple(sorted({blk.label for blk in schedule_blocks}))
+    blocks = [(b.user_id, local(b.block_start), b) for b in activity_blocks]
+    paints = [
+        ("sleep", seg.user_id, local(seg.start), local(seg.end), SLEEP_CODE[seg.state])
+        for seg in sleep_segments
+    ] + [
+        ("schedule", blk.user_id, local(blk.start), local(blk.end), labels.index(blk.label))
+        for blk in schedule_blocks
+    ]
+    paints = [p for p in paints if p[3] > p[2]]
+    users = sorted(
+        {s.user_id for s in hr_samples} | {b[0] for b in blocks} | {p[1] for p in paints}
+    )
+    code_of = {user: code for code, user in enumerate(users)}
 
-    for b in activity_blocks:
-        day, idx = local_day_and_index(epoch_minute(b.block_start), tz_offset_minutes)
-        arrays = day_map.setdefault((b.user_id, day), _empty_day_arrays())
-        arrays["blocks"].append((idx, b.steps, b.distance_m))
+    def pack(code, minute):
+        """Row key of (user code, local minute): user code and day ordinal in
+        one int, so keys sort by user, then day; works on arrays too."""
+        return code << _ORDINAL_BITS | (minute // MINUTES_PER_DAY + _EPOCH_ORDINAL)
 
-    for seg in sleep_segments:
-        _paint_interval(
-            day_map,
-            seg.user_id,
-            epoch_minute(seg.start),
-            epoch_minute(seg.end),
-            tz_offset_minutes,
-            "sleep",
-            seg.state,
-        )
+    n = len(hr_samples)
+    hr_minute = np.fromiter((local(s.timestamp) for s in hr_samples), np.int64, n)
+    hr_key = pack(np.fromiter((code_of[s.user_id] for s in hr_samples), np.int64, n), hr_minute)
+    touched = {pack(code_of[user], minute) for user, minute, _ in blocks}
+    for _, user, start, end, _ in paints:
+        touched.update(range(pack(code_of[user], start), pack(code_of[user], end - 1) + 1))
+    row_keys = np.unique(np.concatenate([hr_key, np.fromiter(touched, np.int64)])).tolist()
+    grid = DayGrid.empty(
+        [(users[k >> _ORDINAL_BITS], date.fromordinal(k & _ORDINAL_MASK)) for k in row_keys],
+        labels,
+    )
+    row_of = {k: r for r, k in enumerate(row_keys)}
 
-    for blk in schedule_blocks:
-        _paint_interval(
-            day_map,
-            blk.user_id,
-            epoch_minute(blk.start),
-            epoch_minute(blk.end),
-            tz_offset_minutes,
-            "schedule",
-            blk.label,
-        )
+    def cell(user: str, minute: int) -> int:
+        return row_of[pack(code_of[user], minute)] * MINUTES_PER_DAY + minute % MINUTES_PER_DAY
 
-    pulses_of: dict[tuple[str, date], list[float]] = {}
-    for key, arrays in day_map.items():
-        has = arrays["pulse_n"] > 0
-        vals = arrays["pulse_sum"][has] / arrays["pulse_n"][has]
-        pulses_of[key] = [float(v) for v in vals]
+    # per-minute mean pulse; bincount adds the samples in input order
+    cells = np.searchsorted(row_keys, hr_key) * MINUTES_PER_DAY + hr_minute % MINUTES_PER_DAY
+    hr_bpm = np.fromiter((s.hr_bpm for s in hr_samples), np.float64, n)
+    count = np.bincount(cells, minlength=grid.pulse.size).reshape(grid.pulse.shape)
+    total = np.bincount(cells, hr_bpm, minlength=grid.pulse.size).reshape(grid.pulse.shape)
+    has = count > 0
+    grid.pulse[has] = total[has] / count[has]
 
     profiles: dict[tuple[str, date], PersonalHrProfile] = {}
     if profile_scope == "day":
-        for (user, day), vals in pulses_of.items():
-            if vals:
-                profiles[(user, day)] = compute_hr_profile(user, day, vals)
+        for r, (user, day) in enumerate(grid.keys):
+            if has[r].any():
+                pulses = grid.pulse[r][has[r]].tolist()
+                profiles[(user, day)] = compute_hr_profile(user, day, pulses)
     else:
-        by_user: dict[str, list[float]] = {}
-        for (user, _day), vals in pulses_of.items():
-            by_user.setdefault(user, []).extend(vals)
-        shared = {
-            user: compute_hr_profile(user, None, vals)
-            for user, vals in by_user.items()
-            if vals
-        }
-        for user, day in day_map:
-            if user in shared:
-                profiles[(user, day)] = shared[user]
+        for user, rows in grid.user_rows().items():
+            if has[rows].any():
+                shared = compute_hr_profile(user, None, grid.pulse[rows][has[rows]].tolist())
+                profiles.update((key, shared) for key in grid.keys[rows])
 
-    days = {
-        (user, day): _finish_day(user, day, arrays, profiles.get((user, day)))
-        for (user, day), arrays in sorted(day_map.items())
-    }
-    return AlignedData(days=days, profiles=profiles)
+    for user, minute, b in blocks:
+        r, idx = divmod(cell(user, minute), MINUTES_PER_DAY)
+        if idx % BLOCK_MINUTES != 0:
+            raise ValueError(f"activity block at minute {idx} does not fit the local grid")
+        profile = profiles.get(grid.keys[r])
+        span = slice(idx, idx + BLOCK_MINUTES)
+        parts = ltm_redistribute(
+            b.steps,
+            b.distance_m,
+            grid.pulse[r, span].tolist(),
+            profile.min_hr if profile is not None else math.inf,
+        )
+        grid.steps[r, span] += [s for s, _ in parts]
+        grid.distance_m[r, span] += [d for _, d in parts]
 
-
-def build_aligned_day(
-    user_id: str,
-    day: date,
-    hr_samples: Sequence[RawHrSample] = (),
-    activity_blocks: Sequence[RawActivityBlock] = (),
-    sleep_segments: Sequence[RawSleepSegment] = (),
-    schedule_blocks: Sequence[ScheduleBlock] = (),
-    profile: PersonalHrProfile | None = None,
-    *,
-    tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES,
-) -> list[AlignedMinute]:
-    """Fuse one user-day under the given heart-rate envelope.
-
-    Stream entries for other users or outside the day are ignored; intervals
-    are clipped to the day. When no profile is given every block pulse counts
-    as below the cutoff, so redistribution falls back to the uniform spread.
-    """
-    if tz_offset_minutes % BLOCK_MINUTES != 0:
-        raise ValueError("tz offset must be a multiple of 15 minutes")
-    arrays = _empty_day_arrays()
-    for s in hr_samples:
-        if s.user_id != user_id:
-            continue
-        s_day, idx = local_day_and_index(epoch_minute(s.timestamp), tz_offset_minutes)
-        if s_day == day:
-            arrays["pulse_sum"][idx] += s.hr_bpm
-            arrays["pulse_n"][idx] += 1
-    for b in activity_blocks:
-        if b.user_id != user_id:
-            continue
-        b_day, idx = local_day_and_index(epoch_minute(b.block_start), tz_offset_minutes)
-        if b_day == day:
-            arrays["blocks"].append((idx, b.steps, b.distance_m))
-
-    day_start = (day.toordinal() - date(1970, 1, 1).toordinal()) * MINUTES_PER_DAY
-    lo = day_start - tz_offset_minutes  # epoch minute of local midnight
-    hi = lo + MINUTES_PER_DAY
-    for seg in sleep_segments:
-        if seg.user_id != user_id:
-            continue
-        a = max(epoch_minute(seg.start), lo)
-        b = min(epoch_minute(seg.end), hi)
-        for m in range(a, b):
-            arrays["sleep"][m - lo] = seg.state
-    for blk in schedule_blocks:
-        if blk.user_id != user_id:
-            continue
-        a = max(epoch_minute(blk.start), lo)
-        b = min(epoch_minute(blk.end), hi)
-        for m in range(a, b):
-            arrays["schedule"][m - lo] = blk.label
-    return _finish_day(user_id, day, arrays, profile)
+    # a user's consecutive days are consecutive rows, so an interval that
+    # crosses local midnight is one slice of the flattened column
+    for column, user, start, end, code in paints:
+        first = cell(user, start)
+        getattr(grid, column).reshape(-1)[first : first + end - start] = code
+    return AlignedData(days=grid, profiles=profiles)
 
 
-def write_aligned_csv(days: Mapping[tuple[str, date], Sequence[AlignedMinute]]) -> str:
+def write_aligned_csv(days: DayGrid) -> str:
     """Serialize aligned (or imputed) days to canonical CSV text."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ALIGNED_HEADER)
-    for (user, day) in sorted(days):
-        for m in days[(user, day)]:
-            writer.writerow(
-                [
-                    user,
-                    day.isoformat(),
-                    str(m.minute.index),
-                    "" if m.pulse is None else format_number(m.pulse),
-                    str(m.steps),
-                    format_number(m.distance_m),
-                    m.sleep.value,
-                    m.schedule_label or "",
-                ]
+    sleep_text = [state.value for state in SleepState]
+    label_text = days.map_schedule(days.labels, "")
+    for r, (user, day) in enumerate(days.keys):
+        pulse = ["" if math.isnan(p) else format_number(p) for p in days.pulse[r].tolist()]
+        writer.writerows(
+            zip(
+                repeat(user),
+                repeat(day.isoformat()),
+                range(MINUTES_PER_DAY),
+                pulse,
+                days.steps[r].tolist(),
+                map(format_number, days.distance_m[r].tolist()),
+                [sleep_text[c] for c in days.sleep[r].tolist()],
+                label_text[r].tolist(),
             )
+        )
     return buf.getvalue()
 
 
-def read_aligned_csv(
-    stream: Iterable[str] | IO[str],
-) -> dict[tuple[str, date], list[AlignedMinute]]:
+def read_aligned_csv(stream: Iterable[str] | IO[str]) -> DayGrid:
+    """Parse aligned CSV text back into a grid.
+
+    Each user-day must list its minutes 0..1439 once each, in order, on
+    consecutive rows; a missing, duplicate or out-of-range minute, or a
+    non-finite pulse or distance, is a ValueError naming the row. The
+    grid's labels are exactly the schedule labels that occur in the text.
+    """
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or tuple(h.strip() for h in header) != ALIGNED_HEADER:
         raise ValueError(f"aligned CSV must start with header {','.join(ALIGNED_HEADER)!r}")
-    days: dict[tuple[str, date], list[AlignedMinute]] = {}
+    keys: list[tuple[str, date]] = []
+    seen: set[tuple[str, str]] = set()
+    label_code: dict[str, int] = {}
+    columns = {name: array(np.dtype(dtype).char) for name, (dtype, _) in _COLUMNS.items()}
+    add_pulse, add_steps, add_distance, add_sleep, add_schedule = (
+        values.append for values in columns.values()
+    )
+    current = None
+    due = MINUTES_PER_DAY
     for row in reader:
         if not row:
             continue
+        line = reader.line_num
         if len(row) != len(ALIGNED_HEADER):
-            raise ValueError(f"aligned CSV row {reader.line_num} has {len(row)} fields")
-        user = row[0]
-        day = date.fromisoformat(row[1])
-        minute = MinuteIndex(day=day, index=int(row[2]))
-        pulse = float(row[3]) if row[3] != "" else None
-        days.setdefault((user, day), []).append(
-            AlignedMinute(
-                user_id=user,
-                minute=minute,
-                pulse=pulse,
-                steps=int(row[4]),
-                distance_m=float(row[5]),
-                sleep=SleepState(row[6]),
-                schedule_label=row[7] or None,
+            raise ValueError(f"aligned CSV row {line} has {len(row)} fields")
+        minute = int(row[2])
+        if not 0 <= minute < MINUTES_PER_DAY:
+            raise ValueError(
+                f"aligned CSV row {line}: minute {minute} outside [0, {MINUTES_PER_DAY})"
             )
+        if (row[0], row[1]) != current:
+            if due != MINUTES_PER_DAY:
+                raise ValueError(
+                    f"aligned CSV row {line}: {current[0]} {current[1]} ends before minute {due}"
+                )
+            current = (row[0], row[1])
+            if current in seen:
+                raise ValueError(f"aligned CSV row {line}: {row[0]} {row[1]} appears twice")
+            seen.add(current)
+            keys.append((row[0], date.fromisoformat(row[1])))
+            due = 0
+        if minute != due:
+            problem = f"repeats minute {minute}" if minute < due else f"skips minute {due}"
+            raise ValueError(f"aligned CSV row {line}: {row[0]} {row[1]} {problem}")
+        due += 1
+        pulse = float(row[3]) if row[3] != "" else None
+        distance = float(row[5])
+        if not math.isfinite(distance) or not math.isfinite(0.0 if pulse is None else pulse):
+            raise ValueError(f"aligned CSV row {line}: pulse and distance must be finite")
+        add_pulse(math.nan if pulse is None else pulse)
+        add_steps(int(row[4]))
+        add_distance(distance)
+        add_sleep(SLEEP_CODE[SleepState(row[6])])
+        add_schedule(label_code.setdefault(row[7], len(label_code)) if row[7] else -1)
+    if due != MINUTES_PER_DAY:
+        raise ValueError(
+            f"aligned CSV ends at row {reader.line_num} before minute {due} of "
+            f"{current[0]} {current[1]}"
         )
-    return days
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    shape = (len(keys), MINUTES_PER_DAY)
+    return DayGrid(
+        keys=tuple(keys[r] for r in order),
+        labels=tuple(label_code),
+        **{
+            name: np.frombuffer(values, dtype=values.typecode).reshape(shape)[order]
+            for name, values in columns.items()
+        },
+    )
 
 
 def write_profiles_csv(profiles: Mapping[tuple[str, date], PersonalHrProfile]) -> str:
@@ -506,6 +511,8 @@ def read_profiles_csv(
     for row in reader:
         if not row:
             continue
+        if len(row) != len(PROFILE_HEADER):
+            raise ValueError(f"profile CSV row {reader.line_num} has {len(row)} fields")
         user = row[0]
         day = date.fromisoformat(row[1])
         profiles[(user, day)] = PersonalHrProfile(

@@ -709,32 +709,16 @@ def _stage_viz(cfg: PipelineConfig, lay: Layout) -> dict:
         days = read_aligned_csv(fh)
     with open(lay.path("aligned", "profiles.csv"), encoding="utf-8") as fh:
         profiles = read_profiles_csv(fh)
-    user_days: dict[str, dict] = {}
-    user_profiles: dict[str, dict] = {}
-    for (user, day), minutes in days.items():
-        user_days.setdefault(user, {})[day] = minutes
-    for (user, day), profile in profiles.items():
-        user_profiles.setdefault(user, {})[day] = profile
-    activities = sorted(
-        {
-            m.schedule_label
-            for minutes in days.values()
-            for m in minutes
-            if m.schedule_label is not None
-        }
-    )
+    users = list(days.user_rows())
+    activities = sorted(days.labels)
     os.makedirs(lay.dir("viz"), exist_ok=True)
     entries: list[tuple[str, str, str]] = []
     skipped_activities = 0
     for activity in activities:
         sets = []
-        for user in sorted(user_days):
+        for user in users:
             try:
-                sets.append(
-                    activity_metrics(
-                        user, activity, user_days[user], user_profiles.get(user, {})
-                    )
-                )
+                sets.append(activity_metrics(user, activity, days, profiles))
             except ValueError:
                 continue
         try:

@@ -1,5 +1,5 @@
-"""Shared vocabulary for the pipeline: the one-minute day grid, sleep states,
-and the two-level activity taxonomy.
+"""Shared vocabulary for the pipeline: minute arithmetic on the local day,
+sleep states, and the two-level activity taxonomy.
 
 Every downstream stage (alignment, imputation, windowing, evaluation, charts)
 speaks in terms of these types. All of them are immutable values, so they are
@@ -19,17 +19,12 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 MINUTES_PER_DAY = 1440
 
 #: Minutes added to UTC to obtain local wall-clock time.
 DEFAULT_TZ_OFFSET_MINUTES = 120
-
-#: Plausibility bounds for a per-minute pulse, bpm. Report-only: values
-#: outside the band are flagged by validate_day_series, never dropped.
-PULSE_PLAUSIBLE_LOW = 20.0
-PULSE_PLAUSIBLE_HIGH = 250.0
 
 LEVEL1_SLEEP = "Sleep"
 LEVEL1_AWAKE = "Awake"
@@ -170,19 +165,6 @@ def save_taxonomy(taxonomy: ActivityTaxonomy, path) -> None:
         fh.write(taxonomy.to_csv_text())
 
 
-@dataclass(frozen=True, order=True)
-class MinuteIndex:
-    """One slot on the local per-minute grid: a calendar day plus an index
-    in [0, 1440)."""
-
-    day: date
-    index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < MINUTES_PER_DAY:
-            raise ValueError(f"minute index {self.index} outside [0, {MINUTES_PER_DAY})")
-
-
 @dataclass(frozen=True)
 class ScheduleBlock:
     """A planned activity: [start, end) in UTC with a level-2 label."""
@@ -218,29 +200,6 @@ def local_day_and_index(epoch_min: int, utc_offset_minutes: int) -> tuple[date, 
     return date.fromordinal(_EPOCH_ORDINAL + day_ord), index
 
 
-def minute_of_day(
-    ts: datetime, utc_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES
-) -> MinuteIndex:
-    """Snap a UTC timestamp to its local grid slot.
-
-    Seconds are floor-truncated, so every instant of a local day maps into
-    [0, 1440) and consecutive minutes map to consecutive indices.
-    """
-    day, index = local_day_and_index(epoch_minute(ts), utc_offset_minutes)
-    return MinuteIndex(day=day, index=index)
-
-
-def minute_utc_start(
-    day: date, index: int, utc_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES
-) -> datetime:
-    """UTC instant at which local grid slot (day, index) begins."""
-    if not 0 <= index < MINUTES_PER_DAY:
-        raise ValueError(f"minute index {index} outside [0, {MINUTES_PER_DAY})")
-    day_ord = day.toordinal() - _EPOCH_ORDINAL
-    total = day_ord * MINUTES_PER_DAY + index - utc_offset_minutes
-    return datetime.fromtimestamp(total * 60, tz=timezone.utc)
-
-
 def format_number(x) -> str:
     """Canonical text form of a number: shortest string that round-trips."""
     if isinstance(x, bool):
@@ -251,53 +210,3 @@ def format_number(x) -> str:
     if math.isnan(v) or math.isinf(v):
         raise ValueError(f"non-finite value {v!r} cannot be serialized")
     return repr(v)
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One validation complaint about a day series."""
-
-    kind: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def validate_day_series(minutes: Sequence) -> ValidationReport:
-    """Sanity-check one aligned day. Report-only; nothing is modified.
-
-    Flags: wrong slot count, duplicate or non-monotonic indices, negative
-    steps or distance, and pulses outside the plausible bpm band.
-    """
-    findings: list[Finding] = []
-    n = len(minutes)
-    if n != MINUTES_PER_DAY:
-        findings.append(Finding("length", f"expected {MINUTES_PER_DAY} slots, got {n}"))
-    seen: set[int] = set()
-    prev = None
-    for m in minutes:
-        idx = m.minute.index
-        if idx in seen:
-            findings.append(Finding("duplicate_index", f"minute {idx} appears twice"))
-        seen.add(idx)
-        if prev is not None and idx <= prev:
-            findings.append(Finding("order", f"minute {idx} follows {prev}"))
-        prev = idx
-        if m.steps < 0:
-            findings.append(Finding("negative_steps", f"minute {idx}: steps {m.steps}"))
-        if m.distance_m < 0:
-            findings.append(
-                Finding("negative_distance", f"minute {idx}: distance {m.distance_m}")
-            )
-        if m.pulse is not None and not (
-            PULSE_PLAUSIBLE_LOW <= m.pulse <= PULSE_PLAUSIBLE_HIGH
-        ):
-            findings.append(Finding("pulse_range", f"minute {idx}: pulse {m.pulse}"))
-    return ValidationReport(findings=tuple(findings))

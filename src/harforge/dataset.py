@@ -29,9 +29,10 @@ from datetime import date
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .align import AlignedMinute, PersonalHrProfile
-from .core import ActivityTaxonomy, LEVEL1_AWAKE, LEVEL1_SLEEP, SleepState
+from .align import SLEEP_CODE, DayGrid, PersonalHrProfile
+from .core import ActivityTaxonomy, LEVEL1_AWAKE, LEVEL1_SLEEP, MINUTES_PER_DAY, SleepState
 
 #: Supported window widths (minutes) and their post-labeling sampling rates.
 WINDOW_WIDTHS = (15, 30, 45, 60)
@@ -78,38 +79,39 @@ def slide_windows(n_minutes: int, width: int) -> list[int]:
     return list(range(0, n_minutes - width + 1, stride))
 
 
-def effective_label(minute: AlignedMinute) -> str:
-    """Label one minute: Sleep wins, then the schedule, then plain Awake."""
-    if minute.sleep is SleepState.SLEEP:
-        return LEVEL1_SLEEP
-    if minute.schedule_label is not None:
-        return minute.schedule_label
-    return LEVEL1_AWAKE
+def effective_labels(days: DayGrid) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Label every minute: Sleep wins, then the schedule, then plain Awake.
 
-
-def label_window(
-    labels: Sequence[str],
-    taxonomy: ActivityTaxonomy,
-    threshold: float = LABEL_THRESHOLD,
-) -> tuple[str, str] | None:
-    """Label a window from its per-minute effective labels.
-
-    Returns (level1, level2) when the modal label covers at least
-    ``threshold`` of the window (inclusive), None when the window is too
-    mixed to use.
+    Returns per-minute codes shaped like the grid and the sorted names they
+    index, so a lower code is always the lexicographically earlier name.
     """
-    if not labels:
+    names = tuple(sorted({LEVEL1_SLEEP, LEVEL1_AWAKE, *days.labels}))
+    codes = np.where(
+        days.sleep == SLEEP_CODE[SleepState.SLEEP],
+        names.index(LEVEL1_SLEEP),
+        days.map_schedule([names.index(label) for label in days.labels], names.index(LEVEL1_AWAKE)),
+    )
+    return codes, names
+
+
+def modal_labels(
+    windows: np.ndarray, n_codes: int, threshold: float = LABEL_THRESHOLD
+) -> np.ndarray:
+    """Modal label code of each window of per-minute codes (last axis).
+
+    A window whose modal code covers less than ``threshold`` of it (the
+    bound is inclusive) is too mixed to use and gets -1. Ties go to the
+    lowest code.
+    """
+    width = windows.shape[-1]
+    if width == 0:
         raise ValueError("cannot label an empty window")
-    counts = Counter(labels)
-    # deterministic modal pick: highest count, then lexicographic
-    modal, count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if count < threshold * len(labels):
-        return None
-    return taxonomy.level1_of(modal), modal
+    counts = np.stack([(windows == code).sum(axis=-1) for code in range(n_codes)], axis=-1)
+    return np.where(counts.max(axis=-1) >= threshold * width, counts.argmax(axis=-1), -1)
 
 
 def build_windows(
-    days: Mapping[tuple[str, date], Sequence[AlignedMinute]],
+    days: DayGrid,
     profiles: Mapping[tuple[str, date], PersonalHrProfile],
     width: int,
     taxonomy: ActivityTaxonomy,
@@ -120,39 +122,40 @@ def build_windows(
     Days without a heart-rate profile are skipped: the relative pulse
     channels cannot be computed for them.
     """
+    min_hr, max_hr = days.profile_columns(profiles)
+    rows = np.flatnonzero(~np.isnan(min_hr))
+    pulse = days.pulse[rows]
+    has = ~np.isnan(pulse)
+    feats = np.stack(
+        [
+            np.where(has, pulse, 0.0),
+            np.where(has, pulse / min_hr[rows, None], 0.0),
+            np.where(has, pulse / max_hr[rows, None], 0.0),
+            days.steps[rows],
+            days.distance_m[rows],
+        ],
+        axis=-1,
+    )
+    codes, names = effective_labels(days)
+    starts = slide_windows(MINUTES_PER_DAY, width)
+    windows = sliding_window_view(codes[rows], width, axis=1)[:, starts]
+    modal = modal_labels(windows, len(names), threshold)
     out: list[FeatureWindow] = []
-    for key in sorted(days):
-        profile = profiles.get(key)
-        if profile is None:
-            continue
-        user, day = key
-        minutes = days[key]
-        n = len(minutes)
-        feats = np.zeros((n, N_CHANNELS))
-        labels: list[str] = []
-        for i, m in enumerate(minutes):
-            if m.pulse is not None:
-                feats[i, 0] = m.pulse
-                feats[i, 1] = m.pulse / profile.min_hr
-                feats[i, 2] = m.pulse / profile.max_hr
-            feats[i, STEPS_CHANNEL] = m.steps
-            feats[i, 4] = m.distance_m
-            labels.append(effective_label(m))
-        for start in slide_windows(n, width):
-            picked = label_window(labels[start : start + width], taxonomy, threshold)
-            if picked is None:
-                continue
-            out.append(
-                FeatureWindow(
-                    user_id=user,
-                    day=day,
-                    start_minute=start,
-                    width=width,
-                    features=feats[start : start + width].copy(),
-                    label_l1=picked[0],
-                    label_l2=picked[1],
-                )
+    for i, w in zip(*np.nonzero(modal >= 0)):
+        user, day = days.keys[rows[i]]
+        start = starts[w]
+        label = names[modal[i, w]]
+        out.append(
+            FeatureWindow(
+                user_id=user,
+                day=day,
+                start_minute=start,
+                width=width,
+                features=feats[i, start : start + width].copy(),
+                label_l1=taxonomy.level1_of(label),
+                label_l2=label,
             )
+        )
     return out
 
 

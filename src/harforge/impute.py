@@ -26,8 +26,14 @@ from dataclasses import dataclass, replace
 from datetime import date
 from typing import Mapping, Sequence
 
-from .align import AlignedMinute, PersonalHrProfile
-from .core import SleepState
+import numpy as np
+
+from .align import SLEEP_CODE, DayGrid, PersonalHrProfile
+from .core import MINUTES_PER_DAY, SleepState
+
+SLEEP = SLEEP_CODE[SleepState.SLEEP]
+AWAKE = SLEEP_CODE[SleepState.AWAKE]
+UNKNOWN = SLEEP_CODE[SleepState.UNKNOWN]
 
 STATS_HEADER = ("metric", "pre", "after_rules_1_2", "after_rules_1_2_3", "net")
 
@@ -47,8 +53,9 @@ class ImputeConfig:
     awake_factor: float = 1.2
     max_gap_minutes: int = 120
 
-    def is_night(self, index: int) -> bool:
-        return index >= self.night_start_minute or index <= self.night_end_minute
+    def is_night(self, index):
+        """Whether minute ``index`` (an int or an array of them) is nocturnal."""
+        return (index >= self.night_start_minute) | (index <= self.night_end_minute)
 
 
 @dataclass(frozen=True)
@@ -78,192 +85,101 @@ class ImputationStats:
     skipped_days: tuple[date, ...] = ()
 
 
-def rule1_sleep(
-    minute: AlignedMinute, profile: PersonalHrProfile, config: ImputeConfig
-) -> SleepState | None:
-    """Low-pulse quiet minute -> Sleep; otherwise no decision."""
-    if minute.sleep is not SleepState.UNKNOWN:
-        return None
-    if minute.pulse is None or minute.steps != 0:
-        return None
-    factor = (
-        config.night_sleep_factor
-        if config.is_night(minute.minute.index)
-        else config.day_sleep_factor
+def _undecided(grid: DayGrid, min_hr: np.ndarray) -> np.ndarray:
+    """Unknown minutes of the rows that have a personal minimum."""
+    return (grid.sleep == UNKNOWN) & ~np.isnan(min_hr)[:, None]
+
+
+def rule1_sleep(grid: DayGrid, min_hr: np.ndarray, config: ImputeConfig) -> np.ndarray:
+    """Minutes Rule 1 scores Sleep: quiet, with a pulse below the night or day
+    multiple of the row's ``min_hr``."""
+    factor = np.where(
+        config.is_night(np.arange(MINUTES_PER_DAY)),
+        config.night_sleep_factor,
+        config.day_sleep_factor,
     )
-    if minute.pulse < factor * profile.min_hr:
-        return SleepState.SLEEP
-    return None
+    return (
+        _undecided(grid, min_hr)
+        & (grid.steps == 0)
+        & (grid.pulse < factor * min_hr[:, None])
+    )
 
 
-def rule2_awake(
-    minute: AlignedMinute, profile: PersonalHrProfile, config: ImputeConfig
-) -> SleepState | None:
-    """Steps or an elevated pulse -> Awake; otherwise no decision."""
-    if minute.sleep is not SleepState.UNKNOWN:
-        return None
-    if minute.steps > 0:
-        return SleepState.AWAKE
-    if minute.pulse is not None and minute.pulse > config.awake_factor * profile.min_hr:
-        return SleepState.AWAKE
-    return None
+def rule2_awake(grid: DayGrid, min_hr: np.ndarray, config: ImputeConfig) -> np.ndarray:
+    """Minutes Rule 2 scores Awake: any steps, or a pulse above the awake
+    multiple of the row's ``min_hr``."""
+    return _undecided(grid, min_hr) & (
+        (grid.steps > 0) | (grid.pulse > config.awake_factor * min_hr[:, None])
+    )
 
 
-def rule3_fill(states: Sequence[SleepState], max_gap_minutes: int) -> list[SleepState]:
-    """Fill interior Unknown runs bounded by the same known state on both sides."""
-    out = list(states)
-    n = len(out)
-    i = 0
-    while i < n:
-        if out[i] is not SleepState.UNKNOWN:
-            i += 1
-            continue
-        j = i
-        while j < n and out[j] is SleepState.UNKNOWN:
-            j += 1
-        # run is [i, j); flanks must exist, agree, and the run must be short
-        if (
-            i > 0
-            and j < n
-            and out[i - 1] is out[j]
-            and out[i - 1] is not SleepState.UNKNOWN
-            and (j - i) <= max_gap_minutes
-        ):
-            for k in range(i, j):
-                out[k] = out[i - 1]
-        i = j
+def rule3_fill(sleep: np.ndarray, max_gap_minutes: int) -> np.ndarray:
+    """Fill each row's interior Unknown runs bounded by the same known state
+    on both sides; returns a new array of sleep codes."""
+    out = sleep.copy()
+    unknown = np.pad(out == UNKNOWN, ((0, 0), (1, 1)))
+    edges = np.diff(unknown.view(np.int8), axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1]  # run is [start, end)
+    inner = (starts > 0) & (ends < out.shape[1]) & (ends - starts <= max_gap_minutes)
+    rows, starts, ends = rows[inner], starts[inner], ends[inner]
+    flank = out[rows, starts - 1]
+    agree = flank == out[rows, ends]
+    for r, a, b, state in zip(rows[agree], starts[agree], ends[agree], flank[agree]):
+        out[r, a:b] = state
     return out
 
 
-def _count(minutes: Sequence[AlignedMinute]) -> StageCounts:
-    sleep = awake = unknown = 0
-    for m in minutes:
-        if m.sleep is SleepState.SLEEP:
-            sleep += 1
-        elif m.sleep is SleepState.AWAKE:
-            awake += 1
-        else:
-            unknown += 1
-    return StageCounts(sleep_min=sleep, awake_min=awake, unknown_min=unknown)
-
-
-def _merge(a: StageCounts, b: StageCounts) -> StageCounts:
+def _tally(sleep: np.ndarray) -> StageCounts:
+    counts = np.bincount(sleep.ravel(), minlength=len(SLEEP_CODE)).tolist()
     return StageCounts(
-        sleep_min=a.sleep_min + b.sleep_min,
-        awake_min=a.awake_min + b.awake_min,
-        unknown_min=a.unknown_min + b.unknown_min,
+        sleep_min=counts[SLEEP], awake_min=counts[AWAKE], unknown_min=counts[UNKNOWN]
     )
-
-
-def impute_day(
-    minutes: Sequence[AlignedMinute],
-    profile: PersonalHrProfile,
-    config: ImputeConfig = ImputeConfig(),
-) -> tuple[list[AlignedMinute], list[int]]:
-    """Apply the rule cascade to one day.
-
-    Returns the new minute list plus a parallel mark list recording which
-    rule (1, 2 or 3) resolved each slot, 0 for untouched slots.
-    """
-    out = list(minutes)
-    marks = [0] * len(out)
-    for i, m in enumerate(out):
-        if m.sleep is not SleepState.UNKNOWN:
-            continue
-        decided = rule1_sleep(m, profile, config)
-        if decided is not None:
-            out[i] = replace(m, sleep=decided)
-            marks[i] = 1
-            continue
-        decided = rule2_awake(m, profile, config)
-        if decided is not None:
-            out[i] = replace(m, sleep=decided)
-            marks[i] = 2
-    filled = rule3_fill([m.sleep for m in out], config.max_gap_minutes)
-    for i, state in enumerate(filled):
-        if state is not out[i].sleep:
-            out[i] = replace(out[i], sleep=state)
-            marks[i] = 3
-    return out, marks
-
-
-def impute_user(
-    user_id: str,
-    days: Mapping[date, Sequence[AlignedMinute]],
-    profiles: Mapping[date, PersonalHrProfile],
-    config: ImputeConfig = ImputeConfig(),
-) -> tuple[dict[date, list[AlignedMinute]], ImputationStats, dict[date, list[int]]]:
-    """Impute every day of one user. Days without a profile are left as-is
-    and reported in ``skipped_days``."""
-    zero = StageCounts(0, 0, 0)
-    pre = mid = post = zero
-    rule_counts = {1: 0, 2: 0, 3: 0}
-    out_days: dict[date, list[AlignedMinute]] = {}
-    out_marks: dict[date, list[int]] = {}
-    skipped: list[date] = []
-    for day in sorted(days):
-        minutes = list(days[day])
-        pre = _merge(pre, _count(minutes))
-        profile = profiles.get(day)
-        if profile is None:
-            out_days[day] = minutes
-            out_marks[day] = [0] * len(minutes)
-            mid = _merge(mid, _count(minutes))
-            post = _merge(post, _count(minutes))
-            skipped.append(day)
-            continue
-        imputed, marks = impute_day(minutes, profile, config)
-        for rule in (1, 2, 3):
-            rule_counts[rule] += sum(1 for m in marks if m == rule)
-        mid_counts = _count(
-            [imputed[i] if marks[i] in (1, 2) else minutes[i] for i in range(len(minutes))]
-        )
-        mid = _merge(mid, mid_counts)
-        post = _merge(post, _count(imputed))
-        out_days[day] = imputed
-        out_marks[day] = marks
-    stats = ImputationStats(
-        user_id=user_id,
-        pre=pre,
-        after_rules_1_2=mid,
-        post=post,
-        rule1_min=rule_counts[1],
-        rule2_min=rule_counts[2],
-        rule3_min=rule_counts[3],
-        skipped_days=tuple(skipped),
-    )
-    return out_days, stats, out_marks
 
 
 def impute_cohort(
-    days: Mapping[tuple[str, date], Sequence[AlignedMinute]],
+    days: DayGrid,
     profiles: Mapping[tuple[str, date], PersonalHrProfile],
     config: ImputeConfig = ImputeConfig(),
-) -> tuple[
-    dict[tuple[str, date], list[AlignedMinute]],
-    list[ImputationStats],
-    dict[tuple[str, date], list[int]],
-]:
-    """Impute a whole cohort, returning per-user stats in user order."""
-    by_user: dict[str, dict[date, Sequence[AlignedMinute]]] = {}
-    for (user, day), minutes in days.items():
-        by_user.setdefault(user, {})[day] = minutes
-    out_days: dict[tuple[str, date], list[AlignedMinute]] = {}
-    out_marks: dict[tuple[str, date], list[int]] = {}
-    stats: list[ImputationStats] = []
-    for user in sorted(by_user):
-        user_profiles = {
-            day: prof for (u, day), prof in profiles.items() if u == user
-        }
-        imputed, user_stats, marks = impute_user(
-            user, by_user[user], user_profiles, config
+) -> tuple[DayGrid, list[ImputationStats], np.ndarray]:
+    """Apply the rule cascade to every day with a profile.
+
+    Days without a profile are left as-is and reported in their user's
+    ``skipped_days``. Returns the imputed grid, per-user stats in user order,
+    and an int8 array shaped like the grid recording which rule (1, 2 or 3)
+    resolved each minute, 0 for untouched minutes.
+    """
+    min_hr, _ = days.profile_columns(profiles)
+    rule1 = rule1_sleep(days, min_hr, config)
+    rule2 = rule2_awake(days, min_hr, config) & ~rule1
+    mid = days.sleep.copy()
+    mid[rule1] = SLEEP
+    mid[rule2] = AWAKE
+    post = mid.copy()
+    active = ~np.isnan(min_hr)
+    post[active] = rule3_fill(mid[active], config.max_gap_minutes)
+    marks = np.zeros(mid.shape, dtype=np.int8)
+    marks[post != mid] = 3
+    marks[rule1] = 1
+    marks[rule2] = 2
+    stats = []
+    for user, rows in days.user_rows().items():
+        rule_min = np.bincount(marks[rows].ravel(), minlength=4).tolist()
+        stats.append(
+            ImputationStats(
+                user_id=user,
+                pre=_tally(days.sleep[rows]),
+                after_rules_1_2=_tally(mid[rows]),
+                post=_tally(post[rows]),
+                rule1_min=rule_min[1],
+                rule2_min=rule_min[2],
+                rule3_min=rule_min[3],
+                skipped_days=tuple(
+                    day for (_, day), ok in zip(days.keys[rows], active[rows]) if not ok
+                ),
+            )
         )
-        stats.append(user_stats)
-        for day, minutes in imputed.items():
-            out_days[(user, day)] = minutes
-        for day, day_marks in marks.items():
-            out_marks[(user, day)] = day_marks
-    return out_days, stats, out_marks
+    return replace(days, sleep=post), stats, marks
 
 
 def _fmt(value: float) -> str:

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .align import AlignedMinute
+from .align import SLEEP_CODE, DayGrid
 from .core import (
     DEFAULT_LEVEL2_LABELS,
     DEFAULT_TZ_OFFSET_MINUTES,
@@ -430,74 +430,58 @@ class MaskReport:
 
 def mask_report(
     truth: GroundTruth,
-    pre_days: Mapping[tuple[str, date], Sequence[AlignedMinute]],
-    post_days: Mapping[tuple[str, date], Sequence[AlignedMinute]],
-    marks: Mapping[tuple[str, date], Sequence[int]],
+    pre_days: DayGrid,
+    post_days: DayGrid,
+    marks: np.ndarray,
 ) -> MaskReport:
     """Score imputed states against the generator's truth.
 
-    A masked minute is one whose pre-imputation state was Unknown. Rule
+    ``pre_days`` and ``post_days`` are the grid before and after imputation
+    and ``marks`` the per-minute rule marks imputation returned with it. A
+    masked minute is one whose pre-imputation state was Unknown. Rule
     precision is agreement among the minutes that rule resolved; state
     recall is the fraction of masked minutes of each true state that were
     resolved to that state.
     """
-    total = 0
-    masked = 0
-    resolved = 0
-    agreeing = 0
-    residual_unknown = 0
-    rule_counts = {1: 0, 2: 0, 3: 0}
-    rule_agree = {1: 0, 2: 0, 3: 0}
-    state_masked = {"sleep": 0, "awake": 0}
-    state_hit = {"sleep": 0, "awake": 0}
-
-    for key in sorted(truth):
-        if key not in pre_days or key not in post_days:
+    keys = sorted(truth)
+    row_of = {key: r for r, key in enumerate(pre_days.keys)}
+    for key in keys:
+        if key not in row_of:
             raise ValueError(f"truth day {key} missing from the aligned series")
-        t = truth[key]
-        pre = pre_days[key]
-        post = post_days[key]
-        day_marks = marks[key]
-        if not (len(pre) == len(post) == len(day_marks) == len(t.sleep)):
+        if len(truth[key].sleep) != MINUTES_PER_DAY:
             raise ValueError(f"misaligned series for {key}")
-        for i in range(len(pre)):
-            total += 1
-            truth_state = SleepState.SLEEP if t.sleep[i] else SleepState.AWAKE
-            if post[i].sleep is SleepState.UNKNOWN:
-                residual_unknown += 1
-            if pre[i].sleep is not SleepState.UNKNOWN:
-                continue
-            masked += 1
-            name = truth_state.value
-            state_masked[name] += 1
-            if post[i].sleep is SleepState.UNKNOWN:
-                continue
-            resolved += 1
-            rule = day_marks[i]
-            if rule in rule_counts:
-                rule_counts[rule] += 1
-            hit = post[i].sleep is truth_state
-            if hit:
-                agreeing += 1
-                if rule in rule_agree:
-                    rule_agree[rule] += 1
-                state_hit[name] += 1
-
-    rule_precision = {
-        rule: (rule_agree[rule] / rule_counts[rule]) if rule_counts[rule] else None
-        for rule in rule_counts
-    }
-    state_recall = {
-        name: (state_hit[name] / state_masked[name]) if state_masked[name] else None
-        for name in state_masked
-    }
+    if post_days.keys != pre_days.keys or marks.shape != pre_days.sleep.shape:
+        raise ValueError("the imputed grid and its marks do not match the aligned grid")
+    rows = [row_of[key] for key in keys]
+    true_sleep = np.array([truth[key].sleep for key in keys], dtype=bool).reshape(
+        len(keys), MINUTES_PER_DAY
+    )
+    pre, post, rule = pre_days.sleep[rows], post_days.sleep[rows], marks[rows]
+    unknown = SLEEP_CODE[SleepState.UNKNOWN]
+    true_code = np.where(
+        true_sleep, SLEEP_CODE[SleepState.SLEEP], SLEEP_CODE[SleepState.AWAKE]
+    )
+    masked = pre == unknown
+    resolved = masked & (post != unknown)
+    hit = resolved & (post == true_code)
+    state_of = {"sleep": true_sleep, "awake": ~true_sleep}
+    rule_counts = {r: int((resolved & (rule == r)).sum()) for r in (1, 2, 3)}
+    rule_agree = {r: int((hit & (rule == r)).sum()) for r in (1, 2, 3)}
+    state_masked = {name: int((masked & state).sum()) for name, state in state_of.items()}
+    state_hit = {name: int((hit & state).sum()) for name, state in state_of.items()}
+    total = true_sleep.size
     return MaskReport(
         total_minutes=total,
-        masked_minutes=masked,
-        resolved_minutes=resolved,
-        agreeing_minutes=agreeing,
+        masked_minutes=int(masked.sum()),
+        resolved_minutes=int(resolved.sum()),
+        agreeing_minutes=int(hit.sum()),
         rule_counts=rule_counts,
-        rule_precision=rule_precision,
-        state_recall=state_recall,
-        residual_unknown_fraction=residual_unknown / total if total else 0.0,
+        rule_precision={
+            r: rule_agree[r] / rule_counts[r] if rule_counts[r] else None for r in rule_counts
+        },
+        state_recall={
+            name: state_hit[name] / state_masked[name] if state_masked[name] else None
+            for name in state_masked
+        },
+        residual_unknown_fraction=int((post == unknown).sum()) / total if total else 0.0,
     )

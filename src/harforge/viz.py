@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Mapping, Sequence
 
-from .align import AlignedMinute, PersonalHrProfile
+import numpy as np
+
+from .align import DayGrid, PersonalHrProfile
 
 METRICS = (
     "distance_per_min",
@@ -65,35 +67,27 @@ class ActivityMetricSet:
 def activity_metrics(
     user_id: str,
     activity: str,
-    days: Mapping[date, Sequence[AlignedMinute]],
-    profiles: Mapping[date, PersonalHrProfile],
+    days: DayGrid,
+    profiles: Mapping[tuple[str, date], PersonalHrProfile],
 ) -> ActivityMetricSet:
     """Summarize one user's minutes in one activity across their days."""
-    distances: list[float] = []
-    steps: list[float] = []
-    pulses: list[float] = []
-    min_ratios: list[float] = []
-    max_ratios: list[float] = []
-    for day in sorted(days):
-        profile = profiles.get(day)
-        for minute in days[day]:
-            if minute.schedule_label != activity:
-                continue
-            distances.append(minute.distance_m)
-            steps.append(float(minute.steps))
-            if minute.pulse is not None:
-                pulses.append(minute.pulse)
-                if profile is not None:
-                    min_ratios.append(minute.pulse / profile.min_hr)
-                    max_ratios.append(minute.pulse / profile.max_hr)
-    if not distances:
+    rows = days.user_rows().get(user_id, slice(0, 0))
+    picked = days.map_schedule([label == activity for label in days.labels], False, rows)
+    if not picked.any():
         raise ValueError(f"user {user_id!r} has no minutes labeled {activity!r}")
+    min_hr, max_hr = days.profile_columns(profiles)
+    pulse = days.pulse[rows]
+    with_pulse = picked & ~np.isnan(pulse)
+    with_ratio = with_pulse & ~np.isnan(min_hr[rows, None])
+    pulses = pulse[with_pulse].tolist()
+    min_ratios = (pulse / min_hr[rows, None])[with_ratio].tolist()
+    max_ratios = (pulse / max_hr[rows, None])[with_ratio].tolist()
     return ActivityMetricSet(
         user_id=user_id,
         activity=activity,
-        n_minutes=len(distances),
-        distance_per_min=float(statistics.median(distances)),
-        steps_per_min=float(statistics.median(steps)),
+        n_minutes=int(picked.sum()),
+        distance_per_min=float(statistics.median(days.distance_m[rows][picked].tolist())),
+        steps_per_min=float(statistics.median(days.steps[rows][picked].astype(float).tolist())),
         pulse_per_min=float(statistics.median(pulses)) if pulses else None,
         pulse_to_min_ratio=float(statistics.median(min_ratios)) if min_ratios else None,
         pulse_to_max_ratio=float(statistics.median(max_ratios)) if max_ratios else None,

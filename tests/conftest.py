@@ -1,9 +1,14 @@
 from datetime import date
 
+import numpy as np
 import pytest
 
-from harforge.align import AlignedMinute
-from harforge.core import MinuteIndex, SleepState, default_taxonomy
+from harforge.align import SLEEP_CODE, DayGrid
+from harforge.core import MINUTES_PER_DAY, SleepState, default_taxonomy
+
+DAY = date(2024, 3, 4)
+
+_STATES = tuple(SleepState)
 
 
 @pytest.fixture(scope="session")
@@ -11,28 +16,80 @@ def taxonomy():
     return default_taxonomy()
 
 
-def make_minute(
-    index,
-    day=date(2024, 3, 4),
-    user_id="u001",
-    pulse=None,
-    steps=0,
-    distance_m=0.0,
-    sleep=SleepState.UNKNOWN,
-    schedule_label=None,
-):
-    """Build one aligned minute with sensible defaults for tests."""
-    return AlignedMinute(
-        user_id=user_id,
-        minute=MinuteIndex(day=day, index=index),
-        pulse=pulse,
-        steps=steps,
-        distance_m=distance_m,
-        sleep=sleep,
-        schedule_label=schedule_label,
+def _per_minute(value):
+    """(minute, value) pairs of a column spec: a {minute: value} dict, a
+    1440-long sequence, or one value for every minute."""
+    if isinstance(value, dict):
+        return value.items()
+    if isinstance(value, (list, tuple, np.ndarray)):
+        assert len(value) == MINUTES_PER_DAY
+        return enumerate(value)
+    return ((i, value) for i in range(MINUTES_PER_DAY))
+
+
+def make_grid(days=None, **columns):
+    """Build a DayGrid for tests from plain per-minute values.
+
+    ``days`` maps (user_id, day) to a dict of column specs; the keyword form
+    builds one day for u001 on 2024-03-04. Columns are ``pulse`` (float or
+    None), ``steps``, ``distance_m``, ``sleep`` (a SleepState) and
+    ``schedule`` (a label or None). Each spec is one value for every minute,
+    a {minute: value} dict, or a 1440-long sequence; unlisted minutes keep
+    the empty-day defaults (no pulse, no movement, Unknown, no schedule).
+    """
+    if days is None:
+        days = {("u001", DAY): columns}
+    keys = sorted(days)
+    labels = sorted(
+        {
+            label
+            for spec in days.values()
+            for _, label in _per_minute(spec.get("schedule", None))
+            if label is not None
+        }
     )
+    grid = DayGrid.empty(keys, labels)
+    encode = {
+        "pulse": lambda v: np.nan if v is None else v,
+        "steps": lambda v: v,
+        "distance_m": lambda v: v,
+        "sleep": lambda v: SLEEP_CODE[v],
+        "schedule": lambda v: -1 if v is None else labels.index(v),
+    }
+    for r, key in enumerate(keys):
+        for column, spec in days[key].items():
+            target = getattr(grid, column)
+            for minute, value in _per_minute(spec):
+                target[r, minute] = encode[column](value)
+    return grid
+
+
+def day_values(grid, column, key=("u001", DAY)):
+    """One day's column as plain values: None for a missing pulse or an
+    empty schedule slot, SleepState members for sleep codes."""
+    row = getattr(grid, column)[grid.keys.index(key)].tolist()
+    if column == "pulse":
+        return [None if v != v else v for v in row]
+    if column == "sleep":
+        return [_STATES[c] for c in row]
+    if column == "schedule":
+        return [None if c < 0 else grid.labels[c] for c in row]
+    return row
+
+
+def assert_grids_equal(a, b):
+    """Same days with the same minute values (labels compared by name)."""
+    assert a.keys == b.keys
+    for column in ("pulse", "steps", "distance_m", "sleep", "schedule"):
+        for key in a.keys:
+            assert day_values(a, column, key) == day_values(b, column, key), (column, key)
 
 
 @pytest.fixture
-def minute_factory():
-    return make_minute
+def grid_factory():
+    return make_grid
+
+
+@pytest.fixture
+def grid_values():
+    return day_values

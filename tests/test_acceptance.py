@@ -212,25 +212,9 @@ def test_loss_identities():
     print("PASS losses: focal(alpha=1,gamma=0) == weighted CE; focal(ln2; 2,2) == 0.346574")
 
 
-def _uniform_day(minute_factory, label=None, active=()):
-    minutes = []
-    for i in range(1440):
-        minutes.append(
-            minute_factory(
-                i,
-                pulse=70.0,
-                steps=0,
-                sleep=SleepState.AWAKE,
-                schedule_label=label if i in active else None,
-            )
-        )
-    return minutes
-
-
-def test_window_counts_match_enumeration(minute_factory, taxonomy):
-    minutes = _uniform_day(minute_factory)
+def test_window_counts_match_enumeration(grid_factory, taxonomy):
+    days = grid_factory(pulse=70.0, steps=0, sleep=SleepState.AWAKE)
     profile = PersonalHrProfile("u001", DAY, 50.0, 180.0, 1440, False)
-    days = {("u001", DAY): minutes}
     profiles = {("u001", DAY): profile}
     expected = {15: 143, 30: 68, 45: 46, 60: 33}
     for width, want in expected.items():
@@ -241,25 +225,20 @@ def test_window_counts_match_enumeration(minute_factory, taxonomy):
     print(f"PASS windows: counts {expected} match enumeration")
 
 
-def test_short_daily_activity_visible_only_to_narrow_windows(minute_factory, taxonomy):
+def test_short_daily_activity_visible_only_to_narrow_windows(grid_factory, taxonomy):
     bout = range(400, 420)  # 20 minutes every day
-    days = {}
+    columns = {}
     profiles = {}
     for offset in range(3):
         day = date(2024, 3, 4 + offset)
-        minutes = [
-            minute_factory(
-                i,
-                day=day,
-                pulse=70.0,
-                steps=0,
-                sleep=SleepState.AWAKE,
-                schedule_label="Fitness Test" if i in bout else None,
-            )
-            for i in range(1440)
-        ]
-        days[("u001", day)] = minutes
+        columns[("u001", day)] = {
+            "pulse": 70.0,
+            "steps": 0,
+            "sleep": SleepState.AWAKE,
+            "schedule": {i: "Fitness Test" for i in bout},
+        }
         profiles[("u001", day)] = PersonalHrProfile("u001", day, 50.0, 180.0, 1440, False)
+    days = grid_factory(columns)
 
     def labeled(width):
         wins = build_windows(days, profiles, width, taxonomy)

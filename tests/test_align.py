@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from harforge.align import (
-    AlignedMinute,
+    ALIGNED_HEADER,
     NoProfileError,
     PersonalHrProfile,
     align_cohort,
-    build_aligned_day,
     compute_hr_profile,
-    downsample_hr,
     largest_remainder,
     ltm_redistribute,
     percentile_linear,
@@ -26,7 +24,7 @@ from harforge.align import (
     write_aligned_csv,
     write_profiles_csv,
 )
-from harforge.core import MinuteIndex, ScheduleBlock, SleepState
+from harforge.core import ScheduleBlock, SleepState
 from harforge.ingest import RawActivityBlock, RawHrSample, RawSleepSegment
 
 UTC = timezone.utc
@@ -192,9 +190,13 @@ class TestLtmRedistribute:
 
 
 class TestHrProfile:
-    def test_downsample_mean(self):
-        assert downsample_hr([60.0, 62.0, 64.0]) == pytest.approx(62.0)
-        assert downsample_hr([]) is None
+    def test_downsample_mean(self, grid_values):
+        readings = ((3, 60.0), (18, 62.0), (33, 64.0))
+        samples = [RawHrSample("u1", utc(6, 30, sec), bpm) for sec, bpm in readings]
+        days = align_cohort(samples, [], [], [], tz_offset_minutes=0).days
+        pulse = grid_values(days, "pulse", ("u1", DAY))
+        assert pulse[390] == pytest.approx(62.0)
+        assert pulse[391] is None
 
     def test_envelope_of_1_to_100(self):
         pulses = [float(v) for v in range(1, 101)]
@@ -225,77 +227,78 @@ def hr_minute(user, hour, minute, bpm, day=4):
 
 
 class TestAlignCohort:
-    def test_pulse_lands_on_local_minute(self):
+    def test_pulse_lands_on_local_minute(self, grid_values):
         data = align_cohort(
             [hr_minute("u1", 6, 30, 61.0)], [], [], [], tz_offset_minutes=120
         )
-        minutes = data.days[("u1", DAY)]
-        assert len(minutes) == 1440
-        slot = minutes[8 * 60 + 30]
-        assert slot.pulse == pytest.approx(61.0)
-        assert slot.minute == MinuteIndex(day=DAY, index=510)
+        assert data.days.keys == (("u1", DAY),)
+        pulse = grid_values(data.days, "pulse", ("u1", DAY))
+        assert len(pulse) == 1440
+        assert pulse[8 * 60 + 30] == pytest.approx(61.0)
+        assert [i for i, p in enumerate(pulse) if p is not None] == [510]
 
-    def test_same_minute_samples_average(self):
+    def test_same_minute_samples_average(self, grid_values):
         samples = [
             RawHrSample("u1", utc(6, 30, 3), 60.0),
             RawHrSample("u1", utc(6, 30, 48), 64.0),
         ]
         data = align_cohort(samples, [], [], [], tz_offset_minutes=120)
-        assert data.days[("u1", DAY)][510].pulse == pytest.approx(62.0)
+        assert grid_values(data.days, "pulse", ("u1", DAY))[510] == pytest.approx(62.0)
 
-    def test_late_utc_sample_belongs_to_next_local_day(self):
+    def test_late_utc_sample_belongs_to_next_local_day(self, grid_values):
         data = align_cohort(
             [hr_minute("u1", 22, 10, 61.0)], [], [], [], tz_offset_minutes=120
         )
-        assert list(data.days) == [("u1", date(2024, 3, 5))]
-        assert data.days[("u1", date(2024, 3, 5))][10].pulse == pytest.approx(61.0)
+        assert data.days.keys == (("u1", date(2024, 3, 5)),)
+        pulse = grid_values(data.days, "pulse", ("u1", date(2024, 3, 5)))
+        assert pulse[10] == pytest.approx(61.0)
 
     def test_zero_offset_keeps_utc_days(self):
         data = align_cohort(
             [hr_minute("u1", 22, 10, 61.0)], [], [], [], tz_offset_minutes=0
         )
-        assert list(data.days) == [("u1", DAY)]
+        assert data.days.keys == (("u1", DAY),)
 
-    def test_sleep_segment_crossing_local_midnight_paints_both_days(self):
+    def test_sleep_segment_crossing_local_midnight_paints_both_days(self, grid_values):
         seg = RawSleepSegment("u1", utc(20, 0), utc(4, 0, day=5), SleepState.SLEEP)
         data = align_cohort([], [], [seg], [], tz_offset_minutes=120)
-        d1 = data.days[("u1", DAY)]
-        d2 = data.days[("u1", date(2024, 3, 5))]
-        assert d1[22 * 60].sleep is SleepState.SLEEP
-        assert d1[1439].sleep is SleepState.SLEEP
-        assert d2[0].sleep is SleepState.SLEEP
-        assert d2[6 * 60 - 1].sleep is SleepState.SLEEP
-        assert d2[6 * 60].sleep is SleepState.UNKNOWN
+        d1 = grid_values(data.days, "sleep", ("u1", DAY))
+        d2 = grid_values(data.days, "sleep", ("u1", date(2024, 3, 5)))
+        assert d1[22 * 60] is SleepState.SLEEP
+        assert d1[1439] is SleepState.SLEEP
+        assert d2[0] is SleepState.SLEEP
+        assert d2[6 * 60 - 1] is SleepState.SLEEP
+        assert d2[6 * 60] is SleepState.UNKNOWN
 
-    def test_schedule_paints_labels(self, taxonomy):
+    def test_schedule_paints_labels(self, taxonomy, grid_values):
         blk = ScheduleBlock("u1", utc(6, 0), utc(6, 30), "Running Exercise")
         data = align_cohort([], [], [], [blk], tz_offset_minutes=0)
-        minutes = data.days[("u1", DAY)]
-        assert minutes[6 * 60].schedule_label == "Running Exercise"
-        assert minutes[6 * 60 + 29].schedule_label == "Running Exercise"
-        assert minutes[6 * 60 + 30].schedule_label is None
+        labels = grid_values(data.days, "schedule", ("u1", DAY))
+        assert labels[6 * 60] == "Running Exercise"
+        assert labels[6 * 60 + 29] == "Running Exercise"
+        assert labels[6 * 60 + 30] is None
 
-    def test_block_steps_follow_high_pulse_minutes(self):
+    def test_block_steps_follow_high_pulse_minutes(self, grid_values):
         # pulses over the whole day pin min_hr; one hot minute inside the
         # block should absorb every step of the block
         samples = [hr_minute("u1", 10, m, 60.0) for m in range(60)]
         samples.append(hr_minute("u1", 12, 5, 150.0))
         block = RawActivityBlock("u1", utc(12, 0), 300, 210.0)
         data = align_cohort(samples, [block], [], [], tz_offset_minutes=0)
-        minutes = data.days[("u1", DAY)]
-        assert minutes[12 * 60 + 5].steps == 300
-        assert minutes[12 * 60 + 5].distance_m == pytest.approx(210.0)
-        assert sum(m.steps for m in minutes) == 300
+        steps = grid_values(data.days, "steps", ("u1", DAY))
+        distance = grid_values(data.days, "distance_m", ("u1", DAY))
+        assert steps[12 * 60 + 5] == 300
+        assert distance[12 * 60 + 5] == pytest.approx(210.0)
+        assert sum(steps) == 300
 
-    def test_block_without_any_pulse_spreads_uniformly(self):
+    def test_block_without_any_pulse_spreads_uniformly(self, grid_values):
         block = RawActivityBlock("u1", utc(12, 0), 30, 15.0)
         data = align_cohort([], [block], [], [], tz_offset_minutes=0)
-        minutes = data.days[("u1", DAY)]
-        got = [minutes[12 * 60 + j].steps for j in range(15)]
-        assert got == [2] * 15
-        assert minutes[12 * 60].distance_m == pytest.approx(1.0)
+        steps = grid_values(data.days, "steps", ("u1", DAY))
+        assert steps[12 * 60 : 12 * 60 + 15] == [2] * 15
+        assert grid_values(data.days, "distance_m", ("u1", DAY))[12 * 60] == pytest.approx(1.0)
 
-    def test_step_totals_conserved_per_user_day(self):
+    def test_step_totals_conserved_per_user_day(self, grid_values):
         rng = random.Random(3)
         samples = [
             hr_minute("u1", h, m, rng.uniform(50.0, 160.0))
@@ -308,9 +311,8 @@ class TestAlignCohort:
             for q in range(4)
         ]
         data = align_cohort(samples, blocks, [], [], tz_offset_minutes=0)
-        minutes = data.days[("u1", DAY)]
-        assert sum(m.steps for m in minutes) == sum(b.steps for b in blocks)
-        assert sum(m.distance_m for m in minutes) == pytest.approx(
+        assert sum(grid_values(data.days, "steps", ("u1", DAY))) == sum(b.steps for b in blocks)
+        assert sum(grid_values(data.days, "distance_m", ("u1", DAY))) == pytest.approx(
             sum(b.distance_m for b in blocks), abs=1e-9
         )
 
@@ -345,88 +347,172 @@ class TestAlignCohort:
         with pytest.raises(ValueError, match="profile scope"):
             align_cohort([], [], [], [], profile_scope="week")
 
-    def test_users_do_not_mix(self):
+    def test_users_do_not_mix(self, grid_values):
         samples = [hr_minute("u1", 10, 0, 60.0), hr_minute("u2", 10, 0, 90.0)]
         data = align_cohort(samples, [], [], [], tz_offset_minutes=0)
-        assert data.days[("u1", DAY)][600].pulse == pytest.approx(60.0)
-        assert data.days[("u2", DAY)][600].pulse == pytest.approx(90.0)
+        assert grid_values(data.days, "pulse", ("u1", DAY))[600] == pytest.approx(60.0)
+        assert grid_values(data.days, "pulse", ("u2", DAY))[600] == pytest.approx(90.0)
+
+
+GRID_COLUMNS = ("pulse", "steps", "distance_m", "sleep", "schedule")
+
+ALIGNED_TEXT_HEADER = ",".join(ALIGNED_HEADER) + "\n"
 
 
 class TestBuildAlignedDay:
-    def test_matches_cohort_alignment(self):
-        rng = random.Random(17)
-        samples = [
-            hr_minute("u1", h, m, rng.uniform(50.0, 170.0))
-            for h in range(24)
-            for m in range(0, 60, 3)
-        ]
-        blocks = [
-            RawActivityBlock("u1", utc(h, 15), rng.randint(0, 500), rng.uniform(0, 300))
-            for h in range(6, 20)
-        ]
-        segs = [RawSleepSegment("u1", utc(0, 0), utc(5, 30), SleepState.SLEEP)]
-        sched = [ScheduleBlock("u1", utc(8, 0), utc(9, 0), "Military Drills")]
-        data = align_cohort(samples, blocks, segs, sched, tz_offset_minutes=0)
-        profile = data.profiles[("u1", DAY)]
-        rebuilt = build_aligned_day(
-            "u1", DAY, samples, blocks, segs, sched, profile, tz_offset_minutes=0
-        )
-        assert rebuilt == data.days[("u1", DAY)]
+    """One user-day of align_cohort, looked at on its own."""
 
-    def test_other_users_and_days_ignored(self):
-        samples = [hr_minute("u2", 10, 0, 90.0), hr_minute("u1", 10, 0, 60.0, day=5)]
-        minutes = build_aligned_day("u1", DAY, samples, tz_offset_minutes=0)
-        assert all(m.pulse is None for m in minutes)
+    def test_matches_cohort_alignment(self, grid_values):
+        # u1's day comes out the same whether or not other users and other
+        # days are aligned alongside it
+        rng = random.Random(17)
+
+        def streams(user, day):
+            samples = [
+                hr_minute(user, h, m, rng.uniform(50.0, 170.0), day=day)
+                for h in range(24)
+                for m in range(0, 60, 3)
+            ]
+            blocks = [
+                RawActivityBlock(
+                    user, utc(h, 15, day=day), rng.randint(0, 500), rng.uniform(0, 300)
+                )
+                for h in range(6, 20)
+            ]
+            night = (utc(0, 0, day=day), utc(5, 30, day=day))
+            segs = [RawSleepSegment(user, *night, SleepState.SLEEP)]
+            sched = [ScheduleBlock(user, utc(8, 0, day=day), utc(9, 0, day=day), "Military Drills")]
+            return samples, blocks, segs, sched
+
+        alone = streams("u1", 4)
+        others = [streams("u0", 4), streams("u2", 4), streams("u1", 5)]
+        mixed = [
+            sum((list(s[i]) for s in [others[0], alone, *others[1:]]), []) for i in range(4)
+        ]
+        one = align_cohort(*alone, tz_offset_minutes=0)
+        cohort = align_cohort(*mixed, tz_offset_minutes=0)
+        key = ("u1", DAY)
+        assert one.days.keys == (key,)
+        assert len(cohort.days) == 4
+        for column in GRID_COLUMNS:
+            assert grid_values(one.days, column, key) == grid_values(cohort.days, column, key)
+        assert one.profiles[key] == cohort.profiles[key]
+
+    def test_other_users_and_days_ignored(self, grid_values):
+        samples = [
+            hr_minute("u2", 10, 0, 90.0),
+            hr_minute("u1", 10, 0, 60.0, day=5),
+            hr_minute("u1", 9, 0, 70.0),
+        ]
+        data = align_cohort(samples, [], [], [], tz_offset_minutes=0)
+        pulse = grid_values(data.days, "pulse", ("u1", DAY))
+        assert [i for i, p in enumerate(pulse) if p is not None] == [540]
 
     def test_without_profile_blocks_spread_uniformly(self):
-        samples = [hr_minute("u1", 12, j, 150.0) for j in range(15)]
-        block = RawActivityBlock("u1", utc(12, 0), 15, 0.0)
-        minutes = build_aligned_day("u1", DAY, samples, [block], tz_offset_minutes=0)
-        assert [m.steps for m in minutes[720:735]] == [1] * 15
+        # align_cohort passes min_hr = inf for a day without a profile, which
+        # puts every pulse below the cutoff
+        parts = ltm_redistribute(15, 0.0, [150.0] * 15, math.inf)
+        assert [s for s, _ in parts] == [1] * 15
 
-    def test_interval_clipped_to_day(self):
+    def test_interval_clipped_to_day(self, grid_values):
         seg = RawSleepSegment("u1", utc(20, 0, day=3), utc(23, 0), SleepState.SLEEP)
-        minutes = build_aligned_day("u1", DAY, sleep_segments=[seg], tz_offset_minutes=0)
-        assert minutes[0].sleep is SleepState.SLEEP
-        assert minutes[22 * 60 + 59].sleep is SleepState.SLEEP
-        assert minutes[23 * 60].sleep is SleepState.UNKNOWN
+        data = align_cohort([], [], [seg], [], tz_offset_minutes=0)
+        sleep = grid_values(data.days, "sleep", ("u1", DAY))
+        assert sleep[0] is SleepState.SLEEP
+        assert sleep[22 * 60 + 59] is SleepState.SLEEP
+        assert sleep[23 * 60] is SleepState.UNKNOWN
+        before = grid_values(data.days, "sleep", ("u1", date(2024, 3, 3)))
+        assert before[20 * 60 - 1] is SleepState.UNKNOWN
+        assert before[20 * 60] is SleepState.SLEEP
 
 
 class TestAlignedCsv:
-    def _sample_days(self):
-        minutes = [
-            AlignedMinute(
-                user_id="u1",
-                minute=MinuteIndex(day=DAY, index=i),
-                pulse=None if i % 3 == 0 else 60.0 + i * 0.25,
-                steps=i % 7,
-                distance_m=(i % 7) * 0.7,
-                sleep=SleepState.SLEEP if i < 300 else SleepState.UNKNOWN,
-                schedule_label="Running Exercise" if 400 <= i < 430 else None,
-            )
-            for i in range(1440)
-        ]
-        return {("u1", DAY): minutes}
+    def _sample_days(self, grid_factory):
+        return grid_factory(
+            {
+                ("u1", DAY): {
+                    "pulse": [None if i % 3 == 0 else 60.0 + i * 0.25 for i in range(1440)],
+                    "steps": [i % 7 for i in range(1440)],
+                    "distance_m": [(i % 7) * 0.7 for i in range(1440)],
+                    "sleep": {i: SleepState.SLEEP for i in range(300)},
+                    "schedule": {i: "Running Exercise" for i in range(400, 430)},
+                }
+            }
+        )
 
-    def test_round_trip(self):
-        days = self._sample_days()
+    def _sample_text(self, grid_factory):
+        return write_aligned_csv(self._sample_days(grid_factory))
+
+    def test_round_trip(self, grid_factory, grid_values):
+        days = self._sample_days(grid_factory)
         text = write_aligned_csv(days)
-        assert read_aligned_csv(io.StringIO(text)) == days
+        again = read_aligned_csv(io.StringIO(text))
+        assert again.keys == days.keys
+        for column in GRID_COLUMNS:
+            assert grid_values(again, column, ("u1", DAY)) == grid_values(days, column, ("u1", DAY))
+        assert write_aligned_csv(again) == text
 
-    def test_missing_pulse_serializes_empty(self):
-        text = write_aligned_csv(self._sample_days())
-        first_row = text.splitlines()[1]
+    def test_missing_pulse_serializes_empty(self, grid_factory):
+        first_row = self._sample_text(grid_factory).splitlines()[1]
         assert first_row == "u1,2024-03-04,0,,0,0.0,sleep,"
 
     def test_header_enforced(self):
         with pytest.raises(ValueError, match="header"):
             read_aligned_csv(io.StringIO("user,day\nu1,2024-03-04\n"))
 
-    def test_field_count_enforced(self):
-        text = write_aligned_csv(self._sample_days())
-        broken = text + "u1,2024-03-04,9\n"
+    def test_field_count_enforced(self, grid_factory):
+        broken = self._sample_text(grid_factory) + "u1,2024-03-04,9\n"
         with pytest.raises(ValueError, match="fields"):
             read_aligned_csv(io.StringIO(broken))
+
+    def test_truncated_day_rejected(self, grid_factory):
+        lines = self._sample_text(grid_factory).splitlines(keepends=True)
+        with pytest.raises(ValueError, match="row 1440 before minute 1439 of u1 2024-03-04"):
+            read_aligned_csv(io.StringIO("".join(lines[:-1])))
+
+    def test_truncated_day_followed_by_another_rejected(self, grid_factory):
+        lines = self._sample_text(grid_factory).splitlines(keepends=True)
+        other = [line.replace("u1,", "u2,", 1) for line in lines[1:]]
+        with pytest.raises(ValueError, match="row 1441: u1 2024-03-04 ends before minute 1439"):
+            read_aligned_csv(io.StringIO("".join(lines[:-1] + other)))
+
+    def test_missing_minute_rejected(self, grid_factory):
+        lines = self._sample_text(grid_factory).splitlines(keepends=True)
+        del lines[1 + 100]
+        with pytest.raises(ValueError, match="row 102: u1 2024-03-04 skips minute 100"):
+            read_aligned_csv(io.StringIO("".join(lines)))
+
+    def test_duplicate_minute_rejected(self, grid_factory):
+        lines = self._sample_text(grid_factory).splitlines(keepends=True)
+        lines.insert(1 + 6, lines[1 + 5])
+        with pytest.raises(ValueError, match="row 8: u1 2024-03-04 repeats minute 5"):
+            read_aligned_csv(io.StringIO("".join(lines)))
+
+    def test_repeated_day_rejected(self, grid_factory):
+        rows = self._sample_text(grid_factory).splitlines(keepends=True)[1:]
+        again = [rows[0]] + rows
+        with pytest.raises(ValueError, match="row 1442: u1 2024-03-04 repeats minute 0"):
+            read_aligned_csv(io.StringIO(ALIGNED_TEXT_HEADER + "".join(rows + again)))
+        other = [row.replace("u1,", "u2,", 1) for row in rows]
+        with pytest.raises(ValueError, match="row 2882: u1 2024-03-04 appears twice"):
+            read_aligned_csv(io.StringIO(ALIGNED_TEXT_HEADER + "".join(rows + other + rows)))
+
+    @pytest.mark.parametrize("minute", [-1, 1440])
+    def test_out_of_range_minute_rejected(self, grid_factory, minute):
+        lines = self._sample_text(grid_factory).splitlines(keepends=True)
+        lines[-1] = lines[-1].replace(",1439,", f",{minute},", 1)
+        with pytest.raises(ValueError, match=f"row 1441: minute {minute} outside"):
+            read_aligned_csv(io.StringIO("".join(lines)))
+
+
+    @pytest.mark.parametrize("field, text", [(3, "nan"), (3, "inf"), (5, "nan"), (5, "-inf")])
+    def test_non_finite_values_rejected(self, grid_factory, field, text):
+        lines = self._sample_text(grid_factory).splitlines(keepends=True)
+        cells = lines[11].split(",")
+        cells[field] = text
+        lines[11] = ",".join(cells)
+        with pytest.raises(ValueError, match="row 12: pulse and distance must be finite"):
+            read_aligned_csv(io.StringIO("".join(lines)))
 
 
 class TestProfilesCsv:
@@ -441,3 +527,87 @@ class TestProfilesCsv:
     def test_header_enforced(self):
         with pytest.raises(ValueError, match="header"):
             read_profiles_csv(io.StringIO("user_id,min_hr\n"))
+
+    def test_field_count_enforced(self):
+        text = write_profiles_csv(
+            {("u1", DAY): PersonalHrProfile("u1", DAY, 52.75, 148.2, 930, False)}
+        )
+        with pytest.raises(ValueError, match="profile CSV row 3 has 3 fields"):
+            read_profiles_csv(io.StringIO(text + "u2,2024-03-04,61.0\n"))
+
+
+def test_cohort_matches_per_minute_reference(grid_values):
+    """align_cohort against a loop over samples and painted minutes."""
+    from datetime import timedelta
+
+    from harforge.core import epoch_minute, local_day_and_index
+
+    rng = random.Random(23)
+    offset = 135
+    start = datetime(2024, 3, 3, 18, 0, tzinfo=UTC)
+
+    def at(minutes):
+        return start + timedelta(minutes=minutes)
+
+    samples = [
+        RawHrSample(
+            rng.choice(["u2", "u1"]),
+            start + timedelta(seconds=rng.randrange(3 * 86400)),
+            rng.uniform(40.0, 180.0),
+        )
+        for _ in range(4000)
+    ]
+    blocks, segs, sched = [], [], []
+    for user in ("u2", "u1"):
+        t = 0
+        while t < 3 * 1440:
+            length = rng.randrange(5, 400)
+            state = rng.choice([SleepState.SLEEP, SleepState.AWAKE])
+            segs.append(RawSleepSegment(user, at(t), at(t + length), state))
+            t += length + rng.randrange(0, 90)
+        for q in range(0, 3 * 96, 3):
+            steps, distance = rng.randrange(0, 400), rng.uniform(0, 300)
+            blocks.append(RawActivityBlock(user, at(15 * q), steps, distance))
+        for h in range(0, 72, 7):
+            t = 60 * h + rng.randrange(60)
+            label = rng.choice(["Other", "Military Drills"])
+            sched.append(ScheduleBlock(user, at(t), at(t + rng.randrange(1, 200)), label))
+    data = align_cohort(samples, blocks, segs, sched, tz_offset_minutes=offset)
+
+    def slot(ts):
+        return local_day_and_index(epoch_minute(ts), offset)
+
+    sums, counts, sleep, labels = {}, {}, {}, {}
+    for s in samples:
+        cell = (s.user_id, *slot(s.timestamp))
+        sums[cell] = sums.get(cell, 0.0) + s.hr_bpm
+        counts[cell] = counts.get(cell, 0) + 1
+    painted = [(sleep, g.user_id, g.start, g.end, g.state) for g in segs]
+    painted += [(labels, b.user_id, b.start, b.end, b.label) for b in sched]
+    for column, user, a, b, value in painted:
+        for m in range(epoch_minute(a), epoch_minute(b)):
+            column[(user, *local_day_and_index(m, offset))] = value
+    assert len(data.days) == len({(u, d) for u, d, _ in [*counts, *sleep, *labels]})
+    for key in data.days.keys:
+        cells = [(*key, i) for i in range(1440)]
+        pulse = [sums[c] / counts[c] if c in counts else None for c in cells]
+        assert grid_values(data.days, "pulse", key) == pulse
+        want_sleep = [sleep.get(c, SleepState.UNKNOWN) for c in cells]
+        assert grid_values(data.days, "sleep", key) == want_sleep
+        assert grid_values(data.days, "schedule", key) == [labels.get(c) for c in cells]
+        steps = [0] * 1440
+        distance = [0.0] * 1440
+        profile = data.profiles.get(key)
+        min_hr = profile.min_hr if profile else math.inf
+        for b in blocks:
+            b_day, i = slot(b.block_start)
+            if (b.user_id, b_day) == key:
+                parts = ltm_redistribute(b.steps, b.distance_m, pulse[i : i + 15], min_hr)
+                for j, (s, d) in enumerate(parts):
+                    steps[i + j] += s
+                    distance[i + j] += d
+        assert grid_values(data.days, "steps", key) == steps
+        assert grid_values(data.days, "distance_m", key) == distance
+        present = [p for p in pulse if p is not None]
+        if present:
+            assert profile == compute_hr_profile(*key, present)

@@ -5,9 +5,9 @@ from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
+from harforge.align import ALIGNED_HEADER, align_cohort, read_aligned_csv
 from harforge.core import (
     ActivityTaxonomy,
-    MinuteIndex,
     ScheduleBlock,
     SleepState,
     UnknownLabelError,
@@ -17,11 +17,8 @@ from harforge.core import (
     format_number,
     load_taxonomy,
     local_day_and_index,
-    minute_of_day,
-    minute_utc_start,
     read_taxonomy,
     save_taxonomy,
-    validate_day_series,
     DEFAULT_LEVEL2_LABELS,
     LEVEL1_ACTIVITY,
     LEVEL1_AWAKE,
@@ -29,6 +26,7 @@ from harforge.core import (
     LEVEL1_SLEEP,
     MINUTES_PER_DAY,
 )
+from harforge.ingest import RawHrSample
 
 
 def utc(*args):
@@ -73,27 +71,42 @@ class TestLocalDayAndIndex:
     def test_negative_epoch_minutes_wrap(self):
         assert local_day_and_index(-1, 0) == (date(1969, 12, 31), 1439)
 
-    def test_round_trip_with_minute_utc_start(self):
+    def test_round_trip_with_epoch_minute(self):
+        # local slot (2024-03-04, index) begins at UTC midnight + index - 120
+        midnight = utc(2024, 3, 4)
         for index in (0, 1, 719, 1439):
-            start = minute_utc_start(date(2024, 3, 4), index, 120)
-            assert minute_of_day(start, 120) == MinuteIndex(date(2024, 3, 4), index)
+            start = midnight + timedelta(minutes=index - 120)
+            assert local_day_and_index(epoch_minute(start), 120) == (date(2024, 3, 4), index)
 
     def test_minute_of_day_floors_seconds(self):
         ts = utc(2024, 3, 4, 10, 30, 59)
-        assert minute_of_day(ts, 0).index == 10 * 60 + 30
+        assert local_day_and_index(epoch_minute(ts), 0) == (date(2024, 3, 4), 10 * 60 + 30)
+
+
+def _aligned_text(*minutes):
+    rows = [",".join(ALIGNED_HEADER)]
+    rows += [f"u1,2024-01-01,{m},,0,0.0,unknown," for m in minutes]
+    return io.StringIO("\n".join(rows) + "\n")
 
 
 def test_minute_index_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        MinuteIndex(day=date(2024, 1, 1), index=1440)
-    with pytest.raises(ValueError):
-        MinuteIndex(day=date(2024, 1, 1), index=-1)
+    # the slot range is checked where minutes enter the program: the reader
+    with pytest.raises(ValueError, match="minute 1440 outside"):
+        read_aligned_csv(_aligned_text(*range(1439), 1440))
+    with pytest.raises(ValueError, match="minute -1 outside"):
+        read_aligned_csv(_aligned_text(-1))
 
 
 def test_minute_index_orders_by_day_then_slot():
-    a = MinuteIndex(date(2024, 1, 1), 1439)
-    b = MinuteIndex(date(2024, 1, 2), 0)
-    assert a < b
+    # grid rows sort by day, so the flattened grid runs (day 1, 1439) -> (day 2, 0)
+    samples = [
+        RawHrSample("u1", utc(2024, 1, 2, 0, 0, 5), 70.0),
+        RawHrSample("u1", utc(2024, 1, 1, 23, 59, 5), 60.0),
+    ]
+    grid = align_cohort(samples, [], [], [], tz_offset_minutes=0).days
+    assert grid.keys == (("u1", date(2024, 1, 1)), ("u1", date(2024, 1, 2)))
+    flat = grid.pulse.reshape(-1)
+    assert (flat[1439], flat[1440]) == (60.0, 70.0)
 
 
 def test_schedule_block_requires_positive_span():
@@ -175,33 +188,30 @@ class TestFormatNumber:
 
 
 class TestValidateDaySeries:
-    def make_day(self, minute_factory):
-        return [minute_factory(i) for i in range(MINUTES_PER_DAY)]
+    """A user-day is checked where it enters the program: read_aligned_csv
+    accepts only minutes 0..1439, each once and in order."""
 
-    def test_clean_day_is_ok(self, minute_factory):
-        report = validate_day_series(self.make_day(minute_factory))
-        assert report.ok
+    def make_day(self):
+        return list(range(MINUTES_PER_DAY))
 
-    def test_wrong_length_flagged(self, minute_factory):
-        report = validate_day_series(self.make_day(minute_factory)[:100])
-        assert any(f.kind == "length" for f in report.findings)
+    def test_clean_day_is_ok(self):
+        grid = read_aligned_csv(_aligned_text(*self.make_day()))
+        assert grid.keys == (("u1", date(2024, 1, 1)),)
+        assert grid.sleep.shape == (1, MINUTES_PER_DAY)
 
-    def test_duplicate_and_order_flagged(self, minute_factory):
-        day = self.make_day(minute_factory)
-        day[5] = minute_factory(4)
-        report = validate_day_series(day)
-        kinds = {f.kind for f in report.findings}
-        assert "duplicate_index" in kinds and "order" in kinds
+    def test_wrong_length_flagged(self):
+        with pytest.raises(ValueError, match="ends at row 101 before minute 100"):
+            read_aligned_csv(_aligned_text(*self.make_day()[:100]))
 
-    def test_negative_and_implausible_values_flagged(self, minute_factory):
-        day = self.make_day(minute_factory)
-        day[0] = minute_factory(0, steps=-1)
-        day[1] = minute_factory(1, distance_m=-0.5)
-        day[2] = minute_factory(2, pulse=300.0)
-        kinds = [f.kind for f in validate_day_series(day).findings]
-        assert kinds.count("negative_steps") == 1
-        assert kinds.count("negative_distance") == 1
-        assert kinds.count("pulse_range") == 1
+    def test_duplicate_and_order_flagged(self):
+        day = self.make_day()
+        day[5] = 4
+        with pytest.raises(ValueError, match="row 7: u1 2024-01-01 repeats minute 4"):
+            read_aligned_csv(_aligned_text(*day))
+        day = self.make_day()
+        day[4], day[5] = 5, 4
+        with pytest.raises(ValueError, match="row 6: u1 2024-01-01 skips minute 4"):
+            read_aligned_csv(_aligned_text(*day))
 
     def test_sleep_state_values_are_csv_codes(self):
         assert {s.value for s in SleepState} == {"sleep", "awake", "unknown"}

@@ -15,10 +15,10 @@ from harforge.dataset import (
     SplitSpec,
     apply_normalizer,
     build_windows,
-    effective_label,
+    effective_labels,
     fit_normalizer,
-    label_window,
     median_class_count,
+    modal_labels,
     normalizer_from_json,
     normalizer_to_json,
     oversample_minority,
@@ -91,17 +91,43 @@ class TestStrideAndSlide:
             slide_windows(1440, 1)
 
 
+def effective_label(grid_factory, **columns):
+    """Effective label of minute 100 of a one-day grid."""
+    codes, names = effective_labels(grid_factory(**columns))
+    return names[codes[0, 100]]
+
+
 class TestEffectiveLabel:
-    def test_sleep_beats_schedule(self, minute_factory):
-        m = minute_factory(100, sleep=S, schedule_label="Running Exercise")
-        assert effective_label(m) == LEVEL1_SLEEP
+    def test_sleep_beats_schedule(self, grid_factory):
+        label = effective_label(grid_factory, sleep={100: S}, schedule={100: "Running Exercise"})
+        assert label == LEVEL1_SLEEP
 
-    def test_schedule_beats_plain_awake(self, minute_factory):
-        m = minute_factory(100, sleep=A, schedule_label="Running Exercise")
-        assert effective_label(m) == "Running Exercise"
+    def test_schedule_beats_plain_awake(self, grid_factory):
+        label = effective_label(grid_factory, sleep={100: A}, schedule={100: "Running Exercise"})
+        assert label == "Running Exercise"
 
-    def test_unknown_without_schedule_is_awake(self, minute_factory):
-        assert effective_label(minute_factory(100)) == LEVEL1_AWAKE
+    def test_unknown_without_schedule_is_awake(self, grid_factory):
+        assert effective_label(grid_factory) == LEVEL1_AWAKE
+
+    def test_codes_follow_name_order(self, grid_factory):
+        codes, names = effective_labels(
+            grid_factory(sleep={0: S}, schedule={1: "Running Exercise", 2: "Kitchen Duties"})
+        )
+        assert names == tuple(sorted(names))
+        assert [names[c] for c in codes[0, :4]] == [
+            LEVEL1_SLEEP, "Running Exercise", "Kitchen Duties", LEVEL1_AWAKE
+        ]
+
+
+def label_window(labels, taxonomy, threshold=0.70):
+    """(level1, level2) of one window of per-minute labels via modal_labels,
+    or None when the window is too mixed."""
+    names = tuple(sorted(set(labels)))
+    codes = np.array([names.index(label) for label in labels])
+    modal = modal_labels(codes, len(names), threshold)
+    if modal < 0:
+        return None
+    return taxonomy.level1_of(names[modal]), names[modal]
 
 
 class TestLabelWindow:
@@ -125,33 +151,29 @@ class TestLabelWindow:
         with pytest.raises(ValueError, match="empty"):
             label_window([], taxonomy)
 
+    def test_labels_every_window_at_once(self):
+        windows = np.array([[[0, 0, 1], [2, 1, 1]], [[2, 2, 2], [0, 1, 2]]])
+        assert modal_labels(windows, 3, threshold=0.6).tolist() == [[0, 1], [2, -1]]
+
 
 class TestBuildWindows:
-    def _day(self, minute_factory):
-        minutes = []
-        for i in range(1440):
-            if i < 420:
-                minutes.append(minute_factory(i, pulse=50.0, sleep=S))
-            elif 480 <= i < 600:
-                minutes.append(
-                    minute_factory(
-                        i,
-                        pulse=140.0,
-                        steps=100,
-                        distance_m=80.0,
-                        sleep=A,
-                        schedule_label="Running Exercise",
-                    )
-                )
-            elif i == 700:
-                minutes.append(minute_factory(i, pulse=None, steps=3, distance_m=2.0, sleep=A))
-            else:
-                minutes.append(minute_factory(i, pulse=70.0, sleep=A))
-        return minutes
+    def _day(self, grid_factory):
+        sleep = [S if i < 420 else A for i in range(1440)]
+        pulse = [50.0 if i < 420 else 70.0 for i in range(1440)]
+        steps = [0] * 1440
+        distance = [0.0] * 1440
+        schedule = [None] * 1440
+        for i in range(480, 600):
+            pulse[i], steps[i], distance[i] = 140.0, 100, 80.0
+            schedule[i] = "Running Exercise"
+        pulse[700], steps[700], distance[700] = None, 3, 2.0
+        return grid_factory(
+            pulse=pulse, steps=steps, distance_m=distance, sleep=sleep, schedule=schedule
+        )
 
-    def test_channels_and_labels(self, taxonomy, minute_factory):
+    def test_channels_and_labels(self, taxonomy, grid_factory):
         profile = PersonalHrProfile("u001", DAY, 50.0, 140.0, 1440, False)
-        days = {("u001", DAY): self._day(minute_factory)}
+        days = self._day(grid_factory)
         profiles = {("u001", DAY): profile}
         windows = build_windows(days, profiles, 15, taxonomy)
         assert windows, "expected at least one window"
@@ -169,21 +191,21 @@ class TestBuildWindows:
         np.testing.assert_allclose(w700.features[0], [0.0, 0.0, 0.0, 3.0, 2.0])
         assert w700.label_l1 == LEVEL1_AWAKE
 
-    def test_mixed_windows_are_dropped(self, taxonomy, minute_factory):
+    def test_mixed_windows_are_dropped(self, taxonomy, grid_factory):
         # the sleep-to-awake boundary at 420 leaves no 15-minute window
         # aligned to start 410 (8 sleep + 7 awake fails the 70% rule)
         profile = PersonalHrProfile("u001", DAY, 50.0, 140.0, 1440, False)
-        days = {("u001", DAY): self._day(minute_factory)}
+        days = self._day(grid_factory)
         windows = build_windows(days, {("u001", DAY): profile}, 15, taxonomy)
         assert 410 not in {w.start_minute for w in windows}
 
-    def test_day_without_profile_is_skipped(self, taxonomy, minute_factory):
-        days = {("u001", DAY): self._day(minute_factory)}
+    def test_day_without_profile_is_skipped(self, taxonomy, grid_factory):
+        days = self._day(grid_factory)
         assert build_windows(days, {}, 15, taxonomy) == []
 
-    def test_windows_never_synthetic(self, taxonomy, minute_factory):
+    def test_windows_never_synthetic(self, taxonomy, grid_factory):
         profile = PersonalHrProfile("u001", DAY, 50.0, 140.0, 1440, False)
-        days = {("u001", DAY): self._day(minute_factory)}
+        days = self._day(grid_factory)
         windows = build_windows(days, {("u001", DAY): profile}, 60, taxonomy)
         assert all(not w.synthetic for w in windows)
 
@@ -437,3 +459,67 @@ class TestSplitManifest:
                 for idx, w in zip(entry[name], result.part(name)):
                     assert windows[idx] is w
             assert entry["flagged_users"] == list(result.flagged_users)
+
+
+def test_windows_match_per_window_reference(grid_factory, grid_values, taxonomy):
+    """build_windows against a minute-by-minute loop with a Counter per window."""
+    from collections import Counter
+
+    rng = np.random.default_rng(12)
+    labels = ["Running Exercise", "Kitchen Duties", "Fitness Test", None]
+    days = {}
+    for key in [("u1", DAY), ("u1", DAY + timedelta(days=1)), ("u2", DAY)]:
+        schedule, sleep = [], []
+        label, state = None, A
+        for i in range(1440):
+            if rng.random() < 0.03:
+                label = labels[rng.integers(len(labels))]
+            if rng.random() < 0.02:
+                state = [S, A, U][rng.integers(3)]
+            schedule.append(label)
+            sleep.append(state)
+        days[key] = {
+            "pulse": [
+                None if rng.random() < 0.1 else float(rng.uniform(45, 170)) for _ in range(1440)
+            ],
+            "steps": rng.integers(0, 40, 1440).tolist(),
+            "distance_m": rng.uniform(0, 30, 1440).tolist(),
+            "sleep": sleep,
+            "schedule": schedule,
+        }
+    grid = grid_factory(days)
+    profiles = {
+        ("u1", DAY): PersonalHrProfile("u1", DAY, 52.0, 171.0, 1300, False),
+        ("u2", DAY): PersonalHrProfile("u2", DAY, 49.0, 166.0, 1300, False),
+    }
+    for width in (15, 60):
+        want = []
+        for key in sorted(profiles):
+            p = profiles[key]
+            pulse = grid_values(grid, "pulse", key)
+            steps = grid_values(grid, "steps", key)
+            distance = grid_values(grid, "distance_m", key)
+            sleep = grid_values(grid, "sleep", key)
+            schedule = grid_values(grid, "schedule", key)
+            feats = np.array(
+                [
+                    [0.0, 0.0, 0.0, steps[i], distance[i]]
+                    if pulse[i] is None
+                    else [pulse[i], pulse[i] / p.min_hr, pulse[i] / p.max_hr, steps[i], distance[i]]
+                    for i in range(1440)
+                ]
+            )
+            effective = [
+                LEVEL1_SLEEP if sleep[i] is S else schedule[i] or LEVEL1_AWAKE for i in range(1440)
+            ]
+            for start in slide_windows(1440, width):
+                counts = Counter(effective[start : start + width])
+                modal, count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+                if count >= 0.70 * width:
+                    want.append((key, start, modal, feats[start : start + width]))
+        got = build_windows(grid, profiles, width, taxonomy)
+        assert len(got) == len(want) > 0
+        for w, (key, start, modal, feats) in zip(got, want):
+            assert ((w.user_id, w.day), w.start_minute, w.label_l2) == (key, start, modal)
+            assert w.label_l1 == taxonomy.level1_of(modal)
+            np.testing.assert_array_equal(w.features, feats)

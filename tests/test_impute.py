@@ -3,15 +3,14 @@
 import random
 from datetime import date
 
+import numpy as np
 import pytest
 
-from harforge.align import PersonalHrProfile
+from harforge.align import SLEEP_CODE, PersonalHrProfile
 from harforge.core import SleepState
 from harforge.impute import (
     ImputeConfig,
     impute_cohort,
-    impute_day,
-    impute_user,
     rule1_sleep,
     rule2_awake,
     rule3_fill,
@@ -21,10 +20,19 @@ from harforge.impute import (
 DAY = date(2024, 3, 4)
 CFG = ImputeConfig()
 PROFILE = PersonalHrProfile("u001", DAY, min_hr=50.0, max_hr=150.0, n_pulses=600, low_confidence=False)
+MIN_HR = np.array([PROFILE.min_hr])
 
 U = SleepState.UNKNOWN
 S = SleepState.SLEEP
 A = SleepState.AWAKE
+
+
+def decide(rule, grid, index):
+    """What ``rule`` says about one minute of a one-day grid: its state, or
+    None for no decision."""
+    if not rule(grid, MIN_HR, CFG)[0, index]:
+        return None
+    return S if rule is rule1_sleep else A
 
 
 class TestNightWindow:
@@ -38,100 +46,117 @@ class TestNightWindow:
 
 
 class TestRule1Sleep:
-    def test_quiet_low_pulse_night_minute_sleeps(self, minute_factory):
-        m = minute_factory(100, pulse=52.0)
-        assert rule1_sleep(m, PROFILE, CFG) is S
+    def test_quiet_low_pulse_night_minute_sleeps(self, grid_factory):
+        assert decide(rule1_sleep, grid_factory(pulse={100: 52.0}), 100) is S
 
-    def test_pulse_exactly_at_night_threshold_is_no_decision(self, minute_factory):
+    def test_pulse_exactly_at_night_threshold_is_no_decision(self, grid_factory):
         # night cutoff is 1.05 * 50 = 52.5, comparison is strict
-        assert rule1_sleep(minute_factory(100, pulse=52.5), PROFILE, CFG) is None
-        assert rule1_sleep(minute_factory(100, pulse=52.49), PROFILE, CFG) is S
+        assert decide(rule1_sleep, grid_factory(pulse={100: 52.5}), 100) is None
+        assert decide(rule1_sleep, grid_factory(pulse={100: 52.49}), 100) is S
 
-    def test_day_threshold_is_looser(self, minute_factory):
+    def test_day_threshold_is_looser(self, grid_factory):
         # 55 bpm is above the night cutoff but below the day cutoff of 60
-        assert rule1_sleep(minute_factory(100, pulse=55.0), PROFILE, CFG) is None
-        assert rule1_sleep(minute_factory(720, pulse=55.0), PROFILE, CFG) is S
-        assert rule1_sleep(minute_factory(720, pulse=60.0), PROFILE, CFG) is None
+        assert decide(rule1_sleep, grid_factory(pulse={100: 55.0}), 100) is None
+        assert decide(rule1_sleep, grid_factory(pulse={720: 55.0}), 720) is S
+        assert decide(rule1_sleep, grid_factory(pulse={720: 60.0}), 720) is None
 
-    def test_steps_block_sleep(self, minute_factory):
-        assert rule1_sleep(minute_factory(100, pulse=52.0, steps=1), PROFILE, CFG) is None
+    def test_steps_block_sleep(self, grid_factory):
+        grid = grid_factory(pulse={100: 52.0}, steps={100: 1})
+        assert decide(rule1_sleep, grid, 100) is None
 
-    def test_missing_pulse_blocks_sleep(self, minute_factory):
-        assert rule1_sleep(minute_factory(100), PROFILE, CFG) is None
+    def test_missing_pulse_blocks_sleep(self, grid_factory):
+        assert decide(rule1_sleep, grid_factory(), 100) is None
 
-    def test_known_state_untouched(self, minute_factory):
-        m = minute_factory(100, pulse=52.0, sleep=A)
-        assert rule1_sleep(m, PROFILE, CFG) is None
+    def test_known_state_untouched(self, grid_factory):
+        grid = grid_factory(pulse={100: 52.0}, sleep={100: A})
+        assert decide(rule1_sleep, grid, 100) is None
 
 
 class TestRule2Awake:
-    def test_steps_imply_awake_even_without_pulse(self, minute_factory):
-        assert rule2_awake(minute_factory(100, steps=3), PROFILE, CFG) is A
+    def test_steps_imply_awake_even_without_pulse(self, grid_factory):
+        assert decide(rule2_awake, grid_factory(steps={100: 3}), 100) is A
 
-    def test_elevated_pulse_implies_awake(self, minute_factory):
-        assert rule2_awake(minute_factory(100, pulse=60.5), PROFILE, CFG) is A
+    def test_elevated_pulse_implies_awake(self, grid_factory):
+        assert decide(rule2_awake, grid_factory(pulse={100: 60.5}), 100) is A
 
-    def test_pulse_exactly_at_awake_threshold_is_no_decision(self, minute_factory):
-        assert rule2_awake(minute_factory(100, pulse=60.0), PROFILE, CFG) is None
+    def test_pulse_exactly_at_awake_threshold_is_no_decision(self, grid_factory):
+        assert decide(rule2_awake, grid_factory(pulse={100: 60.0}), 100) is None
 
-    def test_quiet_low_pulse_is_no_decision(self, minute_factory):
-        assert rule2_awake(minute_factory(100, pulse=58.0), PROFILE, CFG) is None
+    def test_quiet_low_pulse_is_no_decision(self, grid_factory):
+        assert decide(rule2_awake, grid_factory(pulse={100: 58.0}), 100) is None
 
-    def test_known_state_untouched(self, minute_factory):
-        assert rule2_awake(minute_factory(100, steps=3, sleep=S), PROFILE, CFG) is None
+    def test_known_state_untouched(self, grid_factory):
+        grid = grid_factory(steps={100: 3}, sleep={100: S})
+        assert decide(rule2_awake, grid, 100) is None
+
+
+def fill(states, max_gap):
+    """rule3_fill over one row of states, back as a list of states."""
+    codes = np.array([[SLEEP_CODE[s] for s in states]], dtype=np.int8)
+    return [tuple(SleepState)[c] for c in rule3_fill(codes, max_gap)[0]]
 
 
 class TestRule3Fill:
     def test_short_interior_run_with_matching_flanks_fills(self):
         states = [S, U, U, U, S]
-        assert rule3_fill(states, 120) == [S, S, S, S, S]
+        assert fill(states, 120) == [S, S, S, S, S]
 
     def test_awake_flanks_fill_awake(self):
-        assert rule3_fill([A, U, A], 120) == [A, A, A]
+        assert fill([A, U, A], 120) == [A, A, A]
 
     def test_mixed_flanks_do_not_fill(self):
         states = [S, U, U, A]
-        assert rule3_fill(states, 120) == states
+        assert fill(states, 120) == states
 
     def test_run_touching_start_is_left_alone(self):
         states = [U, U, S, S]
-        assert rule3_fill(states, 120) == states
+        assert fill(states, 120) == states
 
     def test_run_touching_end_is_left_alone(self):
         states = [S, S, U, U]
-        assert rule3_fill(states, 120) == states
+        assert fill(states, 120) == states
 
     def test_gap_length_boundary_is_inclusive(self):
         at_limit = [S] + [U] * 120 + [S]
-        assert rule3_fill(at_limit, 120) == [S] * 122
+        assert fill(at_limit, 120) == [S] * 122
         over = [S] + [U] * 121 + [S]
-        assert rule3_fill(over, 120) == over
+        assert fill(over, 120) == over
 
     def test_multiple_independent_runs(self):
         states = [S, U, S, A, U, U, A, S, U, A]
-        assert rule3_fill(states, 120) == [S, S, S, A, A, A, A, S, U, A]
+        assert fill(states, 120) == [S, S, S, A, A, A, A, S, U, A]
 
     def test_all_unknown_unchanged(self):
         states = [U] * 10
-        assert rule3_fill(states, 120) == states
+        assert fill(states, 120) == states
 
     def test_input_not_mutated(self):
-        states = [S, U, S]
-        rule3_fill(states, 120)
-        assert states == [S, U, S]
+        codes = np.array([[SLEEP_CODE[s] for s in (S, U, S)]], dtype=np.int8)
+        rule3_fill(codes, 120)
+        assert codes.tolist() == [[SLEEP_CODE[S], SLEEP_CODE[U], SLEEP_CODE[S]]]
+
+    def test_rows_fill_independently(self):
+        # a run may not borrow a flank from the neighbouring row
+        codes = np.array(
+            [[SLEEP_CODE[s] for s in row] for row in ([S, U, U], [U, U, S])], dtype=np.int8
+        )
+        assert rule3_fill(codes, 120).tolist() == codes.tolist()
 
 
-def build_day(minute_factory, spec):
+def day_columns(spec):
     """spec maps index -> (pulse, steps, sleep); all other slots default."""
-    out = []
-    for i in range(1440):
-        pulse, steps, sleep = spec.get(i, (None, 0, U))
-        out.append(minute_factory(i, pulse=pulse, steps=steps, sleep=sleep))
-    return out
+    return {
+        "pulse": {i: pulse for i, (pulse, _, _) in spec.items()},
+        "steps": {i: steps for i, (_, steps, _) in spec.items()},
+        "sleep": {i: sleep for i, (_, _, sleep) in spec.items()},
+    }
+
+
+COLUMNS = ("pulse", "steps", "distance_m", "sleep", "schedule")
 
 
 class TestImputeDay:
-    def test_rules_apply_in_order_and_mark(self, minute_factory):
+    def test_rules_apply_in_order_and_mark(self, grid_factory, grid_values):
         spec = {
             100: (52.0, 0, U),   # rule 1 at night
             101: (52.0, 0, U),   # rule 1
@@ -141,15 +166,16 @@ class TestImputeDay:
             721: (None, 5, U),   # rule 2 by steps
             900: (55.0, 0, A),   # device state, untouched
         }
-        minutes = build_day(minute_factory, spec)
-        out, marks = impute_day(minutes, PROFILE)
-        assert out[100].sleep is S and marks[100] == 1
-        assert out[102].sleep is S and marks[102] == 3
-        assert out[720].sleep is A and marks[720] == 2
-        assert out[721].sleep is A and marks[721] == 2
-        assert out[900].sleep is A and marks[900] == 0
+        grid = grid_factory(**day_columns(spec))
+        out, _, marks = impute_cohort(grid, {("u001", DAY): PROFILE})
+        sleep, marks = grid_values(out, "sleep"), marks[0]
+        assert sleep[100] is S and marks[100] == 1
+        assert sleep[102] is S and marks[102] == 3
+        assert sleep[720] is A and marks[720] == 2
+        assert sleep[721] is A and marks[721] == 2
+        assert sleep[900] is A and marks[900] == 0
 
-    def test_only_unknown_minutes_change(self, minute_factory):
+    def test_only_unknown_minutes_change(self, grid_factory, grid_values):
         rng = random.Random(5)
         spec = {}
         for i in range(0, 1440, 2):
@@ -157,26 +183,24 @@ class TestImputeDay:
             steps = rng.choice([0, 0, 0, 4])
             sleep = rng.choice([U, U, S, A])
             spec[i] = (pulse, steps, sleep)
-        minutes = build_day(minute_factory, spec)
-        out, marks = impute_day(minutes, PROFILE)
-        for before, after, mark in zip(minutes, out, marks):
-            if before.sleep is not U:
-                assert after is before
+        grid = grid_factory(**day_columns(spec))
+        out, _, marks = impute_cohort(grid, {("u001", DAY): PROFILE})
+        before, after = grid_values(grid, "sleep"), grid_values(out, "sleep")
+        for was, now, mark in zip(before, after, marks[0].tolist()):
+            if was is not U:
+                assert now is was
                 assert mark == 0
             if mark == 1:
-                assert after.sleep is S
+                assert now is S
             if mark == 2:
-                assert after.sleep is A
+                assert now is A
             if mark == 0:
-                assert after.sleep is before.sleep
-            # only the sleep field may differ
-            assert (after.pulse, after.steps, after.distance_m) == (
-                before.pulse,
-                before.steps,
-                before.distance_m,
-            )
+                assert now is was
+        # only the sleep column may differ
+        for column in ("pulse", "steps", "distance_m", "schedule"):
+            assert grid_values(out, column) == grid_values(grid, column)
 
-    def test_idempotent(self, minute_factory):
+    def test_idempotent(self, grid_factory, grid_values):
         rng = random.Random(6)
         spec = {
             i: (
@@ -186,23 +210,24 @@ class TestImputeDay:
             )
             for i in range(1440)
         }
-        minutes = build_day(minute_factory, spec)
-        once, _ = impute_day(minutes, PROFILE)
-        twice, marks = impute_day(once, PROFILE)
-        assert twice == once
-        assert marks == [0] * 1440
+        profiles = {("u001", DAY): PROFILE}
+        once, _, _ = impute_cohort(grid_factory(**day_columns(spec)), profiles)
+        twice, _, marks = impute_cohort(once, profiles)
+        for column in COLUMNS:
+            assert grid_values(twice, column) == grid_values(once, column)
+        assert marks[0].tolist() == [0] * 1440
 
-    def test_boundary_runs_survive(self, minute_factory):
+    def test_boundary_runs_survive(self, grid_factory, grid_values):
         # day starts and ends Unknown with no pulse; rule 3 must not reach in
         spec = {700: (52.0, 0, S), 701: (52.0, 0, S)}
-        minutes = build_day(minute_factory, spec)
-        out, _ = impute_day(minutes, PROFILE)
-        assert out[0].sleep is U
-        assert out[1439].sleep is U
+        out, _, _ = impute_cohort(grid_factory(**day_columns(spec)), {("u001", DAY): PROFILE})
+        sleep = grid_values(out, "sleep")
+        assert sleep[0] is U
+        assert sleep[1439] is U
 
 
 class TestImputeUser:
-    def test_stats_account_for_every_minute(self, minute_factory):
+    def test_stats_account_for_every_minute(self, grid_factory):
         spec = {
             100: (52.0, 0, U),
             101: (None, 0, U),
@@ -210,15 +235,15 @@ class TestImputeUser:
             300: (52.0, 0, S),
             720: (90.0, 0, U),
         }
-        days = {DAY: build_day(minute_factory, spec)}
-        out, stats, marks = impute_user("u001", days, {DAY: PROFILE})
+        grid = grid_factory(**day_columns(spec))
+        out, [stats], marks = impute_cohort(grid, {("u001", DAY): PROFILE})
         assert stats.pre.total_min == 1440
         assert stats.post.total_min == 1440
         assert stats.pre.sleep_min == 1
         assert stats.pre.unknown_min == 1439
         resolved = stats.pre.unknown_min - stats.post.unknown_min
         assert resolved == stats.rule1_min + stats.rule2_min + stats.rule3_min
-        flat = marks[DAY]
+        flat = marks[0].tolist()
         assert stats.rule1_min == sum(1 for m in flat if m == 1)
         assert stats.rule2_min == sum(1 for m in flat if m == 2)
         assert stats.rule3_min == sum(1 for m in flat if m == 3)
@@ -227,46 +252,53 @@ class TestImputeUser:
             stats.pre.unknown_min - stats.rule1_min - stats.rule2_min
         )
 
-    def test_day_without_profile_is_skipped(self, minute_factory):
+    def test_day_without_profile_is_skipped(self, grid_factory, grid_values):
         other = date(2024, 3, 5)
-        days = {
-            DAY: build_day(minute_factory, {100: (52.0, 0, U)}),
-            other: build_day(minute_factory, {100: (52.0, 0, U)}, ),
-        }
-        out, stats, marks = impute_user("u001", days, {DAY: PROFILE})
+        grid = grid_factory(
+            {
+                ("u001", DAY): day_columns({100: (52.0, 0, U)}),
+                ("u001", other): day_columns({100: (52.0, 0, U)}),
+            }
+        )
+        out, [stats], marks = impute_cohort(grid, {("u001", DAY): PROFILE})
         assert stats.skipped_days == (other,)
-        assert out[other] == days[other]
-        assert marks[other] == [0] * 1440
-        assert out[DAY][100].sleep is S
+        for column in COLUMNS:
+            assert grid_values(out, column, ("u001", other)) == grid_values(
+                grid, column, ("u001", other)
+            )
+        assert marks[out.keys.index(("u001", other))].tolist() == [0] * 1440
+        assert grid_values(out, "sleep")[100] is S
 
-    def test_unknown_only_resolved_never_invented(self, minute_factory):
-        days = {DAY: build_day(minute_factory, {})}
-        out, stats, _ = impute_user("u001", days, {DAY: PROFILE})
+    def test_unknown_only_resolved_never_invented(self, grid_factory):
+        _, [stats], _ = impute_cohort(grid_factory(), {("u001", DAY): PROFILE})
         # nothing resolvable: no pulses, no steps anywhere
         assert stats.post.unknown_min == 1440
 
 
 class TestImputeCohort:
-    def test_users_processed_independently_and_sorted(self, minute_factory):
-        days = {
-            ("u2", DAY): build_day(minute_factory, {100: (52.0, 0, U)}),
-            ("u1", DAY): build_day(minute_factory, {100: (90.0, 0, U)}),
-        }
+    def test_users_processed_independently_and_sorted(self, grid_factory, grid_values):
+        grid = grid_factory(
+            {
+                ("u2", DAY): day_columns({100: (52.0, 0, U)}),
+                ("u1", DAY): day_columns({100: (90.0, 0, U)}),
+            }
+        )
         profiles = {
             ("u1", DAY): PROFILE,
             ("u2", DAY): PROFILE,
         }
-        out, stats, marks = impute_cohort(days, profiles)
+        out, stats, marks = impute_cohort(grid, profiles)
         assert [s.user_id for s in stats] == ["u1", "u2"]
-        assert out[("u1", DAY)][100].sleep is A
-        assert out[("u2", DAY)][100].sleep is S
-        assert set(marks) == {("u1", DAY), ("u2", DAY)}
+        assert grid_values(out, "sleep", ("u1", DAY))[100] is A
+        assert grid_values(out, "sleep", ("u2", DAY))[100] is S
+        assert out.keys == (("u1", DAY), ("u2", DAY))
+        assert marks.shape == (2, 1440)
 
 
 class TestStatsReport:
-    def test_report_totals(self, minute_factory):
-        days = {("u1", DAY): build_day(minute_factory, {100: (52.0, 0, U)})}
-        _, stats, _ = impute_cohort(days, {("u1", DAY): PROFILE})
+    def test_report_totals(self, grid_factory):
+        grid = grid_factory({("u1", DAY): day_columns({100: (52.0, 0, U)})})
+        _, stats, _ = impute_cohort(grid, {("u1", DAY): PROFILE})
         text = write_stats_report(stats)
         rows = text.splitlines()
         assert rows[0] == "metric,pre,after_rules_1_2,after_rules_1_2_3,net"
@@ -277,3 +309,64 @@ class TestStatsReport:
     def test_empty_stats_rejected(self):
         with pytest.raises(ValueError, match="no imputation stats"):
             write_stats_report([])
+
+
+def reference_cascade(sleep, pulse, steps, min_hr, config):
+    """The three rules minute by minute over one day's plain values; the
+    loop the grid code must reproduce exactly."""
+    out = list(sleep)
+    marks = [0] * len(out)
+    for i, state in enumerate(sleep):
+        if state is not U:
+            continue
+        factor = config.night_sleep_factor if config.is_night(i) else config.day_sleep_factor
+        if pulse[i] is not None and steps[i] == 0 and pulse[i] < factor * min_hr:
+            out[i], marks[i] = S, 1
+        elif steps[i] > 0 or (pulse[i] is not None and pulse[i] > config.awake_factor * min_hr):
+            out[i], marks[i] = A, 2
+    i = 0
+    while i < len(out):
+        j = i
+        while j < len(out) and out[j] is U:
+            j += 1
+        interior = i > 0 and j < len(out) and out[i - 1] is out[j]
+        if j > i and interior and j - i <= config.max_gap_minutes:
+            for k in range(i, j):
+                out[k], marks[k] = out[i - 1], 3
+        i = max(j, i + 1)
+    return out, marks
+
+
+@pytest.mark.parametrize("config", [CFG, ImputeConfig(max_gap_minutes=30, day_sleep_factor=1.3)])
+def test_cascade_matches_per_minute_reference(grid_factory, grid_values, config):
+    rng = random.Random(8)
+    keys = [("u1", DAY), ("u1", date(2024, 3, 5)), ("u2", DAY)]
+    spec = {
+        key: {
+            i: (
+                None if rng.random() < 0.3 else rng.uniform(40.0, 80.0),
+                rng.choice([0, 0, 0, 0, 2]),
+                rng.choice([U] * 6 + [S, A]),
+            )
+            for i in range(1440)
+        }
+        for key in keys
+    }
+    grid = grid_factory({key: day_columns(day) for key, day in spec.items()})
+    profiles = {keys[0]: PROFILE, keys[2]: PersonalHrProfile("u2", DAY, 47.5, 140.0, 900, False)}
+    out, _, marks = impute_cohort(grid, profiles, config)
+    for r, key in enumerate(out.keys):
+        before = grid_values(grid, "sleep", key)
+        if key not in profiles:
+            assert grid_values(out, "sleep", key) == before
+            assert marks[r].tolist() == [0] * 1440
+            continue
+        want, want_marks = reference_cascade(
+            before,
+            grid_values(grid, "pulse", key),
+            grid_values(grid, "steps", key),
+            profiles[key].min_hr,
+            config,
+        )
+        assert grid_values(out, "sleep", key) == want
+        assert marks[r].tolist() == want_marks

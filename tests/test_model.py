@@ -641,7 +641,7 @@ class TestCheckpoint:
 
 
 class TestWindowsToArrays:
-    def test_maps_labels_to_taxonomy_indices(self, taxonomy, minute_factory):
+    def test_maps_labels_to_taxonomy_indices(self, taxonomy):
         from harforge.dataset import FeatureWindow
         from datetime import date
 

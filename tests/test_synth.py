@@ -254,8 +254,7 @@ class TestMaskReport:
 
     def test_missing_day_rejected(self, small_cohort, imputed_chain):
         pre, post, marks = imputed_chain
-        partial = dict(pre)
-        partial.pop(sorted(partial)[0])
+        partial = dc_replace(pre, keys=(("u999", pre.keys[0][1]),) + pre.keys[1:])
         with pytest.raises(ValueError, match="missing"):
             mask_report(small_cohort.truth, partial, post, marks)
 

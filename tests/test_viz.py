@@ -50,11 +50,11 @@ def metric_set(user, values, activity=RUN, n_minutes=5):
 
 
 class TestActivityMetrics:
-    def test_single_minute_values(self, minute_factory):
-        minute = minute_factory(
-            600, pulse=120.0, steps=100, distance_m=160.0, schedule_label=RUN
+    def test_single_minute_values(self, grid_factory):
+        days = grid_factory(
+            pulse={600: 120.0}, steps={600: 100}, distance_m={600: 160.0}, schedule={600: RUN}
         )
-        m = activity_metrics("u001", RUN, {DAY: [minute]}, {DAY: profile()})
+        m = activity_metrics("u001", RUN, days, {("u001", DAY): profile()})
         assert m.n_minutes == 1
         assert m.distance_per_min == 160.0
         assert m.steps_per_min == 100.0
@@ -62,54 +62,74 @@ class TestActivityMetrics:
         assert m.pulse_to_min_ratio == pytest.approx(120.0 / 50.0)
         assert m.pulse_to_max_ratio == pytest.approx(120.0 / 190.0)
 
-    def test_medians_across_minutes_and_days(self, minute_factory):
+    def test_medians_across_minutes_and_days(self, grid_factory):
         day2 = date(2024, 3, 5)
-        days = {
-            DAY: [
-                minute_factory(0, pulse=100.0, steps=10, distance_m=1.0, schedule_label=RUN),
-                minute_factory(1, pulse=110.0, steps=20, distance_m=2.0, schedule_label=RUN),
-            ],
-            day2: [
-                minute_factory(
-                    0, day=day2, pulse=150.0, steps=90, distance_m=9.0, schedule_label=RUN
-                )
-            ],
-        }
-        m = activity_metrics("u001", RUN, days, {DAY: profile(), day2: profile(day2)})
+        days = grid_factory(
+            {
+                ("u001", DAY): {
+                    "pulse": {0: 100.0, 1: 110.0},
+                    "steps": {0: 10, 1: 20},
+                    "distance_m": {0: 1.0, 1: 2.0},
+                    "schedule": {0: RUN, 1: RUN},
+                },
+                ("u001", day2): {
+                    "pulse": {0: 150.0},
+                    "steps": {0: 90},
+                    "distance_m": {0: 9.0},
+                    "schedule": {0: RUN},
+                },
+            }
+        )
+        profiles = {("u001", DAY): profile(), ("u001", day2): profile(day2)}
+        m = activity_metrics("u001", RUN, days, profiles)
         assert m.n_minutes == 3
         assert m.distance_per_min == 2.0
         assert m.steps_per_min == 20.0
         assert m.pulse_per_min == 110.0
 
-    def test_other_labels_ignored(self, minute_factory):
-        days = {
-            DAY: [
-                minute_factory(0, pulse=60.0, steps=0, distance_m=0.0, schedule_label="Other"),
-                minute_factory(1, pulse=140.0, steps=80, distance_m=64.0, schedule_label=RUN),
-            ]
-        }
-        m = activity_metrics("u001", RUN, days, {DAY: profile()})
+    def test_other_labels_ignored(self, grid_factory):
+        days = grid_factory(
+            pulse={0: 60.0, 1: 140.0},
+            steps={0: 0, 1: 80},
+            distance_m={0: 0.0, 1: 64.0},
+            schedule={0: "Other", 1: RUN},
+        )
+        m = activity_metrics("u001", RUN, days, {("u001", DAY): profile()})
         assert m.n_minutes == 1
         assert m.pulse_per_min == 140.0
 
-    def test_pulse_metrics_none_without_readings(self, minute_factory):
-        minute = minute_factory(5, steps=30, distance_m=24.0, schedule_label=RUN)
-        m = activity_metrics("u001", RUN, {DAY: [minute]}, {DAY: profile()})
+    def test_other_users_ignored(self, grid_factory):
+        days = grid_factory(
+            {
+                ("u001", DAY): {"pulse": {0: 100.0}, "schedule": {0: RUN}},
+                ("u002", DAY): {"pulse": {0: 180.0, 1: 170.0}, "schedule": {0: RUN, 1: RUN}},
+            }
+        )
+        m = activity_metrics("u001", RUN, days, {("u001", DAY): profile()})
+        assert (m.n_minutes, m.pulse_per_min) == (1, 100.0)
+        with pytest.raises(ValueError, match="no minutes labeled"):
+            activity_metrics("u003", RUN, days, {})
+
+    def test_pulse_metrics_none_without_readings(self, grid_factory):
+        days = grid_factory(steps={5: 30}, distance_m={5: 24.0}, schedule={5: RUN})
+        m = activity_metrics("u001", RUN, days, {("u001", DAY): profile()})
         assert m.pulse_per_min is None
         assert m.pulse_to_min_ratio is None
         assert m.pulse_to_max_ratio is None
 
-    def test_ratios_none_without_profile(self, minute_factory):
-        minute = minute_factory(5, pulse=120.0, steps=30, distance_m=24.0, schedule_label=RUN)
-        m = activity_metrics("u001", RUN, {DAY: [minute]}, {})
+    def test_ratios_none_without_profile(self, grid_factory):
+        days = grid_factory(
+            pulse={5: 120.0}, steps={5: 30}, distance_m={5: 24.0}, schedule={5: RUN}
+        )
+        m = activity_metrics("u001", RUN, days, {})
         assert m.pulse_per_min == 120.0
         assert m.pulse_to_min_ratio is None
         assert m.pulse_to_max_ratio is None
 
-    def test_no_matching_minutes_rejected(self, minute_factory):
-        minute = minute_factory(5, schedule_label="Other")
+    def test_no_matching_minutes_rejected(self, grid_factory):
+        days = grid_factory(schedule={5: "Other"})
         with pytest.raises(ValueError, match="no minutes labeled"):
-            activity_metrics("u001", RUN, {DAY: [minute]}, {DAY: profile()})
+            activity_metrics("u001", RUN, days, {("u001", DAY): profile()})
 
     def test_unknown_metric_name(self):
         m = metric_set("u001", (1.0, 2.0, 3.0, 4.0, 5.0))
