@@ -20,6 +20,8 @@ import sys
 import time
 from datetime import date
 
+import numpy as np
+
 from .align import (
     align_cohort,
     read_aligned_csv,
@@ -30,6 +32,7 @@ from .align import (
 from .core import ActivityTaxonomy, default_taxonomy, load_taxonomy, save_taxonomy
 from .dataset import (
     N_CHANNELS,
+    SPLIT_NAMES,
     SplitSpec,
     apply_normalizer,
     build_windows,
@@ -557,37 +560,45 @@ def _stage_dataset(cfg: PipelineConfig, lay: Layout) -> dict:
         results = {mode: split_windows(sampled, cfg.split_spec(mode)) for mode in cfg.split_modes}
         _write_text(
             lay.path("dataset", f"splits_w{width}.json"),
-            split_manifest_text(sampled, results),
+            split_manifest_text(results),
         )
         entry = {"windows": len(windows), "sampled": len(sampled)}
         for mode, result in sorted(results.items()):
-            entry[mode] = {
-                "train": len(result.train),
-                "val": len(result.val),
-                "test": len(result.test),
-            }
+            entry[mode] = {name: len(result.part(name)) for name in SPLIT_NAMES}
         counts[f"w{width}"] = entry
     return counts
 
 
 def _load_run_parts(cfg: PipelineConfig, lay: Layout, width: int, mode: str):
+    """The train, val and test windows of one run. Each manifest index must be
+    an integer inside the store and in one part only, or test windows leak."""
     store = load_window_store(lay.path("dataset", f"windows_w{width}.jsonl"))
     manifest = read_split_manifest(_read_text(lay.path("dataset", f"splits_w{width}.json")))
     if mode not in manifest:
         raise StageInputError(
             f"split manifest for width {width} has no {mode!r} entry; rerun the dataset stage"
         )
-    parts = manifest[mode]
-    return store, {name: [store[i] for i in parts[name]] for name in ("train", "val", "test")}
+    where = f"splits_w{width}.json, {mode!r} split"
+    parts = {name: manifest[mode][name] for name in SPLIT_NAMES}
+    rows = [i for part in parts.values() for i in part]
+    if not all(type(i) is int for i in rows):
+        raise StageInputError(f"{where}: window indices must be integers")
+    if not all(0 <= i < len(store) for i in rows):
+        raise StageInputError(
+            f"{where}: index outside the {len(store)}-window store; rerun the dataset stage"
+        )
+    if len(set(rows)) != len(rows):
+        raise StageInputError(f"{where}: a window is listed more than once")
+    return {name: store.select(np.array(part, dtype=np.intp)) for name, part in parts.items()}
 
 
 def _stage_train(cfg: PipelineConfig, lay: Layout) -> dict:
     taxonomy = load_taxonomy(lay.path("canonical", "taxonomy.csv"))
     counts: dict = {}
     for width, mode in _run_names(cfg):
-        _, parts = _load_run_parts(cfg, lay, width, mode)
+        parts = _load_run_parts(cfg, lay, width, mode)
         train_wins, val_wins = parts["train"], parts["val"]
-        if not train_wins or not val_wins:
+        if not len(train_wins) or not len(val_wins):
             raise ValueError(
                 f"width {width} {mode} split has an empty train or val part; "
                 "use a larger cohort or different split fractions"
@@ -657,9 +668,8 @@ def _stage_eval(cfg: PipelineConfig, lay: Layout) -> dict:
         normalizer = normalizer_from_json(
             _read_text(lay.path("train", f"normalizer_w{width}_{mode}.json"))
         )
-        _, parts = _load_run_parts(cfg, lay, width, mode)
-        test_wins = parts["test"]
-        if not test_wins:
+        test_wins = _load_run_parts(cfg, lay, width, mode)["test"]
+        if not len(test_wins):
             raise ValueError(
                 f"width {width} {mode} split has an empty test part; "
                 "use a larger cohort or different split fractions"

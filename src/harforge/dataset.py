@@ -16,6 +16,9 @@ Wider windows use proportionally longer strides (70% of the width), and the
 per-width sampling rates thin the window stream before training. Minority
 classes can be topped up with jittered clones that are flagged synthetic so
 that evaluation can exclude them.
+
+The windows of one width live in one columnar ``WindowSet``; sampling,
+splitting and normalizing work on its columns and on row-index arrays.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -50,18 +52,34 @@ STEPS_CHANNEL = 3
 SPLIT_NAMES = ("train", "val", "test")
 
 
-@dataclass(frozen=True)
-class FeatureWindow:
-    """One training example: a (width x 5) float matrix plus its labels."""
+@dataclass(frozen=True, eq=False)
+class WindowSet:
+    """The windows of one width as columns: row i of every column is window i.
 
-    user_id: str
-    day: date
-    start_minute: int
-    width: int
+    ``users``, ``label_l1`` and ``label_l2`` are string arrays, ``days`` is
+    datetime64[D], ``start_minute`` int64 and ``synthetic`` bool (True for
+    oversampled clones). ``features`` is one C-contiguous (n, width, 5)
+    float64 block, so a set is fed to the model without restacking.
+    """
+
+    users: np.ndarray
+    days: np.ndarray
+    start_minute: np.ndarray
     features: np.ndarray
-    label_l1: str
-    label_l2: str
-    synthetic: bool = False
+    label_l1: np.ndarray
+    label_l2: np.ndarray
+    synthetic: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.features.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.start_minute)
+
+    def select(self, rows: np.ndarray) -> WindowSet:
+        """The windows at ``rows`` (an index array or a boolean mask), in that order."""
+        return WindowSet(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 def window_stride(width: int) -> int:
@@ -116,7 +134,7 @@ def build_windows(
     width: int,
     taxonomy: ActivityTaxonomy,
     threshold: float = LABEL_THRESHOLD,
-) -> list[FeatureWindow]:
+) -> WindowSet:
     """Slide over every user-day and keep the label-clean windows.
 
     Days without a heart-rate profile are skipped: the relative pulse
@@ -137,34 +155,36 @@ def build_windows(
         axis=-1,
     )
     codes, names = effective_labels(days)
-    starts = slide_windows(MINUTES_PER_DAY, width)
+    starts = np.asarray(slide_windows(MINUTES_PER_DAY, width), dtype=np.int64)
     windows = sliding_window_view(codes[rows], width, axis=1)[:, starts]
     modal = modal_labels(windows, len(names), threshold)
-    out: list[FeatureWindow] = []
-    for i, w in zip(*np.nonzero(modal >= 0)):
-        user, day = days.keys[rows[i]]
-        start = starts[w]
-        label = names[modal[i, w]]
-        out.append(
-            FeatureWindow(
-                user_id=user,
-                day=day,
-                start_minute=start,
-                width=width,
-                features=feats[i, start : start + width].copy(),
-                label_l1=taxonomy.level1_of(label),
-                label_l2=label,
-            )
-        )
-    return out
+    day_row, slot = np.nonzero(modal >= 0)
+    start = starts[slot]
+    label = modal[day_row, slot]
+    keys = [days.keys[r] for r in rows]
+    return WindowSet(
+        users=np.array([user for user, _ in keys], dtype=str)[day_row],
+        days=np.array([day for _, day in keys], dtype="datetime64[D]")[day_row],
+        start_minute=start,
+        features=feats[day_row[:, None], start[:, None] + np.arange(width)],
+        label_l1=np.array([taxonomy.level1_of(name) for name in names], dtype=str)[label],
+        label_l2=np.array(names, dtype=str)[label],
+        synthetic=np.zeros(len(start), dtype=bool),
+    )
+
+
+def _class_members(windows: WindowSet) -> Iterable[np.ndarray]:
+    """Row indices of each level-2 class, classes in name order."""
+    for label in np.unique(windows.label_l2):
+        yield np.flatnonzero(windows.label_l2 == label)
 
 
 def stratified_sample(
-    windows: Sequence[FeatureWindow],
+    windows: WindowSet,
     width: int,
     seed: int,
     rates: Mapping[int, float] = SAMPLING_RATES,
-) -> list[FeatureWindow]:
+) -> WindowSet:
     """Thin the window stream per level-2 class at the width's rate.
 
     Every class keeps round(rate * n) members but never fewer than one, so
@@ -174,59 +194,53 @@ def stratified_sample(
     if width not in rates:
         raise ValueError(f"no sampling rate configured for width {width}")
     rate = rates[width]
-    by_class: dict[str, list[int]] = {}
-    for i, w in enumerate(windows):
-        by_class.setdefault(w.label_l2, []).append(i)
     rng = np.random.default_rng(seed)
-    keep: list[int] = []
-    for label in sorted(by_class):
-        members = by_class[label]
+    keep = np.zeros(len(windows), dtype=bool)
+    for members in _class_members(windows):
         k = max(1, math.floor(rate * len(members) + 0.5))
         k = min(k, len(members))
-        picked = rng.choice(len(members), size=k, replace=False)
-        keep.extend(members[i] for i in picked)
-    keep.sort()
-    return [windows[i] for i in keep]
+        keep[members[rng.choice(len(members), size=k, replace=False)]] = True
+    return windows.select(keep)
 
 
-def median_class_count(windows: Sequence[FeatureWindow]) -> int:
+def median_class_count(windows: WindowSet) -> int:
     """Median level-2 class size, the default oversampling target."""
-    counts = Counter(w.label_l2 for w in windows)
-    if not counts:
+    _, counts = np.unique(windows.label_l2, return_counts=True)
+    if not counts.size:
         raise ValueError("no windows to take a class median over")
-    return int(math.ceil(statistics.median(counts.values())))
+    return int(math.ceil(statistics.median(counts.tolist())))
 
 
 def oversample_minority(
-    windows: Sequence[FeatureWindow],
+    windows: WindowSet,
     target_count_per_class: int,
     sd: float = OVERSAMPLE_NOISE_SD,
     seed: int = 0,
-) -> list[FeatureWindow]:
+) -> WindowSet:
     """Top minority level-2 classes up to the target with jittered clones.
 
     Each clone multiplies every feature cell by an independent draw from
     Normal(1, sd); the step channel is re-rounded to a non-negative integer
-    afterwards. Clones carry synthetic=True. Classes at or above the target
-    are untouched, and classes with no members cannot be topped up.
+    afterwards. Clones carry synthetic=True and follow the originals, class
+    by class in name order. Classes at or above the target are untouched,
+    and classes with no members cannot be topped up.
     """
     if target_count_per_class < 0:
         raise ValueError("target count must be non-negative")
-    by_class: dict[str, list[int]] = {}
-    for i, w in enumerate(windows):
-        by_class.setdefault(w.label_l2, []).append(i)
     rng = np.random.default_rng(seed)
-    out = list(windows)
-    for label in sorted(by_class):
-        members = by_class[label]
-        need = target_count_per_class - len(members)
-        for _ in range(max(0, need)):
-            source = windows[members[int(rng.integers(0, len(members)))]]
-            noisy = source.features * rng.normal(1.0, sd, size=source.features.shape)
-            steps = np.rint(noisy[:, STEPS_CHANNEL])
-            noisy[:, STEPS_CHANNEL] = np.maximum(steps, 0.0)
-            out.append(replace(source, features=noisy, synthetic=True))
-    return out
+    sources: list[int] = []
+    jitter: list[np.ndarray] = []
+    for members in _class_members(windows):
+        for _ in range(max(0, target_count_per_class - len(members))):
+            sources.append(members[int(rng.integers(0, len(members)))])
+            jitter.append(rng.normal(1.0, sd, size=windows.features.shape[1:]))
+    clones = windows.select(np.array(sources, dtype=np.intp))
+    noisy = clones.features * np.array(jitter).reshape(clones.features.shape)
+    noisy[..., STEPS_CHANNEL] = np.maximum(np.rint(noisy[..., STEPS_CHANNEL]), 0.0)
+    clones = replace(clones, features=noisy, synthetic=np.ones(len(clones), dtype=bool))
+    return WindowSet(
+        *(np.concatenate([getattr(s, f.name) for s in (windows, clones)]) for f in fields(WindowSet))
+    )
 
 
 @dataclass(frozen=True)
@@ -247,24 +261,33 @@ class SplitSpec:
             raise ValueError("fractions must sum to 1")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SplitResult:
-    train: list[FeatureWindow]
-    val: list[FeatureWindow]
-    test: list[FeatureWindow]
+    """Row indices of each part, ascending, and the users a temporal split
+    could not cut."""
+
+    train: np.ndarray
+    val: np.ndarray
+    test: np.ndarray
     flagged_users: tuple[str, ...] = ()
 
-    def part(self, name: str) -> list[FeatureWindow]:
+    def part(self, name: str) -> np.ndarray:
         return {"train": self.train, "val": self.val, "test": self.test}[name]
 
 
-def _cut(n: int, fractions: Sequence[float]) -> tuple[int, int]:
+def _sides(rank: np.ndarray, n: int, fractions: Sequence[float]) -> np.ndarray:
+    """Part code (0 train, 1 val, 2 test) of each rank in a cut of n items."""
     n_train = int(math.floor(fractions[0] * n))
     n_val = int(math.floor(fractions[1] * n))
-    return n_train, n_val
+    return np.searchsorted([n_train, n_train + n_val], rank, side="right")
 
 
-def split_temporal(windows: Sequence[FeatureWindow], spec: SplitSpec) -> SplitResult:
+def _split_result(side: np.ndarray, flagged: Sequence[str] = ()) -> SplitResult:
+    train, val, test = (np.flatnonzero(side == code) for code in range(3))
+    return SplitResult(train, val, test, flagged_users=tuple(flagged))
+
+
+def split_temporal(windows: WindowSet, spec: SplitSpec) -> SplitResult:
     """Per user, earliest days train, then val, then test.
 
     Users with fewer than 3 distinct days cannot be split chronologically;
@@ -272,57 +295,30 @@ def split_temporal(windows: Sequence[FeatureWindow], spec: SplitSpec) -> SplitRe
     """
     if spec.mode != "temporal":
         raise ValueError("split_temporal needs a temporal SplitSpec")
-    days_of: dict[str, list[date]] = {}
-    for w in windows:
-        bucket = days_of.setdefault(w.user_id, [])
-        if w.day not in bucket:
-            bucket.append(w.day)
-    assign: dict[tuple[str, date], str] = {}
+    side = np.zeros(len(windows), dtype=np.intp)
     flagged: list[str] = []
-    for user in sorted(days_of):
-        days = sorted(days_of[user])
+    for user in np.unique(windows.users):
+        mine = np.flatnonzero(windows.users == user)
+        days, rank = np.unique(windows.days[mine], return_inverse=True)
         if len(days) < 3:
-            flagged.append(user)
-            for d in days:
-                assign[(user, d)] = "train"
-            continue
-        n_train, n_val = _cut(len(days), spec.fractions)
-        for i, d in enumerate(days):
-            if i < n_train:
-                assign[(user, d)] = "train"
-            elif i < n_train + n_val:
-                assign[(user, d)] = "val"
-            else:
-                assign[(user, d)] = "test"
-    result = SplitResult(train=[], val=[], test=[], flagged_users=tuple(flagged))
-    for w in windows:
-        result.part(assign[(w.user_id, w.day)]).append(w)
-    return result
+            flagged.append(str(user))
+        else:
+            side[mine] = _sides(rank, len(days), spec.fractions)
+    return _split_result(side, flagged)
 
 
-def split_user(windows: Sequence[FeatureWindow], spec: SplitSpec) -> SplitResult:
+def split_user(windows: WindowSet, spec: SplitSpec) -> SplitResult:
     """Whole users go to one side: a seeded shuffle then a 70/15/15 cut."""
     if spec.mode != "user":
         raise ValueError("split_user needs a user SplitSpec")
-    users = sorted({w.user_id for w in windows})
+    users, user_of = np.unique(windows.users, return_inverse=True)
     rng = np.random.default_rng(spec.seed)
-    order = [users[i] for i in rng.permutation(len(users))]
-    n_train, n_val = _cut(len(order), spec.fractions)
-    side_of: dict[str, str] = {}
-    for i, user in enumerate(order):
-        if i < n_train:
-            side_of[user] = "train"
-        elif i < n_train + n_val:
-            side_of[user] = "val"
-        else:
-            side_of[user] = "test"
-    result = SplitResult(train=[], val=[], test=[])
-    for w in windows:
-        result.part(side_of[w.user_id]).append(w)
-    return result
+    rank = np.empty(len(users), dtype=np.intp)
+    rank[rng.permutation(len(users))] = np.arange(len(users))
+    return _split_result(_sides(rank, len(users), spec.fractions)[user_of])
 
 
-def split_windows(windows: Sequence[FeatureWindow], spec: SplitSpec) -> SplitResult:
+def split_windows(windows: WindowSet, spec: SplitSpec) -> SplitResult:
     if spec.mode == "temporal":
         return split_temporal(windows, spec)
     return split_user(windows, spec)
@@ -336,26 +332,26 @@ class Normalizer:
     std: tuple[float, ...]
 
 
-def fit_normalizer(windows: Sequence[FeatureWindow]) -> Normalizer:
+def fit_normalizer(windows: WindowSet) -> Normalizer:
     """Channel-wise mean and standard deviation over all window minutes.
 
     Constant channels get their deviation floored at 1e-8, which leaves the
-    transform finite and maps the constant to zero.
+    transform finite and maps the constant to zero. The reduction runs over
+    the C-ordered (n * width, 5) view of the feature block, which fixes the
+    summation order and with it the fitted bits.
     """
-    if not windows:
+    if not len(windows):
         raise ValueError("cannot fit a normalizer on zero windows")
-    stacked = np.concatenate([w.features for w in windows], axis=0)
+    stacked = np.ascontiguousarray(windows.features).reshape(-1, N_CHANNELS)
     mean = stacked.mean(axis=0)
     std = np.maximum(stacked.std(axis=0), 1e-8)
     return Normalizer(mean=tuple(float(v) for v in mean), std=tuple(float(v) for v in std))
 
 
-def apply_normalizer(
-    windows: Sequence[FeatureWindow], normalizer: Normalizer
-) -> list[FeatureWindow]:
+def apply_normalizer(windows: WindowSet, normalizer: Normalizer) -> WindowSet:
     mean = np.asarray(normalizer.mean)
     std = np.asarray(normalizer.std)
-    return [replace(w, features=(w.features - mean) / std) for w in windows]
+    return replace(windows, features=(windows.features - mean) / std)
 
 
 def normalizer_to_json(normalizer: Normalizer) -> str:
@@ -370,77 +366,82 @@ def normalizer_from_json(text: str) -> Normalizer:
     return Normalizer(mean=tuple(obj["mean"]), std=tuple(obj["std"]))
 
 
-def window_store_text(windows: Sequence[FeatureWindow]) -> str:
+#: the WindowSet columns of a store line besides its features, in line order
+_ROW_COLUMNS = ("users", "days", "start_minute", "label_l1", "label_l2", "synthetic")
+
+
+def window_store_text(windows: WindowSet) -> str:
     """One JSON object per line; feature floats round-trip exactly."""
-    lines = []
-    for w in windows:
-        lines.append(
-            json.dumps(
-                {
-                    "user": w.user_id,
-                    "date": w.day.isoformat(),
-                    "start_minute": w.start_minute,
-                    "width": w.width,
-                    "label_l1": w.label_l1,
-                    "label_l2": w.label_l2,
-                    "synthetic": w.synthetic,
-                    "features": [[float(v) for v in row] for row in w.features],
-                },
-                separators=(",", ":"),
-            )
+    lines = [
+        json.dumps(
+            {
+                "user": user,
+                "date": day.isoformat(),
+                "start_minute": start,
+                "width": windows.width,
+                "label_l1": label_l1,
+                "label_l2": label_l2,
+                "synthetic": synthetic,
+                "features": features.tolist(),
+            },
+            separators=(",", ":"),
         )
+        for user, day, start, label_l1, label_l2, synthetic, features in zip(
+            *(getattr(windows, c).tolist() for c in _ROW_COLUMNS), windows.features
+        )
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_window_store(windows: Sequence[FeatureWindow], path) -> None:
+def write_window_store(windows: WindowSet, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(window_store_text(windows))
 
 
-def read_window_store(stream: Iterable[str] | IO[str]) -> list[FeatureWindow]:
-    out: list[FeatureWindow] = []
+def read_window_store(stream: Iterable[str] | IO[str]) -> WindowSet:
+    """Parse a window store; every line must hold a window of one width."""
+    rows = []
     for line in stream:
         line = line.strip()
         if not line:
             continue
         obj = json.loads(line)
         features = np.asarray(obj["features"], dtype=np.float64)
-        if features.ndim != 2 or features.shape != (obj["width"], N_CHANNELS):
+        if features.shape != (obj["width"], N_CHANNELS):
             raise ValueError(
                 f"window features must be {obj['width']}x{N_CHANNELS}, "
                 f"got {features.shape}"
             )
-        out.append(
-            FeatureWindow(
-                user_id=obj["user"],
-                day=date.fromisoformat(obj["date"]),
-                start_minute=int(obj["start_minute"]),
-                width=int(obj["width"]),
-                features=features,
-                label_l1=obj["label_l1"],
-                label_l2=obj["label_l2"],
-                synthetic=bool(obj["synthetic"]),
-            )
+        if rows and features.shape != rows[0][3].shape:
+            raise ValueError(f"window store mixes widths {rows[0][3].shape[0]} and {obj['width']}")
+        day = date.fromisoformat(obj["date"])
+        rows.append(
+            (obj["user"], day, int(obj["start_minute"]), features,
+             obj["label_l1"], obj["label_l2"], bool(obj["synthetic"]))
         )
-    return out
+    users, days, starts, blocks, label_l1, label_l2, synthetic = list(zip(*rows)) or [()] * 7
+    return WindowSet(
+        users=np.array(users, dtype=str),
+        days=np.array(days, dtype="datetime64[D]"),
+        start_minute=np.array(starts, dtype=np.int64),
+        features=np.stack(blocks) if blocks else np.zeros((0, 0, N_CHANNELS)),
+        label_l1=np.array(label_l1, dtype=str),
+        label_l2=np.array(label_l2, dtype=str),
+        synthetic=np.array(synthetic, dtype=bool),
+    )
 
 
-def load_window_store(path) -> list[FeatureWindow]:
+def load_window_store(path) -> WindowSet:
     with open(path, encoding="utf-8") as fh:
         return read_window_store(fh)
 
 
-def split_manifest_text(
-    store: Sequence[FeatureWindow], results: Mapping[str, SplitResult]
-) -> str:
-    """Manifest mapping each split mode to store line indices per part."""
-    position = {id(w): i for i, w in enumerate(store)}
+def split_manifest_text(results: Mapping[str, SplitResult]) -> str:
+    """Manifest mapping each split mode to store row indices per part."""
     payload: dict = {}
     for mode in sorted(results):
         result = results[mode]
-        payload[mode] = {
-            name: [position[id(w)] for w in result.part(name)] for name in SPLIT_NAMES
-        }
+        payload[mode] = {name: result.part(name).tolist() for name in SPLIT_NAMES}
         payload[mode]["flagged_users"] = list(result.flagged_users)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ActivityTaxonomy
-from .dataset import FeatureWindow
+from .dataset import WindowSet
 from .model import ModelParams, predict, windows_to_arrays
 
 TREND_HEADER = ("width", "split", "metric", "value")
@@ -117,16 +117,10 @@ def binary_auc_rank(scores: Sequence[float], positive: Sequence[bool]) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both positive and negative samples")
     order = np.argsort(scores, kind="mergesort")
+    _, first, size = np.unique(scores[order], return_index=True, return_counts=True)
+    # average rank of each tie group, 1-based
     ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # average rank for the tie group, 1-based
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + (first + size - 1)) + 1.0, size)
     rank_sum = ranks[positive].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -154,8 +148,7 @@ def confusion_matrix(
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     matrix = np.zeros((n_classes, n_classes))
-    for t, p in zip(labels, preds):
-        matrix[int(t), int(p)] += 1
+    np.add.at(matrix, (labels.astype(np.int64), preds.astype(np.int64)), 1)
     if row_normalize:
         sums = matrix.sum(axis=1, keepdims=True)
         matrix = np.divide(matrix, sums, out=np.zeros_like(matrix), where=sums > 0)
@@ -206,7 +199,7 @@ class EvalReport:
 
 def evaluate_run(
     params: ModelParams,
-    windows: Sequence[FeatureWindow],
+    windows: WindowSet,
     taxonomy: ActivityTaxonomy,
     *,
     width: int = 0,
@@ -217,8 +210,8 @@ def evaluate_run(
     Synthetic windows are dropped first. AUC entries are None when fewer
     than two classes are present at that level.
     """
-    real = [w for w in windows if not w.synthetic]
-    if not real:
+    real = windows.select(~windows.synthetic)
+    if not len(real):
         raise ValueError("no real windows to evaluate")
     x, y1, y2 = windows_to_arrays(real, taxonomy)
     preds = predict(params, x)

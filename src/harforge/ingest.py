@@ -141,6 +141,8 @@ def parse_hr_stream(stream: Iterable[str] | IO[str]) -> list[RawHrSample]:
     for line, row in _iter_rows(stream, HR_HEADER):
         user = _parse_user(row[0], line)
         ts = _parse_timestamp(row[1], line)
+        if ts.microsecond:
+            raise StreamFormatError(f"sub-second timestamp {row[1].strip()!r}", line=line)
         hr = _parse_float(row[2], "hr_bpm", line)
         if hr <= 0:
             raise StreamFormatError(f"hr_bpm must be positive, got {hr}", line=line)

@@ -20,11 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Grid of level weights probed when tuning the loss balance.
-LAMBDA1_GRID = (0.1, 0.3, 0.5)
-LAMBDA2_GRID = (1.0, 1.3, 1.5)
-
-
 @dataclass(frozen=True)
 class LossConfig:
     """Level weights and the focal shape parameters."""

@@ -148,10 +148,6 @@ def init_params(
     )
 
 
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.arrays.items()}
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0

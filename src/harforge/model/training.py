@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core import ActivityTaxonomy
-from ..dataset import FeatureWindow
+from ..dataset import WindowSet
 from .losses import LossConfig, hierarchical_focal_loss, hierarchical_focal_loss_grads
 from .network import ModelParams, model_backward, model_forward
 from .optim import (
@@ -37,18 +37,23 @@ from .optim import (
 CHECKPOINT_KIND = "harforge-checkpoint"
 
 
+def _class_indices(labels: np.ndarray, classes: Sequence[str]) -> np.ndarray:
+    names, inverse = np.unique(labels, return_inverse=True)
+    index = {name: i for i, name in enumerate(classes)}
+    return np.array([index[name] for name in names.tolist()], dtype=np.int64)[inverse]
+
+
 def windows_to_arrays(
-    windows: Sequence[FeatureWindow], taxonomy: ActivityTaxonomy
+    windows: WindowSet, taxonomy: ActivityTaxonomy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack windows into (x, labels1, labels2) index arrays."""
-    if not windows:
+    """The feature block and both label columns as taxonomy class indices."""
+    if not len(windows):
         raise ValueError("no windows to stack")
-    l1_index = {name: i for i, name in enumerate(taxonomy.level1_classes)}
-    l2_index = {name: i for i, name in enumerate(taxonomy.level2_classes)}
-    x = np.stack([w.features for w in windows]).astype(np.float64)
-    y1 = np.array([l1_index[w.label_l1] for w in windows], dtype=np.int64)
-    y2 = np.array([l2_index[w.label_l2] for w in windows], dtype=np.int64)
-    return x, y1, y2
+    return (
+        windows.features,
+        _class_indices(windows.label_l1, taxonomy.level1_classes),
+        _class_indices(windows.label_l2, taxonomy.level2_classes),
+    )
 
 
 def loss_value(

@@ -5,6 +5,7 @@ import pytest
 
 from harforge.align import SLEEP_CODE, DayGrid
 from harforge.core import MINUTES_PER_DAY, SleepState, default_taxonomy
+from harforge.dataset import N_CHANNELS, WindowSet
 
 DAY = date(2024, 3, 4)
 
@@ -93,3 +94,50 @@ def grid_factory():
 @pytest.fixture
 def grid_values():
     return day_values
+
+
+def make_windows(n=None, *, user="u1", day=DAY, start=0, l1=None, l2="Other",
+                 features=None, synthetic=False, width=15):
+    """Build a WindowSet for tests from plain values.
+
+    ``user``, ``day``, ``start``, ``l1``, ``l2`` and ``synthetic`` are each
+    one value for every window or a sequence with one value per window;
+    ``n`` defaults to the length of the sequences. ``features`` is one
+    (width, 5) matrix for every window or an (n, width, 5) block, zeros of
+    ``width`` minutes when omitted. ``l1`` defaults to the level-1 class of
+    each window's ``l2`` label.
+    """
+    columns = {"user": user, "day": day, "start": start, "l1": l1, "l2": l2,
+               "synthetic": synthetic}
+    lengths = {
+        len(v) for v in columns.values() if isinstance(v, (list, tuple, range, np.ndarray))
+    }
+    if features is not None and np.ndim(features) == 3:
+        lengths.add(len(features))
+    if n is None:
+        (n,) = lengths
+    assert lengths <= {n}, (n, lengths)
+    rows = {
+        key: list(v) if isinstance(v, (list, tuple, range, np.ndarray)) else [v] * n
+        for key, v in columns.items()
+    }
+    if l1 is None:
+        rows["l1"] = [default_taxonomy().level1_of(label) for label in rows["l2"]]
+    if features is None:
+        features = np.zeros((width, N_CHANNELS))
+    features = np.asarray(features, dtype=np.float64)
+    block = np.broadcast_to(features, (n, *features.shape[-2:]))
+    return WindowSet(
+        users=np.array(rows["user"], dtype=str),
+        days=np.array(rows["day"], dtype="datetime64[D]"),
+        start_minute=np.array(rows["start"], dtype=np.int64),
+        features=np.ascontiguousarray(block),
+        label_l1=np.array(rows["l1"], dtype=str),
+        label_l2=np.array(rows["l2"], dtype=str),
+        synthetic=np.array(rows["synthetic"], dtype=bool),
+    )
+
+
+@pytest.fixture
+def window_factory():
+    return make_windows

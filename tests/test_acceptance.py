@@ -242,7 +242,7 @@ def test_short_daily_activity_visible_only_to_narrow_windows(grid_factory, taxon
 
     def labeled(width):
         wins = build_windows(days, profiles, width, taxonomy)
-        return sum(1 for w in wins if w.label_l2 == "Fitness Test")
+        return int((wins.label_l2 == "Fitness Test").sum())
 
     wide, narrow = labeled(60), labeled(15)
     assert wide == 0
@@ -262,15 +262,16 @@ def test_temporal_split_outperforms_user_split_on_level1():
         accs = {}
         for mode in ("temporal", "user"):
             split = split_windows(sampled, SplitSpec(mode=mode, seed=0))
+            train_wins = sampled.select(split.train)
             train_wins = oversample_minority(
-                split.train, median_class_count(split.train), seed=0
+                train_wins, median_class_count(train_wins), seed=0
             )
             normalizer = fit_normalizer(train_wins)
             train_data = windows_to_arrays(
                 apply_normalizer(train_wins, normalizer), taxonomy
             )
             val_data = windows_to_arrays(
-                apply_normalizer(split.val, normalizer), taxonomy
+                apply_normalizer(sampled.select(split.val), normalizer), taxonomy
             )
             params = init_params(5, 24, len(taxonomy.level2_classes), seed=0)
             best, _ = train(
@@ -282,7 +283,7 @@ def test_temporal_split_outperforms_user_split_on_level1():
             )
             report = evaluate_run(
                 best,
-                apply_normalizer(split.test, normalizer),
+                apply_normalizer(sampled.select(split.test), normalizer),
                 taxonomy,
                 width=width,
                 split=mode,

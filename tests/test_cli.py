@@ -241,6 +241,51 @@ class TestPipelineEndToEnd:
         assert code == EXIT_OK
         assert read_report(copy, "train")["no_op"] is False
 
+    def _tampered_manifest(self, pipeline_tree, tmp_path, edit):
+        """A copy of the pipeline tree whose w15 temporal split is edited."""
+        _, out = pipeline_tree
+        copy = tmp_path / "tampered"
+        shutil.copytree(out, copy)
+        path = copy / "dataset" / "splits_w15.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["temporal"])
+        path.write_text(json.dumps(manifest))
+        return copy
+
+    def _assert_rejected(self, pipeline_tree, copy, stage, capsys, message):
+        cfg_path, _ = pipeline_tree
+        os.remove(copy / "reports" / f"{stage}.json")  # so the stage runs again
+        code = main([stage, "--config", str(cfg_path), "--out", str(copy)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "splits_w15.json, 'temporal' split" in err
+        assert message in err
+
+    def test_negative_split_index_rejected(self, pipeline_tree, tmp_path, capsys):
+        copy = self._tampered_manifest(
+            pipeline_tree, tmp_path, lambda entry: entry["train"].append(-1)
+        )
+        self._assert_rejected(pipeline_tree, copy, "train", capsys, "outside the")
+
+    def test_out_of_range_split_index_rejected(self, pipeline_tree, tmp_path, capsys):
+        def edit(entry):
+            entry["test"].append(max(entry["train"] + entry["val"] + entry["test"]) + 1)
+
+        copy = self._tampered_manifest(pipeline_tree, tmp_path, edit)
+        self._assert_rejected(pipeline_tree, copy, "eval", capsys, "outside the")
+
+    def test_index_in_two_parts_rejected(self, pipeline_tree, tmp_path, capsys):
+        copy = self._tampered_manifest(
+            pipeline_tree, tmp_path, lambda entry: entry["train"].append(entry["test"][0])
+        )
+        self._assert_rejected(pipeline_tree, copy, "train", capsys, "listed more than once")
+
+    def test_non_integer_split_index_rejected(self, pipeline_tree, tmp_path, capsys):
+        copy = self._tampered_manifest(
+            pipeline_tree, tmp_path, lambda entry: entry["val"].append(1.5)
+        )
+        self._assert_rejected(pipeline_tree, copy, "train", capsys, "indices must be integers")
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "harforge", "--help"],

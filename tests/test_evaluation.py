@@ -7,7 +7,6 @@ from datetime import date
 import numpy as np
 import pytest
 
-from harforge.dataset import FeatureWindow
 from harforge.evaluation import (
     UndefinedMetricError,
     accuracy,
@@ -159,6 +158,35 @@ class TestBinaryAuc:
             got = binary_auc_rank(scores, positive)
             assert got == pytest.approx(auc_pairwise_oracle(scores, positive), abs=1e-12)
 
+    def test_matches_tie_group_loop_exactly(self):
+        """The tie-group ranks equal, to the bit, a walk over the sorted scores."""
+
+        def loop_auc(scores, positive):
+            scores = np.asarray(scores, dtype=np.float64)
+            positive = np.asarray(positive, dtype=bool)
+            n_pos = int(positive.sum())
+            n_neg = int(positive.size - n_pos)
+            order = np.argsort(scores, kind="mergesort")
+            ranks = np.empty(scores.size, dtype=np.float64)
+            sorted_scores = scores[order]
+            i = 0
+            while i < scores.size:
+                j = i
+                while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+                    j += 1
+                ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            rank_sum = ranks[positive].sum()
+            return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+        rng = np.random.default_rng(57)
+        for n in (2, 3, 17, 200, 1000):
+            for grid in (3, 50, None):
+                scores = rng.random(n) if grid is None else rng.integers(0, grid, n) / grid
+                positive = rng.random(n) < 0.3
+                positive[0], positive[-1] = True, False
+                assert binary_auc_rank(scores, positive) == loop_auc(scores, positive)
+
     def test_invariant_under_monotone_transform(self):
         rng = random.Random(56)
         scores = [rng.uniform(-2, 2) for _ in range(40)]
@@ -214,6 +242,19 @@ class TestConfusionMatrix:
         np.testing.assert_allclose(sums[:3], 1.0, atol=1e-12)
         assert sums[3] == 0.0
 
+    def test_matches_per_window_loop(self):
+        rng = np.random.default_rng(10)
+        preds = rng.integers(0, 13, size=500)
+        labels = rng.integers(0, 11, size=500)
+        want = np.zeros((13, 13))
+        for t, p in zip(labels, preds):
+            want[int(t), int(p)] += 1
+        np.testing.assert_array_equal(confusion_matrix(preds, labels, 13), want)
+        sums = want.sum(axis=1, keepdims=True)
+        rates = np.divide(want, sums, out=np.zeros_like(want), where=sums > 0)
+        got = confusion_matrix(preds, labels, 13, row_normalize=True)
+        assert got.tobytes() == rates.tobytes()
+
 
 class TestHierarchyConsistency:
     def test_counts_rollup_agreement(self, taxonomy):
@@ -232,33 +273,25 @@ class TestHierarchyConsistency:
             hierarchy_consistency([], [], taxonomy)
 
 
-def make_eval_windows(taxonomy, n=30, seed=0, single_class=False):
+def make_eval_windows(window_factory, n=30, seed=0, single_class=False):
     rng = np.random.default_rng(seed)
     l2_labels = ["Running Exercise", "Sleep", "Kitchen Duties"]
-    windows = []
-    for i in range(n):
-        l2 = l2_labels[0] if single_class else l2_labels[i % 3]
-        windows.append(
-            FeatureWindow(
-                user_id=f"u{i % 4}",
-                day=date(2024, 3, 4),
-                start_minute=10 * i,
-                width=6,
-                features=rng.normal(size=(6, 5)),
-                label_l1=taxonomy.level1_of(l2),
-                label_l2=l2,
-                synthetic=(i % 5 == 0),
-            )
-        )
-    return windows
+    return window_factory(
+        user=[f"u{i % 4}" for i in range(n)],
+        day=date(2024, 3, 4),
+        start=[10 * i for i in range(n)],
+        l2=[l2_labels[0] if single_class else l2_labels[i % 3] for i in range(n)],
+        features=np.stack([rng.normal(size=(6, 5)) for _ in range(n)]),
+        synthetic=[i % 5 == 0 for i in range(n)],
+    )
 
 
 class TestEvaluateRun:
-    def test_synthetic_windows_excluded(self, taxonomy):
-        windows = make_eval_windows(taxonomy)
+    def test_synthetic_windows_excluded(self, taxonomy, window_factory):
+        windows = make_eval_windows(window_factory)
         params = init_params(5, 4, len(taxonomy.level2_classes), seed=0)
         report = evaluate_run(params, windows, taxonomy, width=15, split="val")
-        assert report.n_windows == sum(1 for w in windows if not w.synthetic)
+        assert report.n_windows == int((~windows.synthetic).sum()) == 24
         assert report.width == 15 and report.split == "val"
         assert 0.0 <= report.accuracy_l1 <= 1.0
         assert 0.0 <= report.hierarchy_consistency <= 1.0
@@ -266,24 +299,23 @@ class TestEvaluateRun:
         assert len(report.confusion_l2) == 13
         assert len(report.per_class_l2) == 13
 
-    def test_single_class_auc_reports_none(self, taxonomy):
-        windows = make_eval_windows(taxonomy, single_class=True)
+    def test_single_class_auc_reports_none(self, taxonomy, window_factory):
+        windows = make_eval_windows(window_factory, single_class=True)
         params = init_params(5, 4, len(taxonomy.level2_classes), seed=0)
         report = evaluate_run(params, windows, taxonomy)
         assert report.auc_l1 is None
         assert report.auc_l2 is None
         assert report.accuracy_l2 is not None
 
-    def test_all_synthetic_rejected(self, taxonomy):
-        windows = [
-            w for w in make_eval_windows(taxonomy) if w.synthetic
-        ]
+    def test_all_synthetic_rejected(self, taxonomy, window_factory):
+        windows = make_eval_windows(window_factory)
+        windows = windows.select(windows.synthetic)
         params = init_params(5, 4, len(taxonomy.level2_classes), seed=0)
         with pytest.raises(ValueError, match="no real windows"):
             evaluate_run(params, windows, taxonomy)
 
-    def test_report_json_round_trip(self, taxonomy):
-        windows = make_eval_windows(taxonomy)
+    def test_report_json_round_trip(self, taxonomy, window_factory):
+        windows = make_eval_windows(window_factory)
         params = init_params(5, 4, len(taxonomy.level2_classes), seed=0)
         report = evaluate_run(params, windows, taxonomy, width=30, split="test")
         payload = json.loads(report_to_json(report))

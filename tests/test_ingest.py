@@ -80,6 +80,18 @@ class TestTimestamps:
         with pytest.raises(StreamFormatError, match="bad timestamp"):
             parse_hr_stream(lines(HR_OK, "u1,yesterday,61"))
 
+    @pytest.mark.parametrize("ts", ["2024-03-04T10:00:00.5Z", "2024-03-04T10:00:00.000001+00:00"])
+    def test_sub_second_hr_timestamp_reports_line(self, ts):
+        rows = lines(HR_OK, "u1,2024-03-04T09:59:59Z,61", f"u1,{ts},62")
+        with pytest.raises(StreamFormatError, match="sub-second timestamp") as exc:
+            parse_hr_stream(rows)
+        assert exc.value.line == 3
+
+    def test_whole_second_hr_timestamps_serialize(self):
+        rows = lines(HR_OK, "u1,2024-03-04T10:00:00.000Z,61", "u1,2024-03-04T10:00:07Z,62")
+        text = serialize_hr_stream(parse_hr_stream(rows))
+        assert "2024-03-04T10:00:00Z" in text and "2024-03-04T10:00:07Z" in text
+
 
 class TestHrStream:
     def test_values_parse(self):

@@ -641,24 +641,27 @@ class TestCheckpoint:
 
 
 class TestWindowsToArrays:
-    def test_maps_labels_to_taxonomy_indices(self, taxonomy):
-        from harforge.dataset import FeatureWindow
-        from datetime import date
-
-        w = FeatureWindow(
-            user_id="u1",
-            day=date(2024, 3, 4),
-            start_minute=0,
-            width=4,
-            features=np.ones((4, 5)),
-            label_l1="Activity",
-            label_l2="Running Exercise",
+    def test_maps_labels_to_taxonomy_indices(self, taxonomy, window_factory):
+        windows = window_factory(
+            l1=["Activity", "Sleep"], l2=["Running Exercise", "Sleep"], features=np.ones((4, 5))
         )
-        x, y1, y2 = windows_to_arrays([w], taxonomy)
-        assert x.shape == (1, 4, 5)
-        assert y1[0] == taxonomy.level1_classes.index("Activity")
-        assert y2[0] == taxonomy.level2_classes.index("Running Exercise")
+        x, y1, y2 = windows_to_arrays(windows, taxonomy)
+        assert x.shape == (2, 4, 5)
+        assert x is windows.features
+        assert y1.tolist() == [
+            taxonomy.level1_classes.index("Activity"),
+            taxonomy.level1_classes.index("Sleep"),
+        ]
+        assert y2.tolist() == [
+            taxonomy.level2_classes.index("Running Exercise"),
+            taxonomy.level2_classes.index("Sleep"),
+        ]
+        assert y1.dtype == y2.dtype == np.int64
 
-    def test_empty_rejected(self, taxonomy):
+    def test_unknown_label_rejected(self, taxonomy, window_factory):
+        with pytest.raises(KeyError):
+            windows_to_arrays(window_factory(1, l1="Activity", l2="Juggling"), taxonomy)
+
+    def test_empty_rejected(self, taxonomy, window_factory):
         with pytest.raises(ValueError, match="no windows"):
-            windows_to_arrays([], taxonomy)
+            windows_to_arrays(window_factory(0), taxonomy)
