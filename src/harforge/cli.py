@@ -569,35 +569,48 @@ def _stage_dataset(cfg: PipelineConfig, lay: Layout) -> dict:
     return counts
 
 
-def _load_run_parts(cfg: PipelineConfig, lay: Layout, width: int, mode: str):
-    """The train, val and test windows of one run. Each manifest index must be
-    an integer inside the store and in one part only, or test windows leak."""
+def _load_runs(
+    lay: Layout, width: int, modes: tuple[str, ...], names: tuple[str, ...]
+) -> dict[str, list]:
+    """The ``names`` parts of each split mode at one width, from one parse of
+    the window store. Each manifest index must be an integer inside the store
+    and in one part only, or test windows leak; every part is checked, the
+    ones not selected included."""
     store = load_window_store(lay.path("dataset", f"windows_w{width}.jsonl"))
     manifest = read_split_manifest(_read_text(lay.path("dataset", f"splits_w{width}.json")))
-    if mode not in manifest:
-        raise StageInputError(
-            f"split manifest for width {width} has no {mode!r} entry; rerun the dataset stage"
-        )
-    where = f"splits_w{width}.json, {mode!r} split"
-    parts = {name: manifest[mode][name] for name in SPLIT_NAMES}
-    rows = [i for part in parts.values() for i in part]
-    if not all(type(i) is int for i in rows):
-        raise StageInputError(f"{where}: window indices must be integers")
-    if not all(0 <= i < len(store) for i in rows):
-        raise StageInputError(
-            f"{where}: index outside the {len(store)}-window store; rerun the dataset stage"
-        )
-    if len(set(rows)) != len(rows):
-        raise StageInputError(f"{where}: a window is listed more than once")
-    return {name: store.select(np.array(part, dtype=np.intp)) for name, part in parts.items()}
+    runs = {}
+    for mode in modes:
+        if mode not in manifest:
+            raise StageInputError(
+                f"split manifest for width {width} has no {mode!r} entry; rerun the dataset stage"
+            )
+        where = f"splits_w{width}.json, {mode!r} split"
+        rows = [i for name in SPLIT_NAMES for i in manifest[mode][name]]
+        if not all(type(i) is int for i in rows):
+            raise StageInputError(f"{where}: window indices must be integers")
+        if not all(0 <= i < len(store) for i in rows):
+            raise StageInputError(
+                f"{where}: index outside the {len(store)}-window store; rerun the dataset stage"
+            )
+        if len(set(rows)) != len(rows):
+            raise StageInputError(f"{where}: a window is listed more than once")
+        runs[mode] = [store.select(np.array(manifest[mode][name], dtype=np.intp)) for name in names]
+    return runs
+
+
+def _iter_runs(cfg: PipelineConfig, lay: Layout, names: tuple[str, ...]):
+    """(width, mode, parts) for every run in run order. Each width's store is
+    parsed once, and a run's parts are released when the caller moves on."""
+    for width in cfg.widths:
+        runs = _load_runs(lay, width, cfg.split_modes, names)
+        for mode in cfg.split_modes:
+            yield width, mode, runs.pop(mode)
 
 
 def _stage_train(cfg: PipelineConfig, lay: Layout) -> dict:
     taxonomy = load_taxonomy(lay.path("canonical", "taxonomy.csv"))
     counts: dict = {}
-    for width, mode in _run_names(cfg):
-        parts = _load_run_parts(cfg, lay, width, mode)
-        train_wins, val_wins = parts["train"], parts["val"]
+    for width, mode, (train_wins, val_wins) in _iter_runs(cfg, lay, ("train", "val")):
         if not len(train_wins) or not len(val_wins):
             raise ValueError(
                 f"width {width} {mode} split has an empty train or val part; "
@@ -663,12 +676,11 @@ def _stage_eval(cfg: PipelineConfig, lay: Layout) -> dict:
     taxonomy = load_taxonomy(lay.path("canonical", "taxonomy.csv"))
     counts: dict = {}
     trend_rows: list[tuple[int, str, str, float]] = []
-    for width, mode in _run_names(cfg):
+    for width, mode, (test_wins,) in _iter_runs(cfg, lay, ("test",)):
         params, _ = load_checkpoint(lay.path("train", f"checkpoint_w{width}_{mode}.json"))
         normalizer = normalizer_from_json(
             _read_text(lay.path("train", f"normalizer_w{width}_{mode}.json"))
         )
-        test_wins = _load_run_parts(cfg, lay, width, mode)["test"]
         if not len(test_wins):
             raise ValueError(
                 f"width {width} {mode} split has an empty test part; "

@@ -9,6 +9,15 @@ the two final hidden states of layer 2 (the forward direction's last step
 and the backward direction's first step), or the mean over time of the
 concatenated outputs when mean pooling is selected.
 
+Each direction keeps one activated (B, W, 4H) gate slab per call. A step
+computes the three sigmoid gates in one branch-free pass over the whole
+(B, 4H) pre-activation, ``e = exp(-|z|)`` then ``max(e, z >= 0) / (1 + e)``,
+which is exactly ``1/(1+e)`` for z >= 0 and ``e/(1+e)`` otherwise, and then
+overwrites the cell block with its tanh. The step loops allocate nothing:
+their scratch buffers are made once per call and filled with ``out=``.
+Results are bit-identical to the earlier per-gate kernel (four gate caches
+and a masked sigmoid per gate), which the tests keep as a reference.
+
 Everything runs in float64: the backward pass is checked coordinate by
 coordinate against central finite differences, and that comparison needs
 the headroom.
@@ -148,101 +157,117 @@ def init_params(
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _gate_blocks(slab: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the input, forget, cell and output blocks of a (B, 4H) slab."""
+    h_dim = slab.shape[1] // GATE_BLOCKS
+    return tuple(slab[:, k * h_dim : (k + 1) * h_dim] for k in range(GATE_BLOCKS))
 
 
 def _lstm_forward(x, wx, wh, b, reverse: bool):
     """Run one direction of one layer over a (B, W, D) batch.
 
     Returns the per-step hidden states in time order and the cache needed
-    by the backward pass.
+    by the backward pass: the activated (B, W, 4H) gate slab, the cell
+    states and the hidden states.
     """
     batch, width, _ = x.shape
     h_dim = wh.shape[0]
-    pre = x @ wx + b  # input contribution for every step at once
-    h = np.zeros((batch, h_dim))
-    c = np.zeros((batch, h_dim))
-    gates_i = np.empty((batch, width, h_dim))
-    gates_f = np.empty((batch, width, h_dim))
-    gates_g = np.empty((batch, width, h_dim))
-    gates_o = np.empty((batch, width, h_dim))
+    pre = x @ wx  # input contribution for every step at once
+    pre += b
+    gates = np.empty((batch, width, 4 * h_dim))
     c_seq = np.empty((batch, width, h_dim))
     h_seq = np.empty((batch, width, h_dim))
+    # per-step scratch, filled in place so the loop allocates nothing
+    z = np.empty((batch, 4 * h_dim))
+    e = np.empty_like(z)
+    act = np.empty_like(z)
+    h = np.zeros((batch, h_dim))
+    c = np.zeros((batch, h_dim))
+    tmp = np.empty_like(c)
+    i_t, f_t, g_t, o_t = _gate_blocks(act)
+    z_g = _gate_blocks(z)[2]
     steps = range(width - 1, -1, -1) if reverse else range(width)
     for t in steps:
-        z = pre[:, t] + h @ wh
-        i_t = _sigmoid(z[:, :h_dim])
-        f_t = _sigmoid(z[:, h_dim : 2 * h_dim])
-        g_t = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
-        o_t = _sigmoid(z[:, 3 * h_dim :])
-        c = f_t * c + i_t * g_t
-        h = o_t * np.tanh(c)
-        gates_i[:, t] = i_t
-        gates_f[:, t] = f_t
-        gates_g[:, t] = g_t
-        gates_o[:, t] = o_t
+        np.matmul(h, wh, out=z)
+        z += pre[:, t]
+        # sigmoid of the whole slab without branches: with e = exp(-|z|) it
+        # is exactly 1/(1+e) where z >= 0 and e/(1+e) elsewhere
+        np.abs(z, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.greater_equal(z, 0.0, out=act)
+        np.maximum(e, act, out=act)
+        e += 1.0
+        np.divide(act, e, out=act)
+        np.tanh(z_g, out=g_t)
+        gates[:, t] = act
+        c *= f_t
+        np.multiply(i_t, g_t, out=tmp)
+        c += tmp
+        np.tanh(c, out=tmp)
+        np.multiply(o_t, tmp, out=h)
         c_seq[:, t] = c
         h_seq[:, t] = h
-    cache = {
-        "x": x,
-        "i": gates_i,
-        "f": gates_f,
-        "g": gates_g,
-        "o": gates_o,
-        "c": c_seq,
-        "h": h_seq,
-        "reverse": reverse,
-    }
+    cache = {"x": x, "gates": gates, "c": c_seq, "h": h_seq, "reverse": reverse}
     return h_seq, cache
 
 
 def _lstm_backward(dh_seq, cache, wx, wh):
     """Backpropagate through one direction. dh_seq holds the gradient
     arriving at every per-step hidden output."""
-    x = cache["x"]
-    gates_i, gates_f = cache["i"], cache["f"]
-    gates_g, gates_o = cache["g"], cache["o"]
+    x, gates = cache["x"], cache["gates"]
     c_seq, h_seq = cache["c"], cache["h"]
     reverse = cache["reverse"]
     batch, width, h_dim = h_seq.shape
 
     dz_seq = np.empty((batch, width, 4 * h_dim))
     d_wh = np.zeros_like(wh)
+    # per-step scratch, filled in place so the loop allocates nothing
     dh_carry = np.zeros((batch, h_dim))
     dc_carry = np.zeros((batch, h_dim))
     zeros = np.zeros((batch, h_dim))
+    tanh_c = np.empty((batch, h_dim))
+    dh = np.empty_like(tanh_c)
+    dc = np.empty_like(tanh_c)
+    dz = np.zeros((batch, 4 * h_dim))
+    slope = np.empty_like(dz)
+    d_wh_t = np.empty_like(wh)
+    dz_i, dz_f, dz_g, dz_o = _gate_blocks(dz)
+    slope_g = _gate_blocks(slope)[2]
     steps = range(width) if reverse else range(width - 1, -1, -1)
     for t in steps:
         prev_t = t + 1 if reverse else t - 1
         in_range = 0 <= prev_t < width
         h_prev = h_seq[:, prev_t] if in_range else zeros
         c_prev = c_seq[:, prev_t] if in_range else zeros
-        i_t, f_t = gates_i[:, t], gates_f[:, t]
-        g_t, o_t = gates_g[:, t], gates_o[:, t]
-        tanh_c = np.tanh(c_seq[:, t])
+        act = gates[:, t]
+        i_t, f_t, g_t, o_t = _gate_blocks(act)
+        np.tanh(c_seq[:, t], out=tanh_c)
 
-        dh = dh_seq[:, t] + dh_carry
-        do = dh * tanh_c
-        dc = dh * o_t * (1.0 - tanh_c**2) + dc_carry
-        di = dc * g_t
-        dg = dc * i_t
-        df = dc * c_prev
+        np.add(dh_seq[:, t], dh_carry, out=dh)
+        np.multiply(dh, tanh_c, out=dz_o)
+        np.multiply(dh, o_t, out=dc)
+        np.square(tanh_c, out=tanh_c)
+        np.subtract(1.0, tanh_c, out=tanh_c)
+        dc *= tanh_c
+        dc += dc_carry
+        # dz is (upstream * gate) * (1 - gate) on the sigmoid blocks and
+        # upstream * (1 - g^2) on the cell block, rounded in that order;
+        # the cell block is written after the slab-wide gate product
+        np.multiply(dc, g_t, out=dz_i)
+        np.multiply(dc, c_prev, out=dz_f)
+        dz *= act
+        np.multiply(dc, i_t, out=dz_g)
+        np.subtract(1.0, act, out=slope)
+        np.square(g_t, out=slope_g)
+        np.subtract(1.0, slope_g, out=slope_g)
+        dz *= slope
+        dz_seq[:, t] = dz
 
-        dz = dz_seq[:, t]
-        dz[:, :h_dim] = di * i_t * (1.0 - i_t)
-        dz[:, h_dim : 2 * h_dim] = df * f_t * (1.0 - f_t)
-        dz[:, 2 * h_dim : 3 * h_dim] = dg * (1.0 - g_t**2)
-        dz[:, 3 * h_dim :] = do * o_t * (1.0 - o_t)
-
-        d_wh += h_prev.T @ dz
-        dh_carry = dz @ wh.T
-        dc_carry = dc * f_t
+        np.matmul(h_prev.T, dz, out=d_wh_t)
+        d_wh += d_wh_t
+        np.matmul(dz, wh.T, out=dh_carry)
+        np.multiply(dc, f_t, out=dc_carry)
 
     flat_x = x.reshape(batch * width, -1)
     flat_dz = dz_seq.reshape(batch * width, 4 * h_dim)

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import harforge.cli as cli
 from harforge.cli import (
     CONFIG_ENV_VAR,
     EXIT_INPUT,
@@ -241,6 +242,29 @@ class TestPipelineEndToEnd:
         assert code == EXIT_OK
         assert read_report(copy, "train")["no_op"] is False
 
+    def test_train_and_eval_parse_each_store_once(self, pipeline_tree, tmp_path, monkeypatch):
+        cfg_path, out = pipeline_tree
+        cfg = PipelineConfig(parse_config_text(cfg_path.read_text()))
+        assert len(cfg.split_modes) == 2
+        copy = tmp_path / "rerun"
+        shutil.copytree(out, copy)
+        loads = []
+        real_load = cli.load_window_store
+
+        def counted_load(path):
+            loads.append(os.path.basename(path))
+            return real_load(path)
+
+        monkeypatch.setattr(cli, "load_window_store", counted_load)
+        for stage in ("train", "eval"):
+            os.remove(copy / "reports" / f"{stage}.json")  # so the stage runs again
+            loads.clear()
+            code = main([stage, "--config", str(cfg_path), "--out", str(copy)])
+            assert code == EXIT_OK
+            assert loads == [f"windows_w{w}.jsonl" for w in cfg.widths]
+            for name in sorted(os.listdir(out / stage)):
+                assert (copy / stage / name).read_bytes() == (out / stage / name).read_bytes()
+
     def _tampered_manifest(self, pipeline_tree, tmp_path, edit):
         """A copy of the pipeline tree whose w15 temporal split is edited."""
         _, out = pipeline_tree
@@ -273,6 +297,15 @@ class TestPipelineEndToEnd:
 
         copy = self._tampered_manifest(pipeline_tree, tmp_path, edit)
         self._assert_rejected(pipeline_tree, copy, "eval", capsys, "outside the")
+
+    def test_train_checks_the_test_indices_it_does_not_load(
+        self, pipeline_tree, tmp_path, capsys
+    ):
+        def edit(entry):
+            entry["test"].append(max(entry["train"] + entry["val"] + entry["test"]) + 1)
+
+        copy = self._tampered_manifest(pipeline_tree, tmp_path, edit)
+        self._assert_rejected(pipeline_tree, copy, "train", capsys, "outside the")
 
     def test_index_in_two_parts_rejected(self, pipeline_tree, tmp_path, capsys):
         copy = self._tampered_manifest(

@@ -33,7 +33,8 @@ from harforge.model import (
     windows_to_arrays,
 )
 from harforge.model.losses import focal_grad_wrt_ce
-from harforge.model.network import _ARRAY_ORDER, _lstm_forward
+import harforge.model.network as network
+from harforge.model.network import _ARRAY_ORDER, _lstm_backward, _lstm_forward
 
 
 class TestInit:
@@ -122,6 +123,102 @@ def lstm_oracle(x, wx, wh, b, reverse):
     return h_seq
 
 
+def ref_sigmoid(x):
+    """The masked two-branch sigmoid of the per-gate reference kernel."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_lstm_forward(x, wx, wh, b, reverse):
+    """Per-gate reference kernel: one masked sigmoid per gate and four gate
+    caches. The production kernel must match it bit for bit."""
+    batch, width, _ = x.shape
+    h_dim = wh.shape[0]
+    pre = x @ wx + b
+    h = np.zeros((batch, h_dim))
+    c = np.zeros((batch, h_dim))
+    gates_i = np.empty((batch, width, h_dim))
+    gates_f = np.empty((batch, width, h_dim))
+    gates_g = np.empty((batch, width, h_dim))
+    gates_o = np.empty((batch, width, h_dim))
+    c_seq = np.empty((batch, width, h_dim))
+    h_seq = np.empty((batch, width, h_dim))
+    steps = range(width - 1, -1, -1) if reverse else range(width)
+    for t in steps:
+        z = pre[:, t] + h @ wh
+        i_t = ref_sigmoid(z[:, :h_dim])
+        f_t = ref_sigmoid(z[:, h_dim : 2 * h_dim])
+        g_t = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
+        o_t = ref_sigmoid(z[:, 3 * h_dim :])
+        c = f_t * c + i_t * g_t
+        h = o_t * np.tanh(c)
+        gates_i[:, t] = i_t
+        gates_f[:, t] = f_t
+        gates_g[:, t] = g_t
+        gates_o[:, t] = o_t
+        c_seq[:, t] = c
+        h_seq[:, t] = h
+    cache = {
+        "x": x,
+        "i": gates_i,
+        "f": gates_f,
+        "g": gates_g,
+        "o": gates_o,
+        "c": c_seq,
+        "h": h_seq,
+        "reverse": reverse,
+    }
+    return h_seq, cache
+
+
+def ref_lstm_backward(dh_seq, cache, wx, wh):
+    """Backward pass of the per-gate reference kernel."""
+    x = cache["x"]
+    gates_i, gates_f = cache["i"], cache["f"]
+    gates_g, gates_o = cache["g"], cache["o"]
+    c_seq, h_seq = cache["c"], cache["h"]
+    reverse = cache["reverse"]
+    batch, width, h_dim = h_seq.shape
+    dz_seq = np.empty((batch, width, 4 * h_dim))
+    d_wh = np.zeros_like(wh)
+    dh_carry = np.zeros((batch, h_dim))
+    dc_carry = np.zeros((batch, h_dim))
+    zeros = np.zeros((batch, h_dim))
+    steps = range(width) if reverse else range(width - 1, -1, -1)
+    for t in steps:
+        prev_t = t + 1 if reverse else t - 1
+        in_range = 0 <= prev_t < width
+        h_prev = h_seq[:, prev_t] if in_range else zeros
+        c_prev = c_seq[:, prev_t] if in_range else zeros
+        i_t, f_t = gates_i[:, t], gates_f[:, t]
+        g_t, o_t = gates_g[:, t], gates_o[:, t]
+        tanh_c = np.tanh(c_seq[:, t])
+        dh = dh_seq[:, t] + dh_carry
+        do = dh * tanh_c
+        dc = dh * o_t * (1.0 - tanh_c**2) + dc_carry
+        di = dc * g_t
+        dg = dc * i_t
+        df = dc * c_prev
+        dz = dz_seq[:, t]
+        dz[:, :h_dim] = di * i_t * (1.0 - i_t)
+        dz[:, h_dim : 2 * h_dim] = df * f_t * (1.0 - f_t)
+        dz[:, 2 * h_dim : 3 * h_dim] = dg * (1.0 - g_t**2)
+        dz[:, 3 * h_dim :] = do * o_t * (1.0 - o_t)
+        d_wh += h_prev.T @ dz
+        dh_carry = dz @ wh.T
+        dc_carry = dc * f_t
+    flat_x = x.reshape(batch * width, -1)
+    flat_dz = dz_seq.reshape(batch * width, 4 * h_dim)
+    d_wx = flat_x.T @ flat_dz
+    d_b = flat_dz.sum(axis=0)
+    dx = (flat_dz @ wx.T).reshape(x.shape)
+    return dx, d_wx, d_wh, d_b
+
+
 class TestLstmForward:
     def test_matches_recurrence_oracle(self):
         rng = np.random.default_rng(2)
@@ -158,6 +255,40 @@ class TestLstmForward:
         logits1, logits2, _ = model_forward(x, p)
         np.testing.assert_array_equal(logits1, np.zeros((2, 3)))
         np.testing.assert_array_equal(logits2, np.zeros((2, 13)))
+
+
+class TestKernelMatchesReference:
+    """The fused kernel is bit-identical to the per-gate reference, including
+    saturated and underflowing gates. Each weight column is scaled by one of
+    0, 1, 60, 1500 or 10^4, so the gate blocks see pre-activations of exactly
+    0.0 (zero column, zero bias), of |z| > 40 and of |z| beyond 745, where
+    exp(-|z|) underflows to 0. (z = -0.0 cannot reach the gates: a
+    BLAS sum of zero products is +0.0.)"""
+
+    @pytest.mark.parametrize(
+        "shape, hidden", [((1, 1, 5), 3), ((3, 7, 5), 4), ((256, 60, 64), 32)]
+    )
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_forward_and_backward_are_bit_identical(self, shape, hidden, reverse):
+        rng = np.random.default_rng(sum(shape) + hidden)
+        scale = np.resize([0.0, 1.0, 60.0, 1500.0, 1e4], 4 * hidden)
+        x = rng.normal(size=shape)
+        wx = rng.normal(scale=0.5, size=(shape[2], 4 * hidden)) * scale
+        wh = rng.normal(scale=0.5, size=(hidden, 4 * hidden)) * scale
+        b = rng.normal(scale=0.2, size=4 * hidden) * scale
+        first = x[:, -1 if reverse else 0] @ wx + b  # the first step has h = 0
+        assert (first == 0.0).any()
+        assert (np.abs(first) > 40.0).any()
+        assert (np.abs(first) > 745.0).any()
+
+        h_ref, cache_ref = ref_lstm_forward(x, wx, wh, b, reverse)
+        h_new, cache_new = _lstm_forward(x, wx, wh, b, reverse)
+        np.testing.assert_array_equal(h_new, h_ref)
+        dh_seq = rng.normal(size=h_ref.shape)
+        want = ref_lstm_backward(dh_seq, cache_ref, wx, wh)
+        got = _lstm_backward(dh_seq, cache_new, wx, wh)
+        for name, g, w in zip(("dx", "d_wx", "d_wh", "d_b"), got, want):
+            assert np.array_equal(g, w), name
 
 
 class TestPoolingAndInput:
@@ -589,6 +720,34 @@ class TestTrainLoop:
 
         got = lv(best, x, y1, y2)
         assert got == pytest.approx(best_val, rel=1e-9)
+
+    def test_training_is_bit_identical_to_the_reference_kernel(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(40, 12, 5)) * rng.choice([0.1, 1.0, 30.0], size=(40, 1, 5))
+        y1 = rng.integers(0, 3, size=40)
+        y2 = rng.integers(0, 6, size=40)
+        params = init_params(5, 8, 6, seed=4, dropout=0.3)
+        cfg = TrainConfig(batch_size=16, learning_rate=0.01, max_epochs=2, seed=2)
+
+        def run(name):
+            best, history = train(params, (x, y1, y2), (x[:16], y1[:16], y2[:16]), cfg)
+            path = tmp_path / name
+            save_checkpoint(best, path, seed=4)
+            return path.read_bytes(), history
+
+        fused = run("fused.json")
+        calls = []
+
+        def counted_reference(*args):
+            calls.append(args[0].shape)
+            return ref_lstm_forward(*args)
+
+        monkeypatch.setattr(network, "_lstm_forward", counted_reference)
+        monkeypatch.setattr(network, "_lstm_backward", ref_lstm_backward)
+        reference = run("reference.json")
+        assert calls
+        assert len(fused[1]) == 2
+        assert fused == reference
 
 
 class TestPredict:
