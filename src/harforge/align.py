@@ -32,18 +32,14 @@ import numpy as np
 
 from .core import (
     DEFAULT_TZ_OFFSET_MINUTES,
+    EPOCH_ORDINAL,
     MINUTES_PER_DAY,
     ScheduleBlock,
     SleepState,
     epoch_minute,
     format_number,
 )
-from .ingest import (
-    BLOCK_MINUTES,
-    RawActivityBlock,
-    RawHrSample,
-    RawSleepSegment,
-)
+from .ingest import BLOCK_MINUTES, HrStream, RawActivityBlock, RawSleepSegment
 
 #: Daily pulse percentiles defining the personal heart-rate envelope.
 MIN_HR_PERCENTILE = 5.0
@@ -79,8 +75,6 @@ _COLUMNS = {
     "sleep": (np.int8, SLEEP_CODE[SleepState.UNKNOWN]),
     "schedule": (np.int16, -1),
 }
-
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 #: Bits of a packed row key that hold the day ordinal; every date ordinal
 #: fits below 2**22.
@@ -280,7 +274,7 @@ def ltm_redistribute(
 
 
 def align_cohort(
-    hr_samples: Sequence[RawHrSample],
+    hr: HrStream,
     activity_blocks: Sequence[RawActivityBlock],
     sleep_segments: Sequence[RawSleepSegment],
     schedule_blocks: Sequence[ScheduleBlock],
@@ -315,19 +309,16 @@ def align_cohort(
         for blk in schedule_blocks
     ]
     paints = [p for p in paints if p[3] > p[2]]
-    users = sorted(
-        {s.user_id for s in hr_samples} | {b[0] for b in blocks} | {p[1] for p in paints}
-    )
+    users = sorted(set(hr.users) | {b[0] for b in blocks} | {p[1] for p in paints})
     code_of = {user: code for code, user in enumerate(users)}
 
     def pack(code, minute):
         """Row key of (user code, local minute): user code and day ordinal in
         one int, so keys sort by user, then day; works on arrays too."""
-        return code << _ORDINAL_BITS | (minute // MINUTES_PER_DAY + _EPOCH_ORDINAL)
+        return code << _ORDINAL_BITS | (minute // MINUTES_PER_DAY + EPOCH_ORDINAL)
 
-    n = len(hr_samples)
-    hr_minute = np.fromiter((local(s.timestamp) for s in hr_samples), np.int64, n)
-    hr_key = pack(np.fromiter((code_of[s.user_id] for s in hr_samples), np.int64, n), hr_minute)
+    hr_minute = hr.second // 60 + tz_offset_minutes
+    hr_key = pack(np.array([code_of[user] for user in hr.users], np.int64)[hr.user], hr_minute)
     touched = {pack(code_of[user], minute) for user, minute, _ in blocks}
     for _, user, start, end, _ in paints:
         touched.update(range(pack(code_of[user], start), pack(code_of[user], end - 1) + 1))
@@ -341,11 +332,10 @@ def align_cohort(
     def cell(user: str, minute: int) -> int:
         return row_of[pack(code_of[user], minute)] * MINUTES_PER_DAY + minute % MINUTES_PER_DAY
 
-    # per-minute mean pulse; bincount adds the samples in input order
+    # per-minute mean pulse; bincount adds the samples in stream order
     cells = np.searchsorted(row_keys, hr_key) * MINUTES_PER_DAY + hr_minute % MINUTES_PER_DAY
-    hr_bpm = np.fromiter((s.hr_bpm for s in hr_samples), np.float64, n)
     count = np.bincount(cells, minlength=grid.pulse.size).reshape(grid.pulse.shape)
-    total = np.bincount(cells, hr_bpm, minlength=grid.pulse.size).reshape(grid.pulse.shape)
+    total = np.bincount(cells, hr.bpm, minlength=grid.pulse.size).reshape(grid.pulse.shape)
     has = count > 0
     grid.pulse[has] = total[has] / count[has]
 

@@ -32,6 +32,7 @@ from .align import (
 from .core import ActivityTaxonomy, default_taxonomy, load_taxonomy, save_taxonomy
 from .dataset import (
     N_CHANNELS,
+    SAMPLING_RATES,
     SPLIT_NAMES,
     SplitSpec,
     apply_normalizer,
@@ -230,8 +231,17 @@ class PipelineConfig:
         bad = [m for m in modes if m not in ("temporal", "user")]
         if bad or not modes:
             raise ConfigError(f"split.modes must name temporal and/or user, got {modes!r}")
-        if not self._typed["dataset.widths"]:
+        widths = self._typed["dataset.widths"]
+        if not widths:
             raise ConfigError("dataset.widths must name at least one width")
+        for i, width in enumerate(widths):
+            if width not in SAMPLING_RATES:
+                supported = ", ".join(map(str, SAMPLING_RATES))
+                raise ConfigError(
+                    f"dataset.widths: no sampling rate for width {width} (supported: {supported})"
+                )
+            if width in widths[:i]:
+                raise ConfigError(f"dataset.widths names width {width} twice")
 
     def __getitem__(self, key: str):
         return self._typed[key]

@@ -51,7 +51,12 @@ DEFAULT_LEVEL2_LABELS = (
 
 TAXONOMY_HEADER = ("level2_label", "level1_label")
 
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+#: Proleptic Gregorian ordinal of 1970-01-01, day 0 of epoch arithmetic.
+EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+SECONDS_PER_DAY = 86400
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 class SleepState(Enum):
@@ -186,18 +191,23 @@ def as_utc(ts: datetime) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
+def epoch_second(ts: datetime) -> int:
+    """Whole seconds since the Unix epoch, rounding down; naive input is
+    taken as UTC."""
+    delta = as_utc(ts) - _EPOCH
+    return delta.days * SECONDS_PER_DAY + delta.seconds
+
+
 def epoch_minute(ts: datetime) -> int:
-    """Whole minutes since the Unix epoch, truncating seconds toward zero."""
-    ts = as_utc(ts)
-    days = ts.toordinal() - _EPOCH_ORDINAL
-    return days * MINUTES_PER_DAY + ts.hour * 60 + ts.minute
+    """Whole minutes since the Unix epoch, rounding down."""
+    return epoch_second(ts) // 60
 
 
 def local_day_and_index(epoch_min: int, utc_offset_minutes: int) -> tuple[date, int]:
     """Map an epoch minute to its local (day, slot index)."""
     local = epoch_min + utc_offset_minutes
     day_ord, index = divmod(local, MINUTES_PER_DAY)
-    return date.fromordinal(_EPOCH_ORDINAL + day_ord), index
+    return date.fromordinal(EPOCH_ORDINAL + day_ord), index
 
 
 def format_number(x) -> str:

@@ -36,8 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .align import SLEEP_CODE, DayGrid, PersonalHrProfile
 from .core import ActivityTaxonomy, LEVEL1_AWAKE, LEVEL1_SLEEP, MINUTES_PER_DAY, SleepState
 
-#: Supported window widths (minutes) and their post-labeling sampling rates.
-WINDOW_WIDTHS = (15, 30, 45, 60)
+#: Post-labeling sampling rate of each supported window width (minutes).
 SAMPLING_RATES = {15: 0.15, 30: 0.25, 45: 0.25, 60: 0.40}
 
 #: Fraction of a window one label must cover for the window to be kept.

@@ -10,6 +10,10 @@ Parsing is order-insensitive. Records are sorted per user by timestamp (with
 the value as a final tie-break), and exact duplicates of a (user, timestamp)
 key keep the first entry of the sorted group, so shuffling the input rows of
 a file never changes the parsed result.
+
+Heart rate, by far the largest stream, parses into one HrStream of numpy
+columns; every row still passes the same strict checks, one row at a time.
+The three small streams parse into lists of records.
 """
 
 from __future__ import annotations
@@ -17,15 +21,21 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from typing import IO, Iterable, Sequence
+from datetime import date, datetime, timedelta
+from typing import IO, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .core import (
+    EPOCH_ORDINAL,
+    SECONDS_PER_DAY,
     ActivityTaxonomy,
     ScheduleBlock,
     SleepState,
     as_utc,
+    epoch_second,
     format_number,
 )
 
@@ -46,13 +56,23 @@ class StreamFormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-@dataclass(frozen=True, slots=True)
-class RawHrSample:
-    """One heart-rate reading: user, UTC instant, positive bpm value."""
+@dataclass(frozen=True, eq=False)
+class HrStream:
+    """Heart-rate readings as columns, sorted by (user, second), one row per key.
 
-    user_id: str
-    timestamp: datetime
-    hr_bpm: float
+    - ``users``: the sorted user ids
+    - ``user``: int64 codes into ``users``
+    - ``second``: int64 UTC epoch seconds
+    - ``bpm``: float64 positive readings
+    """
+
+    users: tuple[str, ...]
+    user: np.ndarray
+    second: np.ndarray
+    bpm: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.second)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,25 +155,33 @@ def _minute_aligned(ts: datetime) -> bool:
     return ts.second == 0 and ts.microsecond == 0
 
 
-def parse_hr_stream(stream: Iterable[str] | IO[str]) -> list[RawHrSample]:
-    """Parse ``user_id,timestamp,hr_bpm`` rows into sorted, deduplicated samples."""
-    parsed: list[RawHrSample] = []
+def parse_hr_stream(stream: Iterable[str] | IO[str]) -> HrStream:
+    """Parse ``user_id,timestamp,hr_bpm`` rows into sorted, deduplicated columns."""
+    code_of: dict[str, int] = {}
+    codes, seconds, values = array("q"), array("q"), array("d")
     for line, row in _iter_rows(stream, HR_HEADER):
-        user = _parse_user(row[0], line)
+        name = _parse_user(row[0], line)
         ts = _parse_timestamp(row[1], line)
         if ts.microsecond:
             raise StreamFormatError(f"sub-second timestamp {row[1].strip()!r}", line=line)
         hr = _parse_float(row[2], "hr_bpm", line)
         if hr <= 0:
             raise StreamFormatError(f"hr_bpm must be positive, got {hr}", line=line)
-        parsed.append(RawHrSample(user, ts, hr))
-    parsed.sort(key=lambda s: (s.user_id, s.timestamp, s.hr_bpm))
-    out: list[RawHrSample] = []
-    for s in parsed:
-        if out and out[-1].user_id == s.user_id and out[-1].timestamp == s.timestamp:
-            continue  # duplicate key: keep the first of the sorted group
-        out.append(s)
-    return out
+        codes.append(code_of.setdefault(name, len(code_of)))
+        seconds.append(epoch_second(ts))
+        values.append(hr)
+    # codes were handed out in arrival order; renumber them in user order
+    users = sorted(code_of)
+    rank = {name: r for r, name in enumerate(users)}
+    user = np.array([rank[name] for name in code_of], np.int64)[np.frombuffer(codes, np.int64)]
+    second = np.frombuffer(seconds, np.int64)
+    bpm = np.frombuffer(values, np.float64)
+    order = np.lexsort((bpm, second, user))
+    user, second, bpm = user[order], second[order], bpm[order]
+    # duplicate key: keep the first of the sorted group, the lowest value
+    first = np.ones(len(order), bool)
+    first[1:] = (user[1:] != user[:-1]) | (second[1:] != second[:-1])
+    return HrStream(tuple(users), user[first], second[first], bpm[first])
 
 
 def parse_activity_blocks(stream: Iterable[str] | IO[str]) -> list[RawActivityBlock]:
@@ -191,70 +219,83 @@ def parse_activity_blocks(stream: Iterable[str] | IO[str]) -> list[RawActivityBl
     return out
 
 
-def parse_sleep_segments(stream: Iterable[str] | IO[str]) -> list[RawSleepSegment]:
-    """Parse device sleep/awake intervals; rejects bad states and overlaps."""
-    parsed: list[tuple[int, RawSleepSegment]] = []
-    for line, row in _iter_rows(stream, SLEEP_HEADER):
+def _parse_intervals(
+    stream: Iterable[str] | IO[str],
+    header: Sequence[str],
+    noun: str,
+    values: Mapping[str, object],
+    bad_value: str,
+    record,
+) -> list:
+    """Parse ``user_id,start,end,value`` rows into ``record(user, start, end,
+    values[value])``, sorted per user. Rejects unaligned, empty and
+    overlapping intervals, and a value missing from ``values`` as
+    ``bad_value``. ``noun`` names an interval in the error messages; its
+    first word also names the boundaries and its last word the previous
+    interval ("schedule block": "schedule boundaries", "previous block")."""
+    parsed: list[tuple[int, object]] = []
+    for line, row in _iter_rows(stream, header):
         user = _parse_user(row[0], line)
         start = _parse_timestamp(row[1], line)
         end = _parse_timestamp(row[2], line)
         if not (_minute_aligned(start) and _minute_aligned(end)):
-            raise StreamFormatError("segment boundaries must be minute-aligned", line=line)
-        if end <= start:
-            raise StreamFormatError("segment must have end > start", line=line)
-        state_text = row[3].strip()
-        if state_text not in (SleepState.SLEEP.value, SleepState.AWAKE.value):
-            raise StreamFormatError(f"bad sleep state {state_text!r}", line=line)
-        parsed.append((line, RawSleepSegment(user, start, end, SleepState(state_text))))
-    parsed.sort(key=lambda item: (item[1].user_id, item[1].start, item[1].end))
-    out: list[RawSleepSegment] = []
-    for line, seg in parsed:
-        if out and out[-1].user_id == seg.user_id and seg.start < out[-1].end:
             raise StreamFormatError(
-                f"segment for {seg.user_id!r} starting {seg.start} overlaps the "
-                f"previous segment ending {out[-1].end}",
+                f"{noun.split()[0]} boundaries must be minute-aligned", line=line
+            )
+        if end <= start:
+            raise StreamFormatError(f"{noun} must have end > start", line=line)
+        value = row[3].strip()
+        if value not in values:
+            raise StreamFormatError(f"{bad_value} {value!r}", line=line)
+        parsed.append((line, record(user, start, end, values[value])))
+    parsed.sort(key=lambda item: (item[1].user_id, item[1].start, item[1].end))
+    out: list = []
+    for line, item in parsed:
+        if out and out[-1].user_id == item.user_id and item.start < out[-1].end:
+            raise StreamFormatError(
+                f"{noun} for {item.user_id!r} starting {item.start} overlaps the "
+                f"previous {noun.split()[-1]} ending {out[-1].end}",
                 line=line,
             )
-        out.append(seg)
+        out.append(item)
     return out
+
+
+def parse_sleep_segments(stream: Iterable[str] | IO[str]) -> list[RawSleepSegment]:
+    """Parse device sleep/awake intervals; rejects bad states and overlaps."""
+    states = {state.value: state for state in (SleepState.SLEEP, SleepState.AWAKE)}
+    return _parse_intervals(
+        stream, SLEEP_HEADER, "segment", states, "bad sleep state", RawSleepSegment
+    )
 
 
 def parse_schedule(
     stream: Iterable[str] | IO[str], taxonomy: ActivityTaxonomy
 ) -> list[ScheduleBlock]:
     """Parse planned activity blocks, validating labels against the taxonomy."""
-    parsed: list[tuple[int, ScheduleBlock]] = []
-    for line, row in _iter_rows(stream, SCHEDULE_HEADER):
-        user = _parse_user(row[0], line)
-        start = _parse_timestamp(row[1], line)
-        end = _parse_timestamp(row[2], line)
-        if not (_minute_aligned(start) and _minute_aligned(end)):
-            raise StreamFormatError("schedule boundaries must be minute-aligned", line=line)
-        if end <= start:
-            raise StreamFormatError("schedule block must have end > start", line=line)
-        label = row[3].strip()
-        if label not in taxonomy.level2:
-            raise StreamFormatError(f"unknown activity label {label!r}", line=line)
-        parsed.append((line, ScheduleBlock(user, start, end, label)))
-    parsed.sort(key=lambda item: (item[1].user_id, item[1].start, item[1].end))
-    out: list[ScheduleBlock] = []
-    for line, block in parsed:
-        if out and out[-1].user_id == block.user_id and block.start < out[-1].end:
-            raise StreamFormatError(
-                f"schedule block for {block.user_id!r} starting {block.start} overlaps "
-                f"the previous block ending {out[-1].end}",
-                line=line,
-            )
-        out.append(block)
-    return out
+    labels = dict(zip(taxonomy.level2, taxonomy.level2))
+    return _parse_intervals(
+        stream, SCHEDULE_HEADER, "schedule block", labels, "unknown activity label", ScheduleBlock
+    )
+
+
+def format_epoch_second(sec: int, day_cache: dict[int, str]) -> str:
+    """Canonical ISO-8601 UTC form of an epoch second, with a trailing Z;
+    ``day_cache`` keeps each epoch day's date text, so share it across calls."""
+    day, rem = divmod(sec, SECONDS_PER_DAY)
+    text = day_cache.get(day)
+    if text is None:
+        text = day_cache[day] = date.fromordinal(EPOCH_ORDINAL + day).isoformat()
+    h, rem = divmod(rem, 3600)
+    m, s = divmod(rem, 60)
+    return f"{text}T{h:02d}:{m:02d}:{s:02d}Z"
 
 
 def format_timestamp(ts: datetime) -> str:
     """Canonical ISO-8601 UTC form with a trailing Z and whole seconds."""
-    ts = as_utc(ts)
     if ts.microsecond:
         raise ValueError("timestamps are stored at whole-second resolution")
-    return f"{ts:%Y-%m-%dT%H:%M:%S}Z"
+    return format_epoch_second(epoch_second(ts), {})
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -265,12 +306,13 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
-def serialize_hr_stream(samples: Sequence[RawHrSample]) -> str:
+def serialize_hr_stream(hr: HrStream) -> str:
+    day_cache: dict[int, str] = {}
     return _csv_text(
         HR_HEADER,
         (
-            (s.user_id, format_timestamp(s.timestamp), format_number(s.hr_bpm))
-            for s in samples
+            (hr.users[u], format_epoch_second(sec, day_cache), format_number(bpm))
+            for u, sec, bpm in zip(hr.user.tolist(), hr.second.tolist(), hr.bpm.tolist())
         ),
     )
 

@@ -26,12 +26,11 @@ from .align import SLEEP_CODE, DayGrid
 from .core import (
     DEFAULT_LEVEL2_LABELS,
     DEFAULT_TZ_OFFSET_MINUTES,
+    EPOCH_ORDINAL,
     MINUTES_PER_DAY,
     SleepState,
 )
-from .ingest import ACTIVITY_HEADER, HR_HEADER, SCHEDULE_HEADER, SLEEP_HEADER
-
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+from .ingest import ACTIVITY_HEADER, HR_HEADER, SCHEDULE_HEADER, SLEEP_HEADER, format_epoch_second
 
 TRUTH_HEADER = (
     "user_id",
@@ -189,17 +188,6 @@ class Cohort:
         return "\n".join(lines) + "\n"
 
 
-def _ts_text(epoch_sec: int, cache: dict[int, str]) -> str:
-    day, rem = divmod(epoch_sec, 86400)
-    text = cache.get(day)
-    if text is None:
-        text = date.fromordinal(_EPOCH_ORDINAL + day).isoformat()
-        cache[day] = text
-    h, rem = divmod(rem, 3600)
-    m, s = divmod(rem, 60)
-    return f"{text}T{h:02d}:{m:02d}:{s:02d}Z"
-
-
 def _user_ids(n_users: int) -> list[str]:
     return [f"u{i + 1:03d}" for i in range(n_users)]
 
@@ -231,7 +219,7 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
 
         all_states = np.zeros(config.n_days * MINUTES_PER_DAY, dtype=bool)
         # epoch minute of this user's first local midnight
-        local_base = (base_ordinal - _EPOCH_ORDINAL) * MINUTES_PER_DAY - config.tz_offset_minutes
+        local_base = (base_ordinal - EPOCH_ORDINAL) * MINUTES_PER_DAY - config.tz_offset_minutes
 
         for day_index in range(config.n_days):
             day = date.fromordinal(base_ordinal + day_index)
@@ -301,7 +289,7 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
                     sec = _SAMPLE_SECONDS[k] + int(sec_jitter[i, k])
                     value = round(max(25.0, float(hr_minute[i] + val_noise[i, k])), 2)
                     hr_rows.append(
-                        f"{user},{_ts_text(minute_sec + sec, date_cache)},{repr(value)}"
+                        f"{user},{format_epoch_second(minute_sec + sec, date_cache)},{repr(value)}"
                     )
 
             block_steps = steps.reshape(-1, 15).sum(axis=1)
@@ -309,14 +297,14 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
             for b in range(block_steps.shape[0]):
                 if block_steps[b] == 0 and block_dist[b] == 0.0:
                     continue
-                ts = _ts_text((day_base_min + b * 15) * 60, date_cache)
+                ts = format_epoch_second((day_base_min + b * 15) * 60, date_cache)
                 act_rows.append(
                     f"{user},{ts},{int(block_steps[b])},{repr(float(block_dist[b]))}"
                 )
 
             for start, end, label in realized:
-                s_ts = _ts_text((day_base_min + start) * 60, date_cache)
-                e_ts = _ts_text((day_base_min + end) * 60, date_cache)
+                s_ts = format_epoch_second((day_base_min + start) * 60, date_cache)
+                e_ts = format_epoch_second((day_base_min + end) * 60, date_cache)
                 sched_rows.append(f"{user},{s_ts},{e_ts},{label}")
 
             all_states[
@@ -342,8 +330,10 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
                 chunk_len = min(int(rng.integers(8, 26)), run_end - chunk_start)
                 keep = rng.random() >= config.sleep_dropout
                 if keep:
-                    s_ts = _ts_text((local_base + chunk_start) * 60, date_cache)
-                    e_ts = _ts_text((local_base + chunk_start + chunk_len) * 60, date_cache)
+                    s_ts = format_epoch_second((local_base + chunk_start) * 60, date_cache)
+                    e_ts = format_epoch_second(
+                        (local_base + chunk_start + chunk_len) * 60, date_cache
+                    )
                     sleep_rows.append(f"{user},{s_ts},{e_ts},{state_text}")
                 chunk_start += chunk_len
             pos = run_end

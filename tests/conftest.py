@@ -1,4 +1,6 @@
-from datetime import date
+import csv
+import io
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from harforge.align import SLEEP_CODE, DayGrid
 from harforge.core import MINUTES_PER_DAY, SleepState, default_taxonomy
 from harforge.dataset import N_CHANNELS, WindowSet
+from harforge.ingest import HR_HEADER, parse_hr_stream
 
 DAY = date(2024, 3, 4)
 
@@ -94,6 +97,26 @@ def grid_factory():
 @pytest.fixture
 def grid_values():
     return day_values
+
+
+def make_hr_stream(rows=()):
+    """Parse (user_id, timestamp, bpm) rows into an HrStream through CSV text.
+
+    A datetime timestamp is written in ISO form and a float bpm with repr, so
+    the text parses back to the same instant and value; rows are written in
+    the order given.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(HR_HEADER)
+    for user, ts, bpm in rows:
+        writer.writerow([user, ts.isoformat() if isinstance(ts, datetime) else ts, repr(bpm)])
+    return parse_hr_stream(buf.getvalue().splitlines(keepends=True))
+
+
+@pytest.fixture
+def hr_factory():
+    return make_hr_stream
 
 
 def make_windows(n=None, *, user="u1", day=DAY, start=0, l1=None, l2="Other",

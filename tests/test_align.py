@@ -24,8 +24,8 @@ from harforge.align import (
     write_aligned_csv,
     write_profiles_csv,
 )
-from harforge.core import ScheduleBlock, SleepState
-from harforge.ingest import RawActivityBlock, RawHrSample, RawSleepSegment
+from harforge.core import ScheduleBlock, SleepState, epoch_minute, local_day_and_index
+from harforge.ingest import RawActivityBlock, RawSleepSegment
 
 UTC = timezone.utc
 DAY = date(2024, 3, 4)
@@ -190,10 +190,10 @@ class TestLtmRedistribute:
 
 
 class TestHrProfile:
-    def test_downsample_mean(self, grid_values):
+    def test_downsample_mean(self, grid_values, hr_factory):
         readings = ((3, 60.0), (18, 62.0), (33, 64.0))
-        samples = [RawHrSample("u1", utc(6, 30, sec), bpm) for sec, bpm in readings]
-        days = align_cohort(samples, [], [], [], tz_offset_minutes=0).days
+        samples = [("u1", utc(6, 30, sec), bpm) for sec, bpm in readings]
+        days = align_cohort(hr_factory(samples), [], [], [], tz_offset_minutes=0).days
         pulse = grid_values(days, "pulse", ("u1", DAY))
         assert pulse[390] == pytest.approx(62.0)
         assert pulse[391] is None
@@ -223,13 +223,13 @@ class TestHrProfile:
 
 
 def hr_minute(user, hour, minute, bpm, day=4):
-    return RawHrSample(user, utc(hour, minute, 3, day=day), bpm)
+    return (user, utc(hour, minute, 3, day=day), bpm)
 
 
 class TestAlignCohort:
-    def test_pulse_lands_on_local_minute(self, grid_values):
+    def test_pulse_lands_on_local_minute(self, grid_values, hr_factory):
         data = align_cohort(
-            [hr_minute("u1", 6, 30, 61.0)], [], [], [], tz_offset_minutes=120
+            hr_factory([hr_minute("u1", 6, 30, 61.0)]), [], [], [], tz_offset_minutes=120
         )
         assert data.days.keys == (("u1", DAY),)
         pulse = grid_values(data.days, "pulse", ("u1", DAY))
@@ -237,31 +237,44 @@ class TestAlignCohort:
         assert pulse[8 * 60 + 30] == pytest.approx(61.0)
         assert [i for i, p in enumerate(pulse) if p is not None] == [510]
 
-    def test_same_minute_samples_average(self, grid_values):
-        samples = [
-            RawHrSample("u1", utc(6, 30, 3), 60.0),
-            RawHrSample("u1", utc(6, 30, 48), 64.0),
-        ]
-        data = align_cohort(samples, [], [], [], tz_offset_minutes=120)
+    def test_same_minute_samples_average(self, grid_values, hr_factory):
+        samples = [("u1", utc(6, 30, 3), 60.0), ("u1", utc(6, 30, 48), 64.0)]
+        data = align_cohort(hr_factory(samples), [], [], [], tz_offset_minutes=120)
         assert grid_values(data.days, "pulse", ("u1", DAY))[510] == pytest.approx(62.0)
 
-    def test_late_utc_sample_belongs_to_next_local_day(self, grid_values):
+    def test_late_utc_sample_belongs_to_next_local_day(self, grid_values, hr_factory):
         data = align_cohort(
-            [hr_minute("u1", 22, 10, 61.0)], [], [], [], tz_offset_minutes=120
+            hr_factory([hr_minute("u1", 22, 10, 61.0)]), [], [], [], tz_offset_minutes=120
         )
         assert data.days.keys == (("u1", date(2024, 3, 5)),)
         pulse = grid_values(data.days, "pulse", ("u1", date(2024, 3, 5)))
         assert pulse[10] == pytest.approx(61.0)
 
-    def test_zero_offset_keeps_utc_days(self):
+    def test_zero_offset_keeps_utc_days(self, hr_factory):
         data = align_cohort(
-            [hr_minute("u1", 22, 10, 61.0)], [], [], [], tz_offset_minutes=0
+            hr_factory([hr_minute("u1", 22, 10, 61.0)]), [], [], [], tz_offset_minutes=0
         )
         assert data.days.keys == (("u1", DAY),)
 
-    def test_sleep_segment_crossing_local_midnight_paints_both_days(self, grid_values):
+    @pytest.mark.parametrize("offset", [0, 120, -45])
+    def test_pre_1970_sample_lands_on_its_epoch_minute(self, grid_values, hr_factory, offset):
+        for ts in (
+            datetime(1969, 12, 31, 23, 59, 30, tzinfo=UTC),
+            datetime(1969, 6, 1, 0, 0, 59, tzinfo=UTC),
+            datetime(1950, 2, 28, 5, 7, 1, tzinfo=UTC),
+        ):
+            hr = hr_factory([("u1", ts, 70.0)])
+            data = align_cohort(hr, [], [], [], tz_offset_minutes=offset)
+            day, index = local_day_and_index(epoch_minute(ts), offset)
+            assert data.days.keys == (("u1", day),)
+            pulse = grid_values(data.days, "pulse", ("u1", day))
+            assert [i for i, p in enumerate(pulse) if p is not None] == [index]
+
+    def test_sleep_segment_crossing_local_midnight_paints_both_days(
+        self, grid_values, hr_factory
+    ):
         seg = RawSleepSegment("u1", utc(20, 0), utc(4, 0, day=5), SleepState.SLEEP)
-        data = align_cohort([], [], [seg], [], tz_offset_minutes=120)
+        data = align_cohort(hr_factory(), [], [seg], [], tz_offset_minutes=120)
         d1 = grid_values(data.days, "sleep", ("u1", DAY))
         d2 = grid_values(data.days, "sleep", ("u1", date(2024, 3, 5)))
         assert d1[22 * 60] is SleepState.SLEEP
@@ -270,35 +283,35 @@ class TestAlignCohort:
         assert d2[6 * 60 - 1] is SleepState.SLEEP
         assert d2[6 * 60] is SleepState.UNKNOWN
 
-    def test_schedule_paints_labels(self, taxonomy, grid_values):
+    def test_schedule_paints_labels(self, taxonomy, grid_values, hr_factory):
         blk = ScheduleBlock("u1", utc(6, 0), utc(6, 30), "Running Exercise")
-        data = align_cohort([], [], [], [blk], tz_offset_minutes=0)
+        data = align_cohort(hr_factory(), [], [], [blk], tz_offset_minutes=0)
         labels = grid_values(data.days, "schedule", ("u1", DAY))
         assert labels[6 * 60] == "Running Exercise"
         assert labels[6 * 60 + 29] == "Running Exercise"
         assert labels[6 * 60 + 30] is None
 
-    def test_block_steps_follow_high_pulse_minutes(self, grid_values):
+    def test_block_steps_follow_high_pulse_minutes(self, grid_values, hr_factory):
         # pulses over the whole day pin min_hr; one hot minute inside the
         # block should absorb every step of the block
         samples = [hr_minute("u1", 10, m, 60.0) for m in range(60)]
         samples.append(hr_minute("u1", 12, 5, 150.0))
         block = RawActivityBlock("u1", utc(12, 0), 300, 210.0)
-        data = align_cohort(samples, [block], [], [], tz_offset_minutes=0)
+        data = align_cohort(hr_factory(samples), [block], [], [], tz_offset_minutes=0)
         steps = grid_values(data.days, "steps", ("u1", DAY))
         distance = grid_values(data.days, "distance_m", ("u1", DAY))
         assert steps[12 * 60 + 5] == 300
         assert distance[12 * 60 + 5] == pytest.approx(210.0)
         assert sum(steps) == 300
 
-    def test_block_without_any_pulse_spreads_uniformly(self, grid_values):
+    def test_block_without_any_pulse_spreads_uniformly(self, grid_values, hr_factory):
         block = RawActivityBlock("u1", utc(12, 0), 30, 15.0)
-        data = align_cohort([], [block], [], [], tz_offset_minutes=0)
+        data = align_cohort(hr_factory(), [block], [], [], tz_offset_minutes=0)
         steps = grid_values(data.days, "steps", ("u1", DAY))
         assert steps[12 * 60 : 12 * 60 + 15] == [2] * 15
         assert grid_values(data.days, "distance_m", ("u1", DAY))[12 * 60] == pytest.approx(1.0)
 
-    def test_step_totals_conserved_per_user_day(self, grid_values):
+    def test_step_totals_conserved_per_user_day(self, grid_values, hr_factory):
         rng = random.Random(3)
         samples = [
             hr_minute("u1", h, m, rng.uniform(50.0, 160.0))
@@ -310,28 +323,30 @@ class TestAlignCohort:
             for h in range(8, 20)
             for q in range(4)
         ]
-        data = align_cohort(samples, blocks, [], [], tz_offset_minutes=0)
+        data = align_cohort(hr_factory(samples), blocks, [], [], tz_offset_minutes=0)
         assert sum(grid_values(data.days, "steps", ("u1", DAY))) == sum(b.steps for b in blocks)
         assert sum(grid_values(data.days, "distance_m", ("u1", DAY))) == pytest.approx(
             sum(b.distance_m for b in blocks), abs=1e-9
         )
 
-    def test_day_scope_builds_one_profile_per_user_day(self):
+    def test_day_scope_builds_one_profile_per_user_day(self, hr_factory):
         samples = [hr_minute("u1", 10, m, 60.0 + m) for m in range(30)]
         samples += [hr_minute("u1", 10, m, 80.0 + m, day=5) for m in range(30)]
-        data = align_cohort(samples, [], [], [], tz_offset_minutes=0)
+        data = align_cohort(hr_factory(samples), [], [], [], tz_offset_minutes=0)
         p1 = data.profiles[("u1", DAY)]
         p2 = data.profiles[("u1", date(2024, 3, 5))]
         assert p1.day == DAY and p2.day == date(2024, 3, 5)
         assert p1.min_hr < p2.min_hr
         assert p1.low_confidence  # only 30 pulses
 
-    def test_global_scope_shares_one_profile(self):
+    def test_global_scope_shares_one_profile(self, hr_factory):
         samples = [hr_minute("u1", 10, m, 60.0 + m) for m in range(30)]
         samples += [hr_minute("u1", 10, m, 80.0 + m, day=5) for m in range(30)]
-        data = align_cohort([], [], [], [], tz_offset_minutes=0)
+        data = align_cohort(hr_factory(), [], [], [], tz_offset_minutes=0)
         assert data.profiles == {}
-        data = align_cohort(samples, [], [], [], tz_offset_minutes=0, profile_scope="global")
+        data = align_cohort(
+            hr_factory(samples), [], [], [], tz_offset_minutes=0, profile_scope="global"
+        )
         p1 = data.profiles[("u1", DAY)]
         p2 = data.profiles[("u1", date(2024, 3, 5))]
         assert p1 == p2
@@ -339,19 +354,39 @@ class TestAlignCohort:
         assert p1.n_pulses == 60
         assert not p1.low_confidence
 
-    def test_bad_offset_rejected(self):
+    def test_bad_offset_rejected(self, hr_factory):
         with pytest.raises(ValueError, match="multiple of 15"):
-            align_cohort([], [], [], [], tz_offset_minutes=100)
+            align_cohort(hr_factory(), [], [], [], tz_offset_minutes=100)
 
-    def test_bad_scope_rejected(self):
+    def test_bad_scope_rejected(self, hr_factory):
         with pytest.raises(ValueError, match="profile scope"):
-            align_cohort([], [], [], [], profile_scope="week")
+            align_cohort(hr_factory(), [], [], [], profile_scope="week")
 
-    def test_users_do_not_mix(self, grid_values):
+    def test_users_do_not_mix(self, grid_values, hr_factory):
         samples = [hr_minute("u1", 10, 0, 60.0), hr_minute("u2", 10, 0, 90.0)]
-        data = align_cohort(samples, [], [], [], tz_offset_minutes=0)
+        # u0 has a sleep segment but no pulse, so it sorts before every
+        # user of the stream and shifts the cohort's user codes
+        seg = RawSleepSegment("u0", utc(0, 0), utc(6, 0), SleepState.SLEEP)
+        data = align_cohort(hr_factory(samples), [], [seg], [], tz_offset_minutes=0)
         assert grid_values(data.days, "pulse", ("u1", DAY))[600] == pytest.approx(60.0)
         assert grid_values(data.days, "pulse", ("u2", DAY))[600] == pytest.approx(90.0)
+        assert set(grid_values(data.days, "pulse", ("u0", DAY))) == {None}
+
+    def test_empty_stream_still_paints_blocks_and_segments(self, grid_values, hr_factory):
+        hr = hr_factory()
+        assert len(hr) == 0
+        block = RawActivityBlock("u2", utc(12, 0), 30, 15.0)
+        seg = RawSleepSegment("u1", utc(0, 0), utc(6, 0), SleepState.SLEEP)
+        blk = ScheduleBlock("u1", utc(8, 0), utc(9, 0), "Other")
+        data = align_cohort(hr, [block], [seg], [blk], tz_offset_minutes=0)
+        assert data.days.keys == (("u1", DAY), ("u2", DAY))
+        assert data.profiles == {}
+        assert np.isnan(data.days.pulse).all()
+        assert grid_values(data.days, "steps", ("u2", DAY))[12 * 60 : 12 * 60 + 15] == [2] * 15
+        sleep = grid_values(data.days, "sleep", ("u1", DAY))
+        assert sleep[: 6 * 60 + 1] == [SleepState.SLEEP] * (6 * 60) + [SleepState.UNKNOWN]
+        labels = grid_values(data.days, "schedule", ("u1", DAY))
+        assert labels[8 * 60 : 9 * 60 + 1] == ["Other"] * 60 + [None]
 
 
 GRID_COLUMNS = ("pulse", "steps", "distance_m", "sleep", "schedule")
@@ -362,7 +397,7 @@ ALIGNED_TEXT_HEADER = ",".join(ALIGNED_HEADER) + "\n"
 class TestBuildAlignedDay:
     """One user-day of align_cohort, looked at on its own."""
 
-    def test_matches_cohort_alignment(self, grid_values):
+    def test_matches_cohort_alignment(self, grid_values, hr_factory):
         # u1's day comes out the same whether or not other users and other
         # days are aligned alongside it
         rng = random.Random(17)
@@ -389,8 +424,8 @@ class TestBuildAlignedDay:
         mixed = [
             sum((list(s[i]) for s in [others[0], alone, *others[1:]]), []) for i in range(4)
         ]
-        one = align_cohort(*alone, tz_offset_minutes=0)
-        cohort = align_cohort(*mixed, tz_offset_minutes=0)
+        one = align_cohort(hr_factory(alone[0]), *alone[1:], tz_offset_minutes=0)
+        cohort = align_cohort(hr_factory(mixed[0]), *mixed[1:], tz_offset_minutes=0)
         key = ("u1", DAY)
         assert one.days.keys == (key,)
         assert len(cohort.days) == 4
@@ -398,13 +433,13 @@ class TestBuildAlignedDay:
             assert grid_values(one.days, column, key) == grid_values(cohort.days, column, key)
         assert one.profiles[key] == cohort.profiles[key]
 
-    def test_other_users_and_days_ignored(self, grid_values):
+    def test_other_users_and_days_ignored(self, grid_values, hr_factory):
         samples = [
             hr_minute("u2", 10, 0, 90.0),
             hr_minute("u1", 10, 0, 60.0, day=5),
             hr_minute("u1", 9, 0, 70.0),
         ]
-        data = align_cohort(samples, [], [], [], tz_offset_minutes=0)
+        data = align_cohort(hr_factory(samples), [], [], [], tz_offset_minutes=0)
         pulse = grid_values(data.days, "pulse", ("u1", DAY))
         assert [i for i, p in enumerate(pulse) if p is not None] == [540]
 
@@ -414,9 +449,9 @@ class TestBuildAlignedDay:
         parts = ltm_redistribute(15, 0.0, [150.0] * 15, math.inf)
         assert [s for s, _ in parts] == [1] * 15
 
-    def test_interval_clipped_to_day(self, grid_values):
+    def test_interval_clipped_to_day(self, grid_values, hr_factory):
         seg = RawSleepSegment("u1", utc(20, 0, day=3), utc(23, 0), SleepState.SLEEP)
-        data = align_cohort([], [], [seg], [], tz_offset_minutes=0)
+        data = align_cohort(hr_factory(), [], [seg], [], tz_offset_minutes=0)
         sleep = grid_values(data.days, "sleep", ("u1", DAY))
         assert sleep[0] is SleepState.SLEEP
         assert sleep[22 * 60 + 59] is SleepState.SLEEP
@@ -536,11 +571,9 @@ class TestProfilesCsv:
             read_profiles_csv(io.StringIO(text + "u2,2024-03-04,61.0\n"))
 
 
-def test_cohort_matches_per_minute_reference(grid_values):
+def test_cohort_matches_per_minute_reference(grid_values, hr_factory):
     """align_cohort against a loop over samples and painted minutes."""
     from datetime import timedelta
-
-    from harforge.core import epoch_minute, local_day_and_index
 
     rng = random.Random(23)
     offset = 135
@@ -549,14 +582,15 @@ def test_cohort_matches_per_minute_reference(grid_values):
     def at(minutes):
         return start + timedelta(minutes=minutes)
 
-    samples = [
-        RawHrSample(
+    # CSV rows in random order, with a few repeated (user, second) keys
+    hr = hr_factory(
+        (
             rng.choice(["u2", "u1"]),
             start + timedelta(seconds=rng.randrange(3 * 86400)),
             rng.uniform(40.0, 180.0),
         )
         for _ in range(4000)
-    ]
+    )
     blocks, segs, sched = [], [], []
     for user in ("u2", "u1"):
         t = 0
@@ -572,15 +606,16 @@ def test_cohort_matches_per_minute_reference(grid_values):
             t = 60 * h + rng.randrange(60)
             label = rng.choice(["Other", "Military Drills"])
             sched.append(ScheduleBlock(user, at(t), at(t + rng.randrange(1, 200)), label))
-    data = align_cohort(samples, blocks, segs, sched, tz_offset_minutes=offset)
+    data = align_cohort(hr, blocks, segs, sched, tz_offset_minutes=offset)
 
     def slot(ts):
         return local_day_and_index(epoch_minute(ts), offset)
 
     sums, counts, sleep, labels = {}, {}, {}, {}
-    for s in samples:
-        cell = (s.user_id, *slot(s.timestamp))
-        sums[cell] = sums.get(cell, 0.0) + s.hr_bpm
+    # sum the parsed rows in stream order, the order align adds them in
+    for code, second, bpm in zip(hr.user.tolist(), hr.second.tolist(), hr.bpm.tolist()):
+        cell = (hr.users[code], *slot(datetime.fromtimestamp(second, UTC)))
+        sums[cell] = sums.get(cell, 0.0) + bpm
         counts[cell] = counts.get(cell, 0) + 1
     painted = [(sleep, g.user_id, g.start, g.end, g.state) for g in segs]
     painted += [(labels, b.user_id, b.start, b.end, b.label) for b in sched]

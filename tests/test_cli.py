@@ -79,6 +79,14 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="at least one width"):
             PipelineConfig({"dataset.widths": ","})
 
+    @pytest.mark.parametrize(
+        "widths, message",
+        [("15,20", "no sampling rate for width 20"), ("15,60,15", "width 15 twice")],
+    )
+    def test_widths_checked_against_sampling_rates(self, widths, message):
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig({"dataset.widths": widths})
+
     def test_derived_configs_carry_values(self):
         cfg = PipelineConfig({"cohort.n_users": "3", "loss.gamma": "1.5"})
         assert cfg.cohort_config().n_users == 3
@@ -155,6 +163,24 @@ class TestArgumentHandling:
         path = tmp_path / "bad.cfg"
         path.write_text("just words\n")
         assert main(["synth", "--config", str(path)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            ("", ["--width", "20"], "no sampling rate for width 20"),
+            ("dataset.widths = 15,15\n", [], "dataset.widths names width 15 twice"),
+        ],
+    )
+    def test_bad_widths_stop_the_pipeline_before_any_stage(
+        self, tmp_path, capsys, config, flags, message
+    ):
+        path = tmp_path / "c.cfg"
+        path.write_text(TINY_CONFIG.replace("dataset.widths = 15\n", config))
+        out = tmp_path / "out"
+        code = main(["pipeline", "--config", str(path), "--out", str(out), *flags])
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stage_without_inputs_reports_whats_missing(self, tmp_path, capsys):
         code = main(["align", "--out", str(tmp_path / "empty")])

@@ -1,6 +1,7 @@
 """Grid arithmetic, taxonomy rules, and the canonical number format."""
 
 import io
+import random
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -14,6 +15,7 @@ from harforge.core import (
     as_utc,
     default_taxonomy,
     epoch_minute,
+    epoch_second,
     format_number,
     load_taxonomy,
     local_day_and_index,
@@ -26,7 +28,6 @@ from harforge.core import (
     LEVEL1_SLEEP,
     MINUTES_PER_DAY,
 )
-from harforge.ingest import RawHrSample
 
 
 def utc(*args):
@@ -56,6 +57,34 @@ class TestEpochMinute:
             current = epoch_minute(start + timedelta(hours=hour))
             assert current - prev == 60
             prev = current
+
+    def test_before_1970_rounds_down(self):
+        assert epoch_minute(utc(1969, 12, 31, 23, 59, 59)) == -1
+        assert epoch_minute(utc(1969, 12, 31, 23, 59)) == -1
+        assert epoch_minute(utc(1969, 12, 31, 23, 58, 59)) == -2
+
+
+class TestEpochSecond:
+    def test_epoch_origin_and_pre_1970(self):
+        assert epoch_second(utc(1970, 1, 1)) == 0
+        assert epoch_second(utc(1970, 1, 2, 0, 0, 7)) == 86407
+        assert epoch_second(utc(1969, 12, 31, 23, 59, 59)) == -1
+
+    def test_sub_second_digits_round_down(self):
+        assert epoch_second(utc(1970, 1, 1, 0, 0, 5, 999999)) == 5
+        assert epoch_second(utc(1969, 12, 31, 23, 59, 59, 500000)) == -1
+
+    def test_naive_is_utc_and_zones_convert(self):
+        assert epoch_second(datetime(1970, 1, 1, 1, 0, 3)) == 3603
+        plus2 = timezone(timedelta(hours=2))
+        assert epoch_second(datetime(1970, 1, 1, 2, 0, 3, tzinfo=plus2)) == 3
+
+    def test_matches_timestamp_and_epoch_minute(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            ts = utc(1970, 1, 1) + timedelta(seconds=rng.randrange(-3 * 10**9, 3 * 10**9))
+            assert epoch_second(ts) == int(ts.timestamp())
+            assert epoch_minute(ts) == epoch_second(ts) // 60
 
 
 class TestLocalDayAndIndex:
@@ -97,13 +126,13 @@ def test_minute_index_rejects_out_of_range():
         read_aligned_csv(_aligned_text(-1))
 
 
-def test_minute_index_orders_by_day_then_slot():
+def test_minute_index_orders_by_day_then_slot(hr_factory):
     # grid rows sort by day, so the flattened grid runs (day 1, 1439) -> (day 2, 0)
     samples = [
-        RawHrSample("u1", utc(2024, 1, 2, 0, 0, 5), 70.0),
-        RawHrSample("u1", utc(2024, 1, 1, 23, 59, 5), 60.0),
+        ("u1", utc(2024, 1, 2, 0, 0, 5), 70.0),
+        ("u1", utc(2024, 1, 1, 23, 59, 5), 60.0),
     ]
-    grid = align_cohort(samples, [], [], [], tz_offset_minutes=0).days
+    grid = align_cohort(hr_factory(samples), [], [], [], tz_offset_minutes=0).days
     assert grid.keys == (("u1", date(2024, 1, 1)), ("u1", date(2024, 1, 2)))
     flat = grid.pulse.reshape(-1)
     assert (flat[1439], flat[1440]) == (60.0, 70.0)

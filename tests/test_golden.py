@@ -2,7 +2,7 @@
 
 Runs ``synth`` through ``viz`` (without train and eval) via the CLI on two
 small fixed cohorts and compares the sha256 of every file under
-``canonical/ aligned/ imputed/ dataset/ viz/`` with ``golden_digests.json``.
+``raw/ canonical/ aligned/ imputed/ dataset/ viz/`` with ``golden_digests.json``.
 A refactor that changes any artifact, even by one byte, fails here.
 
 A third cohort runs on through ``train`` and ``eval`` with the model
@@ -25,7 +25,7 @@ from harforge.model import Predictions
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_digests.json")
 
-GOLDEN_DIRS = ("canonical", "aligned", "imputed", "dataset", "viz")
+GOLDEN_DIRS = ("raw", "canonical", "aligned", "imputed", "dataset", "viz")
 
 GOLDEN_STAGES = ("synth", "ingest", "align", "impute", "dataset", "viz")
 

@@ -1,15 +1,19 @@
 """Parser and serializer behavior for the four raw stream formats."""
 
+import calendar
+import csv
+import random
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
-from harforge.core import SleepState
+from harforge.core import SleepState, epoch_second
 from harforge.ingest import (
     RawActivityBlock,
-    RawHrSample,
     RawSleepSegment,
     StreamFormatError,
+    format_epoch_second,
     parse_activity_blocks,
     parse_hr_stream,
     parse_schedule,
@@ -30,6 +34,41 @@ def lines(*rows):
 HR_OK = "user_id,timestamp,hr_bpm"
 
 
+def hr_rows(hr):
+    """(user_id, UTC datetime, bpm) of each row of a parsed stream, in order."""
+    return [
+        (hr.users[code], datetime.fromtimestamp(second, UTC), bpm)
+        for code, second, bpm in zip(hr.user.tolist(), hr.second.tolist(), hr.bpm.tolist())
+    ]
+
+
+def assert_streams_equal(a, b):
+    assert a.users == b.users
+    for column in ("user", "second", "bpm"):
+        assert getattr(a, column).dtype == getattr(b, column).dtype
+        assert getattr(a, column).tolist() == getattr(b, column).tolist(), column
+
+
+def reference_hr_parse(text_lines):
+    """The per-sample parse: one (user_id, datetime, bpm) tuple per row, a
+    tuple sort, then the first of each (user_id, timestamp) group."""
+    reader = csv.reader(text_lines)
+    next(reader)
+    samples = []
+    for row in reader:
+        if row:
+            t = row[1].strip()
+            ts = datetime.fromisoformat(t[:-1] + "+00:00" if t.endswith(("Z", "z")) else t)
+            ts = ts.replace(tzinfo=UTC) if ts.tzinfo is None else ts.astimezone(UTC)
+            samples.append((row[0].strip(), ts, float(row[2])))
+    samples.sort()
+    out = []
+    for s in samples:
+        if not (out and out[-1][:2] == s[:2]):
+            out.append(s)
+    return out
+
+
 class TestHeaderAndShape:
     def test_missing_header(self):
         with pytest.raises(StreamFormatError, match="missing header"):
@@ -43,7 +82,7 @@ class TestHeaderAndShape:
 
     def test_header_tolerates_surrounding_space(self):
         got = parse_hr_stream(lines(" user_id , timestamp , hr_bpm "))
-        assert got == []
+        assert len(got) == 0
 
     def test_field_count_mismatch_reports_line(self):
         rows = lines(HR_OK, "u1,2024-03-04T00:00:00Z,61", "u1,2024-03-04T00:01:00Z")
@@ -65,16 +104,17 @@ class TestTimestamps:
             "u2,2024-03-04T00:00:00+00:00,61",
             "u3,2024-03-04T02:00:00+02:00,61",
         )
-        samples = parse_hr_stream(rows)
-        assert all(s.timestamp == datetime(2024, 3, 4, tzinfo=UTC) for s in samples)
+        samples = hr_rows(parse_hr_stream(rows))
+        assert len(samples) == 3
+        assert all(ts == datetime(2024, 3, 4, tzinfo=UTC) for _, ts, _ in samples)
 
     def test_lowercase_z_accepted(self):
-        (s,) = parse_hr_stream(lines(HR_OK, "u1,2024-03-04T06:30:00z,61"))
-        assert s.timestamp == datetime(2024, 3, 4, 6, 30, tzinfo=UTC)
+        ((_, ts, _),) = hr_rows(parse_hr_stream(lines(HR_OK, "u1,2024-03-04T06:30:00z,61")))
+        assert ts == datetime(2024, 3, 4, 6, 30, tzinfo=UTC)
 
     def test_naive_timestamp_treated_as_utc(self):
-        (s,) = parse_hr_stream(lines(HR_OK, "u1,2024-03-04T06:30:00,61"))
-        assert s.timestamp == datetime(2024, 3, 4, 6, 30, tzinfo=UTC)
+        ((_, ts, _),) = hr_rows(parse_hr_stream(lines(HR_OK, "u1,2024-03-04T06:30:00,61")))
+        assert ts == datetime(2024, 3, 4, 6, 30, tzinfo=UTC)
 
     def test_garbage_timestamp_reports_line(self):
         with pytest.raises(StreamFormatError, match="bad timestamp"):
@@ -95,8 +135,13 @@ class TestTimestamps:
 
 class TestHrStream:
     def test_values_parse(self):
-        (s,) = parse_hr_stream(lines(HR_OK, "u1,2024-03-04T00:00:03Z,61.25"))
-        assert s == RawHrSample("u1", datetime(2024, 3, 4, 0, 0, 3, tzinfo=UTC), 61.25)
+        hr = parse_hr_stream(lines(HR_OK, "u1,2024-03-04T00:00:03Z,61.25"))
+        assert hr.users == ("u1",)
+        assert hr.user.dtype == np.int64 and hr.user.tolist() == [0]
+        assert hr.second.dtype == np.int64
+        assert hr.second.tolist() == [epoch_second(datetime(2024, 3, 4, 0, 0, 3, tzinfo=UTC))]
+        assert hr.bpm.dtype == np.float64 and hr.bpm.tolist() == [61.25]
+        assert len(hr) == 1
 
     @pytest.mark.parametrize("bad", ["0", "-5", "nan", "inf", "fast"])
     def test_bad_hr_values_rejected(self, bad):
@@ -114,19 +159,19 @@ class TestHrStream:
             "u1,2024-03-04T00:01:00Z,62",
             "u1,2024-03-04T00:00:00Z,61",
         )
-        got = [(s.user_id, s.timestamp.minute) for s in parse_hr_stream(rows)]
+        got = [(user, ts.minute) for user, ts, _ in hr_rows(parse_hr_stream(rows))]
         assert got == [("u1", 0), ("u1", 1), ("u2", 0)]
 
     def test_duplicate_key_keeps_lowest_value(self):
         # same (user, timestamp) twice: after the value tie-break sort, the
         # first of the group wins regardless of input order
         rows = lines(HR_OK, "u1,2024-03-04T00:00:00Z,90", "u1,2024-03-04T00:00:00Z,61")
-        (s,) = parse_hr_stream(rows)
-        assert s.hr_bpm == 61.0
+        (s,) = hr_rows(parse_hr_stream(rows))
+        assert s[2] == 61.0
         rows_flipped = lines(
             HR_OK, "u1,2024-03-04T00:00:00Z,61", "u1,2024-03-04T00:00:00Z,90"
         )
-        assert parse_hr_stream(rows_flipped) == [s]
+        assert hr_rows(parse_hr_stream(rows_flipped)) == [s]
 
     def test_shuffle_invariance(self):
         body = [
@@ -137,7 +182,49 @@ class TestHrStream:
         ]
         a = parse_hr_stream(lines(HR_OK, *body))
         b = parse_hr_stream(lines(HR_OK, *reversed(body)))
-        assert a == b
+        assert_streams_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_columns_match_per_sample_reference(self, seed):
+        rng = random.Random(seed)
+        users = ["u2", "u10", "u1", "u9", "b", "a10"]
+        keys = [
+            (rng.choice(users), rng.randrange(-5 * 10**8, 2 * 10**9)) for _ in range(300)
+        ]
+        keys += rng.choices(keys, k=150)  # repeated keys, most with other values
+        body = []
+        for user, second in keys:
+            ts = datetime(1970, 1, 1, tzinfo=UTC) + timedelta(seconds=second)
+            form = rng.randrange(4)
+            if form == 0:
+                text = f"{ts:%Y-%m-%dT%H:%M:%S}Z"
+            elif form == 1:
+                text = ts.isoformat()
+            elif form == 2:
+                text = ts.astimezone(timezone(timedelta(hours=2))).isoformat()
+            else:
+                text = ts.replace(tzinfo=None).isoformat()
+            body.append(f"{user},{text},{rng.choice([61.0, 61.5, round(rng.uniform(30, 200), 2)])}")
+        text_lines = lines(HR_OK, *body)
+        hr = parse_hr_stream(text_lines)
+        want = reference_hr_parse(text_lines)
+        assert any(ts.year < 1970 for _, ts, _ in want)
+        assert len(want) < len(body)
+        assert hr.users == tuple(sorted({user for user, _, _ in want}))
+        assert hr.users.index("u10") < hr.users.index("u2")
+        assert [hr.users[c] for c in hr.user.tolist()] == [user for user, _, _ in want]
+        assert hr.second.tolist() == [calendar.timegm(ts.timetuple()) for _, ts, _ in want]
+        assert hr.bpm.tolist() == [bpm for _, _, bpm in want]
+        rng.shuffle(body)
+        assert_streams_equal(parse_hr_stream(lines(HR_OK, *body)), hr)
+
+    def test_header_only_stream_is_empty(self):
+        hr = parse_hr_stream(lines(HR_OK))
+        assert len(hr) == 0 and hr.users == ()
+        assert (hr.user.dtype, hr.second.dtype, hr.bpm.dtype) == (
+            np.int64, np.int64, np.float64
+        )
+        assert serialize_hr_stream(hr) == HR_OK + "\n"
 
 
 ACT_OK = "user_id,block_start,steps,distance_m"
@@ -288,7 +375,106 @@ class TestSchedule:
             parse_schedule(rows, taxonomy)
 
 
+INTERVAL_ERRORS = [
+    (
+        "sleep",
+        [SLEEP_OK, "u1,2024-03-04T22:00:30Z,2024-03-04T23:00:00Z,sleep"],
+        "line 2: segment boundaries must be minute-aligned",
+    ),
+    (
+        "sleep",
+        [SLEEP_OK, "u1,2024-03-04T22:00:00Z,2024-03-04T22:00:00Z,sleep"],
+        "line 2: segment must have end > start",
+    ),
+    (
+        "sleep",
+        [SLEEP_OK, "u1,2024-03-04T22:00:00Z,2024-03-04T23:00:00Z,asleep"],
+        "line 2: bad sleep state 'asleep'",
+    ),
+    (
+        "sleep",
+        [
+            SLEEP_OK,
+            "u1,2024-03-04T22:00:00Z,2024-03-05T06:00:00Z,sleep",
+            "",
+            "u1,2024-03-05T05:00:00Z,2024-03-05T07:00:00Z,awake",
+        ],
+        "line 4: segment for 'u1' starting 2024-03-05 05:00:00+00:00 overlaps the "
+        "previous segment ending 2024-03-05 06:00:00+00:00",
+    ),
+    (
+        "sleep",
+        [SLEEP_OK, "u1,2024-03-04T22:00:00Z,later,sleep"],
+        "line 2: bad timestamp 'later'",
+    ),
+    (
+        "schedule",
+        [SCHED_OK, "u1,2024-03-04T06:00:00Z,2024-03-04T07:00:01Z,Other"],
+        "line 2: schedule boundaries must be minute-aligned",
+    ),
+    (
+        "schedule",
+        [SCHED_OK, "u1,2024-03-04T07:00:00Z,2024-03-04T06:00:00Z,Other"],
+        "line 2: schedule block must have end > start",
+    ),
+    (
+        "schedule",
+        [SCHED_OK, "u1,2024-03-04T06:00:00Z,2024-03-04T07:00:00Z,Jogging"],
+        "line 2: unknown activity label 'Jogging'",
+    ),
+    (
+        "schedule",
+        [
+            SCHED_OK,
+            "u1,2024-03-04T06:30:00+02:00,2024-03-04T08:00:00Z,Military Drills",
+            "u1,2024-03-04T06:00:00Z,2024-03-04T07:00:00Z,Running Exercise",
+        ],
+        "line 3: schedule block for 'u1' starting 2024-03-04 06:00:00+00:00 overlaps the "
+        "previous block ending 2024-03-04 08:00:00+00:00",
+    ),
+    (
+        "schedule",
+        [SCHED_OK, " ,2024-03-04T06:00:00Z,2024-03-04T07:00:00Z,Other"],
+        "line 2: empty user_id",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, rows, message", INTERVAL_ERRORS)
+def test_interval_error_messages_are_exact(kind, rows, message, taxonomy):
+    with pytest.raises(StreamFormatError) as exc:
+        if kind == "sleep":
+            parse_sleep_segments(lines(*rows))
+        else:
+            parse_schedule(lines(*rows), taxonomy)
+    assert str(exc.value) == message
+    assert exc.value.line == int(message.split(":")[0].split()[1])
+
+
 class TestFormatTimestamp:
+    def test_epoch_seconds_format(self):
+        cache = {}
+        assert format_epoch_second(0, cache) == "1970-01-01T00:00:00Z"
+        assert format_epoch_second(86400 + 3723, cache) == "1970-01-02T01:02:03Z"
+        assert format_epoch_second(-1, cache) == "1969-12-31T23:59:59Z"
+        assert sorted(cache) == [-1, 0, 1]
+
+    def test_matches_strftime_and_round_trips(self):
+        rng = random.Random(9)
+        for _ in range(2000):
+            ts = datetime(1970, 1, 1, tzinfo=UTC) + timedelta(
+                seconds=rng.randrange(-3 * 10**10, 3 * 10**10)
+            )
+            text = format_timestamp(ts)
+            assert text == f"{ts:%Y-%m-%dT%H:%M:%S}Z"
+            assert format_epoch_second(epoch_second(ts), {}) == text
+
+    def test_years_before_1000_keep_four_digits_and_round_trip(self):
+        ts = datetime(999, 12, 31, 23, 59, 58, tzinfo=UTC)
+        assert format_timestamp(ts) == "0999-12-31T23:59:58Z"
+        text = serialize_hr_stream(parse_hr_stream(lines(HR_OK, "u1,0999-12-31T23:59:58Z,61")))
+        assert text == HR_OK + "\nu1,0999-12-31T23:59:58Z,61.0\n"
+
     def test_canonical_form(self):
         assert (
             format_timestamp(datetime(2024, 3, 4, 6, 5, 3, tzinfo=UTC))
@@ -305,14 +491,22 @@ class TestFormatTimestamp:
 
 
 class TestSerializeRoundTrips:
-    def test_hr(self):
-        samples = [
-            RawHrSample("u1", datetime(2024, 3, 4, 0, 0, 3, tzinfo=UTC), 61.25),
-            RawHrSample("u1", datetime(2024, 3, 4, 0, 0, 18, tzinfo=UTC), 62.0),
+    def test_hr(self, hr_factory):
+        hr = hr_factory(
+            [
+                ("u1", datetime(2024, 3, 4, 0, 0, 18, tzinfo=UTC), 62.0),
+                ('u,1"x', datetime(1969, 7, 20, 20, 17, 40, tzinfo=UTC), 61.25),
+                ("u1", datetime(2024, 3, 4, 0, 0, 3, tzinfo=UTC), 0.1 + 0.2),
+            ]
+        )
+        text = serialize_hr_stream(hr)
+        assert text.splitlines() == [
+            "user_id,timestamp,hr_bpm",
+            '"u,1""x",1969-07-20T20:17:40Z,61.25',
+            "u1,2024-03-04T00:00:03Z,0.30000000000000004",
+            "u1,2024-03-04T00:00:18Z,62.0",
         ]
-        text = serialize_hr_stream(samples)
-        assert text.splitlines()[0] == "user_id,timestamp,hr_bpm"
-        assert parse_hr_stream(text.splitlines(keepends=True)) == samples
+        assert_streams_equal(parse_hr_stream(text.splitlines(keepends=True)), hr)
         # floats keep their repr so a re-parse is bit-exact
         assert ",62.0\n" in text
 
