@@ -1,10 +1,12 @@
 """Pipeline driver: raw streams to trained models, reports and charts.
 
-Each stage reads the previous stage's files from a shared artifact
-directory and writes its own, plus a small JSON report with row counts,
-duration and the hash of the configuration slice it depends on. A stage
-whose outputs already exist under the same config hash is skipped; if the
-hash differs the stage refuses to overwrite unless --force is given.
+``STAGE_TABLE`` declares each stage once: its body, its own config keys and
+the files it reads and writes in a shared artifact directory. Each run
+writes a small JSON report with row counts, duration and the hash of the
+configuration slice the stage depends on: its own keys plus those of every
+stage that wrote a file it reads. A stage whose outputs already exist under
+the same config hash is skipped; if the hash differs the stage refuses to
+overwrite unless --force is given.
 
 Exit codes: 0 success (including no-op), 1 internal error, 2 bad usage or
 a missing input file, 3 existing outputs built from a different config.
@@ -13,11 +15,14 @@ a missing input file, 3 existing outputs built from a different config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 from datetime import date
 
 import numpy as np
@@ -72,9 +77,6 @@ from .model import (
 )
 from .synth import CohortConfig, generate_cohort, mask_report, read_truth_csv, write_cohort
 from .viz import activity_metrics, group_baseline, radar_index_csv, render_radar, save_radar
-
-STAGE_ORDER = ("synth", "ingest", "align", "impute", "dataset", "train", "eval", "viz")
-STAGES = STAGE_ORDER + ("pipeline",)
 
 CONFIG_ENV_VAR = "HARFORGE_CONFIG"
 
@@ -142,18 +144,6 @@ _KEY_SPEC: dict[str, tuple[str, str]] = {
     "viz.band": ("str", "sd"),
     "taxonomy.path": ("str", ""),
 }
-
-#: config keys each stage's output depends on (selected by prefix match)
-_STAGE_PREFIXES: dict[str, tuple[str, ...]] = {}
-_STAGE_PREFIXES["synth"] = ("cohort.", "align.tz_offset_minutes")
-_STAGE_PREFIXES["ingest"] = _STAGE_PREFIXES["synth"] + ("taxonomy.",)
-_STAGE_PREFIXES["align"] = _STAGE_PREFIXES["ingest"] + ("align.",)
-_STAGE_PREFIXES["impute"] = _STAGE_PREFIXES["align"] + ("impute.",)
-_STAGE_PREFIXES["dataset"] = _STAGE_PREFIXES["impute"] + ("dataset.", "split.")
-_STAGE_PREFIXES["train"] = _STAGE_PREFIXES["dataset"] + ("train.", "loss.")
-_STAGE_PREFIXES["eval"] = _STAGE_PREFIXES["train"]
-_STAGE_PREFIXES["viz"] = _STAGE_PREFIXES["impute"] + ("viz.",)
-
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat ``section.key = value`` lines; # starts a comment."""
@@ -321,16 +311,6 @@ class PipelineConfig:
         return default_taxonomy()
 
 
-def stage_config_hash(stage: str, cfg: PipelineConfig) -> str:
-    prefixes = _STAGE_PREFIXES[stage]
-    lines = [
-        line
-        for line in cfg.canonical_lines()
-        if any(line.startswith(p) for p in prefixes)
-    ]
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
-
 class Layout:
     """Paths inside one artifact directory."""
 
@@ -347,89 +327,52 @@ class Layout:
         return os.path.join(self.root, "reports", f"{stage}.json")
 
 
-def _run_names(cfg: PipelineConfig) -> list[tuple[int, str]]:
-    return [(w, mode) for w in cfg.widths for mode in cfg.split_modes]
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage. ``keys`` are the config prefixes it adds to the
+    hash scope of the stages it reads from; ``reads`` and ``writes`` are
+    ``dir/name`` patterns of its required input and its output files, where
+    ``{w}`` stands for each width and ``{mode}`` for each split mode."""
+
+    run: Callable[[PipelineConfig, Layout], dict]
+    keys: tuple[str, ...]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+
+
+def _hash_scope(stage: str) -> set[str]:
+    """The stage's own keys plus the scope of every stage that writes a file it reads."""
+    reads = set(STAGE_TABLE[stage].reads)
+    scope = set(STAGE_TABLE[stage].keys)
+    for name, upstream in STAGE_TABLE.items():
+        if reads.intersection(upstream.writes):
+            scope |= _hash_scope(name)
+    return scope
+
+
+def stage_config_hash(stage: str, cfg: PipelineConfig) -> str:
+    prefixes = tuple(_hash_scope(stage))
+    lines = [line for line in cfg.canonical_lines() if line.startswith(prefixes)]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def _expand(patterns: tuple[str, ...], cfg: PipelineConfig, lay: Layout) -> list[str]:
+    """One path per distinct name each pattern takes over the widths and split modes."""
+    names = (
+        pattern.format(w=w, mode=mode)
+        for pattern in patterns
+        for w in cfg.widths
+        for mode in cfg.split_modes
+    )
+    return [lay.path(*name.split("/")) for name in dict.fromkeys(names)]
 
 
 def stage_inputs(stage: str, cfg: PipelineConfig, lay: Layout) -> list[str]:
-    raw = [lay.path("raw", n) for n in ("hr.csv", "activity.csv", "sleep.csv", "schedule.csv")]
-    canonical = [
-        lay.path("canonical", n)
-        for n in ("hr.csv", "activity.csv", "sleep.csv", "schedule.csv", "taxonomy.csv")
-    ]
-    if stage == "synth":
-        return []
-    if stage == "ingest":
-        return raw
-    if stage == "align":
-        return canonical
-    if stage == "impute":
-        return [lay.path("aligned", "aligned.csv"), lay.path("aligned", "profiles.csv")]
-    if stage == "dataset":
-        return [
-            lay.path("imputed", "imputed.csv"),
-            lay.path("aligned", "profiles.csv"),
-            lay.path("canonical", "taxonomy.csv"),
-        ]
-    if stage == "train":
-        files = [lay.path("canonical", "taxonomy.csv")]
-        for w in cfg.widths:
-            files.append(lay.path("dataset", f"windows_w{w}.jsonl"))
-            files.append(lay.path("dataset", f"splits_w{w}.json"))
-        return files
-    if stage == "eval":
-        files = [lay.path("canonical", "taxonomy.csv")]
-        for w, mode in _run_names(cfg):
-            files.append(lay.path("train", f"checkpoint_w{w}_{mode}.json"))
-            files.append(lay.path("train", f"normalizer_w{w}_{mode}.json"))
-        for w in cfg.widths:
-            files.append(lay.path("dataset", f"windows_w{w}.jsonl"))
-            files.append(lay.path("dataset", f"splits_w{w}.json"))
-        return files
-    if stage == "viz":
-        return [lay.path("imputed", "imputed.csv"), lay.path("aligned", "profiles.csv")]
-    raise ValueError(f"unknown stage {stage!r}")
+    return _expand(STAGE_TABLE[stage].reads, cfg, lay)
 
 
 def stage_outputs(stage: str, cfg: PipelineConfig, lay: Layout) -> list[str]:
-    if stage == "synth":
-        return [
-            lay.path("raw", n)
-            for n in ("hr.csv", "activity.csv", "sleep.csv", "schedule.csv", "truth.csv")
-        ]
-    if stage == "ingest":
-        return [
-            lay.path("canonical", n)
-            for n in ("hr.csv", "activity.csv", "sleep.csv", "schedule.csv", "taxonomy.csv")
-        ]
-    if stage == "align":
-        return [lay.path("aligned", "aligned.csv"), lay.path("aligned", "profiles.csv")]
-    if stage == "impute":
-        return [lay.path("imputed", "imputed.csv"), lay.path("imputed", "impute_stats.csv")]
-    if stage == "dataset":
-        files = []
-        for w in cfg.widths:
-            files.append(lay.path("dataset", f"windows_w{w}.jsonl"))
-            files.append(lay.path("dataset", f"splits_w{w}.json"))
-        return files
-    if stage == "train":
-        files = []
-        for w, mode in _run_names(cfg):
-            files.append(lay.path("train", f"checkpoint_w{w}_{mode}.json"))
-            files.append(lay.path("train", f"history_w{w}_{mode}.json"))
-            files.append(lay.path("train", f"normalizer_w{w}_{mode}.json"))
-        return files
-    if stage == "eval":
-        files = []
-        for w, mode in _run_names(cfg):
-            files.append(lay.path("eval", f"report_w{w}_{mode}.json"))
-            files.append(lay.path("eval", f"confusion_l1_w{w}_{mode}.csv"))
-            files.append(lay.path("eval", f"confusion_l2_w{w}_{mode}.csv"))
-        files.append(lay.path("eval", "trends.csv"))
-        return files
-    if stage == "viz":
-        return [lay.path("viz", "index.csv")]
-    raise ValueError(f"unknown stage {stage!r}")
+    return _expand(STAGE_TABLE[stage].writes, cfg, lay)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -461,16 +404,23 @@ def _stage_synth(cfg: PipelineConfig, lay: Layout) -> dict:
     }
 
 
+def _parse_streams(lay: Layout, dirname: str, taxonomy: ActivityTaxonomy) -> tuple:
+    """The four streams in ``dirname``: HR, activity, sleep and schedule. Each
+    parser is looked up when called, so a patched ``parse_*`` sees every call."""
+    with open(lay.path(dirname, "hr.csv"), encoding="utf-8") as fh:
+        hr = parse_hr_stream(fh)
+    with open(lay.path(dirname, "activity.csv"), encoding="utf-8") as fh:
+        blocks = parse_activity_blocks(fh)
+    with open(lay.path(dirname, "sleep.csv"), encoding="utf-8") as fh:
+        segments = parse_sleep_segments(fh)
+    with open(lay.path(dirname, "schedule.csv"), encoding="utf-8") as fh:
+        schedule = parse_schedule(fh, taxonomy)
+    return hr, blocks, segments, schedule
+
+
 def _stage_ingest(cfg: PipelineConfig, lay: Layout) -> dict:
     taxonomy = cfg.taxonomy()
-    with open(lay.path("raw", "hr.csv"), encoding="utf-8") as fh:
-        hr = parse_hr_stream(fh)
-    with open(lay.path("raw", "activity.csv"), encoding="utf-8") as fh:
-        blocks = parse_activity_blocks(fh)
-    with open(lay.path("raw", "sleep.csv"), encoding="utf-8") as fh:
-        segments = parse_sleep_segments(fh)
-    with open(lay.path("raw", "schedule.csv"), encoding="utf-8") as fh:
-        schedule = parse_schedule(fh, taxonomy)
+    hr, blocks, segments, schedule = _parse_streams(lay, "raw", taxonomy)
     os.makedirs(lay.dir("canonical"), exist_ok=True)
     _write_text(lay.path("canonical", "hr.csv"), serialize_hr_stream(hr))
     _write_text(lay.path("canonical", "activity.csv"), serialize_activity_blocks(blocks))
@@ -487,14 +437,7 @@ def _stage_ingest(cfg: PipelineConfig, lay: Layout) -> dict:
 
 def _stage_align(cfg: PipelineConfig, lay: Layout) -> dict:
     taxonomy = load_taxonomy(lay.path("canonical", "taxonomy.csv"))
-    with open(lay.path("canonical", "hr.csv"), encoding="utf-8") as fh:
-        hr = parse_hr_stream(fh)
-    with open(lay.path("canonical", "activity.csv"), encoding="utf-8") as fh:
-        blocks = parse_activity_blocks(fh)
-    with open(lay.path("canonical", "sleep.csv"), encoding="utf-8") as fh:
-        segments = parse_sleep_segments(fh)
-    with open(lay.path("canonical", "schedule.csv"), encoding="utf-8") as fh:
-        schedule = parse_schedule(fh, taxonomy)
+    hr, blocks, segments, schedule = _parse_streams(lay, "canonical", taxonomy)
     aligned = align_cohort(
         hr,
         blocks,
@@ -532,17 +475,7 @@ def _stage_impute(cfg: PipelineConfig, lay: Layout) -> dict:
         with open(truth_path, encoding="utf-8") as fh:
             truth = read_truth_csv(fh)
         report = mask_report(truth, pre_days, post_days, marks)
-        payload = {
-            "total_minutes": report.total_minutes,
-            "masked_minutes": report.masked_minutes,
-            "resolved_minutes": report.resolved_minutes,
-            "agreeing_minutes": report.agreeing_minutes,
-            "agreement": report.agreement,
-            "rule_counts": {str(k): v for k, v in report.rule_counts.items()},
-            "rule_precision": {str(k): v for k, v in report.rule_precision.items()},
-            "state_recall": report.state_recall,
-            "residual_unknown_fraction": report.residual_unknown_fraction,
-        }
+        payload = asdict(report) | {"agreement": report.agreement}
         _write_text(
             lay.path("imputed", "mask_report.json"),
             json.dumps(payload, sort_keys=True, indent=2) + "\n",
@@ -776,16 +709,68 @@ def _stage_viz(cfg: PipelineConfig, lay: Layout) -> dict:
     }
 
 
-_STAGE_FUNCS = {
-    "synth": _stage_synth,
-    "ingest": _stage_ingest,
-    "align": _stage_align,
-    "impute": _stage_impute,
-    "dataset": _stage_dataset,
-    "train": _stage_train,
-    "eval": _stage_eval,
-    "viz": _stage_viz,
+STAGE_TABLE: dict[str, Stage] = {
+    "synth": Stage(
+        _stage_synth, keys=("cohort.", "align.tz_offset_minutes"), reads=(),
+        writes=(
+            "raw/hr.csv", "raw/activity.csv", "raw/sleep.csv", "raw/schedule.csv", "raw/truth.csv"
+        ),
+    ),
+    "ingest": Stage(
+        _stage_ingest, keys=("taxonomy.",),
+        reads=("raw/hr.csv", "raw/activity.csv", "raw/sleep.csv", "raw/schedule.csv"),
+        writes=(
+            "canonical/hr.csv", "canonical/activity.csv", "canonical/sleep.csv",
+            "canonical/schedule.csv", "canonical/taxonomy.csv",
+        ),
+    ),
+    "align": Stage(
+        _stage_align, keys=("align.",),
+        reads=(
+            "canonical/hr.csv", "canonical/activity.csv", "canonical/sleep.csv",
+            "canonical/schedule.csv", "canonical/taxonomy.csv",
+        ),
+        writes=("aligned/aligned.csv", "aligned/profiles.csv"),
+    ),
+    "impute": Stage(
+        _stage_impute, keys=("impute.",),
+        reads=("aligned/aligned.csv", "aligned/profiles.csv"),
+        writes=("imputed/imputed.csv", "imputed/impute_stats.csv"),
+    ),
+    "dataset": Stage(
+        _stage_dataset, keys=("dataset.", "split."),
+        reads=("imputed/imputed.csv", "aligned/profiles.csv", "canonical/taxonomy.csv"),
+        writes=("dataset/windows_w{w}.jsonl", "dataset/splits_w{w}.json"),
+    ),
+    "train": Stage(
+        _stage_train, keys=("train.", "loss."),
+        reads=("canonical/taxonomy.csv", "dataset/windows_w{w}.jsonl", "dataset/splits_w{w}.json"),
+        writes=(
+            "train/checkpoint_w{w}_{mode}.json", "train/history_w{w}_{mode}.json",
+            "train/normalizer_w{w}_{mode}.json",
+        ),
+    ),
+    "eval": Stage(
+        _stage_eval, keys=(),
+        reads=(
+            "canonical/taxonomy.csv", "train/checkpoint_w{w}_{mode}.json",
+            "train/normalizer_w{w}_{mode}.json", "dataset/windows_w{w}.jsonl",
+            "dataset/splits_w{w}.json",
+        ),
+        writes=(
+            "eval/report_w{w}_{mode}.json", "eval/confusion_l1_w{w}_{mode}.csv",
+            "eval/confusion_l2_w{w}_{mode}.csv", "eval/trends.csv",
+        ),
+    ),
+    "viz": Stage(
+        _stage_viz, keys=("viz.",),
+        reads=("imputed/imputed.csv", "aligned/profiles.csv"),
+        writes=("viz/index.csv",),
+    ),
 }
+
+STAGE_ORDER = tuple(STAGE_TABLE)
+STAGES = STAGE_ORDER + ("pipeline",)
 
 
 def _stored_report(path: str) -> dict | None:
@@ -836,8 +821,12 @@ def run_stage(stage: str, cfg: PipelineConfig, out_dir: str, *, force: bool = Fa
                 f"{stored.get('config_hash', '?')[:12]} but the current config hashes to "
                 f"{cfg_hash[:12]}; pass --force to rebuild"
             )
+    # A stage that dies leaves no report, so the next run rebuilds it
+    # instead of taking its half-written outputs for the last good build.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(report_path)
     start = time.perf_counter()
-    counts = _STAGE_FUNCS[stage](cfg, lay)
+    counts = STAGE_TABLE[stage].run(cfg, lay)
     duration = time.perf_counter() - start
     _write_report(
         lay,

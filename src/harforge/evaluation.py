@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -245,25 +245,7 @@ def evaluate_run(
 
 
 def report_to_json(report: EvalReport) -> str:
-    payload = {
-        "width": report.width,
-        "split": report.split,
-        "n_windows": report.n_windows,
-        "accuracy_l1": report.accuracy_l1,
-        "macro_f1_l1": report.macro_f1_l1,
-        "micro_f1_l1": report.micro_f1_l1,
-        "auc_l1": report.auc_l1,
-        "accuracy_l2": report.accuracy_l2,
-        "macro_f1_l2": report.macro_f1_l2,
-        "micro_f1_l2": report.micro_f1_l2,
-        "auc_l2": report.auc_l2,
-        "hierarchy_consistency": report.hierarchy_consistency,
-        "confusion_l1": report.confusion_l1,
-        "confusion_l2": report.confusion_l2,
-        "per_class_l1": report.per_class_l1,
-        "per_class_l2": report.per_class_l2,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
 
 
 def confusion_to_csv(matrix: Sequence[Sequence[float]], class_names: Sequence[str]) -> str:

@@ -12,10 +12,13 @@ import pytest
 import harforge.cli as cli
 from harforge.cli import (
     CONFIG_ENV_VAR,
+    EXIT_ERROR,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_STALE,
     STAGE_ORDER,
+    STAGE_TABLE,
+    STAGES,
     ConfigError,
     Layout,
     PipelineConfig,
@@ -23,6 +26,7 @@ from harforge.cli import (
     main,
     parse_config_text,
     stage_config_hash,
+    stage_inputs,
     stage_outputs,
 )
 
@@ -116,6 +120,186 @@ class TestStageHashes:
         tweaked = PipelineConfig({"viz.band": "range"})
         changed = [s for s in STAGE_ORDER if stage_config_hash(s, base) != stage_config_hash(s, tweaked)]
         assert changed == ["viz"]
+
+
+# The cache contract: stage hashes, and sorted stage files for widths 15,60
+# and both split modes, recorded before the stage graph became one table. An
+# artifact tree built by an earlier version must stay up to date, so these
+# change only with a deliberate change of the cache format.
+PINNED_DEFAULT_HASHES = {
+    "synth": "0e533a6fee9b339a839a6b6f56ef35d6f270013fab11d947a6d1c65de29e9c91",
+    "ingest": "78bfa974d1559f2a974b7cb44b79d78585bd9695186a3d921fed2dc91f083956",
+    "align": "a9cb750e9584f76a8b49530fe4007bb75251f302778fce976adb284a6381683a",
+    "impute": "5cce873dc41c6f3a1fff131e7f8a0da654d8b0c75b650bd80fe64ec0af724586",
+    "dataset": "8653ad54a24d68f70113df5c625a27fee573600d06fd892fc5b907998f8e1da2",
+    "train": "ca26a2e00ebf6510f84b2a71e2e388434b7e322ec490b124d8ee65875679f1b4",
+    "eval": "ca26a2e00ebf6510f84b2a71e2e388434b7e322ec490b124d8ee65875679f1b4",
+    "viz": "486b954752df1a203eb25538a46d6b1b84f3062fecfce77a87a5e792f16e5b5d",
+}
+PINNED_TINY_HASHES = {
+    "synth": "78b4d814d395922a0846502525a9de546bf6ad841455813146c62053f2bfb2f9",
+    "ingest": "8db0d81ca3816b915a782bc12771b00cb2f0679ed4a731f6d1cd0db03df591ad",
+    "align": "f197144b0668a5e87eb4209e9d5b531bbabb97862506aa40457a25a30cbf2650",
+    "impute": "4019646c102f4a73a3287ad25d205663a759a423d88e239562f10845d68b012b",
+    "dataset": "1ae8f7ff6b71f7f6f63d37dd8515b25f13e1aa61e754e5749cd318c9f73fd826",
+    "train": "ea10ea4c62bc5d6351927a28b8940efc4e4b62ceeab03333ff2b116722e417ca",
+    "eval": "ea10ea4c62bc5d6351927a28b8940efc4e4b62ceeab03333ff2b116722e417ca",
+    "viz": "3ca9c13b786a505fed617bd40451e865b3f3846c075fcfaf0060293ca3db6ab9",
+}
+PINNED_INPUTS = {
+    "synth": [],
+    "ingest": [
+        "raw/activity.csv",
+        "raw/hr.csv",
+        "raw/schedule.csv",
+        "raw/sleep.csv",
+    ],
+    "align": [
+        "canonical/activity.csv",
+        "canonical/hr.csv",
+        "canonical/schedule.csv",
+        "canonical/sleep.csv",
+        "canonical/taxonomy.csv",
+    ],
+    "impute": [
+        "aligned/aligned.csv",
+        "aligned/profiles.csv",
+    ],
+    "dataset": [
+        "aligned/profiles.csv",
+        "canonical/taxonomy.csv",
+        "imputed/imputed.csv",
+    ],
+    "train": [
+        "canonical/taxonomy.csv",
+        "dataset/splits_w15.json",
+        "dataset/splits_w60.json",
+        "dataset/windows_w15.jsonl",
+        "dataset/windows_w60.jsonl",
+    ],
+    "eval": [
+        "canonical/taxonomy.csv",
+        "dataset/splits_w15.json",
+        "dataset/splits_w60.json",
+        "dataset/windows_w15.jsonl",
+        "dataset/windows_w60.jsonl",
+        "train/checkpoint_w15_temporal.json",
+        "train/checkpoint_w15_user.json",
+        "train/checkpoint_w60_temporal.json",
+        "train/checkpoint_w60_user.json",
+        "train/normalizer_w15_temporal.json",
+        "train/normalizer_w15_user.json",
+        "train/normalizer_w60_temporal.json",
+        "train/normalizer_w60_user.json",
+    ],
+    "viz": [
+        "aligned/profiles.csv",
+        "imputed/imputed.csv",
+    ],
+}
+PINNED_OUTPUTS = {
+    "synth": [
+        "raw/activity.csv",
+        "raw/hr.csv",
+        "raw/schedule.csv",
+        "raw/sleep.csv",
+        "raw/truth.csv",
+    ],
+    "ingest": [
+        "canonical/activity.csv",
+        "canonical/hr.csv",
+        "canonical/schedule.csv",
+        "canonical/sleep.csv",
+        "canonical/taxonomy.csv",
+    ],
+    "align": [
+        "aligned/aligned.csv",
+        "aligned/profiles.csv",
+    ],
+    "impute": [
+        "imputed/impute_stats.csv",
+        "imputed/imputed.csv",
+    ],
+    "dataset": [
+        "dataset/splits_w15.json",
+        "dataset/splits_w60.json",
+        "dataset/windows_w15.jsonl",
+        "dataset/windows_w60.jsonl",
+    ],
+    "train": [
+        "train/checkpoint_w15_temporal.json",
+        "train/checkpoint_w15_user.json",
+        "train/checkpoint_w60_temporal.json",
+        "train/checkpoint_w60_user.json",
+        "train/history_w15_temporal.json",
+        "train/history_w15_user.json",
+        "train/history_w60_temporal.json",
+        "train/history_w60_user.json",
+        "train/normalizer_w15_temporal.json",
+        "train/normalizer_w15_user.json",
+        "train/normalizer_w60_temporal.json",
+        "train/normalizer_w60_user.json",
+    ],
+    "eval": [
+        "eval/confusion_l1_w15_temporal.csv",
+        "eval/confusion_l1_w15_user.csv",
+        "eval/confusion_l1_w60_temporal.csv",
+        "eval/confusion_l1_w60_user.csv",
+        "eval/confusion_l2_w15_temporal.csv",
+        "eval/confusion_l2_w15_user.csv",
+        "eval/confusion_l2_w60_temporal.csv",
+        "eval/confusion_l2_w60_user.csv",
+        "eval/report_w15_temporal.json",
+        "eval/report_w15_user.json",
+        "eval/report_w60_temporal.json",
+        "eval/report_w60_user.json",
+        "eval/trends.csv",
+    ],
+    "viz": [
+        "viz/index.csv",
+    ],
+}
+
+
+class TestStageTable:
+    def test_stage_order(self):
+        assert STAGE_ORDER == ("synth", "ingest", "align", "impute", "dataset", "train", "eval", "viz")
+        assert STAGES == STAGE_ORDER + ("pipeline",)
+
+    def test_synth_reads_nothing(self):
+        assert STAGE_TABLE["synth"].reads == ()
+
+    def test_every_read_is_written_by_exactly_one_earlier_stage(self):
+        for i, stage in enumerate(STAGE_ORDER):
+            for pattern in STAGE_TABLE[stage].reads:
+                writers = [s for s in STAGE_ORDER if pattern in STAGE_TABLE[s].writes]
+                assert len(writers) == 1, (stage, pattern, writers)
+                assert STAGE_ORDER.index(writers[0]) < i, (stage, pattern, writers)
+
+    def test_no_two_stages_write_the_same_file(self):
+        patterns = [p for s in STAGE_ORDER for p in STAGE_TABLE[s].writes]
+        assert len(patterns) == len(set(patterns))
+        cfg = PipelineConfig({"dataset.widths": "15,60", "split.modes": "temporal,user"})
+        files = [f for s in STAGE_ORDER for f in stage_outputs(s, cfg, Layout("root"))]
+        assert len(files) == len(set(files))
+
+
+class TestCacheContract:
+    @pytest.mark.parametrize(
+        "config, pinned",
+        [("", PINNED_DEFAULT_HASHES), (TINY_CONFIG, PINNED_TINY_HASHES)],
+        ids=["default", "tiny"],
+    )
+    def test_stage_hashes_are_unchanged(self, config, pinned):
+        cfg = PipelineConfig(parse_config_text(config))
+        assert {s: stage_config_hash(s, cfg) for s in STAGE_ORDER} == pinned
+
+    def test_stage_files_are_unchanged(self):
+        cfg = PipelineConfig({"dataset.widths": "15,60", "split.modes": "temporal,user"})
+        lay = Layout("root")
+        rel = lambda paths: sorted(os.path.relpath(p, "root") for p in paths)
+        assert {s: rel(stage_inputs(s, cfg, lay)) for s in STAGE_ORDER} == PINNED_INPUTS
+        assert {s: rel(stage_outputs(s, cfg, lay)) for s in STAGE_ORDER} == PINNED_OUTPUTS
 
 
 class TestArgumentHandling:
@@ -267,6 +451,34 @@ class TestPipelineEndToEnd:
         code = main(["train", "--config", str(drifted), "--out", str(copy), "--force"])
         assert code == EXIT_OK
         assert read_report(copy, "train")["no_op"] is False
+
+    def test_stage_that_dies_is_rebuilt_on_the_next_run(
+        self, pipeline_tree, tmp_path, monkeypatch, capsys
+    ):
+        cfg_path, out = pipeline_tree
+        copy = tmp_path / "crash"
+        shutil.copytree(out, copy)
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY_CONFIG + "impute.max_gap_minutes = 5\nimpute.awake_factor = 1.01\n")
+
+        def die(stats):
+            raise RuntimeError("killed after imputed.csv was written")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "write_stats_report", die)
+            code = main(["impute", "--config", str(other), "--out", str(copy), "--force"])
+        assert code == EXIT_ERROR
+        imputed = "imputed/imputed.csv"
+        assert (copy / imputed).read_bytes() != (out / imputed).read_bytes()
+        assert not (copy / "reports" / "impute.json").exists()
+        capsys.readouterr()
+
+        code = main(["impute", "--config", str(cfg_path), "--out", str(copy)])
+        assert code == EXIT_OK
+        assert "up to date" not in capsys.readouterr().out
+        assert read_report(copy, "impute")["no_op"] is False
+        for name in sorted(os.listdir(out / "imputed")):
+            assert (copy / "imputed" / name).read_bytes() == (out / "imputed" / name).read_bytes()
 
     def test_train_and_eval_parse_each_store_once(self, pipeline_tree, tmp_path, monkeypatch):
         cfg_path, out = pipeline_tree
