@@ -24,12 +24,13 @@ import math
 from array import array
 from dataclasses import dataclass
 from datetime import date
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import itemgetter
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import codec
 from .core import (
     DEFAULT_TZ_OFFSET_MINUTES,
     EPOCH_ORDINAL,
@@ -375,27 +376,35 @@ def align_cohort(
 
 
 def write_aligned_csv(days: DayGrid) -> str:
-    """Serialize aligned (or imputed) days to canonical CSV text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ALIGNED_HEADER)
-    sleep_text = [state.value for state in SleepState]
-    label_text = days.map_schedule(days.labels, "")
-    for r, (user, day) in enumerate(days.keys):
-        pulse = ["" if math.isnan(p) else format_number(p) for p in days.pulse[r].tolist()]
-        writer.writerows(
-            zip(
-                repeat(user),
-                repeat(day.isoformat()),
-                range(MINUTES_PER_DAY),
-                pulse,
-                days.steps[r].tolist(),
-                map(format_number, days.distance_m[r].tolist()),
-                [sleep_text[c] for c in days.sleep[r].tolist()],
-                label_text[r].tolist(),
+    """Serialize aligned (or imputed) days to canonical CSV text: one row per
+    minute, each distinct value formatted once (``format_number``; a
+    missing pulse is an empty field)."""
+    per_block = max(codec.BLOCK_ROWS // MINUTES_PER_DAY, 1)
+    values = {name: np.unique(getattr(days, name)) for name in ("pulse", "steps", "distance_m")}
+    users = codec.csv_fields(user for user, _ in days.keys)
+    tables = (
+        [f"{user},{day.isoformat()}," for user, (_, day) in zip(users, days.keys)],
+        [f"{minute}," for minute in range(MINUTES_PER_DAY)],
+        [text + "," for text in codec.number_texts(values["pulse"], nan_text="")],
+        [f"{steps}," for steps in values["steps"].tolist()],
+        [text + "," for text in codec.number_texts(values["distance_m"])],
+        [f"{state.value}," for state in SleepState],
+        [label + "\n" for label in ["", *codec.csv_fields(days.labels)]],
+    )
+
+    def blocks():
+        for lo in range(0, len(days), per_block):
+            rows = slice(lo, lo + per_block)
+            n = len(days.keys[rows])
+            yield (
+                np.repeat(np.arange(lo, lo + n), MINUTES_PER_DAY),
+                np.tile(np.arange(MINUTES_PER_DAY), n),
+                *(np.searchsorted(v, getattr(days, c)[rows].ravel()) for c, v in values.items()),
+                days.sleep[rows].ravel(),
+                days.schedule[rows].ravel() + 1,
             )
-        )
-    return buf.getvalue()
+
+    return ",".join(ALIGNED_HEADER) + "\n" + codec.join_rows(tables, blocks())
 
 
 def read_aligned_csv(stream: Iterable[str] | IO[str]) -> DayGrid:
@@ -405,7 +414,15 @@ def read_aligned_csv(stream: Iterable[str] | IO[str]) -> DayGrid:
     consecutive rows; a missing, duplicate or out-of-range minute, or a
     non-finite pulse or distance, is a ValueError naming the row. The
     grid's labels are exactly the schedule labels that occur in the text.
+    A seekable text stream in the canonical form is parsed as columns;
+    anything else, and any error, goes through ``read_aligned_rows``.
     """
+    return codec.parse_whole(stream, ALIGNED_HEADER, _read_aligned_columns, read_aligned_rows)
+
+
+def read_aligned_rows(stream: Iterable[str] | IO[str]) -> DayGrid:
+    """The per-row aligned CSV reader: every form the csv module reads and
+    every error message with its row number."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or tuple(h.strip() for h in header) != ALIGNED_HEADER:
@@ -459,15 +476,81 @@ def read_aligned_csv(stream: Iterable[str] | IO[str]) -> DayGrid:
             f"aligned CSV ends at row {reader.line_num} before minute {due} of "
             f"{current[0]} {current[1]}"
         )
+    arrays = {name: np.frombuffer(values, values.typecode) for name, values in columns.items()}
+    return _sorted_grid(keys, label_code, arrays)
+
+
+def _sleep_code(text: bytes) -> int:
+    return SLEEP_CODE[SleepState(text.decode())]
+
+
+def _read_aligned_columns(data: bytes, start: int) -> DayGrid:
+    """The grid in ``data[start:]`` when its rows are canonical: 8 unquoted
+    fields per row, every user-day on 1440 consecutive rows with minutes
+    0..1439 in order, each user-day once, and every field accepted by the
+    per-row reader's converter. Raises codec.NotCanonical otherwise."""
+    n = data.count(b"\n", start)
+    if n % MINUTES_PER_DAY:
+        raise codec.NotCanonical
+    columns = {name: np.empty(n, dtype) for name, (dtype, _) in _COLUMNS.items()}
+    heads: list[bytes] = []
+    label_code: dict[str, int] = {}
+    previous = None
+    r = 0
+    for block, ends in codec.split_lines(data, start, len(ALIGNED_HEADER)):
+        rows = slice(r, r + len(ends))
+        texts, _, inv = codec.distinct(block, *codec.field_bounds(ends, 2))
+        minute = codec.convert(texts, int, np.int64)[inv]
+        if (minute != np.arange(rows.start, rows.stop) % MINUTES_PER_DAY).any():
+            raise codec.NotCanonical
+        # "user,date" of each row: a new user-day starts exactly at minute 0
+        line_start = codec.field_bounds(ends, 0)[0]
+        texts, _, inv = codec.distinct(block, line_start, ends[:, 1])
+        if (np.diff(inv) != 0)[minute[1:] != 0].any() or (minute[0] and texts[inv[0]] != previous):
+            raise codec.NotCanonical
+        previous = texts[inv[-1]]
+        heads += (texts[k] for k in inv[minute == 0].tolist())
+        for field, name, convert in (
+            (3, "pulse", float),
+            (4, "steps", int),
+            (5, "distance_m", float),
+            (6, "sleep", _sleep_code),
+        ):
+            texts, _, inv = codec.distinct(block, *codec.field_bounds(ends, field))
+            empty = name == "pulse" and texts[0] == b""  # sorts first; no reading
+            values = codec.convert(texts[empty:], convert, _COLUMNS[name][0])
+            if convert is float and not np.isfinite(values).all():
+                raise codec.NotCanonical
+            if empty:
+                values = np.concatenate(([np.nan], values))
+            columns[name][rows] = values[inv]
+        texts, first, inv = codec.distinct(block, *codec.field_bounds(ends, 7))
+        code = np.empty(len(texts), np.int16)
+        for k in np.argsort(first).tolist():  # labels get codes in order of appearance
+            code[k] = label_code.setdefault(texts[k].decode(), len(label_code)) if texts[k] else -1
+        columns["schedule"][rows] = code[inv]
+        r = rows.stop
+    if len(set(heads)) < len(heads):
+        raise codec.NotCanonical  # a user-day listed twice
+    try:
+        pairs = (head.decode().split(",") for head in heads)
+        keys = [(user, date.fromisoformat(day)) for user, day in pairs]
+    except ValueError:
+        raise codec.NotCanonical from None
+    return _sorted_grid(keys, label_code, columns)
+
+
+def _sorted_grid(
+    keys: list[tuple[str, date]], label_code: dict[str, int], columns: dict[str, np.ndarray]
+) -> DayGrid:
+    """The grid of per-minute ``columns`` (``len(keys)`` days, in file order),
+    with its rows sorted by key."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     shape = (len(keys), MINUTES_PER_DAY)
     return DayGrid(
         keys=tuple(keys[r] for r in order),
         labels=tuple(label_code),
-        **{
-            name: np.frombuffer(values, dtype=values.typecode).reshape(shape)[order]
-            for name, values in columns.items()
-        },
+        **{name: values.reshape(shape)[order] for name, values in columns.items()},
     )
 
 

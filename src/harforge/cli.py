@@ -471,15 +471,17 @@ def _stage_impute(cfg: PipelineConfig, lay: Layout) -> dict:
         "rule3_min": sum(s.rule3_min for s in stats),
     }
     truth_path = lay.path("raw", "truth.csv")
-    if os.path.exists(truth_path):
+    report_path = lay.path("imputed", "mask_report.json")
+    if not os.path.exists(truth_path):
+        # an earlier build's score must not sit next to the fresh imputed.csv
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(report_path)
+    else:
         with open(truth_path, encoding="utf-8") as fh:
             truth = read_truth_csv(fh)
         report = mask_report(truth, pre_days, post_days, marks)
         payload = asdict(report) | {"agreement": report.agreement}
-        _write_text(
-            lay.path("imputed", "mask_report.json"),
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        )
+        _write_text(report_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         counts["masked_minutes"] = report.masked_minutes
         counts["agreement"] = report.agreement
         counts["residual_unknown_fraction"] = report.residual_unknown_fraction

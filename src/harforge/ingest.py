@@ -12,8 +12,11 @@ key keep the first entry of the sorted group, so shuffling the input rows of
 a file never changes the parsed result.
 
 Heart rate, by far the largest stream, parses into one HrStream of numpy
-columns; every row still passes the same strict checks, one row at a time.
-The three small streams parse into lists of records.
+columns. A file in the canonical form ``serialize_hr_stream`` writes is
+split into columns with numpy (``harforge.codec``); any other file, and
+every file with an error, goes row by row through ``parse_hr_rows``, which
+defines the format and its error messages. The three small streams parse
+into lists of records, row by row.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
@@ -28,6 +32,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import codec
 from .core import (
     EPOCH_ORDINAL,
     SECONDS_PER_DAY,
@@ -156,7 +161,18 @@ def _minute_aligned(ts: datetime) -> bool:
 
 
 def parse_hr_stream(stream: Iterable[str] | IO[str]) -> HrStream:
-    """Parse ``user_id,timestamp,hr_bpm`` rows into sorted, deduplicated columns."""
+    """Parse ``user_id,timestamp,hr_bpm`` rows into sorted, deduplicated columns.
+
+    A seekable text stream in the canonical form is parsed as columns
+    (``_parse_hr_columns``); anything else, and any error, goes through
+    ``parse_hr_rows``, so both give the same result."""
+    return codec.parse_whole(stream, HR_HEADER, _parse_hr_columns, parse_hr_rows)
+
+
+def parse_hr_rows(stream: Iterable[str] | IO[str]) -> HrStream:
+    """The per-row HR parser: every form the format allows (``+00:00``,
+    naive and lowercase ``z`` timestamps, quoted ids, blank lines, CRLF) and
+    every error message with its line number."""
     code_of: dict[str, int] = {}
     codes, seconds, values = array("q"), array("q"), array("d")
     for line, row in _iter_rows(stream, HR_HEADER):
@@ -170,16 +186,110 @@ def parse_hr_stream(stream: Iterable[str] | IO[str]) -> HrStream:
         codes.append(code_of.setdefault(name, len(code_of)))
         seconds.append(epoch_second(ts))
         values.append(hr)
-    # codes were handed out in arrival order; renumber them in user order
+    return _hr_stream(
+        code_of,
+        np.frombuffer(codes, np.int64),
+        np.frombuffer(seconds, np.int64),
+        np.frombuffer(values, np.float64),
+    )
+
+
+#: Byte layout of a canonical timestamp; ``0`` marks a digit.
+_TIMESTAMP = b"0000-00-00T00:00:00Z"
+_BPM = re.compile(rb"[0-9]+(\.[0-9]+)?")
+_HR_FORBIDDEN = codec.FORBIDDEN.copy()
+_HR_FORBIDDEN[ord(" ")] = True  # the per-row parser strips spaces around fields
+
+
+def _canonical_bpm(text: bytes) -> float:
+    value = float(text) if _BPM.fullmatch(text) else 0.0
+    if not 0 < value < math.inf:  # 400 digits parse to inf
+        raise ValueError(text)
+    return value
+
+
+def _parse_hr_columns(data: bytes, start: int) -> HrStream:
+    """The HR rows of ``data[start:]`` when every row is canonical:
+    ``user,YYYY-MM-DDTHH:MM:SSZ,bpm`` with a non-empty user id without
+    spaces, a valid date and time, and a positive bpm of digits with an
+    optional fraction. Raises codec.NotCanonical otherwise."""
+    n = data.count(b"\n", start)
+    code_of: dict[str, int] = {}
+    day_of: dict[int, int] = {}
+    user = np.empty(n, np.int64)
+    second = np.empty(n, np.int64)
+    bpm = np.empty(n, np.float64)
+    r = 0
+    for block, ends in codec.split_lines(data, start, len(HR_HEADER), _HR_FORBIDDEN):
+        rows = slice(r, r + len(ends))
+        r += len(ends)
+        names, _, inv = codec.distinct(block, *codec.field_bounds(ends, 0))
+        if b"" in names:
+            raise codec.NotCanonical
+        user[rows] = np.array([code_of.setdefault(u.decode(), len(code_of)) for u in names])[inv]
+        second[rows] = _canonical_seconds(block, *codec.field_bounds(ends, 1), day_of)
+        texts, _, inv = codec.distinct(block, *codec.field_bounds(ends, 2))
+        bpm[rows] = codec.convert(texts, _canonical_bpm, np.float64)[inv]
+    return _hr_stream(code_of, user, second, bpm)
+
+
+def _canonical_seconds(
+    block: np.ndarray, start: np.ndarray, end: np.ndarray, day_of: dict[int, int]
+) -> np.ndarray:
+    """Epoch seconds of canonical timestamps, read one byte column at a
+    time; ``day_of`` caches the epoch day of each YYYYMMDD."""
+    if ((end - start) != len(_TIMESTAMP)).any():
+        raise codec.NotCanonical
+    bad = np.zeros(len(start), bool)
+    digits = []
+    for j, expect in enumerate(_TIMESTAMP):
+        column = block[start + j]
+        if expect == ord("0"):
+            column = column - ord("0")  # wraps below 0, so a non-digit is > 9
+            bad |= column > 9
+            digits.append(column.astype(np.int64))
+        else:
+            bad |= column != expect
+    if bad.any():
+        raise codec.NotCanonical
+
+    def number(*positions):
+        value = digits[positions[0]]
+        for k in positions[1:]:
+            value = value * 10 + digits[k]
+        return value
+
+    hour, minute, sec = number(8, 9), number(10, 11), number(12, 13)
+    if (hour > 23).any() or (minute > 59).any() or (sec > 59).any():
+        raise codec.NotCanonical
+    ymd, inv = np.unique(number(0, 1, 2, 3, 4, 5, 6, 7), return_inverse=True)
+    try:
+        for key in ymd.tolist():
+            if key not in day_of:
+                y, md = divmod(key, 10000)
+                day_of[key] = date(y, *divmod(md, 100)).toordinal() - EPOCH_ORDINAL
+    except ValueError:
+        raise codec.NotCanonical from None
+    day = np.array([day_of[key] for key in ymd.tolist()], np.int64)[inv]
+    return day * SECONDS_PER_DAY + hour * 3600 + minute * 60 + sec
+
+
+def _hr_stream(
+    code_of: dict[str, int], codes: np.ndarray, second: np.ndarray, bpm: np.ndarray
+) -> HrStream:
+    """Rows with ``codes`` into ``code_of`` (in any order), sorted by user
+    name and second, with one row per key."""
+    # renumber the codes in user order
     users = sorted(code_of)
     rank = {name: r for r, name in enumerate(users)}
-    user = np.array([rank[name] for name in code_of], np.int64)[np.frombuffer(codes, np.int64)]
-    second = np.frombuffer(seconds, np.int64)
-    bpm = np.frombuffer(values, np.float64)
-    order = np.lexsort((bpm, second, user))
-    user, second, bpm = user[order], second[order], bpm[order]
+    user = np.array([rank[name] for name in code_of], np.int64)[codes]
+    # lexsort is stable: rows already in key order (a canonical file) stay put
+    du, ds = np.diff(user), np.diff(second)
+    if not ((du > 0) | ((du == 0) & ((ds > 0) | ((ds == 0) & (np.diff(bpm) >= 0))))).all():
+        order = np.lexsort((bpm, second, user))
+        user, second, bpm = user[order], second[order], bpm[order]
     # duplicate key: keep the first of the sorted group, the lowest value
-    first = np.ones(len(order), bool)
+    first = np.ones(len(user), bool)
     first[1:] = (user[1:] != user[:-1]) | (second[1:] != second[:-1])
     return HrStream(tuple(users), user[first], second[first], bpm[first])
 
@@ -307,14 +417,34 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 
 
 def serialize_hr_stream(hr: HrStream) -> str:
-    day_cache: dict[int, str] = {}
-    return _csv_text(
-        HR_HEADER,
-        (
-            (hr.users[u], format_epoch_second(sec, day_cache), format_number(bpm))
-            for u, sec, bpm in zip(hr.user.tolist(), hr.second.tolist(), hr.bpm.tolist())
-        ),
+    """Canonical HR text: the timestamp as its day, hour, minute and second
+    fields, each value formatted once (``format_epoch_second`` and
+    ``format_number`` forms)."""
+    days = np.unique(hr.second // SECONDS_PER_DAY)
+    values = np.unique(hr.bpm)
+    tables = (
+        [field + "," for field in codec.csv_fields(hr.users)],
+        [date.fromordinal(EPOCH_ORDINAL + d).isoformat() + "T" for d in days.tolist()],
+        [f"{h:02d}:" for h in range(24)],
+        [f"{m:02d}:" for m in range(60)],
+        [f"{s:02d}Z," for s in range(60)],
+        [text + "\n" for text in codec.number_texts(values)],
     )
+
+    def blocks():
+        for lo in range(0, len(hr), codec.BLOCK_ROWS):
+            rows = slice(lo, lo + codec.BLOCK_ROWS)
+            day, rem = np.divmod(hr.second[rows], SECONDS_PER_DAY)
+            hour, rem = np.divmod(rem, 3600)
+            yield (
+                hr.user[rows],
+                np.searchsorted(days, day),
+                hour,
+                *np.divmod(rem, 60),
+                np.searchsorted(values, hr.bpm[rows]),
+            )
+
+    return _csv_text(HR_HEADER, ()) + codec.join_rows(tables, blocks())
 
 
 def serialize_activity_blocks(blocks: Sequence[RawActivityBlock]) -> str:

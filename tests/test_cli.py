@@ -480,6 +480,20 @@ class TestPipelineEndToEnd:
         for name in sorted(os.listdir(out / "imputed")):
             assert (copy / "imputed" / name).read_bytes() == (out / "imputed" / name).read_bytes()
 
+    def test_rebuild_without_truth_drops_the_old_mask_report(self, pipeline_tree, tmp_path):
+        _, out = pipeline_tree
+        copy = tmp_path / "no_truth"
+        shutil.copytree(out, copy)
+        os.remove(copy / "raw" / "truth.csv")
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY_CONFIG + "impute.max_gap_minutes = 5\n")
+        code = main(["impute", "--config", str(other), "--out", str(copy), "--force"])
+        assert code == EXIT_OK
+        imputed = "imputed/imputed.csv"
+        assert (copy / imputed).read_bytes() != (out / imputed).read_bytes()
+        assert not (copy / "imputed" / "mask_report.json").exists()
+        assert "agreement" not in read_report(copy, "impute")["counts"]
+
     def test_train_and_eval_parse_each_store_once(self, pipeline_tree, tmp_path, monkeypatch):
         cfg_path, out = pipeline_tree
         cfg = PipelineConfig(parse_config_text(cfg_path.read_text()))
