@@ -380,7 +380,13 @@ def write_aligned_csv(days: DayGrid) -> str:
     minute, each distinct value formatted once (``format_number``; a
     missing pulse is an empty field)."""
     per_block = max(codec.BLOCK_ROWS // MINUTES_PER_DAY, 1)
-    values = {name: np.unique(getattr(days, name)) for name in ("pulse", "steps", "distance_m")}
+    # floats by bit pattern, so -0.0 keeps its own text
+    keys = {
+        "pulse": codec.float_keys,
+        "steps": np.asarray,
+        "distance_m": codec.float_keys,
+    }
+    values = {name: np.unique(key(getattr(days, name))) for name, key in keys.items()}
     users = codec.csv_fields(user for user, _ in days.keys)
     tables = (
         [f"{user},{day.isoformat()}," for user, (_, day) in zip(users, days.keys)],
@@ -399,7 +405,10 @@ def write_aligned_csv(days: DayGrid) -> str:
             yield (
                 np.repeat(np.arange(lo, lo + n), MINUTES_PER_DAY),
                 np.tile(np.arange(MINUTES_PER_DAY), n),
-                *(np.searchsorted(v, getattr(days, c)[rows].ravel()) for c, v in values.items()),
+                *(
+                    np.searchsorted(values[name], key(getattr(days, name)[rows].ravel()))
+                    for name, key in keys.items()
+                ),
                 days.sleep[rows].ravel(),
                 days.schedule[rows].ravel() + 1,
             )

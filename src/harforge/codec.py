@@ -17,7 +17,6 @@ source of error messages and line numbers.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -33,6 +32,12 @@ T = TypeVar("T")
 #: bound the temporaries a codec holds at once.
 BLOCK_BYTES = 1 << 20
 BLOCK_ROWS = 1 << 15
+
+#: Longest field, in bytes, that the byte-column loops handle. A longer
+#: field sends the file it is read from to the per-row parser, and a longer
+#: table text is copied into the output row by row, so no temporary grows
+#: with rows x the longest field.
+MAX_WIDTH = 64
 
 _COMMA, _LF = ord(","), ord("\n")
 
@@ -64,7 +69,12 @@ def parse_whole(
     except (AttributeError, OSError):
         return parse_rows(stream)
     head = ",".join(header) + "\n"
-    data = _ascii_bytes(stream, head)
+    try:
+        text = stream.read()
+    except UnicodeDecodeError:
+        text = ""  # the per-row parser reports the error
+    data = text.encode("ascii") if text.isascii() and text.startswith(head) else None
+    del text
     if data is not None:
         try:
             return parse_columns(data, len(head))
@@ -72,27 +82,6 @@ def parse_whole(
             del data  # the per-row parse reads the stream again
     stream.seek(pos)
     return parse_rows(stream)
-
-
-def _ascii_bytes(stream: IO[str], head: str) -> bytes | None:
-    """The rest of the stream, if it is ASCII and starts with ``head``. A
-    UTF-8 text file with no decoded text pending is read from its byte
-    buffer: ASCII bytes are their own text, and one copy of a large file
-    is spared."""
-    if (
-        isinstance(stream, io.TextIOWrapper)
-        and codecs.lookup(stream.encoding).name == "utf-8"
-        and stream.buffer.tell() == stream.tell()
-    ):
-        data = stream.buffer.read()
-        return data if data.isascii() and data.startswith(head.encode()) else None
-    try:
-        text = stream.read()
-    except UnicodeDecodeError:
-        return None
-    if not (text.isascii() and text.startswith(head)):
-        return None
-    return text.encode("ascii")
 
 
 def split_lines(
@@ -139,9 +128,13 @@ def distinct(
 ) -> tuple[list[bytes], np.ndarray, np.ndarray]:
     """The distinct texts of one field (bytes [start, end) of each line),
     sorted, with the line of each text's first occurrence and each line's
-    index into the texts."""
+    index into the texts. Raises NotCanonical for a text longer than
+    MAX_WIDTH."""
     length = end - start
-    width = -(-max(int(length.max(initial=0)), 1) // 8) * 8
+    longest = int(length.max(initial=0))
+    if longest > MAX_WIDTH:
+        raise NotCanonical
+    width = -(-max(longest, 1) // 8) * 8
     # each line's next ``width`` bytes, then zeros past the field's end
     padded = sliding_window_view(np.concatenate((block, np.zeros(width, np.uint8))), width)[start]
     padded[np.arange(width) >= length[:, None]] = 0
@@ -175,14 +168,22 @@ def csv_fields(values: Iterable[str]) -> list[str]:
     return fields
 
 
-def number_texts(values: np.ndarray, nan_text: str | None = None) -> list[str]:
-    """format_number of each of the sorted ``values`` (NaN last, as
-    np.unique leaves it); NaN becomes ``nan_text`` when given."""
+def float_keys(values: np.ndarray) -> np.ndarray:
+    """Float64 ``values`` as their int64 bit patterns, to find and look up
+    distinct values: as floats -0.0 and 0.0 compare equal, but they are
+    written differently."""
+    return np.asarray(values, np.float64).view(np.int64)
+
+
+def number_texts(keys: np.ndarray, nan_text: str | None = None) -> list[str]:
+    """format_number of the float64 of each bit pattern in ``keys`` (see
+    float_keys); NaN becomes ``nan_text`` when given."""
+    values = keys.view(np.float64)
     nan = np.isnan(values)
     bad = np.isinf(values) | (nan if nan_text is None else False)
     if bad.any():
         format_number(float(values[bad][0]))  # raises the serializer's error
-    return [*map(repr, values[~nan].tolist()), *[nan_text] * int(nan.sum())]
+    return [nan_text if value != value else repr(value) for value in values.tolist()]
 
 
 def join_rows(tables: Sequence[Sequence[str]], blocks: Iterable[Sequence[np.ndarray]]) -> str:
@@ -192,23 +193,29 @@ def join_rows(tables: Sequence[Sequence[str]], blocks: Iterable[Sequence[np.ndar
     encoded = []
     for table in tables:
         raw = [text.encode("utf-8") for text in table]
-        width = max(max(map(len, raw), default=0), 1)
-        matrix = np.array(raw, f"S{width}").view(np.uint8).reshape(len(raw), width)
-        encoded.append((matrix, np.fromiter(map(len, raw), np.int64, len(raw))))
+        length = np.fromiter(map(len, raw), np.int64, len(raw))
+        width = min(max(int(length.max(initial=0)), 1), MAX_WIDTH)
+        matrix = np.array([text[:width] for text in raw], f"S{width}")
+        long = {k: raw[k] for k in np.flatnonzero(length > width).tolist()}
+        encoded.append((matrix.view(np.uint8).reshape(len(raw), width), length, long))
     pieces = []
     for codes in blocks:
-        lengths = [length[c] for (_, length), c in zip(encoded, codes)]
+        lengths = [length[c] for (_, length, _), c in zip(encoded, codes)]
         row_length = sum(lengths)
         at = np.cumsum(row_length) - row_length
         out = np.empty(int(row_length.sum()), np.uint8)
-        for (matrix, _), c, n in zip(encoded, codes, lengths):
+        for (matrix, _, long), c, n in zip(encoded, codes, lengths):
             shortest = int(n.min(initial=0))
-            for j in range(int(n.max(initial=0))):
+            for j in range(min(int(n.max(initial=0)), matrix.shape[1])):
                 if j < shortest:
                     out[at + j] = matrix[c, j]
                 else:
                     rows = n > j
                     out[at[rows] + j] = matrix[c[rows], j]
+            if long:
+                for i in np.flatnonzero(n > matrix.shape[1]).tolist():
+                    text = long[int(c[i])]
+                    out[at[i] : at[i] + len(text)] = np.frombuffer(text, np.uint8)
             at += n
         pieces.append(out.tobytes().decode("utf-8"))
     return "".join(pieces)

@@ -283,11 +283,8 @@ def _hr_stream(
     users = sorted(code_of)
     rank = {name: r for r, name in enumerate(users)}
     user = np.array([rank[name] for name in code_of], np.int64)[codes]
-    # lexsort is stable: rows already in key order (a canonical file) stay put
-    du, ds = np.diff(user), np.diff(second)
-    if not ((du > 0) | ((du == 0) & ((ds > 0) | ((ds == 0) & (np.diff(bpm) >= 0))))).all():
-        order = np.lexsort((bpm, second, user))
-        user, second, bpm = user[order], second[order], bpm[order]
+    order = np.lexsort((bpm, second, user))
+    user, second, bpm = user[order], second[order], bpm[order]
     # duplicate key: keep the first of the sorted group, the lowest value
     first = np.ones(len(user), bool)
     first[1:] = (user[1:] != user[:-1]) | (second[1:] != second[:-1])
@@ -421,7 +418,7 @@ def serialize_hr_stream(hr: HrStream) -> str:
     fields, each value formatted once (``format_epoch_second`` and
     ``format_number`` forms)."""
     days = np.unique(hr.second // SECONDS_PER_DAY)
-    values = np.unique(hr.bpm)
+    values = np.unique(codec.float_keys(hr.bpm))
     tables = (
         [field + "," for field in codec.csv_fields(hr.users)],
         [date.fromordinal(EPOCH_ORDINAL + d).isoformat() + "T" for d in days.tolist()],
@@ -441,7 +438,7 @@ def serialize_hr_stream(hr: HrStream) -> str:
                 np.searchsorted(days, day),
                 hour,
                 *np.divmod(rem, 60),
-                np.searchsorted(values, hr.bpm[rows]),
+                np.searchsorted(values, codec.float_keys(hr.bpm[rows])),
             )
 
     return _csv_text(HR_HEADER, ()) + codec.join_rows(tables, blocks())

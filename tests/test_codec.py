@@ -19,7 +19,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from harforge import align, ingest
+from harforge import align, codec, ingest
 from harforge.align import (
     ALIGNED_HEADER,
     DayGrid,
@@ -58,8 +58,8 @@ def seeded_hr(seed, users=("u001", "u002", "u003"), n=3000) -> HrStream:
 
 
 def seeded_grid(seed, users=("u001", "u002"), labels=("Firearms Training", "Other")) -> DayGrid:
-    """Two users x two days with missing pulses, tiny distances and every
-    sleep state and schedule code."""
+    """Two users x two days with missing pulses, tiny distances, -0.0 beside
+    0.0, and every sleep state and schedule code."""
     rng = np.random.default_rng(seed)
     keys = [(u, d) for u in users for d in (date(2024, 3, 4), date(2024, 3, 5))]
     grid = DayGrid.empty(keys, labels)
@@ -68,7 +68,7 @@ def seeded_grid(seed, users=("u001", "u002"), labels=("Firearms Training", "Othe
     grid.pulse[rng.random(shape) < 0.2] = np.nan
     grid.steps[:] = rng.integers(0, 40, shape) * (rng.random(shape) < 0.5)
     grid.distance_m[:] = grid.steps * rng.uniform(0.5, 0.9, shape)
-    grid.distance_m[:, :5] = [1e-05, 2.5e-07, 1e22, 0.1, 123456.789]
+    grid.distance_m[:, :6] = [1e-05, 2.5e-07, 1e22, 0.1, 123456.789, -0.0]
     grid.sleep[:] = rng.integers(0, len(SleepState), shape)
     grid.schedule[:] = rng.integers(-1, len(labels), shape)
     return grid
@@ -153,6 +153,7 @@ COMMON_PERTURBATIONS = {
     "no final newline": lambda text: text[:-1],
     "trailing space": edit_line(3, lambda line: line[:-1] + " \n"),
     "leading space": edit_line(3, lambda line: " " + line),
+    "long user": edit_line(3, lambda line: "u" * 50_000 + line),
     "nul byte": edit_line(3, lambda line: line.replace(",", "\x00,", 1)),
     "tab": edit_line(3, lambda line: line.replace(",", "\t,", 1)),
     "spaced header": edit_line(0, lambda line: line.replace(",", " , ")),
@@ -184,6 +185,7 @@ HR_PERTURBATIONS = {
         for bpm in ("0", "0.0", "-1", "1e2", "7_2", "+72", ".5", "72.", "072", "nan", "inf", "")
     },
     "long bpm": set_field(3, 2, "72.12345678901234567890123"),
+    "longer bpm than a byte column": set_field(3, 2, "72." + "0" * codec.MAX_WIDTH),
     "infinite bpm": set_field(3, 2, "9" * 400),
 }
 
@@ -192,6 +194,7 @@ ALIGNED_PERTURBATIONS = {
     "comma label": set_field(3, 7, '"Drill, night"'),
     "spaced label": set_field(3, 7, "Firearms Training "),
     "new label": set_field(3, 7, "Kitchen Duties"),
+    "long label": set_field(3, 7, "L" * 50_000),
     **{f"pulse {p}": set_field(3, 3, p) for p in ("nan", "inf", "x", "72.", "1e2", " 7")},
     "distance -inf": set_field(3, 5, "-inf"),
     "steps 1.5": set_field(3, 4, "1.5"),
@@ -225,7 +228,7 @@ def aligned_text():
 class TestWriters:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_hr_matches_per_row_writer(self, seed):
-        hr = seeded_hr(seed, users=("u1", "u,2", "üser 3", 'q"4'))
+        hr = seeded_hr(seed, users=("u1", "u,2", "üser 3", 'q"4', "l" * 5000))
         assert serialize_hr_stream(hr) == reference_hr_text(hr)
 
     def test_empty_hr(self):
@@ -234,7 +237,9 @@ class TestWriters:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_aligned_matches_per_row_writer(self, seed):
-        grid = seeded_grid(seed, users=("u1", "u,2"), labels=("Drill, night", 'q"x', "Other"))
+        grid = seeded_grid(
+            seed, users=("u1", "u,2", "l" * 5000), labels=("Drill, night", 'q"x', "L" * 5000)
+        )
         assert write_aligned_csv(grid) == reference_aligned_text(grid)
 
     def test_empty_grid(self):
@@ -263,7 +268,7 @@ class TestReadersMatchPerRowParsers:
     @pytest.mark.parametrize("name", ["crlf", "non-ascii user", "bpm 1e2", "shuffled", "empty"])
     @pytest.mark.parametrize("newline", [None, ""])
     def test_perturbed_hr_file(self, hr_text, name, newline, tmp_path):
-        """A UTF-8 file is read from its byte buffer, whatever its newline mode."""
+        """A UTF-8 file parses the same whatever its newline mode."""
         path = tmp_path / "hr.csv"
         path.write_bytes(HR_PERTURBATIONS[name](hr_text).encode("utf-8"))
 
@@ -287,6 +292,19 @@ class TestReadersMatchPerRowParsers:
         expected = outcome(parse_hr_stream, hr_text)
         monkeypatch.setattr(ingest, "_parse_hr_columns", _never)
         assert outcome(lambda: parse_hr_stream(lines)) == expected
+
+
+def test_field_longer_than_max_width_is_not_canonical():
+    """Such a field sends its file row by row before any (lines, width)
+    temporary is made."""
+
+    def distinct(width):
+        block = np.frombuffer(b"x" * width + b"\n", np.uint8)
+        return codec.distinct(block, np.array([0]), np.array([width]))
+
+    assert distinct(codec.MAX_WIDTH)[0] == [b"x" * codec.MAX_WIDTH]
+    with pytest.raises(codec.NotCanonical):
+        distinct(codec.MAX_WIDTH + 1)
 
 
 def _never(*args):
