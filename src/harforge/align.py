@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from datetime import date
 from itertools import groupby
 from operator import itemgetter
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -432,61 +432,118 @@ def read_aligned_csv(stream: Iterable[str] | IO[str]) -> DayGrid:
 def read_aligned_rows(stream: Iterable[str] | IO[str]) -> DayGrid:
     """The per-row aligned CSV reader: every form the csv module reads and
     every error message with its row number."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != ALIGNED_HEADER:
-        raise ValueError(f"aligned CSV must start with header {','.join(ALIGNED_HEADER)!r}")
     keys: list[tuple[str, date]] = []
-    seen: set[tuple[str, str]] = set()
     label_code: dict[str, int] = {}
     columns = {name: array(np.dtype(dtype).char) for name, (dtype, _) in _COLUMNS.items()}
     add_pulse, add_steps, add_distance, add_sleep, add_schedule = (
         values.append for values in columns.values()
     )
+    for line, row, day in minute_rows(stream, ALIGNED_HEADER, "aligned"):
+        if day is not None:
+            keys.append((row[0], day))
+        try:
+            pulse = _pulse(row[3])
+            steps = int(row[4])
+            distance = float(row[5])
+            state = SleepState(row[6])
+        except ValueError:
+            raise field_error("aligned", ALIGNED_HEADER, line, row, _ALIGNED_FIELDS) from None
+        if not math.isfinite(distance) or not math.isfinite(0.0 if pulse is None else pulse):
+            raise ValueError(f"aligned CSV row {line}: pulse and distance must be finite")
+        add_pulse(math.nan if pulse is None else pulse)
+        add_steps(steps)
+        add_distance(distance)
+        add_sleep(SLEEP_CODE[state])
+        add_schedule(label_code.setdefault(row[7], len(label_code)) if row[7] else -1)
+    arrays = {name: np.frombuffer(values, values.typecode) for name, values in columns.items()}
+    return _sorted_grid(keys, label_code, arrays)
+
+
+def _pulse(text: str) -> float | None:
+    return float(text) if text != "" else None
+
+
+#: Converters of the aligned CSV fields after the minute, by column.
+_ALIGNED_FIELDS = {3: _pulse, 4: int, 5: float, 6: SleepState}
+
+
+def minute_rows(
+    stream: Iterable[str] | IO[str], header: Sequence[str], kind: str
+) -> Iterator[tuple[int, list[str], date | None]]:
+    """The rows of a per-minute CSV whose fields start with user, date and
+    minute, as ``(line, row, day)``: ``day`` is the parsed date on the first
+    row of each user-day and None on the others.
+
+    Each user-day must list its minutes 0..1439 once each, in order, on
+    consecutive rows, and appear once. A missing or wrong header, a row with
+    another number of fields than ``header``, a malformed date or minute, and a
+    missing, duplicate or out-of-range minute are a ValueError naming the
+    row; ``kind`` names the file in the message.
+    """
+    reader = csv.reader(stream)
+    got = next(reader, None)
+    if got is None or tuple(h.strip() for h in got) != tuple(header):
+        raise ValueError(f"{kind} CSV must start with header {','.join(header)!r}")
+    seen: set[tuple[str, str]] = set()
     current = None
     due = MINUTES_PER_DAY
     for row in reader:
         if not row:
             continue
         line = reader.line_num
-        if len(row) != len(ALIGNED_HEADER):
-            raise ValueError(f"aligned CSV row {line} has {len(row)} fields")
-        minute = int(row[2])
+        if len(row) != len(header):
+            raise ValueError(f"{kind} CSV row {line} has {len(row)} fields")
+        try:
+            minute = int(row[2])
+        except ValueError:
+            raise field_error(kind, header, line, row, {2: int}) from None
         if not 0 <= minute < MINUTES_PER_DAY:
             raise ValueError(
-                f"aligned CSV row {line}: minute {minute} outside [0, {MINUTES_PER_DAY})"
+                f"{kind} CSV row {line}: minute {minute} outside [0, {MINUTES_PER_DAY})"
             )
+        day = None
         if (row[0], row[1]) != current:
             if due != MINUTES_PER_DAY:
                 raise ValueError(
-                    f"aligned CSV row {line}: {current[0]} {current[1]} ends before minute {due}"
+                    f"{kind} CSV row {line}: {current[0]} {current[1]} ends before minute {due}"
                 )
             current = (row[0], row[1])
             if current in seen:
-                raise ValueError(f"aligned CSV row {line}: {row[0]} {row[1]} appears twice")
+                raise ValueError(f"{kind} CSV row {line}: {row[0]} {row[1]} appears twice")
             seen.add(current)
-            keys.append((row[0], date.fromisoformat(row[1])))
+            try:
+                day = date.fromisoformat(row[1])
+            except ValueError:
+                raise field_error(kind, header, line, row, {1: date.fromisoformat}) from None
             due = 0
         if minute != due:
             problem = f"repeats minute {minute}" if minute < due else f"skips minute {due}"
-            raise ValueError(f"aligned CSV row {line}: {row[0]} {row[1]} {problem}")
+            raise ValueError(f"{kind} CSV row {line}: {row[0]} {row[1]} {problem}")
         due += 1
-        pulse = float(row[3]) if row[3] != "" else None
-        distance = float(row[5])
-        if not math.isfinite(distance) or not math.isfinite(0.0 if pulse is None else pulse):
-            raise ValueError(f"aligned CSV row {line}: pulse and distance must be finite")
-        add_pulse(math.nan if pulse is None else pulse)
-        add_steps(int(row[4]))
-        add_distance(distance)
-        add_sleep(SLEEP_CODE[SleepState(row[6])])
-        add_schedule(label_code.setdefault(row[7], len(label_code)) if row[7] else -1)
+        yield line, row, day
     if due != MINUTES_PER_DAY:
         raise ValueError(
-            f"aligned CSV ends at row {reader.line_num} before minute {due} of "
+            f"{kind} CSV ends at row {reader.line_num} before minute {due} of "
             f"{current[0]} {current[1]}"
         )
-    arrays = {name: np.frombuffer(values, values.typecode) for name, values in columns.items()}
-    return _sorted_grid(keys, label_code, arrays)
+
+
+def field_error(
+    kind: str,
+    header: Sequence[str],
+    line: int,
+    row: Sequence[str],
+    converters: Mapping[int, Callable[[str], object]],
+) -> ValueError:
+    """The error for a row of a ``kind`` CSV whose fields did not all
+    convert: it names the row and the first field, by its ``header`` name,
+    that its converter in ``converters`` (column -> converter) rejects."""
+    for column, convert in converters.items():
+        try:
+            convert(row[column])
+        except (ValueError, KeyError):
+            break
+    return ValueError(f"{kind} CSV row {line}: bad {header[column]} {row[column]!r}")
 
 
 def _sleep_code(text: bytes) -> int:

@@ -414,13 +414,21 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 
 
 def serialize_hr_stream(hr: HrStream) -> str:
-    """Canonical HR text: the timestamp as its day, hour, minute and second
+    """Canonical HR text of a stream, in its sorted order."""
+    return serialize_hr_columns(hr.users, hr.user, hr.second, hr.bpm)
+
+
+def serialize_hr_columns(
+    users: Sequence[str], user: np.ndarray, second: np.ndarray, bpm: np.ndarray
+) -> str:
+    """Canonical HR text of the rows ``users[user[i]], second[i], bpm[i]``
+    in the order given: the timestamp as its day, hour, minute and second
     fields, each value formatted once (``format_epoch_second`` and
     ``format_number`` forms)."""
-    days = np.unique(hr.second // SECONDS_PER_DAY)
-    values = np.unique(codec.float_keys(hr.bpm))
+    days = np.unique(second // SECONDS_PER_DAY)
+    values = np.unique(codec.float_keys(bpm))
     tables = (
-        [field + "," for field in codec.csv_fields(hr.users)],
+        [field + "," for field in codec.csv_fields(users)],
         [date.fromordinal(EPOCH_ORDINAL + d).isoformat() + "T" for d in days.tolist()],
         [f"{h:02d}:" for h in range(24)],
         [f"{m:02d}:" for m in range(60)],
@@ -429,16 +437,16 @@ def serialize_hr_stream(hr: HrStream) -> str:
     )
 
     def blocks():
-        for lo in range(0, len(hr), codec.BLOCK_ROWS):
+        for lo in range(0, len(second), codec.BLOCK_ROWS):
             rows = slice(lo, lo + codec.BLOCK_ROWS)
-            day, rem = np.divmod(hr.second[rows], SECONDS_PER_DAY)
+            day, rem = np.divmod(second[rows], SECONDS_PER_DAY)
             hour, rem = np.divmod(rem, 3600)
             yield (
-                hr.user[rows],
+                user[rows],
                 np.searchsorted(days, day),
                 hour,
                 *np.divmod(rem, 60),
-                np.searchsorted(values, codec.float_keys(hr.bpm[rows])),
+                np.searchsorted(values, codec.float_keys(bpm[rows])),
             )
 
     return _csv_text(HR_HEADER, ()) + codec.join_rows(tables, blocks())

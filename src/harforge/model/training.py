@@ -240,9 +240,11 @@ def save_checkpoint(
             for name in sorted(params.arrays)
         ],
     }
+    # one dumps call takes the C encoder; json.dump streams through the
+    # pure-Python one, for the same text
+    text = json.dumps(payload, sort_keys=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:

@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .align import SLEEP_CODE, DayGrid
+from .align import SLEEP_CODE, DayGrid, field_error, minute_rows
 from .core import (
     DEFAULT_LEVEL2_LABELS,
     DEFAULT_TZ_OFFSET_MINUTES,
@@ -30,7 +30,13 @@ from .core import (
     MINUTES_PER_DAY,
     SleepState,
 )
-from .ingest import ACTIVITY_HEADER, HR_HEADER, SCHEDULE_HEADER, SLEEP_HEADER, format_epoch_second
+from .ingest import (
+    ACTIVITY_HEADER,
+    SCHEDULE_HEADER,
+    SLEEP_HEADER,
+    format_epoch_second,
+    serialize_hr_columns,
+)
 
 TRUTH_HEADER = (
     "user_id",
@@ -143,9 +149,19 @@ class CohortConfig:
             raise ValueError("dropout fractions must be in [0, 1)")
         if self.tz_offset_minutes % 15 != 0:
             raise ValueError("tz offset must be a multiple of 15 minutes")
+        sj = self.schedule_jitter_min
         for entry in self.schedule_template:
             if entry.label not in self.activity_profiles:
                 raise ValueError(f"template label {entry.label!r} has no profile")
+            if not (
+                entry.duration_min > 0
+                and sj <= entry.start_minute
+                and entry.start_minute + entry.duration_min + sj <= MINUTES_PER_DAY
+            ):
+                raise ValueError(
+                    f"template block {entry.label!r} must last a minute or more and "
+                    "stay inside the day when jittered"
+                )
         unknown = set(self.activity_profiles) - set(DEFAULT_LEVEL2_LABELS)
         if unknown:
             raise ValueError(f"profiles for labels outside the taxonomy: {unknown}")
@@ -194,17 +210,21 @@ def _user_ids(n_users: int) -> list[str]:
 
 def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
     """Build one cohort; identical configs yield byte-identical output."""
-    hr_rows: list[str] = [",".join(HR_HEADER)]
     act_rows: list[str] = [",".join(ACTIVITY_HEADER)]
     sleep_rows: list[str] = [",".join(SLEEP_HEADER)]
     sched_rows: list[str] = [",".join(SCHEDULE_HEADER)]
+    # HR samples as columns, one array per user-day, in generation order
+    hr_user: list[np.ndarray] = [np.empty(0, np.int64)]
+    hr_second: list[np.ndarray] = [np.empty(0, np.int64)]
+    hr_bpm: list[np.ndarray] = [np.empty(0, np.float64)]
     truth: GroundTruth = {}
     date_cache: dict[int, str] = {}
 
     labels_sorted = sorted(config.activity_profiles)
     base_ordinal = config.start_date.toordinal()
+    users = _user_ids(config.n_users)
 
-    for user_index, user in enumerate(_user_ids(config.n_users)):
+    for user_index, user in enumerate(users):
         rng = np.random.default_rng([config.seed, user_index])
         resting = float(rng.normal(config.resting_hr_mean, config.resting_hr_sd))
         hr_range = max(80.0, float(rng.normal(config.hr_range_mean, config.hr_range_sd)))
@@ -231,7 +251,14 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
             sleep_mask[:morning_end] = True
             sleep_mask[night_start:] = True
 
-            activity: list[str | None] = [None] * MINUTES_PER_DAY
+            # per-minute targets: awake, then each block in template order (a
+            # later block overwrites an earlier one), then sleep over all
+            activity = np.full(MINUTES_PER_DAY, None, dtype=object)
+            hr_mean = np.full(MINUTES_PER_DAY, resting + awake_frac * hr_range)
+            hr_sd = np.full(MINUTES_PER_DAY, config.awake_hr_sd)
+            steps_mean = np.full(MINUTES_PER_DAY, config.awake_steps_mean)
+            steps_sd = np.full(MINUTES_PER_DAY, config.awake_steps_sd)
+            m_per_step = np.full(MINUTES_PER_DAY, config.awake_m_per_step)
             realized: list[tuple[int, int, str]] = []
             for entry in config.schedule_template:
                 if day_index % entry.period_days != entry.phase:
@@ -240,31 +267,19 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
                 start = entry.start_minute + int(rng.integers(-sj, sj + 1))
                 end = start + entry.duration_min
                 realized.append((start, end, entry.label))
-                for m in range(start, end):
-                    activity[m] = entry.label
-
-            hr_mean = np.empty(MINUTES_PER_DAY)
-            hr_sd = np.empty(MINUTES_PER_DAY)
-            steps_mean = np.zeros(MINUTES_PER_DAY)
-            steps_sd = np.zeros(MINUTES_PER_DAY)
-            m_per_step = np.full(MINUTES_PER_DAY, config.awake_m_per_step)
-            for i in range(MINUTES_PER_DAY):
-                label = activity[i]
-                if sleep_mask[i]:
-                    hr_mean[i] = resting
-                    hr_sd[i] = config.sleep_hr_sd
-                elif label is None:
-                    hr_mean[i] = resting + awake_frac * hr_range
-                    hr_sd[i] = config.awake_hr_sd
-                    steps_mean[i] = config.awake_steps_mean
-                    steps_sd[i] = config.awake_steps_sd
-                else:
-                    profile = config.activity_profiles[label]
-                    hr_mean[i] = resting + frac_of[label] * hr_range
-                    hr_sd[i] = profile.hr_sd
-                    steps_mean[i] = profile.steps_mean
-                    steps_sd[i] = profile.steps_sd
-                    m_per_step[i] = profile.m_per_step
+                block = slice(start, end)
+                profile = config.activity_profiles[entry.label]
+                activity[block] = entry.label
+                hr_mean[block] = resting + frac_of[entry.label] * hr_range
+                hr_sd[block] = profile.hr_sd
+                steps_mean[block] = profile.steps_mean
+                steps_sd[block] = profile.steps_sd
+                m_per_step[block] = profile.m_per_step
+            hr_mean[sleep_mask] = resting
+            hr_sd[sleep_mask] = config.sleep_hr_sd
+            steps_mean[sleep_mask] = 0.0
+            steps_sd[sleep_mask] = 0.0
+            m_per_step[sleep_mask] = config.awake_m_per_step
 
             hr_minute = hr_mean + rng.normal(0.0, 1.0, MINUTES_PER_DAY) * (
                 hr_sd * config.hr_sd_scale
@@ -281,16 +296,15 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
             val_noise = rng.normal(0.0, config.hr_sample_sd, size=(MINUTES_PER_DAY, 4))
 
             day_base_min = local_base + day_index * MINUTES_PER_DAY
-            for i in range(MINUTES_PER_DAY):
-                if hr_drop[i]:
-                    continue
-                minute_sec = (day_base_min + i) * 60
-                for k in range(4):
-                    sec = _SAMPLE_SECONDS[k] + int(sec_jitter[i, k])
-                    value = round(max(25.0, float(hr_minute[i] + val_noise[i, k])), 2)
-                    hr_rows.append(
-                        f"{user},{format_epoch_second(minute_sec + sec, date_cache)},{repr(value)}"
-                    )
+            kept = np.flatnonzero(~hr_drop)
+            minute_sec = (day_base_min + kept) * 60
+            seconds = minute_sec[:, None] + _SAMPLE_SECONDS + sec_jitter[kept]
+            values = np.maximum(25.0, hr_minute[kept, None] + val_noise[kept])
+            # Python's round: correctly rounded to 2 decimals, unlike np.round
+            bpm = np.array([round(v, 2) for v in values.ravel().tolist()], np.float64)
+            hr_user.append(np.full(len(bpm), user_index, np.int64))
+            hr_second.append(seconds.ravel())
+            hr_bpm.append(bpm)
 
             block_steps = steps.reshape(-1, 15).sum(axis=1)
             block_dist = distance.reshape(-1, 15).sum(axis=1)
@@ -312,18 +326,16 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
             ] = sleep_mask
             truth[(user, day)] = DayTruth(
                 sleep=sleep_mask,
-                activity=activity,
+                activity=activity.tolist(),
                 steps=steps,
                 distance_m=distance,
             )
 
         # device sleep segments: chunk each true state run, drop some chunks
         n_total = all_states.shape[0]
-        pos = 0
-        while pos < n_total:
-            run_end = pos
-            while run_end < n_total and all_states[run_end] == all_states[pos]:
-                run_end += 1
+        changes = (np.flatnonzero(all_states[1:] != all_states[:-1]) + 1).tolist()
+        bounds = [0, *changes, n_total] if n_total else []
+        for pos, run_end in zip(bounds, bounds[1:]):
             state_text = "sleep" if all_states[pos] else "awake"
             chunk_start = pos
             while chunk_start < run_end:
@@ -336,10 +348,11 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
                     )
                     sleep_rows.append(f"{user},{s_ts},{e_ts},{state_text}")
                 chunk_start += chunk_len
-            pos = run_end
 
     return Cohort(
-        hr_csv="\n".join(hr_rows) + "\n",
+        hr_csv=serialize_hr_columns(
+            users, np.concatenate(hr_user), np.concatenate(hr_second), np.concatenate(hr_bpm)
+        ),
         activity_csv="\n".join(act_rows) + "\n",
         sleep_csv="\n".join(sleep_rows) + "\n",
         schedule_csv="\n".join(sched_rows) + "\n",
@@ -368,34 +381,37 @@ def write_cohort(cohort: Cohort, out_dir) -> dict[str, str]:
 
 
 def read_truth_csv(stream) -> GroundTruth:
-    """Reload a truth.csv written by write_cohort."""
-    import csv as _csv
+    """Reload a truth.csv written by write_cohort.
 
-    reader = _csv.reader(stream)
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != TRUTH_HEADER:
-        raise ValueError(f"truth CSV must start with header {','.join(TRUTH_HEADER)!r}")
-    truth: GroundTruth = {}
-    for row in reader:
-        if not row:
-            continue
-        user = row[0]
-        day = date.fromisoformat(row[1])
-        i = int(row[2])
-        entry = truth.get((user, day))
-        if entry is None:
-            entry = DayTruth(
-                sleep=np.zeros(MINUTES_PER_DAY, dtype=bool),
-                activity=[None] * MINUTES_PER_DAY,
-                steps=np.zeros(MINUTES_PER_DAY, dtype=np.int64),
-                distance_m=np.zeros(MINUTES_PER_DAY),
-            )
-            truth[(user, day)] = entry
-        entry.sleep[i] = row[3] == "sleep"
-        entry.activity[i] = row[4] or None
-        entry.steps[i] = int(row[5])
-        entry.distance_m[i] = float(row[6])
-    return truth
+    Each user-day must list its minutes 0..1439 once each, in order, on
+    consecutive rows (see ``align.minute_rows``), and every field must
+    convert; any other row is a ValueError naming it."""
+    columns: dict[tuple[str, date], tuple[list, list, list, list]] = {}
+    for line, row, day in minute_rows(stream, TRUTH_HEADER, "truth"):
+        if day is not None:
+            sleep, activity, steps, distance = columns[(row[0], day)] = ([], [], [], [])
+        try:
+            sleep.append(_TRUTH_SLEEP[row[3]])
+            steps.append(int(row[5]))
+            distance.append(float(row[6]))
+        except (KeyError, ValueError):
+            raise field_error("truth", TRUTH_HEADER, line, row, _TRUTH_FIELDS) from None
+        activity.append(row[4] or None)
+    return {
+        key: DayTruth(
+            sleep=np.array(sleep, bool),
+            activity=activity,
+            steps=np.array(steps, np.int64),
+            distance_m=np.array(distance, np.float64),
+        )
+        for key, (sleep, activity, steps, distance) in columns.items()
+    }
+
+
+_TRUTH_SLEEP = {"sleep": True, "awake": False}
+
+#: Converters of the truth CSV fields after the minute, by column.
+_TRUTH_FIELDS = {3: _TRUTH_SLEEP.__getitem__, 5: int, 6: float}
 
 
 @dataclass(frozen=True)

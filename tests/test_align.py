@@ -540,6 +540,25 @@ class TestAlignedCsv:
             read_aligned_csv(io.StringIO("".join(lines)))
 
 
+    @pytest.mark.parametrize(
+        "field, text, message",
+        [
+            (1, "2024-13-04", "bad date '2024-13-04'"),
+            (2, "x", "bad minute 'x'"),
+            (3, "x", "bad pulse 'x'"),
+            (4, "1.5", "bad steps '1.5'"),
+            (5, "far", "bad distance_m 'far'"),
+            (6, "asleep", "bad sleep 'asleep'"),
+        ],
+    )
+    def test_malformed_field_rejected(self, grid_factory, field, text, message):
+        lines = self._sample_text(grid_factory).splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[field] = text
+        lines[1] = ",".join(cells)
+        with pytest.raises(ValueError, match=f"aligned CSV row 2: {message}"):
+            read_aligned_csv(io.StringIO("".join(lines)))
+
     @pytest.mark.parametrize("field, text", [(3, "nan"), (3, "inf"), (5, "nan"), (5, "-inf")])
     def test_non_finite_values_rejected(self, grid_factory, field, text):
         lines = self._sample_text(grid_factory).splitlines(keepends=True)

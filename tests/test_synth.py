@@ -8,20 +8,34 @@ from datetime import date
 import numpy as np
 import pytest
 
+from harforge import synth
 from harforge.align import align_cohort
-from harforge.core import default_taxonomy, epoch_minute, local_day_and_index
+from harforge.core import (
+    EPOCH_ORDINAL,
+    MINUTES_PER_DAY,
+    default_taxonomy,
+    epoch_minute,
+    local_day_and_index,
+)
 from harforge.impute import impute_cohort
 from harforge.ingest import (
+    ACTIVITY_HEADER,
+    HR_HEADER,
+    SCHEDULE_HEADER,
+    SLEEP_HEADER,
+    format_epoch_second,
     parse_activity_blocks,
     parse_hr_stream,
     parse_schedule,
     parse_sleep_segments,
 )
 from harforge.synth import (
+    _SAMPLE_SECONDS,
     Cohort,
     CohortConfig,
     DayTruth,
     MaskReport,
+    TemplateEntry,
     generate_cohort,
     mask_report,
     read_truth_csv,
@@ -29,6 +43,164 @@ from harforge.synth import (
 )
 
 SMALL = CohortConfig(n_users=2, n_days=3, seed=11)
+
+
+def reference_generate_cohort(config: CohortConfig) -> Cohort:
+    """The per-minute, per-sample generator: one Python iteration per minute
+    for the targets and per HR sample for the text. ``generate_cohort`` must
+    give the same bytes in every file."""
+    hr_rows: list[str] = [",".join(HR_HEADER)]
+    act_rows: list[str] = [",".join(ACTIVITY_HEADER)]
+    sleep_rows: list[str] = [",".join(SLEEP_HEADER)]
+    sched_rows: list[str] = [",".join(SCHEDULE_HEADER)]
+    truth: GroundTruth = {}
+    date_cache: dict[int, str] = {}
+
+    labels_sorted = sorted(config.activity_profiles)
+    base_ordinal = config.start_date.toordinal()
+
+    for user_index, user in enumerate(synth._user_ids(config.n_users)):
+        rng = np.random.default_rng([config.seed, user_index])
+        resting = float(rng.normal(config.resting_hr_mean, config.resting_hr_sd))
+        hr_range = max(80.0, float(rng.normal(config.hr_range_mean, config.hr_range_sd)))
+        # one shared band shift per user: within-user contrasts are kept,
+        # but bands stop lining up across users
+        band_shift = float(rng.normal(0.0, config.user_frac_jitter_sd))
+        awake_frac = config.awake_hr_frac + band_shift
+        frac_of = {
+            label: config.activity_profiles[label].hr_frac + band_shift
+            for label in labels_sorted
+        }
+
+        all_states = np.zeros(config.n_days * MINUTES_PER_DAY, dtype=bool)
+        # epoch minute of this user's first local midnight
+        local_base = (base_ordinal - EPOCH_ORDINAL) * MINUTES_PER_DAY - config.tz_offset_minutes
+
+        for day_index in range(config.n_days):
+            day = date.fromordinal(base_ordinal + day_index)
+            j = config.sleep_jitter_min
+            morning_end = config.sleep_end_minute + int(rng.integers(-j, j + 1))
+            night_start = config.sleep_start_minute + int(rng.integers(-j, j + 1))
+
+            sleep_mask = np.zeros(MINUTES_PER_DAY, dtype=bool)
+            sleep_mask[:morning_end] = True
+            sleep_mask[night_start:] = True
+
+            activity: list[str | None] = [None] * MINUTES_PER_DAY
+            realized: list[tuple[int, int, str]] = []
+            for entry in config.schedule_template:
+                if day_index % entry.period_days != entry.phase:
+                    continue
+                sj = config.schedule_jitter_min
+                start = entry.start_minute + int(rng.integers(-sj, sj + 1))
+                end = start + entry.duration_min
+                realized.append((start, end, entry.label))
+                for m in range(start, end):
+                    activity[m] = entry.label
+
+            hr_mean = np.empty(MINUTES_PER_DAY)
+            hr_sd = np.empty(MINUTES_PER_DAY)
+            steps_mean = np.zeros(MINUTES_PER_DAY)
+            steps_sd = np.zeros(MINUTES_PER_DAY)
+            m_per_step = np.full(MINUTES_PER_DAY, config.awake_m_per_step)
+            for i in range(MINUTES_PER_DAY):
+                label = activity[i]
+                if sleep_mask[i]:
+                    hr_mean[i] = resting
+                    hr_sd[i] = config.sleep_hr_sd
+                elif label is None:
+                    hr_mean[i] = resting + awake_frac * hr_range
+                    hr_sd[i] = config.awake_hr_sd
+                    steps_mean[i] = config.awake_steps_mean
+                    steps_sd[i] = config.awake_steps_sd
+                else:
+                    profile = config.activity_profiles[label]
+                    hr_mean[i] = resting + frac_of[label] * hr_range
+                    hr_sd[i] = profile.hr_sd
+                    steps_mean[i] = profile.steps_mean
+                    steps_sd[i] = profile.steps_sd
+                    m_per_step[i] = profile.m_per_step
+
+            hr_minute = hr_mean + rng.normal(0.0, 1.0, MINUTES_PER_DAY) * (
+                hr_sd * config.hr_sd_scale
+            )
+            hr_minute = np.maximum(hr_minute, 30.0)
+            raw_steps = steps_mean + rng.normal(0.0, 1.0, MINUTES_PER_DAY) * steps_sd
+            steps = np.maximum(np.rint(raw_steps), 0.0)
+            steps[sleep_mask] = 0.0
+            steps = steps.astype(np.int64)
+            distance = steps * m_per_step
+
+            hr_drop = rng.random(MINUTES_PER_DAY) < config.hr_dropout
+            sec_jitter = rng.integers(-2, 3, size=(MINUTES_PER_DAY, 4))
+            val_noise = rng.normal(0.0, config.hr_sample_sd, size=(MINUTES_PER_DAY, 4))
+
+            day_base_min = local_base + day_index * MINUTES_PER_DAY
+            for i in range(MINUTES_PER_DAY):
+                if hr_drop[i]:
+                    continue
+                minute_sec = (day_base_min + i) * 60
+                for k in range(4):
+                    sec = _SAMPLE_SECONDS[k] + int(sec_jitter[i, k])
+                    value = round(max(25.0, float(hr_minute[i] + val_noise[i, k])), 2)
+                    hr_rows.append(
+                        f"{user},{format_epoch_second(minute_sec + sec, date_cache)},{repr(value)}"
+                    )
+
+            block_steps = steps.reshape(-1, 15).sum(axis=1)
+            block_dist = distance.reshape(-1, 15).sum(axis=1)
+            for b in range(block_steps.shape[0]):
+                if block_steps[b] == 0 and block_dist[b] == 0.0:
+                    continue
+                ts = format_epoch_second((day_base_min + b * 15) * 60, date_cache)
+                act_rows.append(
+                    f"{user},{ts},{int(block_steps[b])},{repr(float(block_dist[b]))}"
+                )
+
+            for start, end, label in realized:
+                s_ts = format_epoch_second((day_base_min + start) * 60, date_cache)
+                e_ts = format_epoch_second((day_base_min + end) * 60, date_cache)
+                sched_rows.append(f"{user},{s_ts},{e_ts},{label}")
+
+            all_states[
+                day_index * MINUTES_PER_DAY : (day_index + 1) * MINUTES_PER_DAY
+            ] = sleep_mask
+            truth[(user, day)] = DayTruth(
+                sleep=sleep_mask,
+                activity=activity,
+                steps=steps,
+                distance_m=distance,
+            )
+
+        # device sleep segments: chunk each true state run, drop some chunks
+        n_total = all_states.shape[0]
+        pos = 0
+        while pos < n_total:
+            run_end = pos
+            while run_end < n_total and all_states[run_end] == all_states[pos]:
+                run_end += 1
+            state_text = "sleep" if all_states[pos] else "awake"
+            chunk_start = pos
+            while chunk_start < run_end:
+                chunk_len = min(int(rng.integers(8, 26)), run_end - chunk_start)
+                keep = rng.random() >= config.sleep_dropout
+                if keep:
+                    s_ts = format_epoch_second((local_base + chunk_start) * 60, date_cache)
+                    e_ts = format_epoch_second(
+                        (local_base + chunk_start + chunk_len) * 60, date_cache
+                    )
+                    sleep_rows.append(f"{user},{s_ts},{e_ts},{state_text}")
+                chunk_start += chunk_len
+            pos = run_end
+
+    return Cohort(
+        hr_csv="\n".join(hr_rows) + "\n",
+        activity_csv="\n".join(act_rows) + "\n",
+        sleep_csv="\n".join(sleep_rows) + "\n",
+        schedule_csv="\n".join(sched_rows) + "\n",
+        truth=truth,
+    )
+
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +230,68 @@ class TestDeterminism:
         solo = generate_cohort(dc_replace(SMALL, n_users=1))
         u1_rows = [r for r in small_cohort.hr_csv.splitlines() if r.startswith("u001,")]
         assert solo.hr_csv.splitlines()[1:] == u1_rows
+
+
+#: Blocks that overlap each other (a later entry wins the shared minutes)
+#: and the sleep window at both ends of the day.
+OVERLAPPING_TEMPLATE = (
+    TemplateEntry(340, "Wake Up", 60),
+    TemplateEntry(420, "Running Exercise", 90),
+    TemplateEntry(450, "Firearms Training", 40),
+    TemplateEntry(480, "Kitchen Duties", 120, period_days=2, phase=1),
+    TemplateEntry(1300, "Security Mission", 130),
+)
+
+
+def cohort_files(cohort: Cohort) -> tuple[str, ...]:
+    return (
+        cohort.hr_csv,
+        cohort.activity_csv,
+        cohort.sleep_csv,
+        cohort.schedule_csv,
+        cohort.truth_csv(),
+    )
+
+
+class TestMatchesReference:
+    """The columnar generator writes the same five files, byte for byte, as
+    the per-minute reference."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SMALL,
+            CohortConfig(n_users=2, n_days=2, seed=7),
+            CohortConfig(n_users=1, n_days=3, seed=29, hr_dropout=0.0),
+            CohortConfig(
+                n_users=2,
+                n_days=2,
+                seed=4,
+                tz_offset_minutes=-45,
+                user_frac_jitter_sd=0.05,
+                hr_dropout=0.3,
+            ),
+            CohortConfig(n_users=2, n_days=2, seed=5, tz_offset_minutes=345, sleep_dropout=0.9),
+            CohortConfig(n_users=2, n_days=4, seed=6, schedule_template=OVERLAPPING_TEMPLATE),
+            CohortConfig(n_users=0, n_days=3),
+            CohortConfig(n_users=2, n_days=0),
+        ],
+        ids=["small", "seed7", "no-dropout", "tz-45", "tz+345", "overlap", "no-users", "no-days"],
+    )
+    def test_same_files(self, config):
+        assert cohort_files(generate_cohort(config)) == cohort_files(
+            reference_generate_cohort(config)
+        )
+
+    def test_same_files_with_unsorted_user_ids(self, monkeypatch):
+        # with 1000 users or more, generation order is not sorted order
+        # ("u1000" sorts before "u101"); hr.csv keeps generation order
+        monkeypatch.setattr(synth, "_user_ids", lambda n: ["u2", "u10"][:n])
+        config = CohortConfig(n_users=2, n_days=1, seed=8)
+        files = cohort_files(generate_cohort(config))
+        assert files == cohort_files(reference_generate_cohort(config))
+        users = [row.split(",", 1)[0] for row in files[0].splitlines()[1:]]
+        assert users.index("u10") == users.count("u2")
 
 
 class TestEmptyCohort:
@@ -168,6 +402,63 @@ class TestTruthCsv:
         with pytest.raises(ValueError, match="header"):
             read_truth_csv(io.StringIO("user,day\n"))
 
+    @staticmethod
+    def _lines(cohort):
+        return cohort.truth_csv().splitlines(keepends=True)
+
+    @pytest.mark.parametrize(
+        "minute, message",
+        [
+            ("-1", "row 3: minute -1 outside"),
+            ("1440", "row 3: minute 1440 outside"),
+            ("x", "row 3: bad minute 'x'"),
+            ("0", "row 3: u001 2024-03-04 repeats minute 0"),
+            ("2", "row 3: u001 2024-03-04 skips minute 1"),
+        ],
+    )
+    def test_bad_minute_rejected(self, small_cohort, minute, message):
+        lines = self._lines(small_cohort)
+        cells = lines[2].split(",")
+        cells[2] = minute
+        lines[2] = ",".join(cells)
+        with pytest.raises(ValueError, match=f"truth CSV {message}"):
+            read_truth_csv(io.StringIO("".join(lines)))
+
+    def test_partial_day_rejected(self, small_cohort):
+        lines = self._lines(small_cohort)
+        with pytest.raises(ValueError, match="row 1402: u001 2024-03-04 ends before minute 1400"):
+            read_truth_csv(io.StringIO("".join(lines[:1401] + lines[1 + 1440 :])))
+        with pytest.raises(ValueError, match="ends at row 1000 before minute 999 of u001"):
+            read_truth_csv(io.StringIO("".join(lines[:1000])))
+
+    def test_repeated_day_rejected(self, small_cohort):
+        lines = self._lines(small_cohort)
+        with pytest.raises(ValueError, match="row 2882: u001 2024-03-04 appears twice"):
+            read_truth_csv(io.StringIO("".join(lines[: 1 + 2880] + lines[1 : 1 + 1440])))
+
+    @pytest.mark.parametrize(
+        "column, text, message",
+        [
+            (1, "2024-02-30", "bad date '2024-02-30'"),
+            (3, "asleep", "bad true_sleep 'asleep'"),
+            (5, "1.5", "bad true_steps '1.5'"),
+            (6, "far", "bad true_distance_m 'far'"),
+        ],
+    )
+    def test_malformed_field_rejected(self, small_cohort, column, text, message):
+        lines = self._lines(small_cohort)
+        cells = lines[1].rstrip("\n").split(",")
+        cells[column] = text
+        lines[1] = ",".join(cells) + "\n"
+        with pytest.raises(ValueError, match=f"truth CSV row 2: {message}"):
+            read_truth_csv(io.StringIO("".join(lines)))
+
+    def test_field_count_rejected(self, small_cohort):
+        lines = self._lines(small_cohort)
+        lines[5] = lines[5].rstrip("\n") + ",extra\n"
+        with pytest.raises(ValueError, match="truth CSV row 6 has 8 fields"):
+            read_truth_csv(io.StringIO("".join(lines)))
+
     def test_write_cohort_creates_five_files(self, small_cohort, tmp_path):
         paths = write_cohort(small_cohort, tmp_path / "raw")
         assert sorted(paths) == [
@@ -196,13 +487,23 @@ class TestConfigValidation:
             CohortConfig(n_users=-1)
 
     def test_template_label_needs_profile(self):
-        from harforge.synth import TemplateEntry
-
         with pytest.raises(ValueError, match="no profile"):
             CohortConfig(
                 activity_profiles={},
                 schedule_template=(TemplateEntry(380, "Wake Up", 20),),
             )
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            TemplateEntry(3, "Wake Up", 20),
+            TemplateEntry(1400, "Other", 37),
+            TemplateEntry(600, "Other", 0),
+        ],
+    )
+    def test_template_block_must_fit_the_day(self, entry):
+        with pytest.raises(ValueError, match="inside the day"):
+            CohortConfig(schedule_template=(entry,))
 
     def test_profiles_must_stay_inside_taxonomy(self):
         from harforge.synth import ActivityProfile
