@@ -388,15 +388,15 @@ def write_aligned_csv(days: DayGrid) -> str:
     }
     values = {name: np.unique(key(getattr(days, name))) for name, key in keys.items()}
     users = codec.csv_fields(user for user, _ in days.keys)
-    tables = (
-        [f"{user},{day.isoformat()}," for user, (_, day) in zip(users, days.keys)],
-        [f"{minute}," for minute in range(MINUTES_PER_DAY)],
-        [text + "," for text in codec.number_texts(values["pulse"], nan_text="")],
-        [f"{steps}," for steps in values["steps"].tolist()],
-        [text + "," for text in codec.number_texts(values["distance_m"])],
-        [f"{state.value}," for state in SleepState],
-        [label + "\n" for label in ["", *codec.csv_fields(days.labels)]],
-    )
+
+    def tables():
+        yield [f"{user},{day.isoformat()}," for user, (_, day) in zip(users, days.keys)]
+        yield [f"{minute}," for minute in range(MINUTES_PER_DAY)]
+        yield [text + "," for text in codec.number_texts(values["pulse"], nan_text="")]
+        yield [f"{steps}," for steps in values["steps"].tolist()]
+        yield [text + "," for text in codec.number_texts(values["distance_m"])]
+        yield [f"{state.value}," for state in SleepState]
+        yield [label + "\n" for label in ["", *codec.csv_fields(days.labels)]]
 
     def blocks():
         for lo in range(0, len(days), per_block):
@@ -413,7 +413,7 @@ def write_aligned_csv(days: DayGrid) -> str:
                 days.schedule[rows].ravel() + 1,
             )
 
-    return ",".join(ALIGNED_HEADER) + "\n" + codec.join_rows(tables, blocks())
+    return ",".join(ALIGNED_HEADER) + "\n" + codec.join_rows(tables(), blocks())
 
 
 def read_aligned_csv(stream: Iterable[str] | IO[str]) -> DayGrid:
@@ -551,19 +551,90 @@ def _sleep_code(text: bytes) -> int:
 
 
 def _read_aligned_columns(data: bytes, start: int) -> DayGrid:
-    """The grid in ``data[start:]`` when its rows are canonical: 8 unquoted
-    fields per row, every user-day on 1440 consecutive rows with minutes
-    0..1439 in order, each user-day once, and every field accepted by the
-    per-row reader's converter. Raises codec.NotCanonical otherwise."""
+    """The grid in ``data[start:]`` when its rows are canonical (see
+    ``minute_columns``); labels get codes in order of first appearance.
+    Raises codec.NotCanonical otherwise."""
+    label_code: dict[str, int] = {}
+    keys, columns = minute_columns(
+        data,
+        start,
+        ALIGNED_HEADER,
+        (
+            (_pulses, np.float64),
+            (each_text(int), np.int64),
+            (finite_floats, np.float64),
+            (each_text(_sleep_code), np.int8),
+            (label_codes(label_code), np.int16),
+        ),
+    )
+    return _sorted_grid(keys, label_code, dict(zip(_COLUMNS, columns)))
+
+
+#: A ``minute_columns`` field reader: ``read(texts, first, dtype)`` is the
+#: array of ``dtype`` values of the distinct texts of one field in a block
+#: (sorted), given the line where each text first appears. It raises
+#: codec.NotCanonical for a text the per-row reader rejects.
+FieldReader = Callable[[list[bytes], np.ndarray, type], np.ndarray]
+
+
+def each_text(convert: Callable[[bytes], object]) -> FieldReader:
+    """The field reader that applies the per-row ``convert`` to each text."""
+    return lambda texts, first, dtype: codec.convert(texts, convert, dtype)
+
+
+def finite_floats(texts: list[bytes], first: np.ndarray, dtype: type) -> np.ndarray:
+    """The field reader of finite floats."""
+    values = codec.convert(texts, float, dtype)
+    if not np.isfinite(values).all():
+        raise codec.NotCanonical
+    return values
+
+
+def _pulses(texts: list[bytes], first: np.ndarray, dtype: type) -> np.ndarray:
+    """Finite floats, and NaN (no reading) for the empty text, which sorts first."""
+    empty = texts[0] == b""
+    values = finite_floats(texts[empty:], first, dtype)
+    return np.concatenate(([np.nan], values)) if empty else values
+
+
+def label_codes(label_code: dict[str, int]) -> FieldReader:
+    """The field reader that numbers labels in order of first appearance,
+    recording each in ``label_code``; the empty label is -1."""
+
+    def read(texts: list[bytes], first: np.ndarray, dtype: type) -> np.ndarray:
+        for k in np.argsort(first).tolist():
+            if texts[k]:
+                label_code.setdefault(texts[k].decode(), len(label_code))
+        return codec.convert(texts, lambda text: label_code[text.decode()] if text else -1, dtype)
+
+    return read
+
+
+def minute_columns(
+    data: bytes,
+    start: int,
+    header: Sequence[str],
+    fields: Sequence[tuple[FieldReader, type]],
+) -> tuple[list[tuple[str, date]], list[np.ndarray]]:
+    """The columnar reader of a per-minute CSV whose fields start with user,
+    date and minute (``minute_rows`` is its per-row reader).
+
+    Reads ``data[start:]`` when its rows are canonical: ``len(header)``
+    unquoted fields per row, every user-day on 1440 consecutive rows with
+    minutes 0..1439 in order, each user-day once, and every field accepted
+    by its reader. ``fields`` holds ``(read, dtype)`` for each column after
+    the minute (see FieldReader). Returns the user-days in file order and
+    each field's column, one row per minute; raises codec.NotCanonical for
+    anything else.
+    """
     n = data.count(b"\n", start)
     if n % MINUTES_PER_DAY:
         raise codec.NotCanonical
-    columns = {name: np.empty(n, dtype) for name, (dtype, _) in _COLUMNS.items()}
+    columns = [np.empty(n, dtype) for _, dtype in fields]
     heads: list[bytes] = []
-    label_code: dict[str, int] = {}
     previous = None
     r = 0
-    for block, ends in codec.split_lines(data, start, len(ALIGNED_HEADER)):
+    for block, ends in codec.split_lines(data, start, len(header)):
         rows = slice(r, r + len(ends))
         texts, _, inv = codec.distinct(block, *codec.field_bounds(ends, 2))
         minute = codec.convert(texts, int, np.int64)[inv]
@@ -576,25 +647,9 @@ def _read_aligned_columns(data: bytes, start: int) -> DayGrid:
             raise codec.NotCanonical
         previous = texts[inv[-1]]
         heads += (texts[k] for k in inv[minute == 0].tolist())
-        for field, name, convert in (
-            (3, "pulse", float),
-            (4, "steps", int),
-            (5, "distance_m", float),
-            (6, "sleep", _sleep_code),
-        ):
-            texts, _, inv = codec.distinct(block, *codec.field_bounds(ends, field))
-            empty = name == "pulse" and texts[0] == b""  # sorts first; no reading
-            values = codec.convert(texts[empty:], convert, _COLUMNS[name][0])
-            if convert is float and not np.isfinite(values).all():
-                raise codec.NotCanonical
-            if empty:
-                values = np.concatenate(([np.nan], values))
-            columns[name][rows] = values[inv]
-        texts, first, inv = codec.distinct(block, *codec.field_bounds(ends, 7))
-        code = np.empty(len(texts), np.int16)
-        for k in np.argsort(first).tolist():  # labels get codes in order of appearance
-            code[k] = label_code.setdefault(texts[k].decode(), len(label_code)) if texts[k] else -1
-        columns["schedule"][rows] = code[inv]
+        for field, ((read, dtype), column) in enumerate(zip(fields, columns), 3):
+            texts, first, inv = codec.distinct(block, *codec.field_bounds(ends, field))
+            column[rows] = read(texts, first, dtype)[inv]
         r = rows.stop
     if len(set(heads)) < len(heads):
         raise codec.NotCanonical  # a user-day listed twice
@@ -603,7 +658,7 @@ def _read_aligned_columns(data: bytes, start: int) -> DayGrid:
         keys = [(user, date.fromisoformat(day)) for user, day in pairs]
     except ValueError:
         raise codec.NotCanonical from None
-    return _sorted_grid(keys, label_code, columns)
+    return keys, columns
 
 
 def _sorted_grid(

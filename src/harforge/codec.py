@@ -154,7 +154,7 @@ def convert(texts: Sequence[bytes], fn: Callable[[bytes], object], dtype) -> np.
     """``fn`` of each text as an array; NotCanonical where ``fn`` rejects one."""
     try:
         return np.array(list(map(fn, texts)), dtype)
-    except (ValueError, OverflowError):
+    except (ValueError, KeyError, OverflowError):
         raise NotCanonical from None
 
 
@@ -186,18 +186,13 @@ def number_texts(keys: np.ndarray, nan_text: str | None = None) -> list[str]:
     return [nan_text if value != value else repr(value) for value in values.tolist()]
 
 
-def join_rows(tables: Sequence[Sequence[str]], blocks: Iterable[Sequence[np.ndarray]]) -> str:
+def join_rows(tables: Iterable[Sequence[str]], blocks: Iterable[Sequence[np.ndarray]]) -> str:
     """CSV text whose row i is ``tables[f][codes[f][i]]`` concatenated over
     the fields f (each table text carries its own trailing separator).
-    ``blocks`` yields the code arrays of one block of rows at a time."""
-    encoded = []
-    for table in tables:
-        raw = [text.encode("utf-8") for text in table]
-        length = np.fromiter(map(len, raw), np.int64, len(raw))
-        width = min(max(int(length.max(initial=0)), 1), MAX_WIDTH)
-        matrix = np.array([text[:width] for text in raw], f"S{width}")
-        long = {k: raw[k] for k in np.flatnonzero(length > width).tolist()}
-        encoded.append((matrix.view(np.uint8).reshape(len(raw), width), length, long))
+    ``blocks`` yields the code arrays of one block of rows at a time. Each
+    table is encoded as it comes, so when ``tables`` is a generator no
+    table's texts outlive their encoding."""
+    encoded = [_byte_table(table) for table in tables]
     pieces = []
     for codes in blocks:
         lengths = [length[c] for (_, length, _), c in zip(encoded, codes)]
@@ -219,3 +214,17 @@ def join_rows(tables: Sequence[Sequence[str]], blocks: Iterable[Sequence[np.ndar
             at += n
         pieces.append(out.tobytes().decode("utf-8"))
     return "".join(pieces)
+
+
+def _byte_table(table: Sequence[str]) -> tuple[np.ndarray, np.ndarray, dict[int, bytes]]:
+    """A table's UTF-8 texts as a ``(texts, width)`` byte matrix holding at
+    most MAX_WIDTH bytes of each, the byte length of each, and the whole
+    bytes of each text longer than the matrix is wide. The encoded texts
+    live only while the matrix is filled."""
+    raw = [text.encode("utf-8") for text in table]
+    length = np.fromiter(map(len, raw), np.int64, len(raw))
+    width = min(max(int(length.max(initial=0)), 1), MAX_WIDTH)
+    # numpy cuts each text to the matrix width
+    matrix = np.array(raw, f"S{width}").view(np.uint8).reshape(len(raw), width)
+    long = {k: raw[k] for k in np.flatnonzero(length > width).tolist()}
+    return matrix, length, long

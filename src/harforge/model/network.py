@@ -214,7 +214,8 @@ def _lstm_forward(x, wx, wh, b, reverse: bool):
 
 def _lstm_backward(dh_seq, cache, wx, wh):
     """Backpropagate through one direction. dh_seq holds the gradient
-    arriving at every per-step hidden output."""
+    arriving at every per-step hidden output. The input gradient ``dx`` is
+    None when the cache holds ``input_grad=False``."""
     x, gates = cache["x"], cache["gates"]
     c_seq, h_seq = cache["c"], cache["h"]
     reverse = cache["reverse"]
@@ -273,7 +274,7 @@ def _lstm_backward(dh_seq, cache, wx, wh):
     flat_dz = dz_seq.reshape(batch * width, 4 * h_dim)
     d_wx = flat_x.T @ flat_dz
     d_b = flat_dz.sum(axis=0)
-    dx = (flat_dz @ wx.T).reshape(x.shape)
+    dx = (flat_dz @ wx.T).reshape(x.shape) if cache.get("input_grad", True) else None
     return dx, d_wx, d_wh, d_b
 
 
@@ -372,8 +373,11 @@ def encoder_backward(dfeatures: np.ndarray, cache, params: ModelParams):
 
     dh1f = dout1[:, :, :h]
     dh1b = dout1[:, :, h:]
-    _, dwx1f, dwh1f, db1f = _lstm_backward(dh1f, cache["cache1f"], a["enc1_fwd_wx"], a["enc1_fwd_wh"])
-    _, dwx1b, dwh1b, db1b = _lstm_backward(dh1b, cache["cache1b"], a["enc1_bwd_wx"], a["enc1_bwd_wh"])
+    # nothing takes the gradient of the model input, so layer 1 skips it
+    cache1f = cache["cache1f"] | {"input_grad": False}
+    cache1b = cache["cache1b"] | {"input_grad": False}
+    _, dwx1f, dwh1f, db1f = _lstm_backward(dh1f, cache1f, a["enc1_fwd_wx"], a["enc1_fwd_wh"])
+    _, dwx1b, dwh1b, db1b = _lstm_backward(dh1b, cache1b, a["enc1_bwd_wx"], a["enc1_bwd_wh"])
 
     return {
         "enc1_fwd_wx": dwx1f,

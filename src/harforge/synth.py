@@ -18,11 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Mapping
+from itertools import chain
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .align import SLEEP_CODE, DayGrid, field_error, minute_rows
+from . import codec
+from .align import (
+    SLEEP_CODE,
+    DayGrid,
+    each_text,
+    field_error,
+    label_codes,
+    minute_columns,
+    minute_rows,
+)
 from .core import (
     DEFAULT_LEVEL2_LABELS,
     DEFAULT_TZ_OFFSET_MINUTES,
@@ -191,17 +201,64 @@ class Cohort:
     truth: GroundTruth
 
     def truth_csv(self) -> str:
-        lines = [",".join(TRUTH_HEADER)]
-        for (user, day) in sorted(self.truth):
-            t = self.truth[(user, day)]
-            day_text = day.isoformat()
-            for i in range(len(t.sleep)):
-                state = "sleep" if t.sleep[i] else "awake"
-                lines.append(
-                    f"{user},{day_text},{i},{state},{t.activity[i] or ''},"
-                    f"{int(t.steps[i])},{repr(float(t.distance_m[i]))}"
+        """The truth as CSV text, one row per minute of each user-day in key
+        order; users and labels are written as they are (generated ones
+        never need quoting), no activity as an empty field."""
+        keys = sorted(self.truth)
+        days = [self.truth[key] for key in keys]
+        per_block = max(codec.BLOCK_ROWS // MINUTES_PER_DAY, 1)
+        steps = np.unique(np.concatenate([np.empty(0, np.int64), *(t.steps for t in days)]))
+        # floats by bit pattern, so -0.0 keeps its own text
+        distance = np.unique(
+            codec.float_keys(np.concatenate([np.empty(0), *(t.distance_m for t in days)]))
+        )
+        labels = ["", *sorted(set().union(*(t.activity for t in days)) - {None, ""})]
+        code_of = {label: k for k, label in enumerate(labels)} | {None: 0}
+        tables = (
+            [f"{user},{day.isoformat()}," for user, day in keys],
+            [f"{minute}," for minute in range(MINUTES_PER_DAY)],
+            ["awake,", "sleep,"],
+            [label + "," for label in labels],
+            [f"{value}," for value in steps.tolist()],
+            [repr(value) + "\n" for value in distance.view(np.float64).tolist()],
+        )
+
+        def blocks():
+            for lo in range(0, len(days), per_block):
+                block = days[lo : lo + per_block]
+                n = len(block) * MINUTES_PER_DAY
+                activity = chain.from_iterable(t.activity for t in block)
+                yield (
+                    np.repeat(np.arange(lo, lo + len(block)), MINUTES_PER_DAY),
+                    np.tile(np.arange(MINUTES_PER_DAY), len(block)),
+                    np.concatenate([t.sleep for t in block]).astype(bool).view(np.int8),
+                    np.fromiter(map(code_of.__getitem__, activity), np.int64, n),
+                    np.searchsorted(steps, np.concatenate([t.steps for t in block])),
+                    np.searchsorted(
+                        distance, codec.float_keys(np.concatenate([t.distance_m for t in block]))
+                    ),
                 )
-        return "\n".join(lines) + "\n"
+
+        return ",".join(TRUTH_HEADER) + "\n" + codec.join_rows(tables, blocks())
+
+
+def round2(values: np.ndarray) -> np.ndarray:
+    """Python's ``round(v, 2)`` of each float64 value, bit for bit.
+
+    ``round`` rounds the exact binary value of v x 100 to an integer K, half
+    to even, and returns the double nearest K / 100. ``y = fl(v * 100)`` is
+    within half an ulp of that product, so ``rint(y) == K`` unless y lies
+    within an ulp of a half, and IEEE division then gives the same nearest
+    double. There (which takes in every ``|y| >= 2**51``, whose ulp is at
+    least 0.5) and where y is not finite, ``round`` itself runs.
+    (``np.round`` has no such exception: it is not the same rounding.)
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = values * 100.0
+        out = np.rint(y) / 100.0
+        slow = ~np.isfinite(y) | (np.abs(y - np.floor(y) - 0.5) <= np.spacing(np.abs(y)))
+    out[slow] = [round(v, 2) for v in values[slow].tolist()]
+    return out
 
 
 def _user_ids(n_users: int) -> list[str]:
@@ -300,8 +357,7 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
             minute_sec = (day_base_min + kept) * 60
             seconds = minute_sec[:, None] + _SAMPLE_SECONDS + sec_jitter[kept]
             values = np.maximum(25.0, hr_minute[kept, None] + val_noise[kept])
-            # Python's round: correctly rounded to 2 decimals, unlike np.round
-            bpm = np.array([round(v, 2) for v in values.ravel().tolist()], np.float64)
+            bpm = round2(values.ravel())
             hr_user.append(np.full(len(bpm), user_index, np.int64))
             hr_second.append(seconds.ravel())
             hr_bpm.append(bpm)
@@ -380,12 +436,20 @@ def write_cohort(cohort: Cohort, out_dir) -> dict[str, str]:
     return paths
 
 
-def read_truth_csv(stream) -> GroundTruth:
+def read_truth_csv(stream: Iterable[str] | IO[str]) -> GroundTruth:
     """Reload a truth.csv written by write_cohort.
 
     Each user-day must list its minutes 0..1439 once each, in order, on
     consecutive rows (see ``align.minute_rows``), and every field must
-    convert; any other row is a ValueError naming it."""
+    convert; any other row is a ValueError naming it. A seekable text
+    stream in the canonical form is parsed as columns; anything else, and
+    any error, goes through ``read_truth_rows``."""
+    return codec.parse_whole(stream, TRUTH_HEADER, _read_truth_columns, read_truth_rows)
+
+
+def read_truth_rows(stream: Iterable[str] | IO[str]) -> GroundTruth:
+    """The per-row truth CSV reader: every form the csv module reads and
+    every error message with its row number."""
     columns: dict[tuple[str, date], tuple[list, list, list, list]] = {}
     for line, row, day in minute_rows(stream, TRUTH_HEADER, "truth"):
         if day is not None:
@@ -412,6 +476,34 @@ _TRUTH_SLEEP = {"sleep": True, "awake": False}
 
 #: Converters of the truth CSV fields after the minute, by column.
 _TRUTH_FIELDS = {3: _TRUTH_SLEEP.__getitem__, 5: int, 6: float}
+
+
+def _read_truth_columns(data: bytes, start: int) -> GroundTruth:
+    """The truth in ``data[start:]`` when its rows are canonical (see
+    ``align.minute_columns``); raises codec.NotCanonical otherwise."""
+    label_code: dict[str, int] = {}
+    keys, columns = minute_columns(
+        data,
+        start,
+        TRUTH_HEADER,
+        (
+            (each_text(lambda text: _TRUTH_SLEEP[text.decode()]), bool),
+            (label_codes(label_code), np.int64),
+            (each_text(int), np.int64),
+            (each_text(float), np.float64),
+        ),
+    )
+    sleep, activity, steps, distance = (c.reshape(len(keys), MINUTES_PER_DAY) for c in columns)
+    names = np.array([*label_code, None], object)  # code -1: no activity
+    return {
+        key: DayTruth(
+            sleep=sleep[r],
+            activity=names[activity[r]].tolist(),
+            steps=steps[r],
+            distance_m=distance[r],
+        )
+        for r, key in enumerate(keys)
+    }
 
 
 @dataclass(frozen=True)

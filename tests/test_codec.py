@@ -1,12 +1,13 @@
-"""The columnar codecs of the two bulk CSV formats against their per-row
+"""The columnar codecs of the bulk CSV formats against their per-row
 definitions.
 
-- Readers: ``parse_hr_stream`` and ``read_aligned_csv`` give the same
-  columns as ``parse_hr_rows`` and ``read_aligned_rows``, or raise the same
-  exception with the same message and line, on seeded canonical text and on
-  every perturbation of it.
+- Readers: ``parse_hr_stream``, ``read_aligned_csv`` and ``read_truth_csv``
+  give the same columns as ``parse_hr_rows``, ``read_aligned_rows`` and
+  ``read_truth_rows``, or raise the same exception with the same message
+  and line, on seeded canonical text and on every perturbation of it.
 - Writers: ``serialize_hr_stream`` and ``write_aligned_csv`` give the text a
-  per-row csv.writer writes.
+  per-row csv.writer writes, and ``Cohort.truth_csv`` the text of the
+  per-row f-string writer it replaced.
 - Canonical pipeline files take the columnar path: with the per-row parsers
   patched to raise, they still parse.
 """
@@ -19,7 +20,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from harforge import align, codec, ingest
+from harforge import align, codec, ingest, synth
 from harforge.align import (
     ALIGNED_HEADER,
     DayGrid,
@@ -35,6 +36,14 @@ from harforge.ingest import (
     parse_hr_rows,
     parse_hr_stream,
     serialize_hr_stream,
+)
+from harforge.synth import (
+    TRUTH_HEADER,
+    Cohort,
+    DayTruth,
+    GroundTruth,
+    read_truth_csv,
+    read_truth_rows,
 )
 
 from test_golden import run_golden_cohort
@@ -72,6 +81,46 @@ def seeded_grid(seed, users=("u001", "u002"), labels=("Firearms Training", "Othe
     grid.sleep[:] = rng.integers(0, len(SleepState), shape)
     grid.schedule[:] = rng.integers(-1, len(labels), shape)
     return grid
+
+
+def seeded_truth(
+    seed, users=("u001", "u002"), labels=("Firearms Training", "Other")
+) -> GroundTruth:
+    """Two users x two days, keys out of order, with no activity beside
+    empty and real labels, and tiny, huge, -0.0, NaN and inf distances."""
+    rng = np.random.default_rng(seed)
+    truth = {}
+    for user in reversed(users):
+        for day in (date(2024, 3, 5), date(2024, 3, 4)):
+            steps = rng.integers(0, 40, MINUTES_PER_DAY) * (rng.random(MINUTES_PER_DAY) < 0.5)
+            distance = steps * rng.uniform(0.5, 0.9, MINUTES_PER_DAY)
+            distance[:8] = [1e-05, 2.5e-07, 1e22, 0.1, -0.0, 0.0, np.nan, np.inf]
+            names = [None, "", *labels]
+            truth[(user, day)] = DayTruth(
+                sleep=rng.random(MINUTES_PER_DAY) < 0.3,
+                activity=[names[k] for k in rng.integers(0, len(names), MINUTES_PER_DAY)],
+                steps=steps.astype(np.int64),
+                distance_m=distance,
+            )
+    return truth
+
+
+def truth_text(truth: GroundTruth) -> str:
+    return Cohort("", "", "", "", truth).truth_csv()
+
+
+def reference_truth_text(truth: GroundTruth) -> str:
+    """The per-row truth writer: one f-string per minute."""
+    lines = [",".join(TRUTH_HEADER)]
+    for user, day in sorted(truth):
+        t = truth[(user, day)]
+        for i in range(len(t.sleep)):
+            state = "sleep" if t.sleep[i] else "awake"
+            lines.append(
+                f"{user},{day.isoformat()},{i},{state},{t.activity[i] or ''},"
+                f"{int(t.steps[i])},{repr(float(t.distance_m[i]))}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def reference_hr_text(hr: HrStream) -> str:
@@ -116,6 +165,11 @@ def outcome(parse, text=None):
         result = parse() if text is None else parse(io.StringIO(text))
     except Exception as err:  # noqa: BLE001 - the exception is the outcome
         return type(err), str(err), getattr(err, "line", None)
+    if isinstance(result, dict):  # a GroundTruth, in file order
+        names = ("sleep", "steps", "distance_m")
+        days = list(result.values())
+        columns = [(getattr(t, c).dtype, getattr(t, c).tobytes()) for t in days for c in names]
+        return list(result), [t.activity for t in days], columns
     if isinstance(result, HrStream):
         names, head = ("user", "second", "bpm"), result.users
     else:
@@ -214,6 +268,25 @@ ALIGNED_PERTURBATIONS = {
     "truncated day": lambda text: text[: text.rindex("\n", 0, -1) + 1],
 }
 
+TRUTH_PERTURBATIONS = {
+    **COMMON_PERTURBATIONS,
+    **{f"minute {m}": set_field(2, 2, m) for m in ("-1", "1440", "x", "0", "2", "01", " 1")},
+    "partial day": lambda text: "".join(
+        line for i, line in enumerate(text.splitlines(keepends=True)) if not 1400 < i <= 1440
+    ),
+    "truncated day": lambda text: text[: text.rindex("\n", 0, -1) + 1],
+    "day listed twice": lambda text: text + "".join(text.splitlines(keepends=True)[1:1441]),
+    "days out of order": lambda text: text.splitlines(keepends=True)[0]
+    + "".join(text.splitlines(keepends=True)[1441:])
+    + "".join(text.splitlines(keepends=True)[1:1441]),
+    "bad date": set_field(3, 1, "2024-02-30"),
+    "bad state": set_field(3, 3, "asleep"),
+    "new activity": set_field(3, 4, "Kitchen Duties"),
+    "comma activity": set_field(3, 4, '"Drill, night"'),
+    **{f"steps {v}": set_field(3, 5, v) for v in ("1.5", "+3", "x", "9" * 30)},
+    **{f"distance {v}": set_field(3, 6, v) for v in ("far", "-inf", "1e999", "")},
+}
+
 
 @pytest.fixture(scope="module")
 def hr_text():
@@ -223,6 +296,11 @@ def hr_text():
 @pytest.fixture(scope="module")
 def aligned_text():
     return write_aligned_csv(seeded_grid(2))
+
+
+@pytest.fixture(scope="module")
+def truth_csv_text():
+    return truth_text(seeded_truth(3))
 
 
 class TestWriters:
@@ -244,6 +322,14 @@ class TestWriters:
 
     def test_empty_grid(self):
         assert write_aligned_csv(DayGrid.empty([])) == ",".join(ALIGNED_HEADER) + "\n"
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_truth_matches_per_row_writer(self, seed):
+        truth = seeded_truth(seed, users=("u1", "u10", "u2"), labels=("Drill", "L" * 5000))
+        assert truth_text(truth) == reference_truth_text(truth)
+
+    def test_empty_truth(self):
+        assert truth_text({}) == reference_truth_text({}) == ",".join(TRUTH_HEADER) + "\n"
 
     @pytest.mark.parametrize("column, value", [("pulse", np.inf), ("distance_m", np.nan)])
     def test_aligned_non_finite_values_rejected(self, column, value):
@@ -287,6 +373,17 @@ class TestReadersMatchPerRowParsers:
         assert text != aligned_text
         assert outcome(read_aligned_csv, text) == outcome(read_aligned_rows, text)
 
+    def test_canonical_truth(self, truth_csv_text):
+        got = outcome(read_truth_csv, truth_csv_text)
+        assert got == outcome(read_truth_rows, truth_csv_text)
+        assert got[0] == sorted(seeded_truth(3))
+
+    @pytest.mark.parametrize("name", sorted(TRUTH_PERTURBATIONS))
+    def test_perturbed_truth(self, truth_csv_text, name):
+        text = TRUTH_PERTURBATIONS[name](truth_csv_text)
+        assert text != truth_csv_text
+        assert outcome(read_truth_csv, text) == outcome(read_truth_rows, text)
+
     def test_lists_of_lines_go_row_by_row(self, hr_text, monkeypatch):
         lines = hr_text.splitlines(keepends=True)
         expected = outcome(parse_hr_stream, hr_text)
@@ -318,6 +415,7 @@ def test_canonical_pipeline_files_take_the_columnar_path(tmp_path, monkeypatch):
         "canonical/hr.csv": (parse_hr_stream, parse_hr_rows),
         "aligned/aligned.csv": (read_aligned_csv, read_aligned_rows),
         "imputed/imputed.csv": (read_aligned_csv, read_aligned_rows),
+        "raw/truth.csv": (read_truth_csv, read_truth_rows),
     }
     expected = {}
     for rel, (_, per_row) in paths.items():
@@ -325,6 +423,7 @@ def test_canonical_pipeline_files_take_the_columnar_path(tmp_path, monkeypatch):
             expected[rel] = outcome(lambda: per_row(fh))
     monkeypatch.setattr(ingest, "parse_hr_rows", _never)
     monkeypatch.setattr(align, "read_aligned_rows", _never)
+    monkeypatch.setattr(synth, "read_truth_rows", _never)
     for rel, (parse, _) in paths.items():
         with open(os.path.join(out, rel), encoding="utf-8") as fh:
             assert outcome(lambda: parse(fh)) == expected[rel], rel

@@ -39,6 +39,7 @@ from harforge.synth import (
     generate_cohort,
     mask_report,
     read_truth_csv,
+    round2,
     write_cohort,
 )
 
@@ -292,6 +293,29 @@ class TestMatchesReference:
         assert files == cohort_files(reference_generate_cohort(config))
         users = [row.split(",", 1)[0] for row in files[0].splitlines()[1:]]
         assert users.index("u10") == users.count("u2")
+
+
+class TestRound2:
+    """``round2`` is Python's ``round(v, 2)`` bit for bit, also where
+    ``v * 100`` rounds onto or across a half (``np.round`` is not)."""
+
+    @staticmethod
+    def values():
+        halves = np.arange(2500, 100_000) / 100 + 0.005  # 25.005 .. 999.995 bpm
+        near = np.concatenate(
+            [halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf)]
+        )
+        huge = np.array([2.0**52, 2.0**53, 1e300, np.finfo(float).max]) / np.array([[100.0], [1.0]])
+        special = [0.0, -0.0, 0.004, -0.004, 0.005, -0.005, 5e-324, np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(0)
+        return np.concatenate(
+            [near, -near, huge.ravel(), -huge.ravel(), special, rng.uniform(25, 1000, 50_000)]
+        )
+
+    def test_matches_python_round(self):
+        values = self.values()
+        want = np.array([round(v, 2) for v in values.tolist()])
+        np.testing.assert_array_equal(round2(values).view(np.int64), want.view(np.int64))
 
 
 class TestEmptyCohort:
