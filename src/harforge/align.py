@@ -386,15 +386,17 @@ def write_aligned_csv(days: DayGrid) -> str:
         "steps": np.asarray,
         "distance_m": codec.float_keys,
     }
-    values = {name: np.unique(key(getattr(days, name))) for name, key in keys.items()}
+    values, codes = {}, {}
+    for name, key in keys.items():
+        values[name], codes[name] = codec.value_codes(key(getattr(days, name)))
     users = codec.csv_fields(user for user, _ in days.keys)
 
     def tables():
         yield [f"{user},{day.isoformat()}," for user, (_, day) in zip(users, days.keys)]
         yield [f"{minute}," for minute in range(MINUTES_PER_DAY)]
-        yield [text + "," for text in codec.number_texts(values["pulse"], nan_text="")]
+        yield codec.number_texts(values["pulse"], ",", nan_text="")
         yield [f"{steps}," for steps in values["steps"].tolist()]
-        yield [text + "," for text in codec.number_texts(values["distance_m"])]
+        yield codec.number_texts(values["distance_m"], ",")
         yield [f"{state.value}," for state in SleepState]
         yield [label + "\n" for label in ["", *codec.csv_fields(days.labels)]]
 
@@ -402,18 +404,16 @@ def write_aligned_csv(days: DayGrid) -> str:
         for lo in range(0, len(days), per_block):
             rows = slice(lo, lo + per_block)
             n = len(days.keys[rows])
+            minutes = slice(lo * MINUTES_PER_DAY, (lo + n) * MINUTES_PER_DAY)
             yield (
                 np.repeat(np.arange(lo, lo + n), MINUTES_PER_DAY),
                 np.tile(np.arange(MINUTES_PER_DAY), n),
-                *(
-                    np.searchsorted(values[name], key(getattr(days, name)[rows].ravel()))
-                    for name, key in keys.items()
-                ),
+                *(codes[name][minutes] for name in keys),
                 days.sleep[rows].ravel(),
                 days.schedule[rows].ravel() + 1,
             )
 
-    return ",".join(ALIGNED_HEADER) + "\n" + codec.join_rows(tables(), blocks())
+    return codec.join_rows(",".join(ALIGNED_HEADER) + "\n", tables(), blocks)
 
 
 def read_aligned_csv(stream: Iterable[str] | IO[str]) -> DayGrid:
@@ -550,13 +550,13 @@ def _sleep_code(text: bytes) -> int:
     return SLEEP_CODE[SleepState(text.decode())]
 
 
-def _read_aligned_columns(data: bytes, start: int) -> DayGrid:
-    """The grid in ``data[start:]`` when its rows are canonical (see
-    ``minute_columns``); labels get codes in order of first appearance.
-    Raises codec.NotCanonical otherwise."""
+def _read_aligned_columns(rest: list[bytes], start: int) -> DayGrid:
+    """The grid in the bytes popped from ``rest``, from ``start``, when its
+    rows are canonical (see ``minute_columns``); labels get codes in order
+    of first appearance. Raises codec.NotCanonical otherwise."""
     label_code: dict[str, int] = {}
     keys, columns = minute_columns(
-        data,
+        rest,
         start,
         ALIGNED_HEADER,
         (
@@ -569,6 +569,10 @@ def _read_aligned_columns(data: bytes, start: int) -> DayGrid:
     )
     return _sorted_grid(keys, label_code, dict(zip(_COLUMNS, columns)))
 
+
+#: The text of every minute of a day, end to end, and where each begins.
+_MINUTES = np.frombuffer("".join(map(str, range(MINUTES_PER_DAY))).encode(), np.uint8)
+_MINUTE_AT = np.cumsum([0, *(len(str(m)) for m in range(MINUTES_PER_DAY))])
 
 #: A ``minute_columns`` field reader: ``read(texts, first, dtype)`` is the
 #: array of ``dtype`` values of the distinct texts of one field in a block
@@ -611,7 +615,7 @@ def label_codes(label_code: dict[str, int]) -> FieldReader:
 
 
 def minute_columns(
-    data: bytes,
+    rest: list[bytes],
     start: int,
     header: Sequence[str],
     fields: Sequence[tuple[FieldReader, type]],
@@ -619,34 +623,40 @@ def minute_columns(
     """The columnar reader of a per-minute CSV whose fields start with user,
     date and minute (``minute_rows`` is its per-row reader).
 
-    Reads ``data[start:]`` when its rows are canonical: ``len(header)``
-    unquoted fields per row, every user-day on 1440 consecutive rows with
-    minutes 0..1439 in order, each user-day once, and every field accepted
-    by its reader. ``fields`` holds ``(read, dtype)`` for each column after
-    the minute (see FieldReader). Returns the user-days in file order and
-    each field's column, one row per minute; raises codec.NotCanonical for
-    anything else.
+    Reads the bytes popped from ``rest`` (see ``codec.parse_whole``), from
+    ``start``, when its rows are canonical: ``len(header)`` unquoted fields
+    per row, every user-day on 1440 consecutive rows with minutes 0..1439
+    in order, written as ``str(minute)``, each user-day once, and every
+    field accepted by its reader. ``fields`` holds ``(read, dtype)`` for
+    each column after the minute (see FieldReader). Returns the user-days in
+    file order and each field's column, one row per minute; raises
+    codec.NotCanonical for anything else.
     """
+    data = rest.pop()
     n = data.count(b"\n", start)
     if n % MINUTES_PER_DAY:
         raise codec.NotCanonical
     columns = [np.empty(n, dtype) for _, dtype in fields]
     heads: list[bytes] = []
-    previous = None
+    previous = b""
     r = 0
     for block, ends in codec.split_lines(data, start, len(header)):
         rows = slice(r, r + len(ends))
-        texts, _, inv = codec.distinct(block, *codec.field_bounds(ends, 2))
-        minute = codec.convert(texts, int, np.int64)[inv]
-        if (minute != np.arange(rows.start, rows.stop) % MINUTES_PER_DAY).any():
+        minute = np.arange(rows.start, rows.stop) % MINUTES_PER_DAY
+        expected = _MINUTES, _MINUTE_AT[minute], _MINUTE_AT[minute + 1]
+        if not codec.equal_texts(block, *codec.field_bounds(ends, 2), *expected):
             raise codec.NotCanonical
-        # "user,date" of each row: a new user-day starts exactly at minute 0
-        line_start = codec.field_bounds(ends, 0)[0]
-        texts, _, inv = codec.distinct(block, line_start, ends[:, 1])
-        if (np.diff(inv) != 0)[minute[1:] != 0].any() or (minute[0] and texts[inv[0]] != previous):
+        # "user,date" of each row: that of its user-day's minute-0 row, or of
+        # the previous block's last row for a user-day that began there
+        head_start, head_end = codec.field_bounds(ends, 0)[0], ends[:, 1]
+        day_start = np.maximum(np.arange(len(ends)) - minute, 0)
+        if not codec.equal_texts(
+            block, head_start, head_end, block, head_start[day_start], head_end[day_start]
+        ) or (minute[0] and block[head_start[0] : head_end[0]].tobytes() != previous):
             raise codec.NotCanonical
-        previous = texts[inv[-1]]
-        heads += (texts[k] for k in inv[minute == 0].tolist())
+        previous = block[head_start[-1] : head_end[-1]].tobytes()
+        for a, b in zip(head_start[minute == 0].tolist(), head_end[minute == 0].tolist()):
+            heads.append(block[a:b].tobytes())
         for field, ((read, dtype), column) in enumerate(zip(fields, columns), 3):
             texts, first, inv = codec.distinct(block, *codec.field_bounds(ends, field))
             column[rows] = read(texts, first, dtype)[inv]

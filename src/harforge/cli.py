@@ -19,6 +19,7 @@ import contextlib
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from collections.abc import Callable
@@ -375,10 +376,26 @@ def stage_outputs(stage: str, cfg: PipelineConfig, lay: Layout) -> list[str]:
     return _expand(STAGE_TABLE[stage].writes, cfg, lay)
 
 
+#: Characters of a text encoded at a time when it is written.
+WRITE_CHARS = 1 << 20
+
+
 def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, a chunk of WRITE_CHARS characters
+    encoded at a time. The text goes to a temporary file in the same
+    directory that then replaces ``path``, so a write that fails leaves the
+    old file whole and no temporary file behind."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for lo in range(0, len(text), WRITE_CHARS):
+                fh.write(text[lo : lo + WRITE_CHARS].encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_text(path: str) -> str:
@@ -791,6 +808,15 @@ def _write_report(lay: Layout, stage: str, payload: dict) -> None:
     )
 
 
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MB (``ru_maxrss``).
+    It is a maximum over the process's lifetime: when one process runs
+    several stages (``harforge pipeline``), a stage's value is the largest
+    of its own peak and every earlier stage's."""
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+
+
 def run_stage(stage: str, cfg: PipelineConfig, out_dir: str, *, force: bool = False) -> int:
     lay = Layout(out_dir)
     missing = [p for p in stage_inputs(stage, cfg, lay) if not os.path.exists(p)]
@@ -811,6 +837,7 @@ def run_stage(stage: str, cfg: PipelineConfig, out_dir: str, *, force: bool = Fa
                     "stage": stage,
                     "counts": stored.get("counts", {}),
                     "duration_s": 0.0,
+                    "peak_rss_mb": peak_rss_mb(),
                     "config_hash": cfg_hash,
                     "no_op": True,
                 },
@@ -837,6 +864,7 @@ def run_stage(stage: str, cfg: PipelineConfig, out_dir: str, *, force: bool = Fa
             "stage": stage,
             "counts": counts,
             "duration_s": round(duration, 3),
+            "peak_rss_mb": peak_rss_mb(),
             "config_hash": cfg_hash,
             "no_op": False,
         },

@@ -208,11 +208,13 @@ def _canonical_bpm(text: bytes) -> float:
     return value
 
 
-def _parse_hr_columns(data: bytes, start: int) -> HrStream:
-    """The HR rows of ``data[start:]`` when every row is canonical:
-    ``user,YYYY-MM-DDTHH:MM:SSZ,bpm`` with a non-empty user id without
-    spaces, a valid date and time, and a positive bpm of digits with an
-    optional fraction. Raises codec.NotCanonical otherwise."""
+def _parse_hr_columns(rest: list[bytes], start: int) -> HrStream:
+    """The HR rows of the bytes popped from ``rest``, from ``start``, when
+    every row is canonical: ``user,YYYY-MM-DDTHH:MM:SSZ,bpm`` with a
+    non-empty user id without spaces, a valid date and time, and a positive
+    bpm of digits with an optional fraction. Raises codec.NotCanonical
+    otherwise."""
+    data = rest.pop()
     n = data.count(b"\n", start)
     code_of: dict[str, int] = {}
     day_of: dict[int, int] = {}
@@ -220,6 +222,7 @@ def _parse_hr_columns(data: bytes, start: int) -> HrStream:
     second = np.empty(n, np.int64)
     bpm = np.empty(n, np.float64)
     r = 0
+    block = ends = None  # views of ``data`` once bound
     for block, ends in codec.split_lines(data, start, len(HR_HEADER), _HR_FORBIDDEN):
         rows = slice(r, r + len(ends))
         r += len(ends)
@@ -230,6 +233,7 @@ def _parse_hr_columns(data: bytes, start: int) -> HrStream:
         second[rows] = _canonical_seconds(block, *codec.field_bounds(ends, 1), day_of)
         texts, _, inv = codec.distinct(block, *codec.field_bounds(ends, 2))
         bpm[rows] = codec.convert(texts, _canonical_bpm, np.float64)[inv]
+    del data, block, ends  # the columns are all that is left of the file
     return _hr_stream(code_of, user, second, bpm)
 
 
@@ -278,16 +282,33 @@ def _hr_stream(
     code_of: dict[str, int], codes: np.ndarray, second: np.ndarray, bpm: np.ndarray
 ) -> HrStream:
     """Rows with ``codes`` into ``code_of`` (in any order), sorted by user
-    name and second, with one row per key."""
-    # renumber the codes in user order
+    name and second, with one row per key. The three columns are renumbered
+    and sorted in place, so the caller must not use them afterwards."""
     users = sorted(code_of)
-    rank = {name: r for r, name in enumerate(users)}
-    user = np.array([rank[name] for name in code_of], np.int64)[codes]
-    order = np.lexsort((bpm, second, user))
-    user, second, bpm = user[order], second[order], bpm[order]
+    user = codes
+    if users != list(code_of):  # codes are in order of first appearance
+        rank = {name: r for r, name in enumerate(users)}
+        user[:] = np.array([rank[name] for name in code_of], np.int64)[user]
+    same_user = user[1:] == user[:-1]
+    same_key = same_user & (second[1:] == second[:-1])
+    later = (
+        (user[1:] > user[:-1])
+        | (same_user & (second[1:] > second[:-1]))
+        | (same_key & (bpm[1:] >= bpm[:-1]))
+    )
+    # rows already in key order skip the sort: lexsort is stable, so it
+    # would leave them in place; a NaN bpm compares false and is sorted
+    if not later.all():
+        order = np.lexsort((bpm, second, user))
+        for column in (user, second, bpm):
+            column[:] = column[order]
+        del order
+        same_key = (user[1:] == user[:-1]) & (second[1:] == second[:-1])
+    if not same_key.any():
+        return HrStream(tuple(users), user, second, bpm)
     # duplicate key: keep the first of the sorted group, the lowest value
     first = np.ones(len(user), bool)
-    first[1:] = (user[1:] != user[:-1]) | (second[1:] != second[:-1])
+    first[1:] = ~same_key
     return HrStream(tuple(users), user[first], second[first], bpm[first])
 
 
@@ -426,14 +447,14 @@ def serialize_hr_columns(
     fields, each value formatted once (``format_epoch_second`` and
     ``format_number`` forms)."""
     days = np.unique(second // SECONDS_PER_DAY)
-    values = np.unique(codec.float_keys(bpm))
+    values, value_code = codec.value_codes(codec.float_keys(bpm))
     tables = (
         [field + "," for field in codec.csv_fields(users)],
         [date.fromordinal(EPOCH_ORDINAL + d).isoformat() + "T" for d in days.tolist()],
         [f"{h:02d}:" for h in range(24)],
         [f"{m:02d}:" for m in range(60)],
         [f"{s:02d}Z," for s in range(60)],
-        [text + "\n" for text in codec.number_texts(values)],
+        codec.number_texts(values, "\n"),
     )
 
     def blocks():
@@ -446,10 +467,10 @@ def serialize_hr_columns(
                 np.searchsorted(days, day),
                 hour,
                 *np.divmod(rem, 60),
-                np.searchsorted(values, codec.float_keys(bpm[rows])),
+                value_code[rows],
             )
 
-    return _csv_text(HR_HEADER, ()) + codec.join_rows(tables, blocks())
+    return codec.join_rows(",".join(HR_HEADER) + "\n", tables, blocks)
 
 
 def serialize_activity_blocks(blocks: Sequence[RawActivityBlock]) -> str:

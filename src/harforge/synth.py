@@ -207,13 +207,21 @@ class Cohort:
         keys = sorted(self.truth)
         days = [self.truth[key] for key in keys]
         per_block = max(codec.BLOCK_ROWS // MINUTES_PER_DAY, 1)
-        steps = np.unique(np.concatenate([np.empty(0, np.int64), *(t.steps for t in days)]))
+        steps, steps_code = codec.value_codes(
+            np.concatenate([np.empty(0, np.int64), *(t.steps for t in days)])
+        )
         # floats by bit pattern, so -0.0 keeps its own text
-        distance = np.unique(
+        distance, distance_code = codec.value_codes(
             codec.float_keys(np.concatenate([np.empty(0), *(t.distance_m for t in days)]))
         )
+        sleep = np.concatenate([np.empty(0, bool), *(t.sleep for t in days)]).astype(bool)
         labels = ["", *sorted(set().union(*(t.activity for t in days)) - {None, ""})]
         code_of = {label: k for k, label in enumerate(labels)} | {None: 0}
+        activity = np.fromiter(
+            map(code_of.__getitem__, chain.from_iterable(t.activity for t in days)),
+            np.min_scalar_type(len(labels)),
+            len(sleep),
+        )
         tables = (
             [f"{user},{day.isoformat()}," for user, day in keys],
             [f"{minute}," for minute in range(MINUTES_PER_DAY)],
@@ -225,21 +233,18 @@ class Cohort:
 
         def blocks():
             for lo in range(0, len(days), per_block):
-                block = days[lo : lo + per_block]
-                n = len(block) * MINUTES_PER_DAY
-                activity = chain.from_iterable(t.activity for t in block)
+                n = len(days[lo : lo + per_block])
+                minutes = slice(lo * MINUTES_PER_DAY, (lo + n) * MINUTES_PER_DAY)
                 yield (
-                    np.repeat(np.arange(lo, lo + len(block)), MINUTES_PER_DAY),
-                    np.tile(np.arange(MINUTES_PER_DAY), len(block)),
-                    np.concatenate([t.sleep for t in block]).astype(bool).view(np.int8),
-                    np.fromiter(map(code_of.__getitem__, activity), np.int64, n),
-                    np.searchsorted(steps, np.concatenate([t.steps for t in block])),
-                    np.searchsorted(
-                        distance, codec.float_keys(np.concatenate([t.distance_m for t in block]))
-                    ),
+                    np.repeat(np.arange(lo, lo + n), MINUTES_PER_DAY),
+                    np.tile(np.arange(MINUTES_PER_DAY), n),
+                    sleep[minutes].view(np.int8),
+                    activity[minutes],
+                    steps_code[minutes],
+                    distance_code[minutes],
                 )
 
-        return ",".join(TRUTH_HEADER) + "\n" + codec.join_rows(tables, blocks())
+        return codec.join_rows(",".join(TRUTH_HEADER) + "\n", tables, blocks)
 
 
 def round2(values: np.ndarray) -> np.ndarray:
@@ -478,12 +483,13 @@ _TRUTH_SLEEP = {"sleep": True, "awake": False}
 _TRUTH_FIELDS = {3: _TRUTH_SLEEP.__getitem__, 5: int, 6: float}
 
 
-def _read_truth_columns(data: bytes, start: int) -> GroundTruth:
-    """The truth in ``data[start:]`` when its rows are canonical (see
-    ``align.minute_columns``); raises codec.NotCanonical otherwise."""
+def _read_truth_columns(rest: list[bytes], start: int) -> GroundTruth:
+    """The truth in the bytes popped from ``rest``, from ``start``, when its
+    rows are canonical (see ``align.minute_columns``); raises
+    codec.NotCanonical otherwise."""
     label_code: dict[str, int] = {}
     keys, columns = minute_columns(
-        data,
+        rest,
         start,
         TRUTH_HEADER,
         (

@@ -302,6 +302,35 @@ class TestCacheContract:
         assert {s: rel(stage_outputs(s, cfg, lay)) for s in STAGE_ORDER} == PINNED_OUTPUTS
 
 
+class TestWriteText:
+    def test_long_text_with_a_character_across_the_chunk_boundary(self, tmp_path):
+        text = "a" * (cli.WRITE_CHARS - 1) + "ü€😀" + "b" * 1000 + "\n"
+        path = tmp_path / "out" / "text.csv"
+        cli._write_text(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert os.listdir(path.parent) == ["text.csv"]
+
+    @pytest.mark.parametrize("failure", ["replace", "encode"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "text.csv"
+        path.write_bytes(b"old\n")
+        text = "new\n" * (cli.WRITE_CHARS // 4)
+        if failure == "replace":
+
+            def fail(src, dst):
+                raise OSError("disk gone")
+
+            monkeypatch.setattr(cli.os, "replace", fail)
+            error = OSError
+        else:  # a lone surrogate in the second chunk cannot be encoded
+            text += "\ud800"
+            error = UnicodeEncodeError
+        with pytest.raises(error):
+            cli._write_text(str(path), text)
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["text.csv"]
+
+
 class TestArgumentHandling:
     def test_seed_override_touches_all_stage_seeds(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -402,11 +431,15 @@ class TestPipelineEndToEnd:
     def test_reports_carry_counts_and_hashes(self, pipeline_tree):
         cfg_path, out = pipeline_tree
         cfg = PipelineConfig(parse_config_text(cfg_path.read_text()))
+        peaks = []
         for stage in STAGE_ORDER:
             report = read_report(out, stage)
             assert report["stage"] == stage
             assert report["no_op"] is False
             assert report["config_hash"] == stage_config_hash(stage, cfg)
+            peaks.append(report["peak_rss_mb"])
+        # one process ran every stage, and ru_maxrss is its lifetime maximum
+        assert 0 < peaks[0] and peaks == sorted(peaks)
         assert read_report(out, "synth")["counts"]["users"] == 7
         eval_counts = read_report(out, "eval")["counts"]
         assert set(eval_counts) == {"w15_temporal", "w15_user"}
@@ -436,6 +469,7 @@ class TestPipelineEndToEnd:
             report = read_report(out, stage)
             assert report["no_op"] is True
             assert report["duration_s"] == 0.0
+            assert report["peak_rss_mb"] > 0
 
     def test_config_drift_blocks_until_forced(self, pipeline_tree, tmp_path, capsys):
         cfg_path, out = pipeline_tree

@@ -9,7 +9,12 @@ definitions.
   per-row csv.writer writes, and ``Cohort.truth_csv`` the text of the
   per-row f-string writer it replaced.
 - Canonical pipeline files take the columnar path: with the per-row parsers
-  patched to raise, they still parse.
+  patched to raise, they still parse; HR files already in key order parse
+  with ``np.lexsort`` patched to raise.
+- Every kind of text stream (files in any newline mode or encoding, with a
+  byte order mark, positioned past the start, StringIO) reads as the
+  per-row parsers read it, and a UTF-8 file is read as bytes, its text
+  never decoded.
 """
 
 import csv
@@ -270,7 +275,9 @@ ALIGNED_PERTURBATIONS = {
 
 TRUTH_PERTURBATIONS = {
     **COMMON_PERTURBATIONS,
-    **{f"minute {m}": set_field(2, 2, m) for m in ("-1", "1440", "x", "0", "2", "01", " 1")},
+    **{f"minute {m}": set_field(2, 2, m) for m in ("-1", "1440", "x", "0", "2", "12", "01", " 1")},
+    "last minute 1438": set_field(MINUTES_PER_DAY, 2, "1438"),
+    "date changes mid-day": set_field(5, 1, "2024-03-05"),
     "partial day": lambda text: "".join(
         line for i, line in enumerate(text.splitlines(keepends=True)) if not 1400 < i <= 1440
     ),
@@ -408,6 +415,107 @@ def _never(*args):
     raise AssertionError("this parser must not run here")
 
 
+READERS = {
+    "hr": (parse_hr_stream, parse_hr_rows),
+    "aligned": (read_aligned_csv, read_aligned_rows),
+    "truth": (read_truth_csv, read_truth_rows),
+}
+
+#: How a stream of a text is made: (file bytes, open keywords, lines read
+#: before parsing); None as the file bytes means an io.StringIO of the text.
+STREAM_KINDS = {
+    "StringIO": (None, {}, 0),
+    "utf-8 file": (lambda text: text.encode(), {"encoding": "utf-8"}, 0),
+    "crlf file": (lambda text: text.replace("\n", "\r\n").encode(), {"encoding": "utf-8"}, 0),
+    "crlf file, newline ''": (
+        lambda text: text.replace("\n", "\r\n").encode(),
+        {"encoding": "utf-8", "newline": ""},
+        0,
+    ),
+    "utf-8 bom": (lambda text: b"\xef\xbb\xbf" + text.encode(), {"encoding": "utf-8"}, 0),
+    "utf-8-sig with bom": (
+        lambda text: b"\xef\xbb\xbf" + text.encode(),
+        {"encoding": "utf-8-sig"},
+        0,
+    ),
+    "non-ascii user": (
+        lambda text: COMMON_PERTURBATIONS["non-ascii user"](text).encode(),
+        {"encoding": "utf-8"},
+        0,
+    ),
+    "latin-1": (lambda text: text.encode("latin-1"), {"encoding": "latin-1"}, 0),
+    "latin-1, non-ascii user": (
+        lambda text: COMMON_PERTURBATIONS["non-ascii user"](text).encode("latin-1"),
+        {"encoding": "latin-1"},
+        0,
+    ),
+    "utf-16": (lambda text: text.encode("utf-16"), {"encoding": "utf-16"}, 0),
+    "after a preamble line": (
+        lambda text: b"preamble\n" + text.encode(),
+        {"encoding": "utf-8"},
+        1,
+    ),
+    "past its header": (lambda text: text.encode(), {"encoding": "utf-8"}, 1),
+    "undecodable utf-8": (lambda text: text.encode() + b"\xff\n", {"encoding": "utf-8"}, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def texts(hr_text, aligned_text, truth_csv_text):
+    return {"hr": hr_text, "aligned": aligned_text, "truth": truth_csv_text}
+
+
+@pytest.mark.parametrize("kind", sorted(STREAM_KINDS))
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_every_stream_reads_as_the_per_row_parser_reads_it(texts, fmt, kind, tmp_path):
+    encode, options, skip = STREAM_KINDS[kind]
+    path = tmp_path / "data.csv"
+    if encode is not None:
+        path.write_bytes(encode(texts[fmt]))
+
+    def parse(parser):
+        if encode is None:
+            return parser(io.StringIO(texts[fmt]))
+        with open(path, **options) as fh:
+            for _ in range(skip):
+                fh.readline()
+            return parser(fh)
+
+    columnar, per_row = READERS[fmt]
+    assert outcome(lambda: parse(columnar)) == outcome(lambda: parse(per_row))
+
+
+def test_head_change_at_a_block_boundary_is_read_row_by_row(truth_csv_text, monkeypatch):
+    """A user-day whose "user,date" changes exactly where a block of lines
+    starts is caught by comparing the block's first head with the previous
+    block's last one."""
+    monkeypatch.setattr(codec, "BLOCK_BYTES", 4096)
+    data = truth_csv_text.encode()
+    start = data.index(b"\n") + 1
+    first_block = next(codec.split_lines(data, start, len(TRUTH_HEADER)))[1]
+    assert 0 < len(first_block) < MINUTES_PER_DAY
+    lines = truth_csv_text.splitlines(keepends=True)
+    for i in range(1 + len(first_block), 1 + MINUTES_PER_DAY):
+        lines[i] = lines[i].replace("2024-03-04", "2024-03-06", 1)
+    text = "".join(lines)
+    assert outcome(read_truth_csv, text) == outcome(read_truth_rows, text)
+
+
+class _UnreadableText(io.TextIOWrapper):
+    def read(self, size=-1):
+        raise AssertionError("the columnar path must not decode a UTF-8 file")
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_utf8_file_is_read_as_bytes(texts, fmt, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(texts[fmt].encode())
+    columnar, per_row = READERS[fmt]
+    with open(path, "rb") as raw:
+        got = outcome(lambda: columnar(_UnreadableText(raw, encoding="utf-8")))
+    assert got == outcome(per_row, texts[fmt])
+
+
 def test_canonical_pipeline_files_take_the_columnar_path(tmp_path, monkeypatch):
     run_golden_cohort("day", str(tmp_path))
     out = os.path.join(tmp_path, "day")
@@ -427,3 +535,18 @@ def test_canonical_pipeline_files_take_the_columnar_path(tmp_path, monkeypatch):
     for rel, (parse, _) in paths.items():
         with open(os.path.join(out, rel), encoding="utf-8") as fh:
             assert outcome(lambda: parse(fh)) == expected[rel], rel
+
+
+def test_hr_files_in_key_order_skip_the_sort(tmp_path, monkeypatch):
+    """synth writes raw/hr.csv and ingest canonical/hr.csv in (user,
+    second, bpm) order, so neither parse sorts."""
+    run_golden_cohort("day", str(tmp_path))
+    out = os.path.join(tmp_path, "day")
+    expected = {}
+    for rel in ("raw/hr.csv", "canonical/hr.csv"):
+        with open(os.path.join(out, rel), encoding="utf-8") as fh:
+            expected[rel] = outcome(lambda: parse_hr_rows(fh))
+    monkeypatch.setattr(np, "lexsort", _never)
+    for rel in expected:
+        with open(os.path.join(out, rel), encoding="utf-8") as fh:
+            assert outcome(lambda: parse_hr_stream(fh)) == expected[rel], rel

@@ -2,13 +2,15 @@
 
 import calendar
 import csv
+import io
 import random
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
-from harforge.core import SleepState, epoch_second
+from harforge import ingest
+from harforge.core import SleepState, epoch_second, format_number
 from harforge.ingest import (
     RawActivityBlock,
     RawSleepSegment,
@@ -217,6 +219,40 @@ class TestHrStream:
         assert hr.bpm.tolist() == [bpm for _, _, bpm in want]
         rng.shuffle(body)
         assert_streams_equal(parse_hr_stream(lines(HR_OK, *body)), hr)
+
+    @pytest.mark.parametrize(
+        "case", ["in order", "shuffled", "by time", "lower bpm later", "u10 before u2"]
+    )
+    def test_canonical_text_in_any_order_matches_reference(self, case, monkeypatch):
+        """Canonical text takes the columnar path whatever its row order; it
+        skips the sort only when the rows are already in key order."""
+        rng = random.Random(case)
+        keys = {(rng.choice(["u2", "u10", "u1"]), rng.randrange(0, 3 * 86400)) for _ in range(300)}
+        rows = sorted((u, sec, round(rng.uniform(40, 180), 2)) for u, sec in keys)
+        if case == "shuffled":
+            rng.shuffle(rows)
+        elif case == "lower bpm later":
+            repeats = rng.sample(range(len(rows)), 40)
+            for i in sorted(repeats, reverse=True):
+                u, sec, bpm = rows[i]
+                rows.insert(i + 1, (u, sec, bpm - 5.5))
+        elif case == "by time":  # every user's rows in order, the users interleaved
+            rows.sort(key=lambda row: row[1])
+        elif case == "u10 before u2":
+            rows.sort(key=lambda row: (["u2", "u10", "u1"].index(row[0]), row[1]))
+        text_lines = lines(
+            HR_OK,
+            *(f"{u},{format_epoch_second(sec, {})},{format_number(bpm)}" for u, sec, bpm in rows),
+        )
+        monkeypatch.setattr(ingest, "parse_hr_rows", None)  # the columnar path only
+        if case == "in order":
+            monkeypatch.setattr(np, "lexsort", None)
+        hr = parse_hr_stream(io.StringIO("".join(text_lines)))
+        want = reference_hr_parse(text_lines)
+        assert hr.users == ("u1", "u10", "u2")
+        assert [hr.users[c] for c in hr.user.tolist()] == [user for user, _, _ in want]
+        assert hr.second.tolist() == [calendar.timegm(ts.timetuple()) for _, ts, _ in want]
+        assert hr.bpm.tolist() == [bpm for _, _, bpm in want]
 
     def test_header_only_stream_is_empty(self):
         hr = parse_hr_stream(lines(HR_OK))
