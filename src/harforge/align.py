@@ -24,6 +24,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
@@ -375,96 +376,269 @@ def align_cohort(
     return AlignedData(days=grid, profiles=profiles)
 
 
+class NotFinite(ValueError):
+    """A field that must hold a finite number holds inf or NaN."""
+
+
+def field_error(
+    kind: str,
+    header: Sequence[str],
+    line: int,
+    row: Sequence[str],
+    converters: Mapping[int, Callable[[str], object]],
+) -> ValueError:
+    """The error for a row of a ``kind`` CSV whose fields did not all
+    convert: it names the row and the first field, by its ``header`` name,
+    that its converter in ``converters`` (column -> converter) rejects. A
+    row whose converters reject nothing but a non-finite number gets
+    NotFinite's message."""
+    problem = None
+    for column, convert in converters.items():
+        try:
+            convert(row[column])
+        except NotFinite as err:
+            problem = problem or str(err)
+        except (ValueError, KeyError):
+            problem = f"bad {header[column]} {row[column]!r}"
+            break
+    return ValueError(f"{kind} CSV row {line}: {problem}")
+
+
+#: A ``minute_columns`` field reader: ``read(texts, first, dtype)`` is the
+#: array of ``dtype`` values of the distinct texts of one field in a block
+#: (sorted), given the line where each text first appears. It raises
+#: codec.NotCanonical for a text the per-row reader rejects.
+FieldReader = Callable[[list[bytes], np.ndarray, type], np.ndarray]
+
+
+@dataclass(frozen=True)
+class MinuteField:
+    """One field of a per-minute CSV after the minute, and the DayGrid
+    column it fills.
+
+    - ``parse(text, labels)``: the per-row converter, which defines the
+      field; a ValueError or KeyError rejects the text (see field_error)
+    - ``read(texts, first, dtype, labels)``: the columnar FieldReader
+    - ``encode(days, suffix)``: the writer's table of texts, each followed
+      by ``suffix``, and each minute's code into it, flattened
+
+    ``labels`` numbers the labels a reader meets in order of first
+    appearance; only the label field (``LABEL_FIELD``) uses it.
+    """
+
+    column: str
+    parse: Callable[[str, dict[str, int]], object]
+    read: Callable[[list[bytes], np.ndarray, type, dict[str, int]], np.ndarray]
+    encode: Callable[[DayGrid, str], tuple[Iterable[str], np.ndarray]]
+
+
+def value_field(
+    column: str,
+    convert: Callable[[str], object],
+    read: FieldReader,
+    table: Callable[[np.ndarray, str], Iterable[str]],
+) -> MinuteField:
+    """The field of a value column: ``convert`` of each row's text, ``read``
+    of each block's distinct texts, written through ``table(values,
+    suffix)``, the texts of the column's sorted distinct values (float64
+    columns as bit patterns, see codec.float_keys, so -0.0 keeps its own
+    text)."""
+    key = codec.float_keys if _COLUMNS[column][0] is np.float64 else np.asarray
+
+    def encode(days: DayGrid, suffix: str) -> tuple[Iterable[str], np.ndarray]:
+        values, codes = codec.value_codes(key(getattr(days, column)))
+        return table(values, suffix), codes
+
+    return MinuteField(
+        column,
+        lambda text, labels: convert(text),
+        lambda texts, first, dtype, labels: read(texts, first, dtype),
+        encode,
+    )
+
+
+def each_text(convert: Callable[[bytes], object]) -> FieldReader:
+    """The field reader that applies the per-row ``convert`` to each text."""
+    return lambda texts, first, dtype: codec.convert(texts, convert, dtype)
+
+
+def finite_floats(texts: list[bytes], first: np.ndarray, dtype: type) -> np.ndarray:
+    """The field reader of finite floats."""
+    values = codec.convert(texts, float, dtype)
+    if not np.isfinite(values).all():
+        raise codec.NotCanonical
+    return values
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise NotFinite("pulse and distance must be finite")
+    return value
+
+
+def _pulse(text: str) -> float:
+    return _finite(text) if text != "" else math.nan
+
+
+def _pulses(texts: list[bytes], first: np.ndarray, dtype: type) -> np.ndarray:
+    """Finite floats, and NaN (no reading) for the empty text, which sorts first."""
+    empty = texts[0] == b""
+    values = finite_floats(texts[empty:], first, dtype)
+    return np.concatenate(([np.nan], values)) if empty else values
+
+
+_STATES = list(SleepState)
+
+
+def state_field(code_of: Mapping[str, int]) -> MinuteField:
+    """The sleep-state field whose texts are the keys of ``code_of`` (state
+    value -> SLEEP_CODE); any other text is rejected."""
+    return value_field(
+        "sleep",
+        code_of.__getitem__,
+        each_text(lambda text: code_of[text.decode()]),
+        lambda codes, suffix: [_STATES[code].value + suffix for code in codes.tolist()],
+    )
+
+
+def _label_code(text: str, labels: dict[str, int]) -> int:
+    return labels.setdefault(text, len(labels)) if text else -1
+
+
+def _label_codes(
+    texts: list[bytes], first: np.ndarray, dtype: type, labels: dict[str, int]
+) -> np.ndarray:
+    for k in np.argsort(first).tolist():
+        if texts[k]:
+            labels.setdefault(texts[k].decode(), len(labels))
+    return codec.convert(texts, lambda text: labels[text.decode()] if text else -1, dtype)
+
+
+def _label_texts(days: DayGrid, suffix: str) -> tuple[list[str], np.ndarray]:
+    texts = ["", *codec.csv_fields(days.labels)]
+    return [text + suffix for text in texts], days.schedule.reshape(-1) + 1
+
+
+#: The steps column as integers.
+STEPS_FIELD = value_field(
+    "steps",
+    int,
+    each_text(int),
+    lambda values, suffix: [f"{value}{suffix}" for value in values.tolist()],
+)
+
+#: The schedule column as a label per minute, empty where there is none;
+#: labels get codes in order of first appearance.
+LABEL_FIELD = MinuteField("schedule", _label_code, _label_codes, _label_texts)
+
+
+@dataclass(frozen=True)
+class MinuteFormat:
+    """A per-minute CSV of a DayGrid: one row per minute of each user-day.
+
+    ``header`` starts with user, date and minute; ``fields`` holds one
+    MinuteField per column after the minute, and a DayGrid column that no
+    field fills reads as its empty value. ``kind`` names the file in error
+    messages. ``write``, ``read`` and ``read_rows`` serve every format.
+    """
+
+    kind: str
+    header: tuple[str, ...]
+    fields: tuple[MinuteField, ...]
+
+    def write(self, days: DayGrid) -> str:
+        """The canonical CSV text of ``days``, in row order: each distinct
+        value formatted once, and users and labels quoted as csv.writer
+        quotes them."""
+        per_block = max(codec.BLOCK_ROWS // MINUTES_PER_DAY, 1)
+        users = codec.csv_fields(user for user, _ in days.keys)
+        last = len(self.fields) - 1
+        encoded = [f.encode(days, "\n" if k == last else ",") for k, f in enumerate(self.fields)]
+        tables = [
+            [f"{user},{day.isoformat()}," for user, (_, day) in zip(users, days.keys)],
+            [f"{minute}," for minute in range(MINUTES_PER_DAY)],
+            *(texts for texts, _ in encoded),
+        ]
+
+        def blocks():
+            for lo in range(0, len(days), per_block):
+                n = len(days.keys[lo : lo + per_block])
+                minutes = slice(lo * MINUTES_PER_DAY, (lo + n) * MINUTES_PER_DAY)
+                yield (
+                    np.repeat(np.arange(lo, lo + n), MINUTES_PER_DAY),
+                    np.tile(np.arange(MINUTES_PER_DAY), n),
+                    *(codes[minutes] for _, codes in encoded),
+                )
+
+        return codec.join_rows(",".join(self.header) + "\n", tables, blocks)
+
+    def read(self, stream: Iterable[str] | IO[str]) -> DayGrid:
+        """Parse the text back into a grid.
+
+        Each user-day must list its minutes 0..1439 once each, in order, on
+        consecutive rows, and every field must convert; any other row is a
+        ValueError naming it. The grid's labels are exactly those that occur
+        in the text. A seekable text stream in the canonical form is parsed
+        as columns; anything else, and any error, goes through ``read_rows``.
+        """
+        return codec.parse_whole(stream, self.header, self._read_columns, self.read_rows)
+
+    def read_rows(self, stream: Iterable[str] | IO[str]) -> DayGrid:
+        """The per-row reader: every form the csv module reads and every
+        error message with its row number."""
+        keys: list[tuple[str, date]] = []
+        labels: dict[str, int] = {}
+        converters = {c: partial(f.parse, labels=labels) for c, f in enumerate(self.fields, 3)}
+        columns = [array(np.dtype(_COLUMNS[field.column][0]).char) for field in self.fields]
+        for line, row, day in minute_rows(stream, self.header, self.kind):
+            if day is not None:
+                keys.append((row[0], day))
+            try:
+                values = [convert(text) for convert, text in zip(converters.values(), row[3:])]
+            except (ValueError, KeyError):
+                raise field_error(self.kind, self.header, line, row, converters) from None
+            for column, value in zip(columns, values):
+                column.append(value)
+        columns = [np.frombuffer(values, values.typecode) for values in columns]
+        return _sorted_grid(keys, labels, dict(zip((f.column for f in self.fields), columns)))
+
+    def _read_columns(self, rest: list[bytes], start: int) -> DayGrid:
+        """The grid in the bytes popped from ``rest``, from ``start``, when
+        its rows are canonical (see ``minute_columns``); raises
+        codec.NotCanonical otherwise."""
+        labels: dict[str, int] = {}
+        readers = [(partial(f.read, labels=labels), _COLUMNS[f.column][0]) for f in self.fields]
+        keys, columns = minute_columns(rest, start, self.header, readers)
+        return _sorted_grid(keys, labels, dict(zip((f.column for f in self.fields), columns)))
+
+
+#: ``aligned.csv`` and ``imputed.csv``: a pulse (empty for no reading) and a
+#: distance must be finite.
+ALIGNED_FORMAT = MinuteFormat(
+    "aligned",
+    ALIGNED_HEADER,
+    (
+        value_field("pulse", _pulse, _pulses, partial(codec.number_texts, nan_text="")),
+        STEPS_FIELD,
+        value_field("distance_m", _finite, finite_floats, codec.number_texts),
+        state_field({state.value: code for state, code in SLEEP_CODE.items()}),
+        LABEL_FIELD,
+    ),
+)
+
+
 def write_aligned_csv(days: DayGrid) -> str:
     """Serialize aligned (or imputed) days to canonical CSV text: one row per
     minute, each distinct value formatted once (``format_number``; a
     missing pulse is an empty field)."""
-    per_block = max(codec.BLOCK_ROWS // MINUTES_PER_DAY, 1)
-    # floats by bit pattern, so -0.0 keeps its own text
-    keys = {
-        "pulse": codec.float_keys,
-        "steps": np.asarray,
-        "distance_m": codec.float_keys,
-    }
-    values, codes = {}, {}
-    for name, key in keys.items():
-        values[name], codes[name] = codec.value_codes(key(getattr(days, name)))
-    users = codec.csv_fields(user for user, _ in days.keys)
-
-    def tables():
-        yield [f"{user},{day.isoformat()}," for user, (_, day) in zip(users, days.keys)]
-        yield [f"{minute}," for minute in range(MINUTES_PER_DAY)]
-        yield codec.number_texts(values["pulse"], ",", nan_text="")
-        yield [f"{steps}," for steps in values["steps"].tolist()]
-        yield codec.number_texts(values["distance_m"], ",")
-        yield [f"{state.value}," for state in SleepState]
-        yield [label + "\n" for label in ["", *codec.csv_fields(days.labels)]]
-
-    def blocks():
-        for lo in range(0, len(days), per_block):
-            rows = slice(lo, lo + per_block)
-            n = len(days.keys[rows])
-            minutes = slice(lo * MINUTES_PER_DAY, (lo + n) * MINUTES_PER_DAY)
-            yield (
-                np.repeat(np.arange(lo, lo + n), MINUTES_PER_DAY),
-                np.tile(np.arange(MINUTES_PER_DAY), n),
-                *(codes[name][minutes] for name in keys),
-                days.sleep[rows].ravel(),
-                days.schedule[rows].ravel() + 1,
-            )
-
-    return codec.join_rows(",".join(ALIGNED_HEADER) + "\n", tables(), blocks)
+    return ALIGNED_FORMAT.write(days)
 
 
 def read_aligned_csv(stream: Iterable[str] | IO[str]) -> DayGrid:
-    """Parse aligned CSV text back into a grid.
-
-    Each user-day must list its minutes 0..1439 once each, in order, on
-    consecutive rows; a missing, duplicate or out-of-range minute, or a
-    non-finite pulse or distance, is a ValueError naming the row. The
-    grid's labels are exactly the schedule labels that occur in the text.
-    A seekable text stream in the canonical form is parsed as columns;
-    anything else, and any error, goes through ``read_aligned_rows``.
-    """
-    return codec.parse_whole(stream, ALIGNED_HEADER, _read_aligned_columns, read_aligned_rows)
-
-
-def read_aligned_rows(stream: Iterable[str] | IO[str]) -> DayGrid:
-    """The per-row aligned CSV reader: every form the csv module reads and
-    every error message with its row number."""
-    keys: list[tuple[str, date]] = []
-    label_code: dict[str, int] = {}
-    columns = {name: array(np.dtype(dtype).char) for name, (dtype, _) in _COLUMNS.items()}
-    add_pulse, add_steps, add_distance, add_sleep, add_schedule = (
-        values.append for values in columns.values()
-    )
-    for line, row, day in minute_rows(stream, ALIGNED_HEADER, "aligned"):
-        if day is not None:
-            keys.append((row[0], day))
-        try:
-            pulse = _pulse(row[3])
-            steps = int(row[4])
-            distance = float(row[5])
-            state = SleepState(row[6])
-        except ValueError:
-            raise field_error("aligned", ALIGNED_HEADER, line, row, _ALIGNED_FIELDS) from None
-        if not math.isfinite(distance) or not math.isfinite(0.0 if pulse is None else pulse):
-            raise ValueError(f"aligned CSV row {line}: pulse and distance must be finite")
-        add_pulse(math.nan if pulse is None else pulse)
-        add_steps(steps)
-        add_distance(distance)
-        add_sleep(SLEEP_CODE[state])
-        add_schedule(label_code.setdefault(row[7], len(label_code)) if row[7] else -1)
-    arrays = {name: np.frombuffer(values, values.typecode) for name, values in columns.items()}
-    return _sorted_grid(keys, label_code, arrays)
-
-
-def _pulse(text: str) -> float | None:
-    return float(text) if text != "" else None
-
-
-#: Converters of the aligned CSV fields after the minute, by column.
-_ALIGNED_FIELDS = {3: _pulse, 4: int, 5: float, 6: SleepState}
+    """Parse aligned CSV text back into a grid (see ``MinuteFormat.read``);
+    a non-finite pulse or distance is a ValueError naming the row."""
+    return ALIGNED_FORMAT.read(stream)
 
 
 def minute_rows(
@@ -528,90 +702,9 @@ def minute_rows(
         )
 
 
-def field_error(
-    kind: str,
-    header: Sequence[str],
-    line: int,
-    row: Sequence[str],
-    converters: Mapping[int, Callable[[str], object]],
-) -> ValueError:
-    """The error for a row of a ``kind`` CSV whose fields did not all
-    convert: it names the row and the first field, by its ``header`` name,
-    that its converter in ``converters`` (column -> converter) rejects."""
-    for column, convert in converters.items():
-        try:
-            convert(row[column])
-        except (ValueError, KeyError):
-            break
-    return ValueError(f"{kind} CSV row {line}: bad {header[column]} {row[column]!r}")
-
-
-def _sleep_code(text: bytes) -> int:
-    return SLEEP_CODE[SleepState(text.decode())]
-
-
-def _read_aligned_columns(rest: list[bytes], start: int) -> DayGrid:
-    """The grid in the bytes popped from ``rest``, from ``start``, when its
-    rows are canonical (see ``minute_columns``); labels get codes in order
-    of first appearance. Raises codec.NotCanonical otherwise."""
-    label_code: dict[str, int] = {}
-    keys, columns = minute_columns(
-        rest,
-        start,
-        ALIGNED_HEADER,
-        (
-            (_pulses, np.float64),
-            (each_text(int), np.int64),
-            (finite_floats, np.float64),
-            (each_text(_sleep_code), np.int8),
-            (label_codes(label_code), np.int16),
-        ),
-    )
-    return _sorted_grid(keys, label_code, dict(zip(_COLUMNS, columns)))
-
-
 #: The text of every minute of a day, end to end, and where each begins.
 _MINUTES = np.frombuffer("".join(map(str, range(MINUTES_PER_DAY))).encode(), np.uint8)
 _MINUTE_AT = np.cumsum([0, *(len(str(m)) for m in range(MINUTES_PER_DAY))])
-
-#: A ``minute_columns`` field reader: ``read(texts, first, dtype)`` is the
-#: array of ``dtype`` values of the distinct texts of one field in a block
-#: (sorted), given the line where each text first appears. It raises
-#: codec.NotCanonical for a text the per-row reader rejects.
-FieldReader = Callable[[list[bytes], np.ndarray, type], np.ndarray]
-
-
-def each_text(convert: Callable[[bytes], object]) -> FieldReader:
-    """The field reader that applies the per-row ``convert`` to each text."""
-    return lambda texts, first, dtype: codec.convert(texts, convert, dtype)
-
-
-def finite_floats(texts: list[bytes], first: np.ndarray, dtype: type) -> np.ndarray:
-    """The field reader of finite floats."""
-    values = codec.convert(texts, float, dtype)
-    if not np.isfinite(values).all():
-        raise codec.NotCanonical
-    return values
-
-
-def _pulses(texts: list[bytes], first: np.ndarray, dtype: type) -> np.ndarray:
-    """Finite floats, and NaN (no reading) for the empty text, which sorts first."""
-    empty = texts[0] == b""
-    values = finite_floats(texts[empty:], first, dtype)
-    return np.concatenate(([np.nan], values)) if empty else values
-
-
-def label_codes(label_code: dict[str, int]) -> FieldReader:
-    """The field reader that numbers labels in order of first appearance,
-    recording each in ``label_code``; the empty label is -1."""
-
-    def read(texts: list[bytes], first: np.ndarray, dtype: type) -> np.ndarray:
-        for k in np.argsort(first).tolist():
-            if texts[k]:
-                label_code.setdefault(texts[k].decode(), len(label_code))
-        return codec.convert(texts, lambda text: label_code[text.decode()] if text else -1, dtype)
-
-    return read
 
 
 def minute_columns(
@@ -672,16 +765,23 @@ def minute_columns(
 
 
 def _sorted_grid(
-    keys: list[tuple[str, date]], label_code: dict[str, int], columns: dict[str, np.ndarray]
+    keys: list[tuple[str, date]], labels: dict[str, int], columns: dict[str, np.ndarray]
 ) -> DayGrid:
     """The grid of per-minute ``columns`` (``len(keys)`` days, in file order),
-    with its rows sorted by key."""
+    with its rows sorted by key; a column missing from ``columns`` holds its
+    empty value. Columns already in key order are reshaped, not copied."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     shape = (len(keys), MINUTES_PER_DAY)
+    rows = slice(None) if order == list(range(len(keys))) else order
     return DayGrid(
         keys=tuple(keys[r] for r in order),
-        labels=tuple(label_code),
-        **{name: values.reshape(shape)[order] for name, values in columns.items()},
+        labels=tuple(labels),
+        **{
+            name: columns[name].reshape(shape)[rows]
+            if name in columns
+            else np.full(shape, empty, dtype)
+            for name, (dtype, empty) in _COLUMNS.items()
+        },
     )
 
 

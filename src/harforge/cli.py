@@ -35,7 +35,7 @@ from .align import (
     write_aligned_csv,
     write_profiles_csv,
 )
-from .core import ActivityTaxonomy, default_taxonomy, load_taxonomy, save_taxonomy
+from .core import ActivityTaxonomy, default_taxonomy, load_taxonomy, save_taxonomy, write_text
 from .dataset import (
     N_CHANNELS,
     SAMPLING_RATES,
@@ -376,28 +376,6 @@ def stage_outputs(stage: str, cfg: PipelineConfig, lay: Layout) -> list[str]:
     return _expand(STAGE_TABLE[stage].writes, cfg, lay)
 
 
-#: Characters of a text encoded at a time when it is written.
-WRITE_CHARS = 1 << 20
-
-
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, a chunk of WRITE_CHARS characters
-    encoded at a time. The text goes to a temporary file in the same
-    directory that then replaces ``path``, so a write that fails leaves the
-    old file whole and no temporary file behind."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            for lo in range(0, len(text), WRITE_CHARS):
-                fh.write(text[lo : lo + WRITE_CHARS].encode("utf-8"))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -409,7 +387,6 @@ def _count_rows(csv_text: str) -> int:
 
 def _stage_synth(cfg: PipelineConfig, lay: Layout) -> dict:
     cohort = generate_cohort(cfg.cohort_config())
-    os.makedirs(lay.dir("raw"), exist_ok=True)
     write_cohort(cohort, lay.dir("raw"))
     return {
         "users": cfg["cohort.n_users"],
@@ -438,11 +415,10 @@ def _parse_streams(lay: Layout, dirname: str, taxonomy: ActivityTaxonomy) -> tup
 def _stage_ingest(cfg: PipelineConfig, lay: Layout) -> dict:
     taxonomy = cfg.taxonomy()
     hr, blocks, segments, schedule = _parse_streams(lay, "raw", taxonomy)
-    os.makedirs(lay.dir("canonical"), exist_ok=True)
-    _write_text(lay.path("canonical", "hr.csv"), serialize_hr_stream(hr))
-    _write_text(lay.path("canonical", "activity.csv"), serialize_activity_blocks(blocks))
-    _write_text(lay.path("canonical", "sleep.csv"), serialize_sleep_segments(segments))
-    _write_text(lay.path("canonical", "schedule.csv"), serialize_schedule(schedule))
+    write_text(lay.path("canonical", "hr.csv"), serialize_hr_stream(hr))
+    write_text(lay.path("canonical", "activity.csv"), serialize_activity_blocks(blocks))
+    write_text(lay.path("canonical", "sleep.csv"), serialize_sleep_segments(segments))
+    write_text(lay.path("canonical", "schedule.csv"), serialize_schedule(schedule))
     save_taxonomy(taxonomy, lay.path("canonical", "taxonomy.csv"))
     return {
         "hr_samples": len(hr),
@@ -463,8 +439,8 @@ def _stage_align(cfg: PipelineConfig, lay: Layout) -> dict:
         tz_offset_minutes=cfg["align.tz_offset_minutes"],
         profile_scope=cfg["align.profile_scope"],
     )
-    _write_text(lay.path("aligned", "aligned.csv"), write_aligned_csv(aligned.days))
-    _write_text(lay.path("aligned", "profiles.csv"), write_profiles_csv(aligned.profiles))
+    write_text(lay.path("aligned", "aligned.csv"), write_aligned_csv(aligned.days))
+    write_text(lay.path("aligned", "profiles.csv"), write_profiles_csv(aligned.profiles))
     low = sum(1 for p in aligned.profiles.values() if p.low_confidence)
     return {
         "user_days": len(aligned.days),
@@ -479,8 +455,8 @@ def _stage_impute(cfg: PipelineConfig, lay: Layout) -> dict:
     with open(lay.path("aligned", "profiles.csv"), encoding="utf-8") as fh:
         profiles = read_profiles_csv(fh)
     post_days, stats, marks = impute_cohort(pre_days, profiles, cfg.impute_config())
-    _write_text(lay.path("imputed", "imputed.csv"), write_aligned_csv(post_days))
-    _write_text(lay.path("imputed", "impute_stats.csv"), write_stats_report(stats))
+    write_text(lay.path("imputed", "imputed.csv"), write_aligned_csv(post_days))
+    write_text(lay.path("imputed", "impute_stats.csv"), write_stats_report(stats))
     counts: dict = {
         "user_days": len(post_days),
         "rule1_min": sum(s.rule1_min for s in stats),
@@ -498,7 +474,7 @@ def _stage_impute(cfg: PipelineConfig, lay: Layout) -> dict:
             truth = read_truth_csv(fh)
         report = mask_report(truth, pre_days, post_days, marks)
         payload = asdict(report) | {"agreement": report.agreement}
-        _write_text(report_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_text(report_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         counts["masked_minutes"] = report.masked_minutes
         counts["agreement"] = report.agreement
         counts["residual_unknown_fraction"] = report.residual_unknown_fraction
@@ -517,10 +493,9 @@ def _stage_dataset(cfg: PipelineConfig, lay: Layout) -> dict:
             days, profiles, width, taxonomy, cfg["dataset.label_threshold"]
         )
         sampled = stratified_sample(windows, width, cfg["dataset.seed"])
-        os.makedirs(lay.dir("dataset"), exist_ok=True)
         write_window_store(sampled, lay.path("dataset", f"windows_w{width}.jsonl"))
         results = {mode: split_windows(sampled, cfg.split_spec(mode)) for mode in cfg.split_modes}
-        _write_text(
+        write_text(
             lay.path("dataset", f"splits_w{width}.json"),
             split_manifest_text(results),
         )
@@ -595,7 +570,6 @@ def _stage_train(cfg: PipelineConfig, lay: Layout) -> dict:
         best, history = train(
             params, train_data, val_data, cfg.train_config(), cfg.loss_config()
         )
-        os.makedirs(lay.dir("train"), exist_ok=True)
         save_checkpoint(
             best,
             lay.path("train", f"checkpoint_w{width}_{mode}.json"),
@@ -615,11 +589,11 @@ def _stage_train(cfg: PipelineConfig, lay: Layout) -> dict:
                 "gamma": cfg["loss.gamma"],
             },
         )
-        _write_text(
+        write_text(
             lay.path("train", f"history_w{width}_{mode}.json"),
             json.dumps(history, sort_keys=True, indent=2) + "\n",
         )
-        _write_text(
+        write_text(
             lay.path("train", f"normalizer_w{width}_{mode}.json"),
             normalizer_to_json(normalizer) + "\n",
         )
@@ -655,13 +629,12 @@ def _stage_eval(cfg: PipelineConfig, lay: Layout) -> dict:
             width=width,
             split=mode,
         )
-        os.makedirs(lay.dir("eval"), exist_ok=True)
-        _write_text(lay.path("eval", f"report_w{width}_{mode}.json"), report_to_json(report))
-        _write_text(
+        write_text(lay.path("eval", f"report_w{width}_{mode}.json"), report_to_json(report))
+        write_text(
             lay.path("eval", f"confusion_l1_w{width}_{mode}.csv"),
             confusion_to_csv(report.confusion_l1, taxonomy.level1_classes),
         )
-        _write_text(
+        write_text(
             lay.path("eval", f"confusion_l2_w{width}_{mode}.csv"),
             confusion_to_csv(report.confusion_l2, taxonomy.level2_classes),
         )
@@ -679,7 +652,7 @@ def _stage_eval(cfg: PipelineConfig, lay: Layout) -> dict:
             "accuracy_l2": report.accuracy_l2,
             "macro_f1_l2": report.macro_f1_l2,
         }
-    _write_text(lay.path("eval", "trends.csv"), trend_csv(trend_rows))
+    write_text(lay.path("eval", "trends.csv"), trend_csv(trend_rows))
     return counts
 
 
@@ -695,7 +668,6 @@ def _stage_viz(cfg: PipelineConfig, lay: Layout) -> dict:
         profiles = read_profiles_csv(fh)
     users = list(days.user_rows())
     activities = sorted(days.labels)
-    os.makedirs(lay.dir("viz"), exist_ok=True)
     entries: list[tuple[str, str, str]] = []
     skipped_activities = 0
     for activity in activities:
@@ -720,7 +692,7 @@ def _stage_viz(cfg: PipelineConfig, lay: Layout) -> dict:
                 lay.path("viz", filename),
             )
             entries.append((metric_set.user_id, activity, filename))
-    _write_text(lay.path("viz", "index.csv"), radar_index_csv(entries))
+    write_text(lay.path("viz", "index.csv"), radar_index_csv(entries))
     return {
         "charts": len(entries),
         "activities": len(activities) - skipped_activities,
@@ -803,7 +775,7 @@ def _stored_report(path: str) -> dict | None:
 
 
 def _write_report(lay: Layout, stage: str, payload: dict) -> None:
-    _write_text(
+    write_text(
         lay.report_path(stage), json.dumps(payload, sort_keys=True, indent=2) + "\n"
     )
 

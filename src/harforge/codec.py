@@ -1,6 +1,8 @@
 """Columnar byte codecs shared by the two bulk CSV formats: heart rate
 (``hr.csv``) and the per-minute grid (``aligned.csv``, ``imputed.csv``,
-``truth.csv``).
+``truth.csv``). The per-minute files differ only in their fields: each is
+an ``align.MinuteFormat``, whose one writer, columnar reader and per-row
+reader are built on these codecs.
 
 Writing: every field of a row is one entry of a small table of distinct
 texts (each distinct value is formatted once), and the output is built by
@@ -236,9 +238,15 @@ def float_keys(values: np.ndarray) -> np.ndarray:
 def value_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct ``keys`` and the index of each key (flattened)
     into them, in the narrowest unsigned dtype that holds every index: the
-    code column of a writer's table of distinct values."""
-    values, inverse = np.unique(keys, return_inverse=True)
-    return values, inverse.reshape(-1).astype(np.min_scalar_type(max(len(values) - 1, 0)))
+    code column of a writer's table of distinct values. The indices are
+    looked up BLOCK_ROWS keys at a time, so no temporary the size of
+    ``keys`` is made beside the sorted copy ``np.unique`` takes."""
+    keys = keys.reshape(-1)
+    values = np.unique(keys)
+    codes = np.empty(len(keys), np.min_scalar_type(max(len(values) - 1, 0)))
+    for lo in range(0, len(keys), BLOCK_ROWS):
+        codes[lo : lo + BLOCK_ROWS] = np.searchsorted(values, keys[lo : lo + BLOCK_ROWS])
+    return values, codes
 
 
 def number_texts(keys: np.ndarray, suffix: str, nan_text: str | None = None) -> Iterator[str]:

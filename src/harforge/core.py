@@ -12,10 +12,12 @@ calendar day after that shift.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import math
+import os
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
@@ -166,8 +168,7 @@ def load_taxonomy(path) -> ActivityTaxonomy:
 
 
 def save_taxonomy(taxonomy: ActivityTaxonomy, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(taxonomy.to_csv_text())
+    write_text(path, taxonomy.to_csv_text())
 
 
 @dataclass(frozen=True)
@@ -220,3 +221,25 @@ def format_number(x) -> str:
     if math.isnan(v) or math.isinf(v):
         raise ValueError(f"non-finite value {v!r} cannot be serialized")
     return repr(v)
+
+
+#: Characters of a text encoded at a time when it is written.
+WRITE_CHARS = 1 << 20
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, a chunk of WRITE_CHARS characters
+    encoded at a time. The text goes to a temporary file in the same
+    directory that then replaces ``path``, so a write that fails leaves the
+    old file whole and no temporary file behind."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for lo in range(0, len(text), WRITE_CHARS):
+                fh.write(text[lo : lo + WRITE_CHARS].encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

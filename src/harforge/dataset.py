@@ -34,7 +34,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .align import SLEEP_CODE, DayGrid, PersonalHrProfile
-from .core import ActivityTaxonomy, LEVEL1_AWAKE, LEVEL1_SLEEP, MINUTES_PER_DAY, SleepState
+from .core import (
+    ActivityTaxonomy, LEVEL1_AWAKE, LEVEL1_SLEEP, MINUTES_PER_DAY, SleepState, write_text
+)
 
 #: Post-labeling sampling rate of each supported window width (minutes).
 SAMPLING_RATES = {15: 0.15, 30: 0.25, 45: 0.25, 60: 0.40}
@@ -393,8 +395,7 @@ def window_store_text(windows: WindowSet) -> str:
 
 
 def write_window_store(windows: WindowSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(window_store_text(windows))
+    write_text(path, window_store_text(windows))
 
 
 def read_window_store(stream: Iterable[str] | IO[str]) -> WindowSet:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import ActivityTaxonomy
+from ..core import ActivityTaxonomy, write_text
 from ..dataset import WindowSet
 from .losses import LossConfig, hierarchical_focal_loss, hierarchical_focal_loss_grads
 from .network import ModelParams, model_backward, model_forward
@@ -242,9 +242,7 @@ def save_checkpoint(
     }
     # one dumps call takes the C encoder; json.dump streams through the
     # pure-Python one, for the same text
-    text = json.dumps(payload, sort_keys=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
+    write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:

@@ -10,28 +10,35 @@ redistribution can be scored against a known answer. Sleep/awake truth is
 cut into chunks and a configurable fraction of chunks is dropped, which is
 what leaves Unknown minutes for the imputation rules to fill.
 
+The truth is a DayGrid with one row per user-day, in key order: ``sleep``
+holds the true state (sleep or awake), ``schedule`` and ``labels`` the true
+activity, ``steps`` and ``distance_m`` the true movement, and ``pulse`` is
+NaN. ``truth.csv`` is that grid in the per-minute format of ``aligned.csv``
+(``align.MinuteFormat``) with its own fields (``TRUTH_FORMAT``), so both
+share one writer, one columnar reader and one per-row reader.
+
 Everything is driven by per-user seeded generators in a fixed draw order,
 so the same config always produces byte-identical files.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import chain
 from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from . import codec
 from .align import (
+    LABEL_FIELD,
     SLEEP_CODE,
+    STEPS_FIELD,
     DayGrid,
+    MinuteFormat,
     each_text,
-    field_error,
-    label_codes,
-    minute_columns,
-    minute_rows,
+    state_field,
+    value_field,
 )
 from .core import (
     DEFAULT_LEVEL2_LABELS,
@@ -39,6 +46,7 @@ from .core import (
     EPOCH_ORDINAL,
     MINUTES_PER_DAY,
     SleepState,
+    write_text,
 )
 from .ingest import (
     ACTIVITY_HEADER,
@@ -178,19 +186,6 @@ class CohortConfig:
 
 
 @dataclass
-class DayTruth:
-    """Per-minute ground truth for one user-day."""
-
-    sleep: np.ndarray  # bool, True = asleep
-    activity: list[str | None]
-    steps: np.ndarray  # int64
-    distance_m: np.ndarray  # float64
-
-
-GroundTruth = dict[tuple[str, date], DayTruth]
-
-
-@dataclass
 class Cohort:
     """Generator output: the four raw stream files plus the truth."""
 
@@ -198,53 +193,7 @@ class Cohort:
     activity_csv: str
     sleep_csv: str
     schedule_csv: str
-    truth: GroundTruth
-
-    def truth_csv(self) -> str:
-        """The truth as CSV text, one row per minute of each user-day in key
-        order; users and labels are written as they are (generated ones
-        never need quoting), no activity as an empty field."""
-        keys = sorted(self.truth)
-        days = [self.truth[key] for key in keys]
-        per_block = max(codec.BLOCK_ROWS // MINUTES_PER_DAY, 1)
-        steps, steps_code = codec.value_codes(
-            np.concatenate([np.empty(0, np.int64), *(t.steps for t in days)])
-        )
-        # floats by bit pattern, so -0.0 keeps its own text
-        distance, distance_code = codec.value_codes(
-            codec.float_keys(np.concatenate([np.empty(0), *(t.distance_m for t in days)]))
-        )
-        sleep = np.concatenate([np.empty(0, bool), *(t.sleep for t in days)]).astype(bool)
-        labels = ["", *sorted(set().union(*(t.activity for t in days)) - {None, ""})]
-        code_of = {label: k for k, label in enumerate(labels)} | {None: 0}
-        activity = np.fromiter(
-            map(code_of.__getitem__, chain.from_iterable(t.activity for t in days)),
-            np.min_scalar_type(len(labels)),
-            len(sleep),
-        )
-        tables = (
-            [f"{user},{day.isoformat()}," for user, day in keys],
-            [f"{minute}," for minute in range(MINUTES_PER_DAY)],
-            ["awake,", "sleep,"],
-            [label + "," for label in labels],
-            [f"{value}," for value in steps.tolist()],
-            [repr(value) + "\n" for value in distance.view(np.float64).tolist()],
-        )
-
-        def blocks():
-            for lo in range(0, len(days), per_block):
-                n = len(days[lo : lo + per_block])
-                minutes = slice(lo * MINUTES_PER_DAY, (lo + n) * MINUTES_PER_DAY)
-                yield (
-                    np.repeat(np.arange(lo, lo + n), MINUTES_PER_DAY),
-                    np.tile(np.arange(MINUTES_PER_DAY), n),
-                    sleep[minutes].view(np.int8),
-                    activity[minutes],
-                    steps_code[minutes],
-                    distance_code[minutes],
-                )
-
-        return codec.join_rows(",".join(TRUTH_HEADER) + "\n", tables, blocks)
+    truth: DayGrid
 
 
 def round2(values: np.ndarray) -> np.ndarray:
@@ -266,6 +215,9 @@ def round2(values: np.ndarray) -> np.ndarray:
     return out
 
 
+_ASLEEP, _AWAKE = SLEEP_CODE[SleepState.SLEEP], SLEEP_CODE[SleepState.AWAKE]
+
+
 def _user_ids(n_users: int) -> list[str]:
     return [f"u{i + 1:03d}" for i in range(n_users)]
 
@@ -279,12 +231,17 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
     hr_user: list[np.ndarray] = [np.empty(0, np.int64)]
     hr_second: list[np.ndarray] = [np.empty(0, np.int64)]
     hr_bpm: list[np.ndarray] = [np.empty(0, np.float64)]
-    truth: GroundTruth = {}
     date_cache: dict[int, str] = {}
 
     labels_sorted = sorted(config.activity_profiles)
+    label_code = {label: code for code, label in enumerate(labels_sorted)}
     base_ordinal = config.start_date.toordinal()
     users = _user_ids(config.n_users)
+    # truth rows in key order: users sorted ("u1000" < "u999"), then days
+    by_key = sorted(range(len(users)), key=users.__getitem__)
+    days = [date.fromordinal(base_ordinal + d) for d in range(config.n_days)]
+    truth = DayGrid.empty([(users[u], day) for u in by_key for day in days], labels_sorted)
+    first_row = {u: k * config.n_days for k, u in enumerate(by_key)}
 
     for user_index, user in enumerate(users):
         rng = np.random.default_rng([config.seed, user_index])
@@ -299,12 +256,11 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
             for label in labels_sorted
         }
 
-        all_states = np.zeros(config.n_days * MINUTES_PER_DAY, dtype=bool)
         # epoch minute of this user's first local midnight
         local_base = (base_ordinal - EPOCH_ORDINAL) * MINUTES_PER_DAY - config.tz_offset_minutes
 
         for day_index in range(config.n_days):
-            day = date.fromordinal(base_ordinal + day_index)
+            r = first_row[user_index] + day_index
             j = config.sleep_jitter_min
             morning_end = config.sleep_end_minute + int(rng.integers(-j, j + 1))
             night_start = config.sleep_start_minute + int(rng.integers(-j, j + 1))
@@ -315,7 +271,7 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
 
             # per-minute targets: awake, then each block in template order (a
             # later block overwrites an earlier one), then sleep over all
-            activity = np.full(MINUTES_PER_DAY, None, dtype=object)
+            activity = truth.schedule[r]
             hr_mean = np.full(MINUTES_PER_DAY, resting + awake_frac * hr_range)
             hr_sd = np.full(MINUTES_PER_DAY, config.awake_hr_sd)
             steps_mean = np.full(MINUTES_PER_DAY, config.awake_steps_mean)
@@ -331,7 +287,7 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
                 realized.append((start, end, entry.label))
                 block = slice(start, end)
                 profile = config.activity_profiles[entry.label]
-                activity[block] = entry.label
+                activity[block] = label_code[entry.label]
                 hr_mean[block] = resting + frac_of[entry.label] * hr_range
                 hr_sd[block] = profile.hr_sd
                 steps_mean[block] = profile.steps_mean
@@ -382,17 +338,13 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
                 e_ts = format_epoch_second((day_base_min + end) * 60, date_cache)
                 sched_rows.append(f"{user},{s_ts},{e_ts},{label}")
 
-            all_states[
-                day_index * MINUTES_PER_DAY : (day_index + 1) * MINUTES_PER_DAY
-            ] = sleep_mask
-            truth[(user, day)] = DayTruth(
-                sleep=sleep_mask,
-                activity=activity.tolist(),
-                steps=steps,
-                distance_m=distance,
-            )
+            truth.sleep[r] = np.where(sleep_mask, _ASLEEP, _AWAKE)
+            truth.steps[r] = steps
+            truth.distance_m[r] = distance
 
         # device sleep segments: chunk each true state run, drop some chunks
+        rows = slice(first_row[user_index], first_row[user_index] + config.n_days)
+        all_states = truth.sleep[rows].ravel() == _ASLEEP
         n_total = all_states.shape[0]
         changes = (np.flatnonzero(all_states[1:] != all_states[:-1]) + 1).tolist()
         bounds = [0, *changes, n_total] if n_total else []
@@ -422,94 +374,44 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
 
 
 def write_cohort(cohort: Cohort, out_dir) -> dict[str, str]:
-    """Write the five files; returns name -> path."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
+    """Write the five files (see core.write_text); returns name -> path."""
     paths = {}
     for name, text in (
         ("hr.csv", cohort.hr_csv),
         ("activity.csv", cohort.activity_csv),
         ("sleep.csv", cohort.sleep_csv),
         ("schedule.csv", cohort.schedule_csv),
-        ("truth.csv", cohort.truth_csv()),
+        ("truth.csv", TRUTH_FORMAT.write(cohort.truth)),
     ):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        paths[name] = path
+        paths[name] = os.path.join(out_dir, name)
+        write_text(paths[name], text)
     return paths
 
 
-def read_truth_csv(stream: Iterable[str] | IO[str]) -> GroundTruth:
-    """Reload a truth.csv written by write_cohort.
-
-    Each user-day must list its minutes 0..1439 once each, in order, on
-    consecutive rows (see ``align.minute_rows``), and every field must
-    convert; any other row is a ValueError naming it. A seekable text
-    stream in the canonical form is parsed as columns; anything else, and
-    any error, goes through ``read_truth_rows``."""
-    return codec.parse_whole(stream, TRUTH_HEADER, _read_truth_columns, read_truth_rows)
-
-
-def read_truth_rows(stream: Iterable[str] | IO[str]) -> GroundTruth:
-    """The per-row truth CSV reader: every form the csv module reads and
-    every error message with its row number."""
-    columns: dict[tuple[str, date], tuple[list, list, list, list]] = {}
-    for line, row, day in minute_rows(stream, TRUTH_HEADER, "truth"):
-        if day is not None:
-            sleep, activity, steps, distance = columns[(row[0], day)] = ([], [], [], [])
-        try:
-            sleep.append(_TRUTH_SLEEP[row[3]])
-            steps.append(int(row[5]))
-            distance.append(float(row[6]))
-        except (KeyError, ValueError):
-            raise field_error("truth", TRUTH_HEADER, line, row, _TRUTH_FIELDS) from None
-        activity.append(row[4] or None)
-    return {
-        key: DayTruth(
-            sleep=np.array(sleep, bool),
-            activity=activity,
-            steps=np.array(steps, np.int64),
-            distance_m=np.array(distance, np.float64),
-        )
-        for key, (sleep, activity, steps, distance) in columns.items()
-    }
-
-
-_TRUTH_SLEEP = {"sleep": True, "awake": False}
-
-#: Converters of the truth CSV fields after the minute, by column.
-_TRUTH_FIELDS = {3: _TRUTH_SLEEP.__getitem__, 5: int, 6: float}
-
-
-def _read_truth_columns(rest: list[bytes], start: int) -> GroundTruth:
-    """The truth in the bytes popped from ``rest``, from ``start``, when its
-    rows are canonical (see ``align.minute_columns``); raises
-    codec.NotCanonical otherwise."""
-    label_code: dict[str, int] = {}
-    keys, columns = minute_columns(
-        rest,
-        start,
-        TRUTH_HEADER,
-        (
-            (each_text(lambda text: _TRUTH_SLEEP[text.decode()]), bool),
-            (label_codes(label_code), np.int64),
-            (each_text(int), np.int64),
-            (each_text(float), np.float64),
+#: ``truth.csv``: the true sleep state (sleep or awake), activity (empty for
+#: none), steps and distance of each minute; a distance may be non-finite.
+#: The grid's pulse is NaN, no reading.
+TRUTH_FORMAT = MinuteFormat(
+    "truth",
+    TRUTH_HEADER,
+    (
+        state_field({"sleep": _ASLEEP, "awake": _AWAKE}),
+        LABEL_FIELD,
+        STEPS_FIELD,
+        value_field(
+            "distance_m",
+            float,
+            each_text(float),
+            lambda keys, suffix: [repr(v) + suffix for v in keys.view(np.float64).tolist()],
         ),
-    )
-    sleep, activity, steps, distance = (c.reshape(len(keys), MINUTES_PER_DAY) for c in columns)
-    names = np.array([*label_code, None], object)  # code -1: no activity
-    return {
-        key: DayTruth(
-            sleep=sleep[r],
-            activity=names[activity[r]].tolist(),
-            steps=steps[r],
-            distance_m=distance[r],
-        )
-        for r, key in enumerate(keys)
-    }
+    ),
+)
+
+
+def read_truth_csv(stream: Iterable[str] | IO[str]) -> DayGrid:
+    """Reload a truth.csv written by write_cohort (see ``MinuteFormat.read``);
+    a sleep state other than sleep or awake is a ValueError naming the row."""
+    return TRUTH_FORMAT.read(stream)
 
 
 @dataclass(frozen=True)
@@ -533,47 +435,39 @@ class MaskReport:
 
 
 def mask_report(
-    truth: GroundTruth,
+    truth: DayGrid,
     pre_days: DayGrid,
     post_days: DayGrid,
     marks: np.ndarray,
 ) -> MaskReport:
     """Score imputed states against the generator's truth.
 
-    ``pre_days`` and ``post_days`` are the grid before and after imputation
-    and ``marks`` the per-minute rule marks imputation returned with it. A
-    masked minute is one whose pre-imputation state was Unknown. Rule
-    precision is agreement among the minutes that rule resolved; state
-    recall is the fraction of masked minutes of each true state that were
-    resolved to that state.
+    ``truth`` is the grid ``read_truth_csv`` returns. ``pre_days`` and
+    ``post_days`` are the grid before and after imputation and ``marks``
+    the per-minute rule marks imputation returned with it. A masked minute
+    is one whose pre-imputation state was Unknown. Rule precision is
+    agreement among the minutes that rule resolved; state recall is the
+    fraction of masked minutes of each true state that were resolved to
+    that state.
     """
-    keys = sorted(truth)
     row_of = {key: r for r, key in enumerate(pre_days.keys)}
-    for key in keys:
+    for key in truth.keys:
         if key not in row_of:
             raise ValueError(f"truth day {key} missing from the aligned series")
-        if len(truth[key].sleep) != MINUTES_PER_DAY:
-            raise ValueError(f"misaligned series for {key}")
     if post_days.keys != pre_days.keys or marks.shape != pre_days.sleep.shape:
         raise ValueError("the imputed grid and its marks do not match the aligned grid")
-    rows = [row_of[key] for key in keys]
-    true_sleep = np.array([truth[key].sleep for key in keys], dtype=bool).reshape(
-        len(keys), MINUTES_PER_DAY
-    )
+    rows = [row_of[key] for key in truth.keys]
     pre, post, rule = pre_days.sleep[rows], post_days.sleep[rows], marks[rows]
     unknown = SLEEP_CODE[SleepState.UNKNOWN]
-    true_code = np.where(
-        true_sleep, SLEEP_CODE[SleepState.SLEEP], SLEEP_CODE[SleepState.AWAKE]
-    )
     masked = pre == unknown
     resolved = masked & (post != unknown)
-    hit = resolved & (post == true_code)
-    state_of = {"sleep": true_sleep, "awake": ~true_sleep}
+    hit = resolved & (post == truth.sleep)
+    state_of = {"sleep": truth.sleep == _ASLEEP, "awake": truth.sleep == _AWAKE}
     rule_counts = {r: int((resolved & (rule == r)).sum()) for r in (1, 2, 3)}
     rule_agree = {r: int((hit & (rule == r)).sum()) for r in (1, 2, 3)}
     state_masked = {name: int((masked & state).sum()) for name, state in state_of.items()}
     state_hit = {name: int((hit & state).sum()) for name, state in state_of.items()}
-    total = true_sleep.size
+    total = truth.sleep.size
     return MaskReport(
         total_minutes=total,
         masked_minutes=int(masked.sum()),

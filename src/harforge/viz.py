@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .align import DayGrid, PersonalHrProfile
+from .core import write_text
 
 METRICS = (
     "distance_per_min",
@@ -258,8 +259,7 @@ def render_radar(
 
 
 def save_radar(svg_text: str, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg_text)
+    write_text(path, svg_text)
 
 
 def radar_index_csv(entries: Sequence[tuple[str, str, str]]) -> str:

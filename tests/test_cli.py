@@ -6,10 +6,19 @@ import os
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import harforge.cli as cli
+from harforge import core, dataset
+from harforge.align import DayGrid
+from harforge.core import ActivityTaxonomy, save_taxonomy, write_text
+from harforge.dataset import write_window_store
+from harforge.impute import ImputeConfig
+from harforge.model import LossConfig, TrainConfig, init_params, save_checkpoint, training
+from harforge.synth import Cohort, CohortConfig, write_cohort
+from harforge.viz import save_radar
 from harforge.cli import (
     CONFIG_ENV_VAR,
     EXIT_ERROR,
@@ -66,6 +75,11 @@ class TestPipelineConfig:
         assert cfg.split_modes == ("temporal", "user")
         assert cfg["dataset.oversample"] is True
         assert cfg["cohort.start_date"].isoformat() == "2024-03-04"
+        # the config keys' defaults are those of the configs they build
+        assert cfg.cohort_config() == CohortConfig()
+        assert cfg.impute_config() == ImputeConfig()
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.loss_config() == LossConfig()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: cohort.size"):
@@ -302,11 +316,36 @@ class TestCacheContract:
         assert {s: rel(stage_outputs(s, cfg, lay)) for s in STAGE_ORDER} == PINNED_OUTPUTS
 
 
+def _write_window_store(path, text, monkeypatch):
+    monkeypatch.setattr(dataset, "window_store_text", lambda windows: text)
+    write_window_store(None, path)
+
+
+def _save_checkpoint(path, text, monkeypatch):
+    monkeypatch.setattr(training, "json", SimpleNamespace(dumps=lambda *a, **k: text))
+    save_checkpoint(init_params(2, 2, 2), path)
+
+
+#: Each writer that goes through ``core.write_text``, given the path it
+#: writes and a text that cannot be encoded: ``write(path, text, monkeypatch)``.
+TEXT_WRITERS = {
+    "write_cohort": lambda path, text, mp: write_cohort(
+        Cohort(text, "", "", "", DayGrid.empty([])), path.parent
+    ),
+    "save_taxonomy": lambda path, text, mp: save_taxonomy(
+        ActivityTaxonomy((text,), {text: "Activity"}), path
+    ),
+    "write_window_store": _write_window_store,
+    "save_checkpoint": _save_checkpoint,
+    "save_radar": lambda path, text, mp: save_radar(text, path),
+}
+
+
 class TestWriteText:
     def test_long_text_with_a_character_across_the_chunk_boundary(self, tmp_path):
-        text = "a" * (cli.WRITE_CHARS - 1) + "ü€😀" + "b" * 1000 + "\n"
+        text = "a" * (core.WRITE_CHARS - 1) + "ü€😀" + "b" * 1000 + "\n"
         path = tmp_path / "out" / "text.csv"
-        cli._write_text(str(path), text)
+        write_text(str(path), text)
         assert path.read_bytes() == text.encode("utf-8")
         assert os.listdir(path.parent) == ["text.csv"]
 
@@ -314,21 +353,32 @@ class TestWriteText:
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, failure):
         path = tmp_path / "text.csv"
         path.write_bytes(b"old\n")
-        text = "new\n" * (cli.WRITE_CHARS // 4)
+        text = "new\n" * (core.WRITE_CHARS // 4)
         if failure == "replace":
 
             def fail(src, dst):
                 raise OSError("disk gone")
 
-            monkeypatch.setattr(cli.os, "replace", fail)
+            monkeypatch.setattr(core.os, "replace", fail)
             error = OSError
         else:  # a lone surrogate in the second chunk cannot be encoded
             text += "\ud800"
             error = UnicodeEncodeError
         with pytest.raises(error):
-            cli._write_text(str(path), text)
+            write_text(str(path), text)
         assert path.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["text.csv"]
+
+    @pytest.mark.parametrize("writer", sorted(TEXT_WRITERS))
+    def test_failed_encode_in_a_writer_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "hr.csv"  # the first file write_cohort writes
+        path.write_bytes(b"old\n")
+        # a lone surrogate in the second chunk cannot be encoded
+        text = "new\n" * (core.WRITE_CHARS // 4) + "\ud800"
+        with pytest.raises(UnicodeEncodeError):
+            TEXT_WRITERS[writer](path, text, monkeypatch)
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["hr.csv"]
 
 
 class TestArgumentHandling:

@@ -2,12 +2,12 @@
 definitions.
 
 - Readers: ``parse_hr_stream``, ``read_aligned_csv`` and ``read_truth_csv``
-  give the same columns as ``parse_hr_rows``, ``read_aligned_rows`` and
-  ``read_truth_rows``, or raise the same exception with the same message
-  and line, on seeded canonical text and on every perturbation of it.
-- Writers: ``serialize_hr_stream`` and ``write_aligned_csv`` give the text a
-  per-row csv.writer writes, and ``Cohort.truth_csv`` the text of the
-  per-row f-string writer it replaced.
+  give the same columns as ``parse_hr_rows`` and the per-row reader of
+  their per-minute format (``MinuteFormat.read_rows``), or raise the same
+  exception with the same message and line, on seeded canonical text and
+  on every perturbation of it.
+- Writers: ``serialize_hr_stream``, ``write_aligned_csv`` and
+  ``TRUTH_FORMAT.write`` give the text a per-row csv.writer writes.
 - Canonical pipeline files take the columnar path: with the per-row parsers
   patched to raise, they still parse; HR files already in key order parse
   with ``np.lexsort`` patched to raise.
@@ -25,12 +25,13 @@ from datetime import date
 import numpy as np
 import pytest
 
-from harforge import align, codec, ingest, synth
+from harforge import align, codec, ingest
 from harforge.align import (
+    ALIGNED_FORMAT,
     ALIGNED_HEADER,
+    SLEEP_CODE,
     DayGrid,
     read_aligned_csv,
-    read_aligned_rows,
     write_aligned_csv,
 )
 from harforge.core import MINUTES_PER_DAY, SleepState, format_number
@@ -42,14 +43,7 @@ from harforge.ingest import (
     parse_hr_stream,
     serialize_hr_stream,
 )
-from harforge.synth import (
-    TRUTH_HEADER,
-    Cohort,
-    DayTruth,
-    GroundTruth,
-    read_truth_csv,
-    read_truth_rows,
-)
+from harforge.synth import TRUTH_FORMAT, TRUTH_HEADER, read_truth_csv
 
 from test_golden import run_golden_cohort
 
@@ -90,42 +84,44 @@ def seeded_grid(seed, users=("u001", "u002"), labels=("Firearms Training", "Othe
 
 def seeded_truth(
     seed, users=("u001", "u002"), labels=("Firearms Training", "Other")
-) -> GroundTruth:
-    """Two users x two days, keys out of order, with no activity beside
-    empty and real labels, and tiny, huge, -0.0, NaN and inf distances."""
+) -> DayGrid:
+    """Two users x two days of sleep and awake minutes, no activity beside
+    real labels, and tiny, huge, -0.0, NaN and inf distances."""
     rng = np.random.default_rng(seed)
-    truth = {}
-    for user in reversed(users):
-        for day in (date(2024, 3, 5), date(2024, 3, 4)):
-            steps = rng.integers(0, 40, MINUTES_PER_DAY) * (rng.random(MINUTES_PER_DAY) < 0.5)
-            distance = steps * rng.uniform(0.5, 0.9, MINUTES_PER_DAY)
-            distance[:8] = [1e-05, 2.5e-07, 1e22, 0.1, -0.0, 0.0, np.nan, np.inf]
-            names = [None, "", *labels]
-            truth[(user, day)] = DayTruth(
-                sleep=rng.random(MINUTES_PER_DAY) < 0.3,
-                activity=[names[k] for k in rng.integers(0, len(names), MINUTES_PER_DAY)],
-                steps=steps.astype(np.int64),
-                distance_m=distance,
+    keys = sorted((u, d) for u in users for d in (date(2024, 3, 4), date(2024, 3, 5)))
+    grid = DayGrid.empty(keys, labels)
+    shape = grid.sleep.shape
+    grid.sleep[:] = np.where(
+        rng.random(shape) < 0.3, SLEEP_CODE[SleepState.SLEEP], SLEEP_CODE[SleepState.AWAKE]
+    )
+    grid.schedule[:] = rng.integers(-1, len(labels), shape)
+    grid.steps[:] = rng.integers(0, 40, shape) * (rng.random(shape) < 0.5)
+    grid.distance_m[:] = grid.steps * rng.uniform(0.5, 0.9, shape)
+    grid.distance_m[:, :8] = [1e-05, 2.5e-07, 1e22, 0.1, -0.0, 0.0, np.nan, np.inf]
+    return grid
+
+
+def reference_truth_text(truth: DayGrid) -> str:
+    """The per-row truth writer: one csv.writer row per minute."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRUTH_HEADER)
+    states = list(SleepState)
+    for r, (user, day) in enumerate(truth.keys):
+        for m in range(MINUTES_PER_DAY):
+            code = truth.schedule[r, m]
+            writer.writerow(
+                (
+                    user,
+                    day.isoformat(),
+                    m,
+                    states[truth.sleep[r, m]].value,
+                    "" if code < 0 else truth.labels[code],
+                    int(truth.steps[r, m]),
+                    repr(float(truth.distance_m[r, m])),
+                )
             )
-    return truth
-
-
-def truth_text(truth: GroundTruth) -> str:
-    return Cohort("", "", "", "", truth).truth_csv()
-
-
-def reference_truth_text(truth: GroundTruth) -> str:
-    """The per-row truth writer: one f-string per minute."""
-    lines = [",".join(TRUTH_HEADER)]
-    for user, day in sorted(truth):
-        t = truth[(user, day)]
-        for i in range(len(t.sleep)):
-            state = "sleep" if t.sleep[i] else "awake"
-            lines.append(
-                f"{user},{day.isoformat()},{i},{state},{t.activity[i] or ''},"
-                f"{int(t.steps[i])},{repr(float(t.distance_m[i]))}"
-            )
-    return "\n".join(lines) + "\n"
+    return buf.getvalue()
 
 
 def reference_hr_text(hr: HrStream) -> str:
@@ -170,11 +166,6 @@ def outcome(parse, text=None):
         result = parse() if text is None else parse(io.StringIO(text))
     except Exception as err:  # noqa: BLE001 - the exception is the outcome
         return type(err), str(err), getattr(err, "line", None)
-    if isinstance(result, dict):  # a GroundTruth, in file order
-        names = ("sleep", "steps", "distance_m")
-        days = list(result.values())
-        columns = [(getattr(t, c).dtype, getattr(t, c).tobytes()) for t in days for c in names]
-        return list(result), [t.activity for t in days], columns
     if isinstance(result, HrStream):
         names, head = ("user", "second", "bpm"), result.users
     else:
@@ -307,7 +298,7 @@ def aligned_text():
 
 @pytest.fixture(scope="module")
 def truth_csv_text():
-    return truth_text(seeded_truth(3))
+    return TRUTH_FORMAT.write(seeded_truth(3))
 
 
 class TestWriters:
@@ -332,11 +323,15 @@ class TestWriters:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_truth_matches_per_row_writer(self, seed):
-        truth = seeded_truth(seed, users=("u1", "u10", "u2"), labels=("Drill", "L" * 5000))
-        assert truth_text(truth) == reference_truth_text(truth)
+        truth = seeded_truth(
+            seed, users=("u1", "u10", "u2", "u,3"), labels=("Drill", "Drill, night", "L" * 5000)
+        )
+        assert TRUTH_FORMAT.write(truth) == reference_truth_text(truth)
 
     def test_empty_truth(self):
-        assert truth_text({}) == reference_truth_text({}) == ",".join(TRUTH_HEADER) + "\n"
+        empty = DayGrid.empty([])
+        header = ",".join(TRUTH_HEADER) + "\n"
+        assert TRUTH_FORMAT.write(empty) == reference_truth_text(empty) == header
 
     @pytest.mark.parametrize("column, value", [("pulse", np.inf), ("distance_m", np.nan)])
     def test_aligned_non_finite_values_rejected(self, column, value):
@@ -372,24 +367,26 @@ class TestReadersMatchPerRowParsers:
         assert outcome(lambda: parse(parse_hr_stream)) == outcome(lambda: parse(parse_hr_rows))
 
     def test_canonical_aligned(self, aligned_text):
-        assert outcome(read_aligned_csv, aligned_text) == outcome(read_aligned_rows, aligned_text)
+        assert outcome(read_aligned_csv, aligned_text) == outcome(
+            ALIGNED_FORMAT.read_rows, aligned_text
+        )
 
     @pytest.mark.parametrize("name", sorted(ALIGNED_PERTURBATIONS))
     def test_perturbed_aligned(self, aligned_text, name):
         text = ALIGNED_PERTURBATIONS[name](aligned_text)
         assert text != aligned_text
-        assert outcome(read_aligned_csv, text) == outcome(read_aligned_rows, text)
+        assert outcome(read_aligned_csv, text) == outcome(ALIGNED_FORMAT.read_rows, text)
 
     def test_canonical_truth(self, truth_csv_text):
         got = outcome(read_truth_csv, truth_csv_text)
-        assert got == outcome(read_truth_rows, truth_csv_text)
-        assert got[0] == sorted(seeded_truth(3))
+        assert got == outcome(TRUTH_FORMAT.read_rows, truth_csv_text)
+        assert got[0][0] == seeded_truth(3).keys
 
     @pytest.mark.parametrize("name", sorted(TRUTH_PERTURBATIONS))
     def test_perturbed_truth(self, truth_csv_text, name):
         text = TRUTH_PERTURBATIONS[name](truth_csv_text)
         assert text != truth_csv_text
-        assert outcome(read_truth_csv, text) == outcome(read_truth_rows, text)
+        assert outcome(read_truth_csv, text) == outcome(TRUTH_FORMAT.read_rows, text)
 
     def test_lists_of_lines_go_row_by_row(self, hr_text, monkeypatch):
         lines = hr_text.splitlines(keepends=True)
@@ -417,8 +414,8 @@ def _never(*args):
 
 READERS = {
     "hr": (parse_hr_stream, parse_hr_rows),
-    "aligned": (read_aligned_csv, read_aligned_rows),
-    "truth": (read_truth_csv, read_truth_rows),
+    "aligned": (read_aligned_csv, ALIGNED_FORMAT.read_rows),
+    "truth": (read_truth_csv, TRUTH_FORMAT.read_rows),
 }
 
 #: How a stream of a text is made: (file bytes, open keywords, lines read
@@ -498,7 +495,7 @@ def test_head_change_at_a_block_boundary_is_read_row_by_row(truth_csv_text, monk
     for i in range(1 + len(first_block), 1 + MINUTES_PER_DAY):
         lines[i] = lines[i].replace("2024-03-04", "2024-03-06", 1)
     text = "".join(lines)
-    assert outcome(read_truth_csv, text) == outcome(read_truth_rows, text)
+    assert outcome(read_truth_csv, text) == outcome(TRUTH_FORMAT.read_rows, text)
 
 
 class _UnreadableText(io.TextIOWrapper):
@@ -521,20 +518,29 @@ def test_canonical_pipeline_files_take_the_columnar_path(tmp_path, monkeypatch):
     out = os.path.join(tmp_path, "day")
     paths = {
         "canonical/hr.csv": (parse_hr_stream, parse_hr_rows),
-        "aligned/aligned.csv": (read_aligned_csv, read_aligned_rows),
-        "imputed/imputed.csv": (read_aligned_csv, read_aligned_rows),
-        "raw/truth.csv": (read_truth_csv, read_truth_rows),
+        "aligned/aligned.csv": (read_aligned_csv, ALIGNED_FORMAT.read_rows),
+        "imputed/imputed.csv": (read_aligned_csv, ALIGNED_FORMAT.read_rows),
+        "raw/truth.csv": (read_truth_csv, TRUTH_FORMAT.read_rows),
     }
     expected = {}
     for rel, (_, per_row) in paths.items():
         with open(os.path.join(out, rel), encoding="utf-8") as fh:
             expected[rel] = outcome(lambda: per_row(fh))
     monkeypatch.setattr(ingest, "parse_hr_rows", _never)
-    monkeypatch.setattr(align, "read_aligned_rows", _never)
-    monkeypatch.setattr(synth, "read_truth_rows", _never)
+    monkeypatch.setattr(align.MinuteFormat, "read_rows", _never)
     for rel, (parse, _) in paths.items():
         with open(os.path.join(out, rel), encoding="utf-8") as fh:
             assert outcome(lambda: parse(fh)) == expected[rel], rel
+
+
+def test_seeded_grid_texts_take_the_columnar_path(texts, monkeypatch):
+    """The seeded aligned and truth texts (missing pulses, -0.0, and NaN and
+    inf true distances) are canonical: they parse with the per-row reader
+    patched away."""
+    expected = {fmt: outcome(READERS[fmt][1], texts[fmt]) for fmt in ("aligned", "truth")}
+    monkeypatch.setattr(align.MinuteFormat, "read_rows", _never)
+    for fmt, want in expected.items():
+        assert outcome(READERS[fmt][0], texts[fmt]) == want, fmt
 
 
 def test_hr_files_in_key_order_skip_the_sort(tmp_path, monkeypatch):
@@ -550,3 +556,30 @@ def test_hr_files_in_key_order_skip_the_sort(tmp_path, monkeypatch):
     for rel in expected:
         with open(os.path.join(out, rel), encoding="utf-8") as fh:
             assert outcome(lambda: parse_hr_stream(fh)) == expected[rel], rel
+
+
+def test_grid_rows_in_key_order_are_not_copied():
+    """The writers emit user-days in key order, so a read reshapes its
+    columns into the grid; user-days out of order are copied into order."""
+    keys = [("u1", date(2024, 3, 4)), ("u1", date(2024, 3, 5)), ("u2", date(2024, 3, 4))]
+    columns = {
+        "pulse": np.arange(3 * MINUTES_PER_DAY, dtype=np.float64),
+        "steps": np.arange(3 * MINUTES_PER_DAY),
+    }
+    grid = align._sorted_grid(keys, {}, columns)
+    for name, values in columns.items():
+        assert np.shares_memory(getattr(grid, name), values)
+        np.testing.assert_array_equal(getattr(grid, name).ravel(), values)
+    # columns no field filled hold their empty value
+    np.testing.assert_array_equal(grid.distance_m, 0.0)
+    np.testing.assert_array_equal(grid.sleep, SLEEP_CODE[SleepState.UNKNOWN])
+    np.testing.assert_array_equal(grid.schedule, -1)
+
+    reversed_columns = {
+        name: values.reshape(3, MINUTES_PER_DAY)[::-1].ravel() for name, values in columns.items()
+    }
+    shuffled = align._sorted_grid(keys[::-1], {}, reversed_columns)
+    assert shuffled.keys == tuple(keys)
+    for name, values in reversed_columns.items():
+        assert not np.shares_memory(getattr(shuffled, name), values)
+        np.testing.assert_array_equal(getattr(shuffled, name), getattr(grid, name))

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from harforge import synth
-from harforge.align import align_cohort
+from harforge.align import SLEEP_CODE, DayGrid, align_cohort
 from harforge.core import (
     EPOCH_ORDINAL,
     MINUTES_PER_DAY,
+    SleepState,
     default_taxonomy,
     epoch_minute,
     local_day_and_index,
@@ -31,9 +32,10 @@ from harforge.ingest import (
 )
 from harforge.synth import (
     _SAMPLE_SECONDS,
+    TRUTH_FORMAT,
+    TRUTH_HEADER,
     Cohort,
     CohortConfig,
-    DayTruth,
     MaskReport,
     TemplateEntry,
     generate_cohort,
@@ -45,16 +47,21 @@ from harforge.synth import (
 
 SMALL = CohortConfig(n_users=2, n_days=3, seed=11)
 
+#: The truth of one user-day, per minute: asleep (bool), activity label or
+#: None, steps and distance.
+ReferenceTruth = dict[tuple[str, date], tuple[np.ndarray, list, np.ndarray, np.ndarray]]
 
-def reference_generate_cohort(config: CohortConfig) -> Cohort:
+
+def reference_generate_cohort(config: CohortConfig) -> tuple[tuple[str, ...], ReferenceTruth]:
     """The per-minute, per-sample generator: one Python iteration per minute
-    for the targets and per HR sample for the text. ``generate_cohort`` must
-    give the same bytes in every file."""
+    for the targets and per HR sample for the text. Returns the four stream
+    texts and the truth of each user-day; ``generate_cohort`` must give the
+    same bytes in every file and the same truth in every grid row."""
     hr_rows: list[str] = [",".join(HR_HEADER)]
     act_rows: list[str] = [",".join(ACTIVITY_HEADER)]
     sleep_rows: list[str] = [",".join(SLEEP_HEADER)]
     sched_rows: list[str] = [",".join(SCHEDULE_HEADER)]
-    truth: GroundTruth = {}
+    truth: ReferenceTruth = {}
     date_cache: dict[int, str] = {}
 
     labels_sorted = sorted(config.activity_profiles)
@@ -166,12 +173,7 @@ def reference_generate_cohort(config: CohortConfig) -> Cohort:
             all_states[
                 day_index * MINUTES_PER_DAY : (day_index + 1) * MINUTES_PER_DAY
             ] = sleep_mask
-            truth[(user, day)] = DayTruth(
-                sleep=sleep_mask,
-                activity=activity,
-                steps=steps,
-                distance_m=distance,
-            )
+            truth[(user, day)] = (sleep_mask, activity, steps, distance)
 
         # device sleep segments: chunk each true state run, drop some chunks
         n_total = all_states.shape[0]
@@ -194,13 +196,53 @@ def reference_generate_cohort(config: CohortConfig) -> Cohort:
                 chunk_start += chunk_len
             pos = run_end
 
-    return Cohort(
-        hr_csv="\n".join(hr_rows) + "\n",
-        activity_csv="\n".join(act_rows) + "\n",
-        sleep_csv="\n".join(sleep_rows) + "\n",
-        schedule_csv="\n".join(sched_rows) + "\n",
-        truth=truth,
-    )
+    texts = (hr_rows, act_rows, sleep_rows, sched_rows)
+    return tuple("\n".join(rows) + "\n" for rows in texts), truth
+
+
+def reference_truth_text(truth: ReferenceTruth) -> str:
+    """The per-row truth writer: one f-string per minute, user-days in key
+    order."""
+    lines = [",".join(TRUTH_HEADER)]
+    for user, day in sorted(truth):
+        sleep, activity, steps, distance = truth[(user, day)]
+        for i in range(MINUTES_PER_DAY):
+            state = "sleep" if sleep[i] else "awake"
+            lines.append(
+                f"{user},{day.isoformat()},{i},{state},{activity[i] or ''},"
+                f"{int(steps[i])},{repr(float(distance[i]))}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def assert_truth_rows(grid: DayGrid, truth: ReferenceTruth) -> None:
+    """The grid holds ``truth`` row by row, in key order, with no pulse."""
+    assert list(grid.keys) == sorted(truth)
+    for r, key in enumerate(grid.keys):
+        sleep, activity, steps, distance = truth[key]
+        want_sleep = np.where(
+            sleep, SLEEP_CODE[SleepState.SLEEP], SLEEP_CODE[SleepState.AWAKE]
+        )
+        np.testing.assert_array_equal(grid.sleep[r], want_sleep, err_msg=str(key))
+        assert grid.map_schedule(grid.labels, None, r).tolist() == activity, key
+        np.testing.assert_array_equal(grid.steps[r], steps, err_msg=str(key))
+        np.testing.assert_array_equal(
+            grid.distance_m[r].view(np.int64), distance.view(np.int64), err_msg=str(key)
+        )
+        assert np.isnan(grid.pulse[r]).all()
+
+
+def truth_of(grid: DayGrid) -> ReferenceTruth:
+    """The grid's truth per user-day, as the reference generator gives it."""
+    return {
+        key: (
+            grid.sleep[r] == SLEEP_CODE[SleepState.SLEEP],
+            grid.map_schedule(grid.labels, None, r).tolist(),
+            grid.steps[r],
+            grid.distance_m[r],
+        )
+        for r, key in enumerate(grid.keys)
+    }
 
 
 
@@ -220,7 +262,7 @@ class TestDeterminism:
         assert again.activity_csv == small_cohort.activity_csv
         assert again.sleep_csv == small_cohort.sleep_csv
         assert again.schedule_csv == small_cohort.schedule_csv
-        assert again.truth_csv() == small_cohort.truth_csv()
+        assert TRUTH_FORMAT.write(again.truth) == TRUTH_FORMAT.write(small_cohort.truth)
 
     def test_seed_changes_output(self, small_cohort):
         other = generate_cohort(dc_replace(SMALL, seed=12))
@@ -245,18 +287,22 @@ OVERLAPPING_TEMPLATE = (
 
 
 def cohort_files(cohort: Cohort) -> tuple[str, ...]:
-    return (
-        cohort.hr_csv,
-        cohort.activity_csv,
-        cohort.sleep_csv,
-        cohort.schedule_csv,
-        cohort.truth_csv(),
-    )
+    return (cohort.hr_csv, cohort.activity_csv, cohort.sleep_csv, cohort.schedule_csv)
+
+
+def assert_matches_reference(config: CohortConfig) -> Cohort:
+    cohort = generate_cohort(config)
+    texts, truth = reference_generate_cohort(config)
+    assert cohort_files(cohort) == texts
+    assert_truth_rows(cohort.truth, truth)
+    assert TRUTH_FORMAT.write(cohort.truth) == reference_truth_text(truth)
+    return cohort
 
 
 class TestMatchesReference:
     """The columnar generator writes the same five files, byte for byte, as
-    the per-minute reference."""
+    the per-minute reference, and its truth grid holds the reference's truth
+    row by row."""
 
     @pytest.mark.parametrize(
         "config",
@@ -280,19 +326,17 @@ class TestMatchesReference:
         ids=["small", "seed7", "no-dropout", "tz-45", "tz+345", "overlap", "no-users", "no-days"],
     )
     def test_same_files(self, config):
-        assert cohort_files(generate_cohort(config)) == cohort_files(
-            reference_generate_cohort(config)
-        )
+        assert_matches_reference(config)
 
     def test_same_files_with_unsorted_user_ids(self, monkeypatch):
         # with 1000 users or more, generation order is not sorted order
         # ("u1000" sorts before "u101"); hr.csv keeps generation order
         monkeypatch.setattr(synth, "_user_ids", lambda n: ["u2", "u10"][:n])
         config = CohortConfig(n_users=2, n_days=1, seed=8)
-        files = cohort_files(generate_cohort(config))
-        assert files == cohort_files(reference_generate_cohort(config))
-        users = [row.split(",", 1)[0] for row in files[0].splitlines()[1:]]
+        cohort = assert_matches_reference(config)
+        users = [row.split(",", 1)[0] for row in cohort.hr_csv.splitlines()[1:]]
         assert users.index("u10") == users.count("u2")
+        assert [user for user, _ in cohort.truth.keys] == ["u10", "u2"]
 
 
 class TestRound2:
@@ -325,7 +369,9 @@ class TestEmptyCohort:
         assert cohort.activity_csv == "user_id,block_start,steps,distance_m\n"
         assert cohort.sleep_csv == "user_id,start,end,state\n"
         assert cohort.schedule_csv == "user_id,start,end,activity_l2\n"
-        assert cohort.truth == {}
+        assert cohort.truth.keys == ()
+        assert cohort.truth.sleep.shape == (0, MINUTES_PER_DAY)
+        assert TRUTH_FORMAT.write(cohort.truth) == ",".join(TRUTH_HEADER) + "\n"
 
 
 class TestStreamValidity:
@@ -365,9 +411,9 @@ class TestConservation:
                 epoch_minute(b.block_start), SMALL.tz_offset_minutes
             )
             block_of[(b.user_id, day, idx // 15)] = b
-        for (user, day), t in small_cohort.truth.items():
-            truth_steps = t.steps.reshape(-1, 15).sum(axis=1)
-            truth_dist = t.distance_m.reshape(-1, 15).sum(axis=1)
+        for (user, day), (_, _, steps, distance) in truth_of(small_cohort.truth).items():
+            truth_steps = steps.reshape(-1, 15).sum(axis=1)
+            truth_dist = distance.reshape(-1, 15).sum(axis=1)
             for q in range(96):
                 b = block_of.get((user, day, q))
                 if b is None:
@@ -378,14 +424,14 @@ class TestConservation:
                     assert b.distance_m == float(truth_dist[q])
 
     def test_sleep_minutes_carry_no_steps(self, small_cohort):
-        for t in small_cohort.truth.values():
-            assert (t.steps[t.sleep] == 0).all()
+        for sleep, _, steps, _ in truth_of(small_cohort.truth).values():
+            assert (steps[sleep] == 0).all()
 
     def test_distance_is_steps_times_meter_rate(self, small_cohort):
-        for t in small_cohort.truth.values():
-            zero_steps = t.steps == 0
-            assert (t.distance_m[zero_steps] == 0.0).all()
-            assert (t.distance_m[~zero_steps] > 0).all()
+        for _, _, steps, distance in truth_of(small_cohort.truth).values():
+            zero_steps = steps == 0
+            assert (distance[zero_steps] == 0.0).all()
+            assert (distance[~zero_steps] > 0).all()
 
 
 class TestSleepSegments:
@@ -395,8 +441,8 @@ class TestSleepSegments:
             day, idx = local_day_and_index(
                 epoch_minute(seg.start), SMALL.tz_offset_minutes
             )
-            t = small_cohort.truth[(seg.user_id, day)]
-            want = "sleep" if t.sleep[idx] else "awake"
+            sleep = truth_of(small_cohort.truth)[(seg.user_id, day)][0]
+            want = "sleep" if sleep[idx] else "awake"
             assert seg.state.value == want
 
     def test_dropout_fraction_of_minutes_is_respected(self):
@@ -412,15 +458,10 @@ class TestSleepSegments:
 
 class TestTruthCsv:
     def test_round_trip(self, small_cohort):
-        text = small_cohort.truth_csv()
+        text = TRUTH_FORMAT.write(small_cohort.truth)
         back = read_truth_csv(io.StringIO(text))
-        assert set(back) == set(small_cohort.truth)
-        for key, t in small_cohort.truth.items():
-            got = back[key]
-            np.testing.assert_array_equal(got.sleep, t.sleep)
-            np.testing.assert_array_equal(got.steps, t.steps)
-            np.testing.assert_array_equal(got.distance_m, t.distance_m)
-            assert got.activity == t.activity
+        assert_truth_rows(back, truth_of(small_cohort.truth))
+        assert set(back.labels) <= set(small_cohort.truth.labels)
 
     def test_header_enforced(self):
         with pytest.raises(ValueError, match="header"):
@@ -428,7 +469,7 @@ class TestTruthCsv:
 
     @staticmethod
     def _lines(cohort):
-        return cohort.truth_csv().splitlines(keepends=True)
+        return TRUTH_FORMAT.write(cohort.truth).splitlines(keepends=True)
 
     @pytest.mark.parametrize(
         "minute, message",
@@ -465,6 +506,7 @@ class TestTruthCsv:
         [
             (1, "2024-02-30", "bad date '2024-02-30'"),
             (3, "asleep", "bad true_sleep 'asleep'"),
+            (3, "unknown", "bad true_sleep 'unknown'"),
             (5, "1.5", "bad true_steps '1.5'"),
             (6, "far", "bad true_distance_m 'far'"),
         ],
