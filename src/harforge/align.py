@@ -520,11 +520,21 @@ def _label_texts(days: DayGrid, suffix: str) -> tuple[list[str], np.ndarray]:
     return [text + suffix for text in texts], days.schedule.reshape(-1) + 1
 
 
-#: The steps column as integers.
+_INT64 = np.iinfo(np.int64)
+
+
+def _steps(text: str | bytes) -> int:
+    value = int(text)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"steps {value} outside int64")
+    return value
+
+
+#: The steps column as int64 integers.
 STEPS_FIELD = value_field(
     "steps",
-    int,
-    each_text(int),
+    _steps,
+    each_text(_steps),
     lambda values, suffix: [f"{value}{suffix}" for value in values.tolist()],
 )
 
@@ -804,9 +814,18 @@ def write_profiles_csv(profiles: Mapping[tuple[str, date], PersonalHrProfile]) -
     return buf.getvalue()
 
 
+#: The converters of the profile CSV's date and number fields, by column.
+_PROFILE_FIELDS: dict[int, Callable[[str], object]] = {
+    1: date.fromisoformat, 2: float, 3: float, 4: int,
+}
+
+
 def read_profiles_csv(
     stream: Iterable[str] | IO[str],
 ) -> dict[tuple[str, date], PersonalHrProfile]:
+    """The profiles of a ``write_profiles_csv`` text by (user, day). A row
+    with a bad field or a second row of a user-day is a ValueError naming
+    the row."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or tuple(h.strip() for h in header) != PROFILE_HEADER:
@@ -815,16 +834,17 @@ def read_profiles_csv(
     for row in reader:
         if not row:
             continue
+        line = reader.line_num
         if len(row) != len(PROFILE_HEADER):
-            raise ValueError(f"profile CSV row {reader.line_num} has {len(row)} fields")
-        user = row[0]
-        day = date.fromisoformat(row[1])
-        profiles[(user, day)] = PersonalHrProfile(
-            user_id=user,
-            day=day,
-            min_hr=float(row[2]),
-            max_hr=float(row[3]),
-            n_pulses=int(row[4]),
+            raise ValueError(f"profile CSV row {line} has {len(row)} fields")
+        try:
+            day, min_hr, max_hr, n_pulses = (f(row[c]) for c, f in _PROFILE_FIELDS.items())
+        except ValueError:
+            raise field_error("profile", PROFILE_HEADER, line, row, _PROFILE_FIELDS) from None
+        if (row[0], day) in profiles:
+            raise ValueError(f"profile CSV row {line}: user {row[0]!r} has a second row for {day}")
+        profiles[(row[0], day)] = PersonalHrProfile(
+            user_id=row[0], day=day, min_hr=min_hr, max_hr=max_hr, n_pulses=n_pulses,
             low_confidence=row[5] == "1",
         )
     return profiles

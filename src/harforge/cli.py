@@ -23,8 +23,9 @@ import resource
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import date
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,12 @@ from .align import (
     write_aligned_csv,
     write_profiles_csv,
 )
-from .core import ActivityTaxonomy, default_taxonomy, load_taxonomy, save_taxonomy, write_text
+from .core import (
+    DEFAULT_TZ_OFFSET_MINUTES, ActivityTaxonomy, default_taxonomy, load_taxonomy, save_taxonomy,
+    write_text,
+)
 from .dataset import (
+    LABEL_THRESHOLD,
     N_CHANNELS,
     SAMPLING_RATES,
     SPLIT_NAMES,
@@ -99,52 +104,80 @@ class ConfigError(Exception):
     """The configuration file or overrides are malformed."""
 
 
-# key -> (type tag, default). Tags: int, float, bool, str, date, ints, strs, floats.
-_KEY_SPEC: dict[str, tuple[str, str]] = {
-    "cohort.n_users": ("int", "20"),
-    "cohort.n_days": ("int", "30"),
-    "cohort.seed": ("int", "7"),
-    "cohort.start_date": ("date", "2024-03-04"),
-    "cohort.resting_hr_mean": ("float", "55.0"),
-    "cohort.resting_hr_sd": ("float", "5.0"),
-    "cohort.hr_range_mean": ("float", "135.0"),
-    "cohort.hr_range_sd": ("float", "8.0"),
-    "cohort.awake_hr_frac": ("float", "0.15"),
-    "cohort.hr_sd_scale": ("float", "1.0"),
-    "cohort.user_frac_jitter_sd": ("float", "0.0"),
-    "cohort.sleep_dropout": ("float", "0.40"),
-    "cohort.hr_dropout": ("float", "0.02"),
-    "align.tz_offset_minutes": ("int", "120"),
+def _listed(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda text: tuple(parse(p.strip()) for p in text.split(",") if p.strip())
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+class Kind(NamedTuple):
+    """``parse`` reads a config text (a ValueError or KeyError rejects it);
+    ``text`` writes a value's canonical text."""
+
+    parse: Callable[[str], object]
+    text: Callable[[object], str]
+
+
+#: The kinds of config value, by the name a ConfigError gives them.
+_KINDS: dict[str, Kind] = {
+    "int": Kind(int, str),
+    "float": Kind(float, lambda v: repr(float(v))),
+    "bool": Kind(lambda text: _BOOLS[text.lower()], lambda v: "true" if v else "false"),
+    "date": Kind(date.fromisoformat, date.isoformat),
+    "str": Kind(str, str),
+    "ints": Kind(_listed(int), lambda v: ",".join(map(str, v))),
+    "floats": Kind(_listed(float), lambda v: ",".join(repr(float(x)) for x in v)),
+    "strs": Kind(_listed(str), ",".join),
+}
+
+# section -> (the config it builds, the fields of it that are config keys)
+_SECTIONS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "cohort": (CohortConfig, (
+        "n_users", "n_days", "seed", "start_date", "resting_hr_mean", "resting_hr_sd",
+        "hr_range_mean", "hr_range_sd", "awake_hr_frac", "hr_sd_scale", "user_frac_jitter_sd",
+        "sleep_dropout", "hr_dropout",
+    )),
+    "impute": (ImputeConfig, tuple(f.name for f in fields(ImputeConfig))),
+    "train": (TrainConfig, (
+        "batch_size", "learning_rate", "weight_decay", "max_epochs", "early_stopping_patience",
+        "seed",
+    )),
+    "loss": (LossConfig, tuple(f.name for f in fields(LossConfig))),
+}
+
+
+def _section_keys(section: str) -> dict[str, tuple[str, object]]:
+    """The keys of ``section``, each with its field's annotation (a kind
+    name, as annotations are strings here) and default."""
+    config, names = _SECTIONS[section]
+    spec = {f.name: (f.type, f.default) for f in fields(config)}
+    return {f"{section}.{name}": spec[name] for name in names}
+
+
+# key -> (kind, default): a section in _SECTIONS takes both from its config's
+# fields; the keys that no config field holds declare their own
+_KEY_SPEC: dict[str, tuple[str, object]] = {
+    **_section_keys("cohort"),
+    "align.tz_offset_minutes": ("int", DEFAULT_TZ_OFFSET_MINUTES),
     "align.profile_scope": ("str", "day"),
-    "impute.night_start_minute": ("int", "1260"),
-    "impute.night_end_minute": ("int", "419"),
-    "impute.night_sleep_factor": ("float", "1.05"),
-    "impute.day_sleep_factor": ("float", "1.2"),
-    "impute.awake_factor": ("float", "1.2"),
-    "impute.max_gap_minutes": ("int", "120"),
-    "dataset.widths": ("ints", "15,30,45,60"),
-    "dataset.label_threshold": ("float", "0.70"),
-    "dataset.oversample": ("bool", "true"),
-    "dataset.seed": ("int", "0"),
-    "split.modes": ("strs", "temporal,user"),
-    "split.fractions": ("floats", "0.7,0.15,0.15"),
-    "split.seed": ("int", "0"),
-    "train.hidden_size": ("int", "32"),
-    "train.batch_size": ("int", "256"),
-    "train.learning_rate": ("float", "0.001"),
-    "train.weight_decay": ("float", "0.01"),
-    "train.max_epochs": ("int", "100"),
-    "train.early_stopping_patience": ("int", "10"),
-    "train.seed": ("int", "0"),
-    "train.dropout": ("float", "0.1"),
+    **_section_keys("impute"),
+    "dataset.widths": ("ints", tuple(SAMPLING_RATES)),
+    "dataset.label_threshold": ("float", LABEL_THRESHOLD),
+    "dataset.oversample": ("bool", True),
+    "dataset.seed": ("int", 0),
+    "split.modes": ("strs", ("temporal", "user")),
+    "split.fractions": ("floats", (0.7, 0.15, 0.15)),
+    "split.seed": ("int", 0),
+    "train.hidden_size": ("int", 32),
+    **_section_keys("train"),
+    "train.dropout": ("float", 0.1),
     "train.pooling": ("str", "final"),
-    "loss.lambda1": ("float", "0.3"),
-    "loss.lambda2": ("float", "1.0"),
-    "loss.alpha": ("float", "2.0"),
-    "loss.gamma": ("float", "2.0"),
+    **_section_keys("loss"),
     "viz.band": ("str", "sd"),
     "taxonomy.path": ("str", ""),
 }
+
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat ``section.key = value`` lines; # starts a comment."""
@@ -164,50 +197,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _parse_typed(key: str, kind: str, text: str):
-    try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "bool":
-            low = text.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
-        if kind == "date":
-            return date.fromisoformat(text)
-        if kind == "ints":
-            return tuple(int(p.strip()) for p in text.split(",") if p.strip())
-        if kind == "floats":
-            return tuple(float(p.strip()) for p in text.split(",") if p.strip())
-        if kind == "strs":
-            return tuple(p.strip() for p in text.split(",") if p.strip())
-        return text
-    except ValueError as err:
-        raise ConfigError(f"config key {key}: cannot parse {text!r} as {kind}") from err
-
-
-def _canonical_text(kind: str, value) -> str:
-    if kind == "int":
-        return str(value)
-    if kind == "float":
-        return repr(float(value))
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "date":
-        return value.isoformat()
-    if kind == "ints":
-        return ",".join(str(v) for v in value)
-    if kind == "floats":
-        return ",".join(repr(float(v)) for v in value)
-    if kind == "strs":
-        return ",".join(value)
-    return str(value)
-
-
 class PipelineConfig:
     """Typed view over the resolved flat key space."""
 
@@ -217,7 +206,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         self._typed = {}
         for key, (kind, default) in _KEY_SPEC.items():
-            self._typed[key] = _parse_typed(key, kind, values.get(key, default))
+            text = values.get(key)
+            try:
+                self._typed[key] = default if text is None else _KINDS[kind].parse(text)
+            except (ValueError, KeyError) as err:
+                raise ConfigError(f"config key {key}: cannot parse {text!r} as {kind}") from err
         modes = self._typed["split.modes"]
         bad = [m for m in modes if m not in ("temporal", "user")]
         if bad or not modes:
@@ -239,8 +232,7 @@ class PipelineConfig:
 
     def canonical_lines(self) -> list[str]:
         return [
-            f"{key}={_canonical_text(_KEY_SPEC[key][0], self._typed[key])}"
-            for key in sorted(_KEY_SPEC)
+            f"{key}={_KINDS[_KEY_SPEC[key][0]].text(self._typed[key])}" for key in sorted(_KEY_SPEC)
         ]
 
     @property
@@ -251,33 +243,16 @@ class PipelineConfig:
     def split_modes(self) -> tuple[str, ...]:
         return self._typed["split.modes"]
 
+    def _section_config(self, section: str, **extra):
+        """The config of ``section`` (see _SECTIONS) from its keys, plus ``extra`` fields."""
+        config, names = _SECTIONS[section]
+        return config(**{name: self[f"{section}.{name}"] for name in names}, **extra)
+
     def cohort_config(self) -> CohortConfig:
-        return CohortConfig(
-            n_users=self["cohort.n_users"],
-            n_days=self["cohort.n_days"],
-            seed=self["cohort.seed"],
-            start_date=self["cohort.start_date"],
-            tz_offset_minutes=self["align.tz_offset_minutes"],
-            resting_hr_mean=self["cohort.resting_hr_mean"],
-            resting_hr_sd=self["cohort.resting_hr_sd"],
-            hr_range_mean=self["cohort.hr_range_mean"],
-            hr_range_sd=self["cohort.hr_range_sd"],
-            awake_hr_frac=self["cohort.awake_hr_frac"],
-            hr_sd_scale=self["cohort.hr_sd_scale"],
-            user_frac_jitter_sd=self["cohort.user_frac_jitter_sd"],
-            sleep_dropout=self["cohort.sleep_dropout"],
-            hr_dropout=self["cohort.hr_dropout"],
-        )
+        return self._section_config("cohort", tz_offset_minutes=self["align.tz_offset_minutes"])
 
     def impute_config(self) -> ImputeConfig:
-        return ImputeConfig(
-            night_start_minute=self["impute.night_start_minute"],
-            night_end_minute=self["impute.night_end_minute"],
-            night_sleep_factor=self["impute.night_sleep_factor"],
-            day_sleep_factor=self["impute.day_sleep_factor"],
-            awake_factor=self["impute.awake_factor"],
-            max_gap_minutes=self["impute.max_gap_minutes"],
-        )
+        return self._section_config("impute")
 
     def split_spec(self, mode: str) -> SplitSpec:
         fractions = self["split.fractions"]
@@ -286,22 +261,10 @@ class PipelineConfig:
         return SplitSpec(mode=mode, fractions=fractions, seed=self["split.seed"])
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self["train.batch_size"],
-            learning_rate=self["train.learning_rate"],
-            weight_decay=self["train.weight_decay"],
-            max_epochs=self["train.max_epochs"],
-            early_stopping_patience=self["train.early_stopping_patience"],
-            seed=self["train.seed"],
-        )
+        return self._section_config("train")
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(
-            lambda1=self["loss.lambda1"],
-            lambda2=self["loss.lambda2"],
-            alpha=self["loss.alpha"],
-            gamma=self["loss.gamma"],
-        )
+        return self._section_config("loss")
 
     def taxonomy(self) -> ActivityTaxonomy:
         path = self["taxonomy.path"]

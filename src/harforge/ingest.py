@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
@@ -139,7 +138,7 @@ def _parse_timestamp(text: str, line: int) -> datetime:
     return as_utc(ts)
 
 
-def _parse_float(text: str, name: str, line: int) -> float:
+def _parse_float(text: str | bytes, name: str, line: int | None) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -147,6 +146,14 @@ def _parse_float(text: str, name: str, line: int) -> float:
     if math.isnan(value) or math.isinf(value):
         raise StreamFormatError(f"non-finite {name} {text!r}", line=line)
     return value
+
+
+def _parse_bpm(text: str | bytes, line: int | None = None) -> float:
+    """A positive, finite hr_bpm; ``text`` is bytes in the columnar parser."""
+    hr = _parse_float(text, "hr_bpm", line)
+    if hr <= 0:
+        raise StreamFormatError(f"hr_bpm must be positive, got {hr}", line=line)
+    return hr
 
 
 def _parse_int(text: str, name: str, line: int) -> int:
@@ -180,12 +187,9 @@ def parse_hr_rows(stream: Iterable[str] | IO[str]) -> HrStream:
         ts = _parse_timestamp(row[1], line)
         if ts.microsecond:
             raise StreamFormatError(f"sub-second timestamp {row[1].strip()!r}", line=line)
-        hr = _parse_float(row[2], "hr_bpm", line)
-        if hr <= 0:
-            raise StreamFormatError(f"hr_bpm must be positive, got {hr}", line=line)
         codes.append(code_of.setdefault(name, len(code_of)))
         seconds.append(epoch_second(ts))
-        values.append(hr)
+        values.append(_parse_bpm(row[2], line))
     return _hr_stream(
         code_of,
         np.frombuffer(codes, np.int64),
@@ -196,24 +200,15 @@ def parse_hr_rows(stream: Iterable[str] | IO[str]) -> HrStream:
 
 #: Byte layout of a canonical timestamp; ``0`` marks a digit.
 _TIMESTAMP = b"0000-00-00T00:00:00Z"
-_BPM = re.compile(rb"[0-9]+(\.[0-9]+)?")
 _HR_FORBIDDEN = codec.FORBIDDEN.copy()
 _HR_FORBIDDEN[ord(" ")] = True  # the per-row parser strips spaces around fields
-
-
-def _canonical_bpm(text: bytes) -> float:
-    value = float(text) if _BPM.fullmatch(text) else 0.0
-    if not 0 < value < math.inf:  # 400 digits parse to inf
-        raise ValueError(text)
-    return value
 
 
 def _parse_hr_columns(rest: list[bytes], start: int) -> HrStream:
     """The HR rows of the bytes popped from ``rest``, from ``start``, when
     every row is canonical: ``user,YYYY-MM-DDTHH:MM:SSZ,bpm`` with a
-    non-empty user id without spaces, a valid date and time, and a positive
-    bpm of digits with an optional fraction. Raises codec.NotCanonical
-    otherwise."""
+    non-empty user id without spaces, a valid date and time, and a bpm
+    that ``_parse_bpm`` accepts. Raises codec.NotCanonical otherwise."""
     data = rest.pop()
     n = data.count(b"\n", start)
     code_of: dict[str, int] = {}
@@ -232,7 +227,7 @@ def _parse_hr_columns(rest: list[bytes], start: int) -> HrStream:
         user[rows] = np.array([code_of.setdefault(u.decode(), len(code_of)) for u in names])[inv]
         second[rows] = _canonical_seconds(block, *codec.field_bounds(ends, 1), day_of)
         texts, _, inv = codec.distinct(block, *codec.field_bounds(ends, 2))
-        bpm[rows] = codec.convert(texts, _canonical_bpm, np.float64)[inv]
+        bpm[rows] = codec.convert(texts, _parse_bpm, np.float64)[inv]
     del data, block, ends  # the columns are all that is left of the file
     return _hr_stream(code_of, user, second, bpm)
 

@@ -9,6 +9,8 @@ fixed formatting, so the same inputs always render byte-identical files.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import statistics
 from dataclasses import dataclass
@@ -263,8 +265,10 @@ def save_radar(svg_text: str, path) -> None:
 
 
 def radar_index_csv(entries: Sequence[tuple[str, str, str]]) -> str:
-    """Index of rendered charts: (user_id, activity, file) rows."""
-    lines = [",".join(RADAR_INDEX_HEADER)]
-    for user_id, activity, filename in entries:
-        lines.append(f"{user_id},{activity},{filename}")
-    return "\n".join(lines) + "\n"
+    """Index of rendered charts: (user_id, activity, file) rows, quoted as
+    csv.writer quotes them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RADAR_INDEX_HEADER)
+    writer.writerows(entries)
+    return buf.getvalue()

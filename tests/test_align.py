@@ -589,6 +589,33 @@ class TestProfilesCsv:
         with pytest.raises(ValueError, match="profile CSV row 3 has 3 fields"):
             read_profiles_csv(io.StringIO(text + "u2,2024-03-04,61.0\n"))
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (1, "2024-13-04", "bad date '2024-13-04'"),
+            (2, "x", "bad min_hr 'x'"),
+            (3, "", "bad max_hr ''"),
+            (4, "1.5", "bad n_pulses '1.5'"),
+        ],
+    )
+    def test_bad_field_names_row_and_field(self, column, value, message):
+        row = ["u2", "2024-03-04", "61.0", "132.0", "45", "1"]
+        row[column] = value
+        text = write_profiles_csv(
+            {("u1", DAY): PersonalHrProfile("u1", DAY, 52.75, 148.2, 930, False)}
+        )
+        with pytest.raises(ValueError) as err:
+            read_profiles_csv(io.StringIO(text + ",".join(row) + "\n"))
+        assert str(err.value) == f"profile CSV row 3: {message}"
+
+    def test_second_row_of_a_user_day_rejected(self):
+        text = write_profiles_csv(
+            {("u1", DAY): PersonalHrProfile("u1", DAY, 52.75, 148.2, 930, False)}
+        )
+        again = text.splitlines(keepends=True)[1].replace("52.75", "50.0")
+        with pytest.raises(ValueError, match="profile CSV row 3: user 'u1' has a second row"):
+            read_profiles_csv(io.StringIO(text + again))
+
 
 def test_cohort_matches_per_minute_reference(grid_values, hr_factory):
     """align_cohort against a loop over samples and painted minutes."""

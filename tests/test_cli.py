@@ -105,6 +105,45 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match=message):
             PipelineConfig({"dataset.widths": widths})
 
+    @pytest.mark.parametrize(
+        "key, text, kind",
+        [
+            ("cohort.n_users", "many", "int"),
+            ("cohort.start_date", "2024-3-4", "date"),
+            ("impute.awake_factor", "high", "float"),
+            ("dataset.oversample", "maybe", "bool"),
+            ("split.fractions", "0.7,x,0.15", "floats"),
+        ],
+    )
+    def test_type_error_names_key_text_and_kind(self, key, text, kind):
+        message = f"config key {key}: cannot parse {text!r} as {kind}"
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig({key: text})
+        assert str(err.value) == message
+
+    def test_defaults_are_immutable_and_round_trip(self):
+        """Every key's default is a hashable value of its kind that reads
+        back from its own canonical text, so no call can change it."""
+        for key, (kind, default) in cli._KEY_SPEC.items():
+            parse, text = cli._KINDS[kind]
+            hash(default)
+            again = parse(text(default))
+            assert again == default and type(again) is type(default), key
+        assert len(cli._KEY_SPEC) == 43
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = fh.read().split("All keys with their defaults:\n\n```\n", 1)[1]
+        values = {}
+        for line in block.split("\n```", 1)[0].splitlines():
+            # two columns per line, separated by two or more spaces
+            for entry in filter(None, (part.strip() for part in line.split("  "))):
+                key, _, value = entry.partition("=")
+                values[key.strip()] = value.strip()
+        assert sorted(values) == sorted(cli._KEY_SPEC)
+        assert PipelineConfig(values).canonical_lines() == PipelineConfig({}).canonical_lines()
+
     def test_derived_configs_carry_values(self):
         cfg = PipelineConfig({"cohort.n_users": "3", "loss.gamma": "1.5"})
         assert cfg.cohort_config().n_users == 3

@@ -388,6 +388,24 @@ class TestReadersMatchPerRowParsers:
         assert text != truth_csv_text
         assert outcome(read_truth_csv, text) == outcome(TRUTH_FORMAT.read_rows, text)
 
+    @pytest.mark.parametrize(
+        "fmt, fixture, field",
+        [(ALIGNED_FORMAT, "aligned_text", 4), (TRUTH_FORMAT, "truth_csv_text", 5)],
+    )
+    def test_steps_beyond_int64_are_bad_fields_of_their_row(self, request, fmt, fixture, field):
+        """Not a bare OverflowError: the ``huge steps`` perturbation, and
+        one past each end of int64; both ends themselves read."""
+        text = request.getfixturevalue(fixture)
+        for read in (fmt.read, fmt.read_rows):
+            for value in ("9" * 30, str(2**63), str(-(2**63) - 1)):
+                with pytest.raises(ValueError) as err:
+                    read(io.StringIO(set_field(3, field, value)(text)))
+                message = f"{fmt.kind} CSV row 4: bad {fmt.header[field]} {value!r}"
+                assert str(err.value) == message
+            for value in (2**63 - 1, -(2**63)):
+                grid = read(io.StringIO(set_field(3, field, str(value))(text)))
+                assert grid.steps[0, 2] == value
+
     def test_lists_of_lines_go_row_by_row(self, hr_text, monkeypatch):
         lines = hr_text.splitlines(keepends=True)
         expected = outcome(parse_hr_stream, hr_text)

@@ -1,5 +1,7 @@
 """Radar chart rendering: metric medians, group baselines, SVG output."""
 
+import csv
+import io
 import xml.etree.ElementTree as ET
 from datetime import date
 
@@ -297,6 +299,13 @@ class TestOutputFiles:
         assert lines[0] == "user_id,activity,file"
         assert lines[1] == "u001,Running Exercise,u001_running_exercise.svg"
         assert text.endswith(".svg\n")
+
+    def test_index_quotes_a_label_with_a_comma(self):
+        entries = [("u001", "Drills, night", "u001_drills_night.svg"), ("u,2", RUN, "b.svg")]
+        text = radar_index_csv(entries)
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["user_id", "activity", "file"], *map(list, entries)
+        ]
 
     def test_band_modes_constant(self):
         assert BAND_MODES == ("sd", "range")
