@@ -404,70 +404,42 @@ def field_error(
     return ValueError(f"{kind} CSV row {line}: {problem}")
 
 
-#: A ``minute_columns`` field reader: ``read(texts, first, dtype)`` is the
-#: array of ``dtype`` values of the distinct texts of one field in a block
-#: (sorted), given the line where each text first appears. It raises
-#: codec.NotCanonical for a text the per-row reader rejects.
-FieldReader = Callable[[list[bytes], np.ndarray, type], np.ndarray]
-
-
 @dataclass(frozen=True)
 class MinuteField:
     """One field of a per-minute CSV after the minute, and the DayGrid
     column it fills.
 
-    - ``parse(text, labels)``: the per-row converter, which defines the
-      field; a ValueError or KeyError rejects the text (see field_error)
-    - ``read(texts, first, dtype, labels)``: the columnar FieldReader
+    - ``converter(labels)``: the converter of the field's texts, which
+      defines the field; both readers, per row and columnar, convert with
+      it, and a ValueError or KeyError rejects the text (see field_error)
     - ``encode(days, suffix)``: the writer's table of texts, each followed
       by ``suffix``, and each minute's code into it, flattened
 
-    ``labels`` numbers the labels a reader meets in order of first
-    appearance; only the label field (``LABEL_FIELD``) uses it.
+    ``labels`` is the dict of one read that numbers the labels in order of
+    first appearance; only the label field (``LABEL_FIELD``) uses it.
     """
 
     column: str
-    parse: Callable[[str, dict[str, int]], object]
-    read: Callable[[list[bytes], np.ndarray, type, dict[str, int]], np.ndarray]
+    converter: Callable[[dict[str, int]], Callable[[str], object]]
     encode: Callable[[DayGrid, str], tuple[Iterable[str], np.ndarray]]
 
 
 def value_field(
     column: str,
     convert: Callable[[str], object],
-    read: FieldReader,
     table: Callable[[np.ndarray, str], Iterable[str]],
 ) -> MinuteField:
-    """The field of a value column: ``convert`` of each row's text, ``read``
-    of each block's distinct texts, written through ``table(values,
-    suffix)``, the texts of the column's sorted distinct values (float64
-    columns as bit patterns, see codec.float_keys, so -0.0 keeps its own
-    text)."""
+    """The field of a value column: ``convert`` of each text, written
+    through ``table(values, suffix)``, the texts of the column's sorted
+    distinct values (float64 columns as bit patterns, see codec.float_keys,
+    so -0.0 keeps its own text)."""
     key = codec.float_keys if _COLUMNS[column][0] is np.float64 else np.asarray
 
     def encode(days: DayGrid, suffix: str) -> tuple[Iterable[str], np.ndarray]:
         values, codes = codec.value_codes(key(getattr(days, column)))
         return table(values, suffix), codes
 
-    return MinuteField(
-        column,
-        lambda text, labels: convert(text),
-        lambda texts, first, dtype, labels: read(texts, first, dtype),
-        encode,
-    )
-
-
-def each_text(convert: Callable[[bytes], object]) -> FieldReader:
-    """The field reader that applies the per-row ``convert`` to each text."""
-    return lambda texts, first, dtype: codec.convert(texts, convert, dtype)
-
-
-def finite_floats(texts: list[bytes], first: np.ndarray, dtype: type) -> np.ndarray:
-    """The field reader of finite floats."""
-    values = codec.convert(texts, float, dtype)
-    if not np.isfinite(values).all():
-        raise codec.NotCanonical
-    return values
+    return MinuteField(column, lambda labels: convert, encode)
 
 
 def _finite(text: str) -> float:
@@ -481,13 +453,6 @@ def _pulse(text: str) -> float:
     return _finite(text) if text != "" else math.nan
 
 
-def _pulses(texts: list[bytes], first: np.ndarray, dtype: type) -> np.ndarray:
-    """Finite floats, and NaN (no reading) for the empty text, which sorts first."""
-    empty = texts[0] == b""
-    values = finite_floats(texts[empty:], first, dtype)
-    return np.concatenate(([np.nan], values)) if empty else values
-
-
 _STATES = list(SleepState)
 
 
@@ -497,22 +462,12 @@ def state_field(code_of: Mapping[str, int]) -> MinuteField:
     return value_field(
         "sleep",
         code_of.__getitem__,
-        each_text(lambda text: code_of[text.decode()]),
         lambda codes, suffix: [_STATES[code].value + suffix for code in codes.tolist()],
     )
 
 
 def _label_code(text: str, labels: dict[str, int]) -> int:
     return labels.setdefault(text, len(labels)) if text else -1
-
-
-def _label_codes(
-    texts: list[bytes], first: np.ndarray, dtype: type, labels: dict[str, int]
-) -> np.ndarray:
-    for k in np.argsort(first).tolist():
-        if texts[k]:
-            labels.setdefault(texts[k].decode(), len(labels))
-    return codec.convert(texts, lambda text: labels[text.decode()] if text else -1, dtype)
 
 
 def _label_texts(days: DayGrid, suffix: str) -> tuple[list[str], np.ndarray]:
@@ -523,7 +478,7 @@ def _label_texts(days: DayGrid, suffix: str) -> tuple[list[str], np.ndarray]:
 _INT64 = np.iinfo(np.int64)
 
 
-def _steps(text: str | bytes) -> int:
+def _steps(text: str) -> int:
     value = int(text)
     if not _INT64.min <= value <= _INT64.max:
         raise ValueError(f"steps {value} outside int64")
@@ -534,13 +489,14 @@ def _steps(text: str | bytes) -> int:
 STEPS_FIELD = value_field(
     "steps",
     _steps,
-    each_text(_steps),
     lambda values, suffix: [f"{value}{suffix}" for value in values.tolist()],
 )
 
 #: The schedule column as a label per minute, empty where there is none;
 #: labels get codes in order of first appearance.
-LABEL_FIELD = MinuteField("schedule", _label_code, _label_codes, _label_texts)
+LABEL_FIELD = MinuteField(
+    "schedule", lambda labels: partial(_label_code, labels=labels), _label_texts
+)
 
 
 @dataclass(frozen=True)
@@ -599,7 +555,7 @@ class MinuteFormat:
         error message with its row number."""
         keys: list[tuple[str, date]] = []
         labels: dict[str, int] = {}
-        converters = {c: partial(f.parse, labels=labels) for c, f in enumerate(self.fields, 3)}
+        converters = {c: f.converter(labels) for c, f in enumerate(self.fields, 3)}
         columns = [array(np.dtype(_COLUMNS[field.column][0]).char) for field in self.fields]
         for line, row, day in minute_rows(stream, self.header, self.kind):
             if day is not None:
@@ -618,8 +574,8 @@ class MinuteFormat:
         its rows are canonical (see ``minute_columns``); raises
         codec.NotCanonical otherwise."""
         labels: dict[str, int] = {}
-        readers = [(partial(f.read, labels=labels), _COLUMNS[f.column][0]) for f in self.fields]
-        keys, columns = minute_columns(rest, start, self.header, readers)
+        converters = [(f.converter(labels), _COLUMNS[f.column][0]) for f in self.fields]
+        keys, columns = minute_columns(rest, start, self.header, converters)
         return _sorted_grid(keys, labels, dict(zip((f.column for f in self.fields), columns)))
 
 
@@ -629,9 +585,9 @@ ALIGNED_FORMAT = MinuteFormat(
     "aligned",
     ALIGNED_HEADER,
     (
-        value_field("pulse", _pulse, _pulses, partial(codec.number_texts, nan_text="")),
+        value_field("pulse", _pulse, partial(codec.number_texts, nan_text="")),
         STEPS_FIELD,
-        value_field("distance_m", _finite, finite_floats, codec.number_texts),
+        value_field("distance_m", _finite, codec.number_texts),
         state_field({state.value: code for state, code in SLEEP_CODE.items()}),
         LABEL_FIELD,
     ),
@@ -721,7 +677,7 @@ def minute_columns(
     rest: list[bytes],
     start: int,
     header: Sequence[str],
-    fields: Sequence[tuple[FieldReader, type]],
+    fields: Sequence[tuple[Callable[[str], object], type]],
 ) -> tuple[list[tuple[str, date]], list[np.ndarray]]:
     """The columnar reader of a per-minute CSV whose fields start with user,
     date and minute (``minute_rows`` is its per-row reader).
@@ -730,10 +686,13 @@ def minute_columns(
     ``start``, when its rows are canonical: ``len(header)`` unquoted fields
     per row, every user-day on 1440 consecutive rows with minutes 0..1439
     in order, written as ``str(minute)``, each user-day once, and every
-    field accepted by its reader. ``fields`` holds ``(read, dtype)`` for
-    each column after the minute (see FieldReader). Returns the user-days in
-    file order and each field's column, one row per minute; raises
-    codec.NotCanonical for anything else.
+    field accepted by its converter. ``fields`` holds ``(convert, dtype)``
+    for each column after the minute: the per-row converter (see
+    MinuteField), applied once to each distinct text of a block, in order
+    of first appearance, so a converter that numbers what it meets numbers
+    it as a per-row read does. Returns the user-days in file order and each
+    field's column, one row per minute; raises codec.NotCanonical for
+    anything else, a text the converter rejects included.
     """
     data = rest.pop()
     n = data.count(b"\n", start)
@@ -760,9 +719,12 @@ def minute_columns(
         previous = block[head_start[-1] : head_end[-1]].tobytes()
         for a, b in zip(head_start[minute == 0].tolist(), head_end[minute == 0].tolist()):
             heads.append(block[a:b].tobytes())
-        for field, ((read, dtype), column) in enumerate(zip(fields, columns), 3):
+        for field, ((convert, dtype), column) in enumerate(zip(fields, columns), 3):
             texts, first, inv = codec.distinct(block, *codec.field_bounds(ends, field))
-            column[rows] = read(texts, first, dtype)[inv]
+            order = np.argsort(first).tolist()
+            values = np.empty(len(texts), dtype)
+            values[order] = codec.convert([texts[k].decode() for k in order], convert, dtype)
+            column[rows] = values[inv]
         r = rows.stop
     if len(set(heads)) < len(heads):
         raise codec.NotCanonical  # a user-day listed twice

@@ -25,7 +25,7 @@ the headroom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,15 +84,7 @@ class ModelParams:
         return 2 * self.hidden_size
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            arrays={k: v.copy() for k, v in self.arrays.items()},
-            input_size=self.input_size,
-            hidden_size=self.hidden_size,
-            n_level1=self.n_level1,
-            n_level2=self.n_level2,
-            dropout=self.dropout,
-            pooling=self.pooling,
-        )
+        return replace(self, arrays={k: v.copy() for k, v in self.arrays.items()})
 
 
 def _array_shapes(

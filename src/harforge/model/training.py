@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from ..core import ActivityTaxonomy, write_text
 from ..dataset import WindowSet
 from .losses import LossConfig, hierarchical_focal_loss, hierarchical_focal_loss_grads
-from .network import ModelParams, model_backward, model_forward
+from .network import ModelParams, _array_shapes, model_backward, model_forward
 from .optim import (
     OptimState,
     PlateauScheduler,
@@ -35,6 +35,9 @@ from .optim import (
 )
 
 CHECKPOINT_KIND = "harforge-checkpoint"
+
+#: The metadata fields of ModelParams: a checkpoint's "model" object.
+_MODEL_FIELDS = tuple(f.name for f in fields(ModelParams) if f.name != "arrays")
 
 
 def _class_indices(labels: np.ndarray, classes: Sequence[str]) -> np.ndarray:
@@ -223,14 +226,7 @@ def save_checkpoint(
         "seed": seed,
         "taxonomy_hash": taxonomy_hash,
         "config": config or {},
-        "model": {
-            "input_size": params.input_size,
-            "hidden_size": params.hidden_size,
-            "n_level1": params.n_level1,
-            "n_level2": params.n_level2,
-            "dropout": params.dropout,
-            "pooling": params.pooling,
-        },
+        "model": {name: getattr(params, name) for name in _MODEL_FIELDS},
         "arrays": [
             {
                 "name": name,
@@ -246,27 +242,40 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Reload a checkpoint; returns (params, metadata)."""
+    """Reload a checkpoint; returns (params, metadata). A checkpoint whose
+    model object lacks a ModelParams field or has another one, or whose
+    arrays are not exactly those of that model at their shapes, is a
+    ValueError naming the path and the field or array."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("kind") != CHECKPOINT_KIND:
         raise ValueError(f"{path} is not a model checkpoint")
-    meta = payload["model"]
-    arrays = {
-        entry["name"]: np.array(entry["values"], dtype=np.float64).reshape(
-            entry["shape"]
-        )
-        for entry in payload["arrays"]
-    }
-    params = ModelParams(
-        arrays=arrays,
-        input_size=meta["input_size"],
-        hidden_size=meta["hidden_size"],
-        n_level1=meta["n_level1"],
-        n_level2=meta["n_level2"],
-        dropout=meta["dropout"],
-        pooling=meta["pooling"],
+    model = payload["model"]
+    for name in _MODEL_FIELDS:
+        if name not in model:
+            raise ValueError(f"{path}: checkpoint model has no {name!r}")
+    for name in model:
+        if name not in _MODEL_FIELDS:
+            raise ValueError(f"{path}: checkpoint model has unknown field {name!r}")
+    shapes = _array_shapes(
+        model["input_size"], model["hidden_size"], model["n_level1"], model["n_level2"]
     )
+    arrays = {}
+    for entry in payload["arrays"]:
+        name = entry["name"]
+        if name not in shapes or name in arrays:
+            raise ValueError(f"{path}: unexpected array {name!r} in checkpoint")
+        values = np.array(entry["values"], dtype=np.float64)
+        if tuple(entry["shape"]) != shapes[name] or values.size != math.prod(shapes[name]):
+            raise ValueError(
+                f"{path}: array {name!r} has shape {entry['shape']} and {values.size} values,"
+                f" the model needs shape {list(shapes[name])}"
+            )
+        arrays[name] = values.reshape(shapes[name])
+    for name in shapes:
+        if name not in arrays:
+            raise ValueError(f"{path}: checkpoint has no array {name!r}")
+    params = ModelParams(arrays=arrays, **model)
     return params, {
         "seed": payload.get("seed"),
         "taxonomy_hash": payload.get("taxonomy_hash"),

@@ -36,7 +36,6 @@ from .align import (
     STEPS_FIELD,
     DayGrid,
     MinuteFormat,
-    each_text,
     state_field,
     value_field,
 )
@@ -401,7 +400,6 @@ TRUTH_FORMAT = MinuteFormat(
         value_field(
             "distance_m",
             float,
-            each_text(float),
             lambda keys, suffix: [repr(v) + suffix for v in keys.view(np.float64).tolist()],
         ),
     ),

@@ -1,6 +1,8 @@
 """CLI driver: config parsing, stage hashing, caching, and a small
 end-to-end pipeline run."""
 
+import contextlib
+import importlib
 import json
 import os
 import shutil
@@ -38,6 +40,8 @@ from harforge.cli import (
     stage_inputs,
     stage_outputs,
 )
+
+from test_golden import TRAINING_CONFIG
 
 TINY_CONFIG = """\
 # smoke-sized cohort
@@ -702,3 +706,47 @@ class TestPipelineEndToEnd:
         )
         assert proc.returncode == 0
         assert "pipeline stage to run" in proc.stdout
+
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def _files_outside_reports(out) -> dict[str, bytes]:
+    """Every file of a tree but the stage reports (they hold wall-clock
+    durations), by relative path."""
+    files = {}
+    for dirpath, _, filenames in os.walk(out):
+        for filename in filenames:
+            full = os.path.join(dirpath, filename)
+            rel = os.path.relpath(full, out)
+            if rel.split(os.sep)[0] != "reports":
+                with open(full, "rb") as fh:
+                    files[rel] = fh.read()
+    return files
+
+
+def test_traced_in_process_stages_write_the_plain_tree(tmp_path, monkeypatch):
+    """Every stage through ``main`` in one process, once plainly and once in
+    a fresh tree inside the benchmark's tracer (``bench/harbench/tracing.py``,
+    which wraps the names it patches on ``harforge.cli`` and the model
+    modules), writes the same files: the wrappers keep every argument and
+    result, and no call leaves state behind for the next."""
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    tracing = importlib.import_module("harbench.tracing")
+    stages = importlib.import_module("harbench.spec").STAGES
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(TRAINING_CONFIG + "train.max_epochs = 2\n")
+    tracer = tracing.Tracer()
+    trees = {}
+    for name, context in (("plain", contextlib.nullcontext()), ("traced", tracing.traced(tracer))):
+        out = str(tmp_path / name)
+        with context:
+            for stage in stages:
+                assert main([stage, "--config", str(cfg_path), "--out", out]) == EXIT_OK, stage
+        trees[name] = _files_outside_reports(out)
+    spans = {span.name for span in tracer.spans}
+    assert {"align.read_aligned_csv", "model.training.checkpoint_io"} <= spans
+    assert any(rel.startswith("train") for rel in trees["plain"])
+    assert sorted(trees["traced"]) == sorted(trees["plain"])
+    changed = [rel for rel in trees["plain"] if trees["traced"][rel] != trees["plain"][rel]]
+    assert not changed, f"the traced run wrote other files: {changed}"

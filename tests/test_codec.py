@@ -11,6 +11,9 @@ definitions.
 - Canonical pipeline files take the columnar path: with the per-row parsers
   patched to raise, they still parse; HR files already in key order parse
   with ``np.lexsort`` patched to raise.
+- Labels are numbered in order of first appearance in the columnar read
+  too, wherever a block of lines starts, and a format whose fields are
+  only converters and writer tables reads back what it wrote both ways.
 - Every kind of text stream (files in any newline mode or encoding, with a
   byte order mark, positioned past the start, StringIO) reads as the
   per-row parsers read it, and a UTF-8 file is read as bytes, its text
@@ -514,6 +517,48 @@ def test_head_change_at_a_block_boundary_is_read_row_by_row(truth_csv_text, monk
         lines[i] = lines[i].replace("2024-03-04", "2024-03-06", 1)
     text = "".join(lines)
     assert outcome(read_truth_csv, text) == outcome(TRUTH_FORMAT.read_rows, text)
+
+
+def test_labels_are_numbered_in_order_of_first_appearance_across_blocks(monkeypatch):
+    """The columnar read numbers labels as the per-row read does: by first
+    appearance, not sorted, when none occurs in the first block, two first
+    occur in one later block and one in a block after that."""
+    monkeypatch.setattr(codec, "BLOCK_BYTES", 4096)
+    grid = seeded_grid(5, labels=("Archery", "Mid", "Zumba"))
+    grid.schedule[:] = -1
+    grid.schedule[1, 500:502] = [2, 0]
+    grid.schedule[2, 900] = 1
+    grid.schedule[3] = np.arange(MINUTES_PER_DAY) % 4 - 1
+    text = write_aligned_csv(grid)
+    data = text.encode()
+    start = data.index(b"\n") + 1
+    sizes = [len(ends) for _, ends in codec.split_lines(data, start, len(ALIGNED_HEADER))]
+    block_of_row = np.repeat(np.arange(len(sizes)), sizes)
+    zumba, archery, mid = MINUTES_PER_DAY + 500, MINUTES_PER_DAY + 501, 2 * MINUTES_PER_DAY + 900
+    assert 0 < block_of_row[zumba] == block_of_row[archery] < block_of_row[mid]
+
+    expected = outcome(ALIGNED_FORMAT.read_rows, text)
+    assert expected[0][1] == ("Zumba", "Archery", "Mid")
+    monkeypatch.setattr(align.MinuteFormat, "read_rows", _never)
+    assert outcome(read_aligned_csv, text) == expected
+
+
+def test_format_of_converter_fields_round_trips_through_both_readers(monkeypatch):
+    """A MinuteFormat of fields that are only a converter and a writer table
+    each reads back what it wrote, row by row and as columns; the grid
+    columns it has no field for read as their empty value."""
+    fmt = align.MinuteFormat(
+        "steps", ("user_id", "date", "minute", "steps", "activity"),
+        (align.STEPS_FIELD, align.LABEL_FIELD),
+    )
+    grid = seeded_grid(6)
+    grid.schedule[0, 0] = 0  # labels first appear in their tuple's order
+    want = DayGrid.empty(grid.keys, grid.labels)
+    want.steps[:], want.schedule[:] = grid.steps, grid.schedule
+    text = fmt.write(grid)
+    assert outcome(fmt.read_rows, text) == outcome(lambda: want)
+    monkeypatch.setattr(align.MinuteFormat, "read_rows", _never)
+    assert outcome(fmt.read, text) == outcome(lambda: want)
 
 
 class _UnreadableText(io.TextIOWrapper):

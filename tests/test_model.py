@@ -1,6 +1,7 @@
 """Network forward/backward correctness, loss math, optimizer, scheduler,
 and the training loop."""
 
+import json
 import math
 
 import numpy as np
@@ -797,6 +798,59 @@ class TestCheckpoint:
         path.write_text('{"kind": "something-else"}')
         with pytest.raises(ValueError, match="not a model checkpoint"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _assert_rejected(tmp_path, edit, problem):
+        """A width-4 checkpoint with ``edit`` applied to its JSON payload
+        fails to load with ``problem`` after its path."""
+        path = tmp_path / "model.json"
+        save_checkpoint(init_params(5, 4, 13, seed=1), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {problem}"
+
+    def test_missing_array_rejected(self, tmp_path):
+        def drop_head2_b(payload):
+            payload["arrays"] = [a for a in payload["arrays"] if a["name"] != "head2_b"]
+
+        self._assert_rejected(tmp_path, drop_head2_b, "checkpoint has no array 'head2_b'")
+
+    def test_unknown_array_rejected(self, tmp_path):
+        def add_head3_b(payload):
+            payload["arrays"].append({"name": "head3_b", "shape": [1], "values": [0.0]})
+
+        self._assert_rejected(tmp_path, add_head3_b, "unexpected array 'head3_b' in checkpoint")
+
+    def test_arrays_of_another_width_rejected(self, tmp_path):
+        self._assert_rejected(
+            tmp_path,
+            lambda payload: payload["model"].update(hidden_size=8),
+            "array 'enc1_bwd_b' has shape [16] and 16 values, the model needs shape [32]",
+        )
+
+    def test_values_not_filling_the_shape_rejected(self, tmp_path):
+        self._assert_rejected(
+            tmp_path,
+            lambda payload: payload["arrays"][0]["values"].pop(),
+            "array 'enc1_bwd_b' has shape [16] and 15 values, the model needs shape [16]",
+        )
+
+    def test_missing_model_field_rejected(self, tmp_path):
+        self._assert_rejected(
+            tmp_path,
+            lambda payload: payload["model"].pop("pooling"),
+            "checkpoint model has no 'pooling'",
+        )
+
+    def test_unknown_model_field_rejected(self, tmp_path):
+        self._assert_rejected(
+            tmp_path,
+            lambda payload: payload["model"].update(depth=3),
+            "checkpoint model has unknown field 'depth'",
+        )
 
 
 class TestWindowsToArrays:
