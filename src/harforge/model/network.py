@@ -9,14 +9,24 @@ the two final hidden states of layer 2 (the forward direction's last step
 and the backward direction's first step), or the mean over time of the
 concatenated outputs when mean pooling is selected.
 
-Each direction keeps one activated (B, W, 4H) gate slab per call. A step
-computes the three sigmoid gates in one branch-free pass over the whole
-(B, 4H) pre-activation, ``e = exp(-|z|)`` then ``max(e, z >= 0) / (1 + e)``,
-which is exactly ``1/(1+e)`` for z >= 0 and ``e/(1+e)`` otherwise, and then
-overwrites the cell block with its tanh. The step loops allocate nothing:
-their scratch buffers are made once per call and filled with ``out=``.
-Results are bit-identical to the earlier per-gate kernel (four gate caches
-and a masked sigmoid per gate), which the tests keep as a reference.
+Each direction allocates one (B, W, 4H) slab per forward pass, and the
+slab holds three things in turn. The forward pass computes ``x @ wx + b``
+into it for every step at once and writes each step's activated gates over
+the pre-activations that step has just read. The backward pass writes each
+step's ``dz`` over the gates that step has just read, and the final GEMMs
+read ``dz`` from the slab. A step computes the three sigmoid gates in one
+branch-free pass over the whole (B, 4H) pre-activation, ``e = exp(-|z|)``
+then ``max(e, z >= 0) / (1 + e)``, which is exactly ``1/(1+e)`` for z >= 0
+and ``e/(1+e)`` otherwise, and then overwrites the cell block with its
+tanh. The step loops allocate nothing: their scratch buffers are made once
+per call and filled with ``out=``.
+
+The backward pass therefore consumes its cache: ``encoder_backward`` pops
+each direction's cache before it backpropagates through it, so a
+direction's slabs are freed before the next direction runs, and a second
+backward pass on the same cache is an error. Results are bit-identical to
+the earlier per-gate kernel (four gate caches and a masked sigmoid per
+gate), which the tests keep as a reference.
 
 Everything runs in float64: the backward pass is checked coordinate by
 coordinate against central finite differences, and that comparison needs
@@ -75,9 +85,9 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         if self.pooling not in POOLING_MODES:
-            raise ValueError(f"unknown pooling mode {self.pooling!r}")
+            raise ValueError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
 
     @property
     def feature_size(self) -> int:
@@ -160,13 +170,15 @@ def _lstm_forward(x, wx, wh, b, reverse: bool):
 
     Returns the per-step hidden states in time order and the cache needed
     by the backward pass: the activated (B, W, 4H) gate slab, the cell
-    states and the hidden states.
+    states and the hidden states. The gates are written over the
+    pre-activation slab they come from: step t reads ``pre[:, t]`` once,
+    before it stores its gates there. ``_lstm_backward`` consumes the cache.
     """
     batch, width, _ = x.shape
     h_dim = wh.shape[0]
     pre = x @ wx  # input contribution for every step at once
     pre += b
-    gates = np.empty((batch, width, 4 * h_dim))
+    gates = pre
     c_seq = np.empty((batch, width, h_dim))
     h_seq = np.empty((batch, width, h_dim))
     # per-step scratch, filled in place so the loop allocates nothing
@@ -207,13 +219,16 @@ def _lstm_forward(x, wx, wh, b, reverse: bool):
 def _lstm_backward(dh_seq, cache, wx, wh):
     """Backpropagate through one direction. dh_seq holds the gradient
     arriving at every per-step hidden output. The input gradient ``dx`` is
-    None when the cache holds ``input_grad=False``."""
+    None when the cache holds ``input_grad=False``.
+
+    The pass consumes the cache: step t reads ``gates[:, t]`` once and then
+    stores its ``dz`` there, so afterwards the gate slab holds ``dz``."""
     x, gates = cache["x"], cache["gates"]
     c_seq, h_seq = cache["c"], cache["h"]
     reverse = cache["reverse"]
     batch, width, h_dim = h_seq.shape
 
-    dz_seq = np.empty((batch, width, 4 * h_dim))
+    dz_seq = gates
     d_wh = np.zeros_like(wh)
     # per-step scratch, filled in place so the loop allocates nothing
     dh_carry = np.zeros((batch, h_dim))
@@ -255,12 +270,13 @@ def _lstm_backward(dh_seq, cache, wx, wh):
         np.square(g_t, out=slope_g)
         np.subtract(1.0, slope_g, out=slope_g)
         dz *= slope
+        # f_t is a view of the slab row that the store below overwrites
+        np.multiply(dc, f_t, out=dc_carry)
         dz_seq[:, t] = dz
 
         np.matmul(h_prev.T, dz, out=d_wh_t)
         d_wh += d_wh_t
         np.matmul(dz, wh.T, out=dh_carry)
-        np.multiply(dc, f_t, out=dc_carry)
 
     flat_x = x.reshape(batch * width, -1)
     flat_dz = dz_seq.reshape(batch * width, 4 * h_dim)
@@ -288,7 +304,7 @@ def make_dropout_mask(
     """Inverted dropout mask: zeros with probability ``dropout``, survivors
     scaled by 1/(1-dropout) so the expected activation is unchanged."""
     keep = rng.random(shape) >= dropout
-    return keep.astype(np.float64) / (1.0 - dropout)
+    return np.divide(keep, 1.0 - dropout, dtype=np.float64)
 
 
 def encoder_forward(
@@ -319,7 +335,7 @@ def encoder_forward(
                 raise ValueError(f"dropout mask shape {mask.shape} != {out1.shape}")
         else:
             mask = make_dropout_mask(out1.shape, params.dropout, rng or np.random.default_rng())
-        out1 = out1 * mask
+        out1 *= mask
 
     h2f, cache2f = _lstm_forward(out1, a["enc2_fwd_wx"], a["enc2_fwd_wh"], a["enc2_fwd_b"], False)
     h2b, cache2b = _lstm_forward(out1, a["enc2_bwd_wx"], a["enc2_bwd_wh"], a["enc2_bwd_b"], True)
@@ -342,7 +358,17 @@ def encoder_forward(
 
 
 def encoder_backward(dfeatures: np.ndarray, cache, params: ModelParams):
-    """Gradients of every encoder array given dLoss/dfeatures."""
+    """Gradients of every encoder array given dLoss/dfeatures.
+
+    The pass consumes ``cache``: it pops each direction's cache before
+    backpropagating through it, so that direction's slabs are freed before
+    the next one runs. A second backward pass on the same cache raises
+    ValueError; run the forward pass again instead."""
+    if "cache2f" not in cache:
+        raise ValueError(
+            "the forward cache was consumed by an earlier backward pass; "
+            "run the forward pass again"
+        )
     a = params.arrays
     h = params.hidden_size
     batch = dfeatures.shape[0]
@@ -357,19 +383,22 @@ def encoder_backward(dfeatures: np.ndarray, cache, params: ModelParams):
         dh2f += dfeatures[:, None, :h] / width
         dh2b += dfeatures[:, None, h:] / width
 
-    dx2f, dwx2f, dwh2f, db2f = _lstm_backward(dh2f, cache["cache2f"], a["enc2_fwd_wx"], a["enc2_fwd_wh"])
-    dx2b, dwx2b, dwh2b, db2b = _lstm_backward(dh2b, cache["cache2b"], a["enc2_bwd_wx"], a["enc2_bwd_wh"])
-    dout1 = dx2f + dx2b
+    dx2f, dwx2f, dwh2f, db2f = _lstm_backward(dh2f, cache.pop("cache2f"), a["enc2_fwd_wx"], a["enc2_fwd_wh"])
+    dx2b, dwx2b, dwh2b, db2b = _lstm_backward(dh2b, cache.pop("cache2b"), a["enc2_bwd_wx"], a["enc2_bwd_wh"])
+    dout1 = dx2f
+    dout1 += dx2b
     if cache["mask"] is not None:
-        dout1 = dout1 * cache["mask"]
+        dout1 *= cache["mask"]
 
     dh1f = dout1[:, :, :h]
     dh1b = dout1[:, :, h:]
     # nothing takes the gradient of the model input, so layer 1 skips it
-    cache1f = cache["cache1f"] | {"input_grad": False}
-    cache1b = cache["cache1b"] | {"input_grad": False}
-    _, dwx1f, dwh1f, db1f = _lstm_backward(dh1f, cache1f, a["enc1_fwd_wx"], a["enc1_fwd_wh"])
-    _, dwx1b, dwh1b, db1b = _lstm_backward(dh1b, cache1b, a["enc1_bwd_wx"], a["enc1_bwd_wh"])
+    _, dwx1f, dwh1f, db1f = _lstm_backward(
+        dh1f, cache.pop("cache1f") | {"input_grad": False}, a["enc1_fwd_wx"], a["enc1_fwd_wh"]
+    )
+    _, dwx1b, dwh1b, db1b = _lstm_backward(
+        dh1b, cache.pop("cache1b") | {"input_grad": False}, a["enc1_bwd_wx"], a["enc1_bwd_wh"]
+    )
 
     return {
         "enc1_fwd_wx": dwx1f,
@@ -431,7 +460,10 @@ def model_forward(
 
 
 def model_backward(dlogits1, dlogits2, cache, params: ModelParams):
-    """Gradients for every parameter array given the logit gradients."""
+    """Gradients for every parameter array given the logit gradients.
+
+    The pass consumes ``cache`` (see ``encoder_backward``): a second
+    backward pass on the same cache raises ValueError."""
     head_grads, dfeatures = heads_backward(cache["features"], dlogits1, dlogits2, params)
     grads = encoder_backward(dfeatures, cache, params)
     grads.update(head_grads)

@@ -243,9 +243,11 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Reload a checkpoint; returns (params, metadata). A checkpoint whose
-    model object lacks a ModelParams field or has another one, or whose
-    arrays are not exactly those of that model at their shapes, is a
-    ValueError naming the path and the field or array."""
+    model object lacks a ModelParams field, has another one or holds a
+    value of the wrong kind (a size that is not a positive int, a dropout
+    that is not a number in [0, 1), a pooling mode not in POOLING_MODES),
+    or whose arrays are not exactly those of that model at their shapes, is
+    a ValueError naming the path and the field or array."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("kind") != CHECKPOINT_KIND:
@@ -257,6 +259,18 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     for name in model:
         if name not in _MODEL_FIELDS:
             raise ValueError(f"{path}: checkpoint model has unknown field {name!r}")
+    for name in ("input_size", "hidden_size", "n_level1", "n_level2"):
+        # bool is a subclass of int, so the kind is compared exactly
+        if type(model[name]) is not int or model[name] <= 0:
+            raise ValueError(
+                f"{path}: checkpoint model field {name!r} must be a positive int,"
+                f" got {model[name]!r}"
+            )
+    if type(model["dropout"]) not in (int, float):
+        raise ValueError(
+            f"{path}: checkpoint model field 'dropout' must be a real number,"
+            f" got {model['dropout']!r}"
+        )
     shapes = _array_shapes(
         model["input_size"], model["hidden_size"], model["n_level1"], model["n_level2"]
     )
@@ -275,7 +289,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     for name in shapes:
         if name not in arrays:
             raise ValueError(f"{path}: checkpoint has no array {name!r}")
-    params = ModelParams(arrays=arrays, **model)
+    try:
+        params = ModelParams(arrays=arrays, **model)
+    except ValueError as err:  # a dropout out of range or an unknown pooling mode
+        raise ValueError(f"{path}: checkpoint model {err}") from None
     return params, {
         "seed": payload.get("seed"),
         "taxonomy_hash": payload.get("taxonomy_hash"),

@@ -3,6 +3,7 @@ and the training loop."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from harforge.model import (
     TrainingDivergedError,
     adamw_step,
     cross_entropy,
+    encoder_backward,
+    encoder_forward,
     focal_transform,
     hierarchical_focal_loss,
     hierarchical_focal_loss_grads,
@@ -26,6 +29,7 @@ from harforge.model import (
     loss_and_grads,
     loss_value,
     make_dropout_mask,
+    model_backward,
     model_forward,
     predict,
     save_checkpoint,
@@ -35,7 +39,12 @@ from harforge.model import (
 )
 from harforge.model.losses import focal_grad_wrt_ce
 import harforge.model.network as network
-from harforge.model.network import _ARRAY_ORDER, _lstm_backward, _lstm_forward
+from harforge.model.network import (
+    _ARRAY_ORDER,
+    POOLING_MODES,
+    _lstm_backward,
+    _lstm_forward,
+)
 
 
 class TestInit:
@@ -290,6 +299,72 @@ class TestKernelMatchesReference:
         got = _lstm_backward(dh_seq, cache_new, wx, wh)
         for name, g, w in zip(("dx", "d_wx", "d_wh", "d_b"), got, want):
             assert np.array_equal(g, w), name
+
+
+def benchmark_batch(pooling="final"):
+    """A batch at the train benchmark's shape: 256 windows of width 60,
+    hidden size 32 and dropout 0.1."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(256, 60, 5))
+    y1 = rng.integers(0, 3, size=256)
+    y2 = rng.integers(0, 13, size=256)
+    return init_params(5, 32, 13, seed=6, dropout=0.1, pooling=pooling), x, y1, y2
+
+
+class TestBenchmarkShape:
+    @pytest.mark.parametrize("pooling", POOLING_MODES)
+    def test_loss_and_grads_match_the_reference_kernel(self, pooling, monkeypatch):
+        params, x, y1, y2 = benchmark_batch(pooling)
+        fused = loss_and_grads(params, x, y1, y2, rng=np.random.default_rng(8))
+        # the same draws, scaled as the reference mask was: as float, then divided
+        keep = np.random.default_rng(8).random((256, 60, 64)) >= 0.1
+        mask = keep.astype(np.float64) / (1.0 - 0.1)
+        monkeypatch.setattr(network, "_lstm_forward", ref_lstm_forward)
+        monkeypatch.setattr(network, "_lstm_backward", ref_lstm_backward)
+        reference = loss_and_grads(params, x, y1, y2, dropout_mask=mask)
+        assert fused[0] == reference[0]
+        for name in _ARRAY_ORDER:
+            assert np.array_equal(fused[1][name], reference[1][name]), name
+        for name, part in reference[2].items():
+            assert np.array_equal(fused[2][name], part), name
+
+    def test_loss_and_grads_peak_memory_is_bounded(self):
+        """Each direction holds one (B, W, 4H) slab, 15 MiB here, which holds
+        its pre-activations, then its gates, then dz; the backward pass frees
+        each direction's cache once it is through. One more such slab per
+        pass takes the traced peak (121 MiB) over the bound."""
+        params, x, y1, y2 = benchmark_batch()
+        tracemalloc.start()
+        try:
+            loss_and_grads(params, x, y1, y2, rng=np.random.default_rng(8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 130 * 2**20
+
+
+class TestBackwardConsumesCache:
+    """A backward pass writes dz over the gate slabs of its cache, so a
+    second one on the same cache must fail instead of using them."""
+
+    def test_second_model_backward_raises(self):
+        params = init_params(5, 4, 6, seed=1, dropout=0.2)
+        x = np.random.default_rng(3).normal(size=(3, 5, 5))
+        logits1, logits2, cache = model_forward(
+            x, params, train_mode=True, rng=np.random.default_rng(0)
+        )
+        model_backward(np.ones_like(logits1), np.ones_like(logits2), cache, params)
+        assert cache["width"] == 5  # the traced benchmark names its spans by it
+        with pytest.raises(ValueError, match="consumed by an earlier backward pass"):
+            model_backward(np.ones_like(logits1), np.ones_like(logits2), cache, params)
+
+    def test_second_encoder_backward_raises(self):
+        params = init_params(5, 4, 6, seed=1, dropout=0.0, pooling="mean")
+        x = np.random.default_rng(3).normal(size=(3, 5, 5))
+        features, cache = encoder_forward(x, params, train_mode=True)
+        encoder_backward(np.ones_like(features), cache, params)
+        with pytest.raises(ValueError, match="consumed by an earlier backward pass"):
+            encoder_backward(np.ones_like(features), cache, params)
 
 
 class TestPoolingAndInput:
@@ -681,6 +756,15 @@ class TestTrainLoop:
         _, h2 = train(params, (x, y1, y2), (x, y1, y2), cfg)
         assert h1 == h2
 
+    def test_repeated_training_writes_identical_checkpoints(self, tmp_path):
+        x, y1, y2 = separable_data(12)
+        params = init_params(5, 4, 2, seed=1, dropout=0.2)
+        cfg = TrainConfig(batch_size=7, learning_rate=0.005, max_epochs=3, seed=3)
+        for name in ("first.json", "second.json"):
+            best, _ = train(params, (x, y1, y2), (x, y1, y2), cfg)
+            save_checkpoint(best, tmp_path / name, seed=3)
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
     def test_input_params_untouched(self):
         x, y1, y2 = separable_data(8)
         params = init_params(5, 4, 2, seed=1)
@@ -850,6 +934,25 @@ class TestCheckpoint:
             tmp_path,
             lambda payload: payload["model"].update(depth=3),
             "checkpoint model has unknown field 'depth'",
+        )
+
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("hidden_size", 4.0, "field 'hidden_size' must be a positive int, got 4.0"),
+            ("input_size", True, "field 'input_size' must be a positive int, got True"),
+            ("n_level1", 0, "field 'n_level1' must be a positive int, got 0"),
+            ("dropout", "0.1", "field 'dropout' must be a real number, got '0.1'"),
+            ("dropout", 1.5, "dropout must be in [0, 1), got 1.5"),
+            ("pooling", "max", "pooling must be one of ('final', 'mean'), got 'max'"),
+        ],
+    )
+    def test_model_field_of_the_wrong_kind_rejected(self, tmp_path, field, value, problem):
+        self._assert_rejected(
+            tmp_path,
+            lambda payload: payload["model"].update({field: value}),
+            f"checkpoint model {problem}",
         )
 
 
