@@ -74,6 +74,7 @@ from .ingest import (
 )
 from .model import (
     LossConfig,
+    ModelConfig,
     TrainConfig,
     init_params,
     load_checkpoint,
@@ -131,37 +132,42 @@ _KINDS: dict[str, Kind] = {
     "strs": Kind(_listed(str), ",".join),
 }
 
-# section -> (the config it builds, the fields of it that are config keys)
-_SECTIONS: dict[str, tuple[type, tuple[str, ...]]] = {
-    "cohort": (CohortConfig, (
+def _field_names(config: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(config))
+
+
+# config -> (the section whose keys build it, the fields of it that are keys)
+_CONFIGS: dict[type, tuple[str, tuple[str, ...]]] = {
+    CohortConfig: ("cohort", (
         "n_users", "n_days", "seed", "start_date", "resting_hr_mean", "resting_hr_sd",
         "hr_range_mean", "hr_range_sd", "awake_hr_frac", "hr_sd_scale", "user_frac_jitter_sd",
         "sleep_dropout", "hr_dropout",
     )),
-    "impute": (ImputeConfig, tuple(f.name for f in fields(ImputeConfig))),
-    "train": (TrainConfig, (
+    ImputeConfig: ("impute", _field_names(ImputeConfig)),
+    TrainConfig: ("train", (
         "batch_size", "learning_rate", "weight_decay", "max_epochs", "early_stopping_patience",
         "seed",
     )),
-    "loss": (LossConfig, tuple(f.name for f in fields(LossConfig))),
+    ModelConfig: ("train", _field_names(ModelConfig)),
+    LossConfig: ("loss", _field_names(LossConfig)),
 }
 
 
-def _section_keys(section: str) -> dict[str, tuple[str, object]]:
-    """The keys of ``section``, each with its field's annotation (a kind
-    name, as annotations are strings here) and default."""
-    config, names = _SECTIONS[section]
+def _config_keys(config: type) -> dict[str, tuple[str, object]]:
+    """The keys that build ``config``, each with its field's annotation (a
+    kind name, as annotations are strings here) and default."""
+    section, names = _CONFIGS[config]
     spec = {f.name: (f.type, f.default) for f in fields(config)}
     return {f"{section}.{name}": spec[name] for name in names}
 
 
-# key -> (kind, default): a section in _SECTIONS takes both from its config's
-# fields; the keys that no config field holds declare their own
+# key -> (kind, default): a config in _CONFIGS gives both for its keys; the
+# keys that no config field holds declare their own
 _KEY_SPEC: dict[str, tuple[str, object]] = {
-    **_section_keys("cohort"),
+    **_config_keys(CohortConfig),
     "align.tz_offset_minutes": ("int", DEFAULT_TZ_OFFSET_MINUTES),
     "align.profile_scope": ("str", "day"),
-    **_section_keys("impute"),
+    **_config_keys(ImputeConfig),
     "dataset.widths": ("ints", tuple(SAMPLING_RATES)),
     "dataset.label_threshold": ("float", LABEL_THRESHOLD),
     "dataset.oversample": ("bool", True),
@@ -169,14 +175,21 @@ _KEY_SPEC: dict[str, tuple[str, object]] = {
     "split.modes": ("strs", ("temporal", "user")),
     "split.fractions": ("floats", (0.7, 0.15, 0.15)),
     "split.seed": ("int", 0),
-    "train.hidden_size": ("int", 32),
-    **_section_keys("train"),
-    "train.dropout": ("float", 0.1),
-    "train.pooling": ("str", "final"),
-    **_section_keys("loss"),
+    **_config_keys(TrainConfig),
+    **_config_keys(ModelConfig),
+    **_config_keys(LossConfig),
     "viz.band": ("str", "sd"),
     "taxonomy.path": ("str", ""),
 }
+
+
+@contextlib.contextmanager
+def _section_check(section: str):
+    """A value that a config of ``section`` rejects is a ConfigError."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(f"config section {section}: {err}") from err
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -198,7 +211,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 class PipelineConfig:
-    """Typed view over the resolved flat key space."""
+    """Typed view over the resolved flat key space. Every section config
+    is built, and so checked, once when the config is read."""
 
     def __init__(self, values: dict[str, str]):
         unknown = sorted(set(values) - set(_KEY_SPEC))
@@ -226,6 +240,18 @@ class PipelineConfig:
                 )
             if width in widths[:i]:
                 raise ConfigError(f"dataset.widths names width {width} twice")
+        self._configs = {}
+        for config, (section, names) in _CONFIGS.items():
+            kwargs = {name: self[f"{section}.{name}"] for name in names}
+            if config is CohortConfig:
+                kwargs["tz_offset_minutes"] = self["align.tz_offset_minutes"]
+            with _section_check(section):
+                self._configs[config] = config(**kwargs)
+        with _section_check("split"):
+            self._splits = {
+                mode: SplitSpec(mode=mode, fractions=self["split.fractions"], seed=self["split.seed"])
+                for mode in modes
+            }
 
     def __getitem__(self, key: str):
         return self._typed[key]
@@ -243,28 +269,23 @@ class PipelineConfig:
     def split_modes(self) -> tuple[str, ...]:
         return self._typed["split.modes"]
 
-    def _section_config(self, section: str, **extra):
-        """The config of ``section`` (see _SECTIONS) from its keys, plus ``extra`` fields."""
-        config, names = _SECTIONS[section]
-        return config(**{name: self[f"{section}.{name}"] for name in names}, **extra)
-
     def cohort_config(self) -> CohortConfig:
-        return self._section_config("cohort", tz_offset_minutes=self["align.tz_offset_minutes"])
+        return self._configs[CohortConfig]
 
     def impute_config(self) -> ImputeConfig:
-        return self._section_config("impute")
+        return self._configs[ImputeConfig]
 
     def split_spec(self, mode: str) -> SplitSpec:
-        fractions = self["split.fractions"]
-        if len(fractions) != 3:
-            raise ConfigError("split.fractions needs exactly three numbers")
-        return SplitSpec(mode=mode, fractions=fractions, seed=self["split.seed"])
+        return self._splits[mode]
 
     def train_config(self) -> TrainConfig:
-        return self._section_config("train")
+        return self._configs[TrainConfig]
+
+    def model_config(self) -> ModelConfig:
+        return self._configs[ModelConfig]
 
     def loss_config(self) -> LossConfig:
-        return self._section_config("loss")
+        return self._configs[LossConfig]
 
     def taxonomy(self) -> ActivityTaxonomy:
         path = self["taxonomy.path"]
@@ -509,6 +530,7 @@ def _iter_runs(cfg: PipelineConfig, lay: Layout, names: tuple[str, ...]):
 
 def _stage_train(cfg: PipelineConfig, lay: Layout) -> dict:
     taxonomy = load_taxonomy(lay.path("canonical", "taxonomy.csv"))
+    model, train_config, loss_config = cfg.model_config(), cfg.train_config(), cfg.loss_config()
     counts: dict = {}
     for width, mode, (train_wins, val_wins) in _iter_runs(cfg, lay, ("train", "val")):
         if not len(train_wins) or not len(val_wins):
@@ -524,32 +546,25 @@ def _stage_train(cfg: PipelineConfig, lay: Layout) -> dict:
         val_data = windows_to_arrays(apply_normalizer(val_wins, normalizer), taxonomy)
         params = init_params(
             N_CHANNELS,
-            cfg["train.hidden_size"],
-            len(taxonomy.level2_classes),
-            seed=cfg["train.seed"],
-            dropout=cfg["train.dropout"],
-            pooling=cfg["train.pooling"],
+            n_level2=len(taxonomy.level2_classes),
+            seed=train_config.seed,
+            **asdict(model),
         )
-        best, history = train(
-            params, train_data, val_data, cfg.train_config(), cfg.loss_config()
-        )
+        best, history = train(params, train_data, val_data, train_config, loss_config)
         save_checkpoint(
             best,
             lay.path("train", f"checkpoint_w{width}_{mode}.json"),
-            seed=cfg["train.seed"],
+            seed=train_config.seed,
             taxonomy_hash=taxonomy.content_hash(),
             config={
                 "width": width,
                 "split_mode": mode,
-                "hidden_size": cfg["train.hidden_size"],
-                "batch_size": cfg["train.batch_size"],
-                "learning_rate": cfg["train.learning_rate"],
-                "weight_decay": cfg["train.weight_decay"],
-                "max_epochs": cfg["train.max_epochs"],
-                "lambda1": cfg["loss.lambda1"],
-                "lambda2": cfg["loss.lambda2"],
-                "alpha": cfg["loss.alpha"],
-                "gamma": cfg["loss.gamma"],
+                "hidden_size": model.hidden_size,
+                "batch_size": train_config.batch_size,
+                "learning_rate": train_config.learning_rate,
+                "weight_decay": train_config.weight_decay,
+                "max_epochs": train_config.max_epochs,
+                **asdict(loss_config),
             },
         )
         write_text(

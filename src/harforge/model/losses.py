@@ -8,7 +8,7 @@ probability assigned to the true class,
 
 so confidently-correct samples are damped and hard ones keep their weight.
 The two levels are combined as lambda1 * L1 + lambda2 * L2 where each level
-is reduced over the batch first.
+is averaged over the batch first.
 
 All logit math subtracts the row maximum before exponentiating, so the
 values are stable for any finite logits.
@@ -113,7 +113,6 @@ def hierarchical_focal_loss(
     labels1: np.ndarray,
     labels2: np.ndarray,
     config: LossConfig = LossConfig(),
-    reduction: str = "mean",
 ):
     """Total training loss for a batch.
 
@@ -121,15 +120,12 @@ def hierarchical_focal_loss(
     losses and the per-sample cross-entropies, which the backward pass and
     the training log both reuse.
     """
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     ce1 = cross_entropy(logits1, labels1)
     ce2 = cross_entropy(logits2, labels2)
     f1 = focal_transform(ce1, config.alpha, config.gamma)
     f2 = focal_transform(ce2, config.alpha, config.gamma)
-    reduce = np.mean if reduction == "mean" else np.sum
-    l1 = float(reduce(f1))
-    l2 = float(reduce(f2))
+    l1 = float(np.mean(f1))
+    l2 = float(np.mean(f2))
     total = hierarchical_loss(l1, l2, config)
     parts = {"level1": l1, "level2": l2, "ce1": ce1, "ce2": ce2}
     return total, parts
@@ -141,14 +137,11 @@ def hierarchical_focal_loss_grads(
     labels1: np.ndarray,
     labels2: np.ndarray,
     config: LossConfig = LossConfig(),
-    reduction: str = "mean",
 ):
     """Loss plus d total / d logits for both heads."""
-    total, parts = hierarchical_focal_loss(
-        logits1, logits2, labels1, labels2, config, reduction
-    )
+    total, parts = hierarchical_focal_loss(logits1, logits2, labels1, labels2, config)
     batch = logits1.shape[0]
-    scale = 1.0 / batch if reduction == "mean" else 1.0
+    scale = 1.0 / batch
 
     def level_grad(logits, labels, ce, lam):
         probs = softmax(logits)

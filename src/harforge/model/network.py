@@ -45,26 +45,30 @@ GATE_BLOCKS = 4  # input, forget, cell, output
 
 POOLING_MODES = ("final", "mean")
 
-#: Construction order of the parameter arrays. Initialization draws follow
-#: this order, which pins the random stream for a given seed.
-_ARRAY_ORDER = (
-    "enc1_fwd_wx",
-    "enc1_fwd_wh",
-    "enc1_fwd_b",
-    "enc1_bwd_wx",
-    "enc1_bwd_wh",
-    "enc1_bwd_b",
-    "enc2_fwd_wx",
-    "enc2_fwd_wh",
-    "enc2_fwd_b",
-    "enc2_bwd_wx",
-    "enc2_bwd_wh",
-    "enc2_bwd_b",
-    "head1_w",
-    "head1_b",
-    "head2_w",
-    "head2_b",
-)
+
+def _check_size(name: str, value) -> None:
+    # bool is a subclass of int, so the kind is compared exactly
+    if type(value) is not int or value <= 0:
+        raise ValueError(f"field {name!r} must be a positive int, got {value!r}")
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """The network's shape settings: the LSTM hidden size, the inverted
+    dropout rate between the two layers and the pooling mode."""
+
+    hidden_size: int = 32
+    dropout: float = 0.1
+    pooling: str = "final"
+
+    def __post_init__(self) -> None:
+        _check_size("hidden_size", self.hidden_size)
+        if isinstance(self.dropout, bool) or not isinstance(self.dropout, (int, float)):
+            raise ValueError(f"field 'dropout' must be a real number, got {self.dropout!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        if self.pooling not in POOLING_MODES:
+            raise ValueError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
 
 
 @dataclass
@@ -77,21 +81,17 @@ class ModelParams:
 
     arrays: dict[str, np.ndarray]
     input_size: int
-    hidden_size: int
     n_level1: int
     n_level2: int
-    dropout: float = 0.1
-    pooling: str = "final"
+    config: ModelConfig
 
     def __post_init__(self) -> None:
-        if self.pooling not in POOLING_MODES:
-            raise ValueError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        for name in ("input_size", "n_level1", "n_level2"):
+            _check_size(name, getattr(self, name))
 
     @property
     def feature_size(self) -> int:
-        return 2 * self.hidden_size
+        return 2 * self.config.hidden_size
 
     def copy(self) -> "ModelParams":
         return replace(self, arrays={k: v.copy() for k, v in self.arrays.items()})
@@ -121,6 +121,11 @@ def _array_shapes(
     }
 
 
+#: Construction order of the parameter arrays. Initialization draws follow
+#: this order, which pins the random stream for a given seed.
+_ARRAY_ORDER = tuple(_array_shapes(1, 1, 1, 1))
+
+
 def _fan_in(name: str, shape: tuple[int, ...], hidden_size: int) -> int:
     if name.endswith("_b"):
         # biases share the fan of the matrix they accompany
@@ -135,28 +140,23 @@ def init_params(
     *,
     n_level1: int = N_LEVEL1,
     seed: int = 0,
-    dropout: float = 0.1,
-    pooling: str = "final",
+    dropout: float = ModelConfig.dropout,
+    pooling: str = ModelConfig.pooling,
 ) -> ModelParams:
-    """Seeded uniform initialization, each array in (-1, 1)/sqrt(fan_in)."""
-    if min(input_size, hidden_size, n_level1, n_level2) <= 0:
-        raise ValueError("all model dimensions must be positive")
-    rng = np.random.default_rng(seed)
-    shapes = _array_shapes(input_size, hidden_size, n_level1, n_level2)
-    arrays: dict[str, np.ndarray] = {}
-    for name in _ARRAY_ORDER:
-        shape = shapes[name]
-        bound = 1.0 / np.sqrt(_fan_in(name, shape, hidden_size))
-        arrays[name] = rng.uniform(-bound, bound, size=shape)
-    return ModelParams(
-        arrays=arrays,
+    """Seeded uniform initialization, each array in (-1, 1)/sqrt(fan_in).
+    The metadata is checked before anything is drawn."""
+    params = ModelParams(
+        arrays={},
         input_size=input_size,
-        hidden_size=hidden_size,
         n_level1=n_level1,
         n_level2=n_level2,
-        dropout=dropout,
-        pooling=pooling,
+        config=ModelConfig(hidden_size, dropout, pooling),
     )
+    rng = np.random.default_rng(seed)
+    for name, shape in _array_shapes(input_size, hidden_size, n_level1, n_level2).items():
+        bound = 1.0 / np.sqrt(_fan_in(name, shape, hidden_size))
+        params.arrays[name] = rng.uniform(-bound, bound, size=shape)
+    return params
 
 
 def _gate_blocks(slab: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -327,20 +327,21 @@ def encoder_forward(
     h1b, cache1b = _lstm_forward(x, a["enc1_bwd_wx"], a["enc1_bwd_wh"], a["enc1_bwd_b"], True)
     out1 = np.concatenate([h1f, h1b], axis=2)
 
+    dropout = params.config.dropout
     mask = None
-    if train_mode and params.dropout > 0.0:
+    if train_mode and dropout > 0.0:
         if dropout_mask is not None:
             mask = np.asarray(dropout_mask, dtype=np.float64)
             if mask.shape != out1.shape:
                 raise ValueError(f"dropout mask shape {mask.shape} != {out1.shape}")
         else:
-            mask = make_dropout_mask(out1.shape, params.dropout, rng or np.random.default_rng())
+            mask = make_dropout_mask(out1.shape, dropout, rng or np.random.default_rng())
         out1 *= mask
 
     h2f, cache2f = _lstm_forward(out1, a["enc2_fwd_wx"], a["enc2_fwd_wh"], a["enc2_fwd_b"], False)
     h2b, cache2b = _lstm_forward(out1, a["enc2_bwd_wx"], a["enc2_bwd_wh"], a["enc2_bwd_b"], True)
 
-    if params.pooling == "final":
+    if params.config.pooling == "final":
         features = np.concatenate([h2f[:, -1], h2b[:, 0]], axis=1)
     else:
         features = np.concatenate([h2f, h2b], axis=2).mean(axis=1)
@@ -352,7 +353,7 @@ def encoder_forward(
         "cache2b": cache2b,
         "mask": mask,
         "width": x.shape[1],
-        "pooling": params.pooling,
+        "pooling": params.config.pooling,
     }
     return features, cache
 
@@ -370,7 +371,7 @@ def encoder_backward(dfeatures: np.ndarray, cache, params: ModelParams):
             "run the forward pass again"
         )
     a = params.arrays
-    h = params.hidden_size
+    h = params.config.hidden_size
     batch = dfeatures.shape[0]
     width = cache["width"]
 

@@ -32,10 +32,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    scheduler_factor: float = 0.5
-    scheduler_patience: int = 3
-    scheduler_min_lr: float = 1e-6
-    scheduler_threshold: float = 1e-4
     early_stopping_patience: int = 10
     max_epochs: int = 100
     seed: int = 0
@@ -117,16 +113,6 @@ class PlateauScheduler:
     threshold: float = 1e-4
     best: float = math.inf
     num_bad: int = 0
-
-    @classmethod
-    def from_config(cls, config: TrainConfig) -> "PlateauScheduler":
-        return cls(
-            lr=config.learning_rate,
-            factor=config.scheduler_factor,
-            patience=config.scheduler_patience,
-            min_lr=config.scheduler_min_lr,
-            threshold=config.scheduler_threshold,
-        )
 
     def step(self, val_loss: float) -> float:
         """Feed one epoch's validation loss; returns the rate to use next."""

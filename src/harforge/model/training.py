@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from ..core import ActivityTaxonomy, write_text
 from ..dataset import WindowSet
 from .losses import LossConfig, hierarchical_focal_loss, hierarchical_focal_loss_grads
-from .network import ModelParams, _array_shapes, model_backward, model_forward
+from .network import ModelConfig, ModelParams, _array_shapes, model_backward, model_forward
 from .optim import (
     OptimState,
     PlateauScheduler,
@@ -36,8 +36,10 @@ from .optim import (
 
 CHECKPOINT_KIND = "harforge-checkpoint"
 
-#: The metadata fields of ModelParams: a checkpoint's "model" object.
-_MODEL_FIELDS = tuple(f.name for f in fields(ModelParams) if f.name != "arrays")
+#: A checkpoint's flat "model" object: the sizes of ModelParams and the
+#: fields of its ModelConfig.
+_SIZE_FIELDS = tuple(f.name for f in fields(ModelParams) if f.name not in ("arrays", "config"))
+_MODEL_FIELDS = _SIZE_FIELDS + tuple(f.name for f in fields(ModelConfig))
 
 
 def _class_indices(labels: np.ndarray, classes: Sequence[str]) -> np.ndarray:
@@ -68,13 +70,12 @@ def loss_value(
     *,
     train_mode: bool = False,
     dropout_mask: np.ndarray | None = None,
-    reduction: str = "mean",
 ) -> float:
     """Forward-only loss; the finite-difference oracle calls this."""
     logits1, logits2, _ = model_forward(
         x, params, train_mode=train_mode, dropout_mask=dropout_mask
     )
-    total, _ = hierarchical_focal_loss(logits1, logits2, y1, y2, loss_config, reduction)
+    total, _ = hierarchical_focal_loss(logits1, logits2, y1, y2, loss_config)
     return total
 
 
@@ -88,14 +89,13 @@ def loss_and_grads(
     train_mode: bool = True,
     dropout_mask: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
-    reduction: str = "mean",
 ):
     """Loss plus analytic gradients for every parameter array."""
     logits1, logits2, cache = model_forward(
         x, params, train_mode=train_mode, dropout_mask=dropout_mask, rng=rng
     )
     total, dlogits1, dlogits2, parts = hierarchical_focal_loss_grads(
-        logits1, logits2, y1, y2, loss_config, reduction
+        logits1, logits2, y1, y2, loss_config
     )
     grads = model_backward(dlogits1, dlogits2, cache, params)
     return total, grads, parts
@@ -153,7 +153,7 @@ def train(
     best = current.copy()
     best_val = math.inf
     state: OptimState = init_optim_state(current)
-    scheduler = PlateauScheduler.from_config(train_config)
+    scheduler = PlateauScheduler(lr=train_config.learning_rate)
     shuffle_rng = np.random.default_rng(train_config.seed)
     dropout_rng = np.random.default_rng([train_config.seed, 1])
     history: list[dict] = []
@@ -226,7 +226,7 @@ def save_checkpoint(
         "seed": seed,
         "taxonomy_hash": taxonomy_hash,
         "config": config or {},
-        "model": {name: getattr(params, name) for name in _MODEL_FIELDS},
+        "model": {name: getattr(params, name) for name in _SIZE_FIELDS} | asdict(params.config),
         "arrays": [
             {
                 "name": name,
@@ -243,11 +243,10 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Reload a checkpoint; returns (params, metadata). A checkpoint whose
-    model object lacks a ModelParams field, has another one or holds a
-    value of the wrong kind (a size that is not a positive int, a dropout
-    that is not a number in [0, 1), a pooling mode not in POOLING_MODES),
-    or whose arrays are not exactly those of that model at their shapes, is
-    a ValueError naming the path and the field or array."""
+    model object lacks a field, has an unknown one or holds a value that
+    ModelParams rejects, or whose arrays are not exactly those of that
+    model at their shapes, is a ValueError naming the path and the field or
+    array."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("kind") != CHECKPOINT_KIND:
@@ -259,22 +258,15 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     for name in model:
         if name not in _MODEL_FIELDS:
             raise ValueError(f"{path}: checkpoint model has unknown field {name!r}")
-    for name in ("input_size", "hidden_size", "n_level1", "n_level2"):
-        # bool is a subclass of int, so the kind is compared exactly
-        if type(model[name]) is not int or model[name] <= 0:
-            raise ValueError(
-                f"{path}: checkpoint model field {name!r} must be a positive int,"
-                f" got {model[name]!r}"
-            )
-    if type(model["dropout"]) not in (int, float):
-        raise ValueError(
-            f"{path}: checkpoint model field 'dropout' must be a real number,"
-            f" got {model['dropout']!r}"
-        )
+    sizes = {name: model.pop(name) for name in _SIZE_FIELDS}
+    try:
+        params = ModelParams({}, **sizes, config=ModelConfig(**model))
+    except ValueError as err:
+        raise ValueError(f"{path}: checkpoint model {err}") from None
     shapes = _array_shapes(
-        model["input_size"], model["hidden_size"], model["n_level1"], model["n_level2"]
+        params.input_size, params.config.hidden_size, params.n_level1, params.n_level2
     )
-    arrays = {}
+    arrays = params.arrays
     for entry in payload["arrays"]:
         name = entry["name"]
         if name not in shapes or name in arrays:
@@ -289,10 +281,6 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     for name in shapes:
         if name not in arrays:
             raise ValueError(f"{path}: checkpoint has no array {name!r}")
-    try:
-        params = ModelParams(arrays=arrays, **model)
-    except ValueError as err:  # a dropout out of range or an unknown pooling mode
-        raise ValueError(f"{path}: checkpoint model {err}") from None
     return params, {
         "seed": payload.get("seed"),
         "taxonomy_hash": payload.get("taxonomy_hash"),

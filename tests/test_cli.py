@@ -2,6 +2,7 @@
 end-to-end pipeline run."""
 
 import contextlib
+import dataclasses
 import importlib
 import json
 import os
@@ -18,7 +19,9 @@ from harforge.align import DayGrid
 from harforge.core import ActivityTaxonomy, save_taxonomy, write_text
 from harforge.dataset import write_window_store
 from harforge.impute import ImputeConfig
-from harforge.model import LossConfig, TrainConfig, init_params, save_checkpoint, training
+from harforge.model import (
+    LossConfig, ModelConfig, TrainConfig, init_params, save_checkpoint, training,
+)
 from harforge.synth import Cohort, CohortConfig, write_cohort
 from harforge.viz import save_radar
 from harforge.cli import (
@@ -83,6 +86,7 @@ class TestPipelineConfig:
         assert cfg.cohort_config() == CohortConfig()
         assert cfg.impute_config() == ImputeConfig()
         assert cfg.train_config() == TrainConfig()
+        assert cfg.model_config() == ModelConfig()
         assert cfg.loss_config() == LossConfig()
 
     def test_unknown_key_rejected(self):
@@ -134,6 +138,23 @@ class TestPipelineConfig:
             again = parse(text(default))
             assert again == default and type(again) is type(default), key
         assert len(cli._KEY_SPEC) == 43
+
+    def test_keys_without_a_config_field_are_the_expected_eleven(self):
+        from_configs = set().union(*map(cli._config_keys, cli._CONFIGS))
+        assert sorted(set(cli._KEY_SPEC) - from_configs) == [
+            "align.profile_scope", "align.tz_offset_minutes", "dataset.label_threshold",
+            "dataset.oversample", "dataset.seed", "dataset.widths", "split.fractions",
+            "split.modes", "split.seed", "taxonomy.path", "viz.band",
+        ]
+
+    def test_train_defaults_are_those_of_the_train_and_model_configs(self):
+        defaults = dataclasses.asdict(TrainConfig()) | dataclasses.asdict(ModelConfig())
+        train_keys = {
+            key: default for key, (_, default) in cli._KEY_SPEC.items() if key.startswith("train.")
+        }
+        assert len(train_keys) == 9
+        for key, default in train_keys.items():
+            assert default == defaults[key.removeprefix("train.")], key
 
     def test_readme_lists_every_key_with_its_default(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -697,6 +718,44 @@ class TestPipelineEndToEnd:
             pipeline_tree, tmp_path, lambda entry: entry["val"].append(1.5)
         )
         self._assert_rejected(pipeline_tree, copy, "train", capsys, "indices must be integers")
+
+    @pytest.mark.parametrize("via", ["pipeline", "stage"])
+    @pytest.mark.parametrize(
+        "line, stage, message",
+        [
+            ("train.dropout = 1.5", "train", "train: dropout must be in [0, 1), got 1.5"),
+            (
+                "train.pooling = max", "train",
+                "train: pooling must be one of ('final', 'mean'), got 'max'",
+            ),
+            ("loss.gamma = -1", "train", "loss: gamma must be non-negative"),
+            ("train.batch_size = 0", "train", "train: batch_size must be positive"),
+            ("split.fractions = 0.5,0.2,0.2", "dataset", "split: fractions must sum to 1"),
+        ],
+        ids=["dropout", "pooling", "gamma", "batch_size", "fractions"],
+    )
+    def test_value_a_section_config_rejects_stops_before_any_output(
+        self, pipeline_tree, tmp_path, capsys, line, stage, message, via
+    ):
+        """A bad value is exit 2 when the config is read: ``pipeline`` on a
+        fresh directory writes nothing, and the stage that reads the value
+        writes none of its outputs over its inputs."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{TINY_CONFIG}{line}\n")
+        if via == "pipeline":
+            out = gone = tmp_path / "fresh"
+        else:
+            out = tmp_path / "tree"
+            shutil.copytree(pipeline_tree[1], out)
+            gone = out / stage
+            shutil.rmtree(gone)
+            os.remove(out / "reports" / f"{stage}.json")
+        command = "pipeline" if via == "pipeline" else stage
+        code = main([command, "--config", str(bad), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: config section {message}\n"
+        assert not gone.exists()
+        assert not (out / "reports" / f"{stage}.json").exists()
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -1,6 +1,7 @@
 """Network forward/backward correctness, loss math, optimizer, scheduler,
 and the training loop."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 
 from harforge.model import (
     LossConfig,
+    ModelConfig,
     ModelParams,
     PlateauScheduler,
     TrainConfig,
@@ -513,21 +515,12 @@ class TestLossMath:
         )
         assert abs(total - want) < 1e-12
 
-    def test_sum_reduction_scales_with_duplication(self):
+    def test_mean_is_unchanged_by_duplication(self):
         rng = np.random.default_rng(7)
         logits1 = rng.normal(size=(4, 3))
         logits2 = rng.normal(size=(4, 13))
         y1 = rng.integers(0, 3, size=4)
         y2 = rng.integers(0, 13, size=4)
-        once, _ = hierarchical_focal_loss(logits1, logits2, y1, y2, reduction="sum")
-        twice, _ = hierarchical_focal_loss(
-            np.vstack([logits1, logits1]),
-            np.vstack([logits2, logits2]),
-            np.concatenate([y1, y1]),
-            np.concatenate([y2, y2]),
-            reduction="sum",
-        )
-        assert twice == pytest.approx(2.0 * once, rel=1e-12)
         mean_once, _ = hierarchical_focal_loss(logits1, logits2, y1, y2)
         mean_twice, _ = hierarchical_focal_loss(
             np.vstack([logits1, logits1]),
@@ -561,18 +554,15 @@ class TestLossMath:
             LossConfig(gamma=-1.0)
         with pytest.raises(ValueError, match="alpha"):
             LossConfig(alpha=-0.5)
-        with pytest.raises(ValueError, match="reduction"):
-            hierarchical_focal_loss(np.zeros((1, 3)), np.zeros((1, 4)), [0], [0], reduction="max")
 
 
 def scalar_params(value: float) -> ModelParams:
     return ModelParams(
         arrays={"w": np.array([[value]])},
         input_size=1,
-        hidden_size=1,
         n_level1=3,
         n_level2=13,
-        dropout=0.0,
+        config=ModelConfig(hidden_size=1, dropout=0.0),
     )
 
 
@@ -853,6 +843,18 @@ class TestPredict:
         np.testing.assert_allclose(a.probs2, b.probs2, atol=1e-12)
 
 
+#: A bad value of each kind for the model's metadata, with the message that
+#: rejects it.
+BAD_MODEL_FIELDS = [
+    ("hidden_size", 4.0, "field 'hidden_size' must be a positive int, got 4.0"),
+    ("input_size", True, "field 'input_size' must be a positive int, got True"),
+    ("n_level1", 0, "field 'n_level1' must be a positive int, got 0"),
+    ("dropout", "0.1", "field 'dropout' must be a real number, got '0.1'"),
+    ("dropout", 1.5, "dropout must be in [0, 1), got 1.5"),
+    ("pooling", "max", "pooling must be one of ('final', 'mean'), got 'max'"),
+]
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         params = init_params(5, 8, 13, seed=7, dropout=0.2, pooling="mean")
@@ -863,9 +865,9 @@ class TestCheckpoint:
         loaded, meta = load_checkpoint(path)
         for name in _ARRAY_ORDER:
             np.testing.assert_array_equal(loaded.arrays[name], params.arrays[name])
-        assert (loaded.input_size, loaded.hidden_size) == (5, 8)
+        assert (loaded.input_size, loaded.config.hidden_size) == (5, 8)
         assert (loaded.n_level1, loaded.n_level2) == (3, 13)
-        assert (loaded.dropout, loaded.pooling) == (0.2, "mean")
+        assert (loaded.config.dropout, loaded.config.pooling) == (0.2, "mean")
         assert meta == {"seed": 7, "taxonomy_hash": "abc123", "config": {"width": 30}}
 
     def test_rewriting_a_loaded_model_is_identical(self, tmp_path):
@@ -937,23 +939,25 @@ class TestCheckpoint:
         )
 
 
-    @pytest.mark.parametrize(
-        "field, value, problem",
-        [
-            ("hidden_size", 4.0, "field 'hidden_size' must be a positive int, got 4.0"),
-            ("input_size", True, "field 'input_size' must be a positive int, got True"),
-            ("n_level1", 0, "field 'n_level1' must be a positive int, got 0"),
-            ("dropout", "0.1", "field 'dropout' must be a real number, got '0.1'"),
-            ("dropout", 1.5, "dropout must be in [0, 1), got 1.5"),
-            ("pooling", "max", "pooling must be one of ('final', 'mean'), got 'max'"),
-        ],
-    )
+    @pytest.mark.parametrize("field, value, problem", BAD_MODEL_FIELDS)
     def test_model_field_of_the_wrong_kind_rejected(self, tmp_path, field, value, problem):
         self._assert_rejected(
             tmp_path,
             lambda payload: payload["model"].update({field: value}),
             f"checkpoint model {problem}",
         )
+
+    @pytest.mark.parametrize("field, value, problem", BAD_MODEL_FIELDS)
+    def test_model_config_and_init_params_reject_the_same_values(self, field, value, problem):
+        """The checkpoint's model fields are checked where a model is built,
+        so a bad value gets the same message there as in a checkpoint."""
+        with pytest.raises(ValueError) as err:
+            init_params(**{"input_size": 5, "hidden_size": 4, "n_level2": 13, field: value})
+        assert str(err.value) == problem
+        if field in {f.name for f in dataclasses.fields(ModelConfig)}:
+            with pytest.raises(ValueError) as err:
+                ModelConfig(**{field: value})
+            assert str(err.value) == problem
 
 
 class TestWindowsToArrays:
