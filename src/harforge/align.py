@@ -18,8 +18,6 @@ number.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -38,6 +36,8 @@ from .core import (
     MINUTES_PER_DAY,
     ScheduleBlock,
     SleepState,
+    csv_rows,
+    csv_text,
     epoch_minute,
     format_number,
 )
@@ -65,6 +65,10 @@ ALIGNED_HEADER = (
     "schedule_l2",
 )
 PROFILE_HEADER = ("user_id", "date", "min_hr", "max_hr", "n_pulses", "low_confidence")
+
+#: Where a user-day's heart-rate envelope comes from: its own day, or the
+#: user's whole history.
+PROFILE_SCOPES = ("day", "global")
 
 #: DayGrid.sleep code of each sleep state: its position in SleepState.
 SLEEP_CODE = {state: code for code, state in enumerate(SleepState)}
@@ -295,7 +299,7 @@ def align_cohort(
     """
     if tz_offset_minutes % BLOCK_MINUTES != 0:
         raise ValueError("tz offset must be a multiple of 15 minutes")
-    if profile_scope not in ("day", "global"):
+    if profile_scope not in PROFILE_SCOPES:
         raise ValueError(f"unknown profile scope {profile_scope!r}")
 
     def local(ts) -> int:
@@ -620,19 +624,10 @@ def minute_rows(
     missing, duplicate or out-of-range minute are a ValueError naming the
     row; ``kind`` names the file in the message.
     """
-    reader = csv.reader(stream)
-    got = next(reader, None)
-    if got is None or tuple(h.strip() for h in got) != tuple(header):
-        raise ValueError(f"{kind} CSV must start with header {','.join(header)!r}")
     seen: set[tuple[str, str]] = set()
     current = None
     due = MINUTES_PER_DAY
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) != len(header):
-            raise ValueError(f"{kind} CSV row {line} has {len(row)} fields")
+    for line, row in csv_rows(stream, header, kind):
         try:
             minute = int(row[2])
         except ValueError:
@@ -663,7 +658,7 @@ def minute_rows(
         yield line, row, day
     if due != MINUTES_PER_DAY:
         raise ValueError(
-            f"{kind} CSV ends at row {reader.line_num} before minute {due} of "
+            f"{kind} CSV ends at row {line} before minute {due} of "
             f"{current[0]} {current[1]}"
         )
 
@@ -758,22 +753,20 @@ def _sorted_grid(
 
 
 def write_profiles_csv(profiles: Mapping[tuple[str, date], PersonalHrProfile]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PROFILE_HEADER)
-    for (user, day) in sorted(profiles):
-        p = profiles[(user, day)]
-        writer.writerow(
-            [
+    return csv_text(
+        PROFILE_HEADER,
+        (
+            (
                 user,
                 day.isoformat(),
                 format_number(p.min_hr),
                 format_number(p.max_hr),
                 str(p.n_pulses),
                 "1" if p.low_confidence else "0",
-            ]
-        )
-    return buf.getvalue()
+            )
+            for (user, day), p in sorted(profiles.items())
+        ),
+    )
 
 
 #: The converters of the profile CSV's date and number fields, by column.
@@ -788,17 +781,8 @@ def read_profiles_csv(
     """The profiles of a ``write_profiles_csv`` text by (user, day). A row
     with a bad field or a second row of a user-day is a ValueError naming
     the row."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != PROFILE_HEADER:
-        raise ValueError(f"profile CSV must start with header {','.join(PROFILE_HEADER)!r}")
     profiles: dict[tuple[str, date], PersonalHrProfile] = {}
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) != len(PROFILE_HEADER):
-            raise ValueError(f"profile CSV row {line} has {len(row)} fields")
+    for line, row in csv_rows(stream, PROFILE_HEADER, "profile"):
         try:
             day, min_hr, max_hr, n_pulses = (f(row[c]) for c, f in _PROFILE_FIELDS.items())
         except ValueError:

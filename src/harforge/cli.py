@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .align import (
+    PROFILE_SCOPES,
     align_cohort,
     read_aligned_csv,
     read_profiles_csv,
@@ -37,13 +38,14 @@ from .align import (
     write_profiles_csv,
 )
 from .core import (
-    DEFAULT_TZ_OFFSET_MINUTES, ActivityTaxonomy, default_taxonomy, load_taxonomy, save_taxonomy,
-    write_text,
+    DEFAULT_TZ_OFFSET_MINUTES, ActivityTaxonomy, default_taxonomy, json_text, load_taxonomy,
+    save_taxonomy, write_text,
 )
 from .dataset import (
     LABEL_THRESHOLD,
     N_CHANNELS,
     SAMPLING_RATES,
+    SPLIT_MODES,
     SPLIT_NAMES,
     SplitSpec,
     apply_normalizer,
@@ -83,7 +85,9 @@ from .model import (
     windows_to_arrays,
 )
 from .synth import CohortConfig, generate_cohort, mask_report, read_truth_csv, write_cohort
-from .viz import activity_metrics, group_baseline, radar_index_csv, render_radar, save_radar
+from .viz import (
+    BAND_MODES, activity_metrics, group_baseline, radar_index_csv, render_radar, save_radar
+)
 
 CONFIG_ENV_VAR = "HARFORGE_CONFIG"
 
@@ -172,7 +176,7 @@ _KEY_SPEC: dict[str, tuple[str, object]] = {
     "dataset.label_threshold": ("float", LABEL_THRESHOLD),
     "dataset.oversample": ("bool", True),
     "dataset.seed": ("int", 0),
-    "split.modes": ("strs", ("temporal", "user")),
+    "split.modes": ("strs", SPLIT_MODES),
     "split.fractions": ("floats", (0.7, 0.15, 0.15)),
     "split.seed": ("int", 0),
     **_config_keys(TrainConfig),
@@ -181,6 +185,12 @@ _KEY_SPEC: dict[str, tuple[str, object]] = {
     "viz.band": ("str", "sd"),
     "taxonomy.path": ("str", ""),
 }
+
+#: the seed of every stage that draws random numbers; ``--seed`` sets them all
+SEED_KEYS = ("cohort.seed", "dataset.seed", "split.seed", "train.seed")
+
+#: the keys whose value must be one of a declared set
+_CHOICES = {"align.profile_scope": PROFILE_SCOPES, "viz.band": BAND_MODES}
 
 
 @contextlib.contextmanager
@@ -225,10 +235,21 @@ class PipelineConfig:
                 self._typed[key] = default if text is None else _KINDS[kind].parse(text)
             except (ValueError, KeyError) as err:
                 raise ConfigError(f"config key {key}: cannot parse {text!r} as {kind}") from err
+        for key, choices in _CHOICES.items():
+            if self._typed[key] not in choices:
+                raise ConfigError(
+                    f"config key {key}: must be one of {choices}, got {self._typed[key]!r}"
+                )
+        for key in SEED_KEYS:
+            if self._typed[key] < 0:
+                raise ConfigError(f"config key {key}: must be non-negative, got {self._typed[key]}")
         modes = self._typed["split.modes"]
-        bad = [m for m in modes if m not in ("temporal", "user")]
+        bad = [m for m in modes if m not in SPLIT_MODES]
         if bad or not modes:
             raise ConfigError(f"split.modes must name temporal and/or user, got {modes!r}")
+        repeated = [mode for i, mode in enumerate(modes) if mode in modes[:i]]
+        if repeated:
+            raise ConfigError(f"split.modes names mode {repeated[0]} twice")
         widths = self._typed["dataset.widths"]
         if not widths:
             raise ConfigError("dataset.widths must name at least one width")
@@ -458,7 +479,7 @@ def _stage_impute(cfg: PipelineConfig, lay: Layout) -> dict:
             truth = read_truth_csv(fh)
         report = mask_report(truth, pre_days, post_days, marks)
         payload = asdict(report) | {"agreement": report.agreement}
-        write_text(report_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_text(report_path, json_text(payload))
         counts["masked_minutes"] = report.masked_minutes
         counts["agreement"] = report.agreement
         counts["residual_unknown_fraction"] = report.residual_unknown_fraction
@@ -567,10 +588,7 @@ def _stage_train(cfg: PipelineConfig, lay: Layout) -> dict:
                 **asdict(loss_config),
             },
         )
-        write_text(
-            lay.path("train", f"history_w{width}_{mode}.json"),
-            json.dumps(history, sort_keys=True, indent=2) + "\n",
-        )
+        write_text(lay.path("train", f"history_w{width}_{mode}.json"), json_text(history))
         write_text(
             lay.path("train", f"normalizer_w{width}_{mode}.json"),
             normalizer_to_json(normalizer) + "\n",
@@ -753,9 +771,7 @@ def _stored_report(path: str) -> dict | None:
 
 
 def _write_report(lay: Layout, stage: str, payload: dict) -> None:
-    write_text(
-        lay.report_path(stage), json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
+    write_text(lay.report_path(stage), json_text(payload))
 
 
 def peak_rss_mb() -> float:
@@ -849,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--split",
         action="append",
-        choices=("temporal", "user"),
+        choices=SPLIT_MODES,
         default=None,
         help="split mode; repeat for both (overrides split.modes)",
     )
@@ -867,7 +883,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
             raise ConfigError(f"config file not found: {config_path}")
         values.update(parse_config_text(_read_text(config_path)))
     if args.seed is not None:
-        for key in ("cohort.seed", "dataset.seed", "split.seed", "train.seed"):
+        for key in SEED_KEYS:
             values[key] = str(args.seed)
     if args.width:
         values["dataset.widths"] = ",".join(str(w) for w in dict.fromkeys(args.width))

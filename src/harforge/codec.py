@@ -26,15 +26,13 @@ messages and line numbers.
 from __future__ import annotations
 
 import codecs
-import csv
-import io
 from itertools import chain, islice
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import format_number
+from .core import csv_text, format_number
 
 T = TypeVar("T")
 
@@ -220,12 +218,7 @@ def convert(texts: Sequence[bytes], fn: Callable[[bytes], object], dtype) -> np.
 
 def csv_fields(values: Iterable[str]) -> list[str]:
     """Each value as csv.writer writes it as one field of a longer row."""
-    fields = []
-    for value in values:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(("", value))
-        fields.append(buf.getvalue()[1:-1])
-    return fields
+    return [csv_text(("", value), ())[1:-1] for value in values]
 
 
 def float_keys(values: np.ndarray) -> np.ndarray:

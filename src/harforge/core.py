@@ -16,12 +16,13 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import math
 import os
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 MINUTES_PER_DAY = 1440
 
@@ -122,12 +123,7 @@ class ActivityTaxonomy:
         return (LEVEL1_SLEEP, LEVEL1_AWAKE) + self.level2
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TAXONOMY_HEADER)
-        for name in self.level2:
-            writer.writerow([name, self.parent[name]])
-        return buf.getvalue()
+        return csv_text(TAXONOMY_HEADER, ((name, self.parent[name]) for name in self.level2))
 
     def content_hash(self) -> str:
         """Stable hex digest of the taxonomy content, for artifact stamping."""
@@ -141,25 +137,10 @@ def default_taxonomy() -> ActivityTaxonomy:
 
 
 def read_taxonomy(lines: Iterable[str]) -> ActivityTaxonomy:
-    """Parse a ``level2_label,level1_label`` CSV into a taxonomy."""
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("taxonomy file is empty") from None
-    if tuple(h.strip() for h in header) != TAXONOMY_HEADER:
-        raise ValueError(f"taxonomy header must be {','.join(TAXONOMY_HEADER)!r}")
-    names: list[str] = []
-    parent: dict[str, str] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"taxonomy row {reader.line_num} must have 2 fields")
-        name, up = row[0].strip(), row[1].strip()
-        names.append(name)
-        parent[name] = up
-    return ActivityTaxonomy(level2=tuple(names), parent=parent)
+    """Parse a ``level2_label,level1_label`` CSV into a taxonomy (see csv_rows)."""
+    rows = csv_rows(lines, TAXONOMY_HEADER, "taxonomy")
+    pairs = [(name.strip(), up.strip()) for _, (name, up) in rows]
+    return ActivityTaxonomy(level2=tuple(name for name, _ in pairs), parent=dict(pairs))
 
 
 def load_taxonomy(path) -> ActivityTaxonomy:
@@ -221,6 +202,40 @@ def format_number(x) -> str:
     if math.isnan(v) or math.isinf(v):
         raise ValueError(f"non-finite value {v!r} cannot be serialized")
     return repr(v)
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """``header`` then ``rows`` as csv.writer writes them, each line ended by
+    a line feed: the byte form of every small CSV artifact."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def csv_rows(
+    stream: Iterable[str], header: Sequence[str], kind: str
+) -> Iterator[tuple[int, list[str]]]:
+    """The rows after the header of a small CSV, as ``(line, row)``, blank
+    rows skipped. A missing header or one other than ``header`` (each field
+    stripped) and a row with another number of fields than ``header`` are a
+    ValueError naming the row; ``kind`` names the file in the message."""
+    reader = csv.reader(stream)
+    got = next(reader, None)
+    if got is None or tuple(h.strip() for h in got) != tuple(header):
+        raise ValueError(f"{kind} CSV must start with header {','.join(header)!r}")
+    for row in reader:
+        if row:
+            if len(row) != len(header):
+                raise ValueError(f"{kind} CSV row {reader.line_num} has {len(row)} fields")
+            yield reader.line_num, row
+
+
+def json_text(obj) -> str:
+    """``obj`` as the JSON of every indented JSON artifact: keys sorted,
+    indent 2, a final line feed."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 #: Characters of a text encoded at a time when it is written.

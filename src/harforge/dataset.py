@@ -35,7 +35,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .align import SLEEP_CODE, DayGrid, PersonalHrProfile
 from .core import (
-    ActivityTaxonomy, LEVEL1_AWAKE, LEVEL1_SLEEP, MINUTES_PER_DAY, SleepState, write_text
+    ActivityTaxonomy, LEVEL1_AWAKE, LEVEL1_SLEEP, MINUTES_PER_DAY, SleepState, json_text,
+    write_text,
 )
 
 #: Post-labeling sampling rate of each supported window width (minutes).
@@ -51,6 +52,9 @@ N_CHANNELS = 5
 STEPS_CHANNEL = 3
 
 SPLIT_NAMES = ("train", "val", "test")
+
+#: How a corpus can be carved: by days within each user or by whole users.
+SPLIT_MODES = ("temporal", "user")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +258,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("temporal", "user"):
+        if self.mode not in SPLIT_MODES:
             raise ValueError(f"unknown split mode {self.mode!r}")
         if len(self.fractions) != 3 or any(f < 0 for f in self.fractions):
             raise ValueError("fractions must be three non-negative numbers")
@@ -443,7 +447,7 @@ def split_manifest_text(results: Mapping[str, SplitResult]) -> str:
         result = results[mode]
         payload[mode] = {name: result.part(name).tolist() for name in SPLIT_NAMES}
         payload[mode]["flagged_users"] = list(result.flagged_users)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text(payload)
 
 
 def read_split_manifest(text: str) -> dict:

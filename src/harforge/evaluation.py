@@ -12,15 +12,12 @@ out before any metric is computed.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import ActivityTaxonomy
+from .core import ActivityTaxonomy, csv_text, json_text
 from .dataset import WindowSet
 from .model import ModelParams, predict, windows_to_arrays
 
@@ -245,24 +242,20 @@ def evaluate_run(
 
 
 def report_to_json(report: EvalReport) -> str:
-    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+    return json_text(asdict(report))
 
 
 def confusion_to_csv(matrix: Sequence[Sequence[float]], class_names: Sequence[str]) -> str:
     """Rows are true classes, columns predicted classes."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["true\\pred", *class_names])
-    for name, row in zip(class_names, matrix):
-        writer.writerow([name, *(repr(float(v)) for v in row)])
-    return buf.getvalue()
+    return csv_text(
+        ["true\\pred", *class_names],
+        ([name, *(repr(float(v)) for v in row)] for name, row in zip(class_names, matrix)),
+    )
 
 
 def trend_csv(rows: Sequence[tuple[int, str, str, float]]) -> str:
     """width,split,metric,value rows for cross-width comparisons."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TREND_HEADER)
-    for width, split, metric, value in rows:
-        writer.writerow([str(width), split, metric, repr(float(value))])
-    return buf.getvalue()
+    return csv_text(
+        TREND_HEADER,
+        ([str(width), split, metric, repr(float(value))] for width, split, metric, value in rows),
+    )

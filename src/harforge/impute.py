@@ -20,8 +20,6 @@ clause of Rule 2 or by Rule 3.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Mapping, Sequence
@@ -29,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .align import SLEEP_CODE, DayGrid, PersonalHrProfile
-from .core import MINUTES_PER_DAY, SleepState
+from .core import MINUTES_PER_DAY, SleepState, csv_text
 
 SLEEP = SLEEP_CODE[SleepState.SLEEP]
 AWAKE = SLEEP_CODE[SleepState.AWAKE]
@@ -192,61 +190,31 @@ def write_stats_report(stats: Sequence[ImputationStats]) -> str:
     if not stats:
         raise ValueError("no imputation stats to report")
     n = len(stats)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(STATS_HEADER)
-
-    def stage_totals(pick) -> tuple[int, int, int, int]:
-        sleep = sum(pick(s).sleep_min for s in stats)
-        awake = sum(pick(s).awake_min for s in stats)
-        unknown = sum(pick(s).unknown_min for s in stats)
-        return sleep, awake, unknown, sleep + awake + unknown
-
-    pre = stage_totals(lambda s: s.pre)
-    mid = stage_totals(lambda s: s.after_rules_1_2)
-    post = stage_totals(lambda s: s.post)
-
-    names = ("sleep_min_per_user", "awake_min_per_user", "unknown_min_per_user")
-    for i, name in enumerate(names):
-        writer.writerow(
-            [
-                name,
-                _fmt(pre[i] / n),
-                _fmt(mid[i] / n),
-                _fmt(post[i] / n),
-                _fmt((post[i] - pre[i]) / n),
-            ]
-        )
-    writer.writerow(
-        [
-            "total_min_per_user",
-            _fmt(pre[3] / n),
-            _fmt(mid[3] / n),
-            _fmt(post[3] / n),
-            _fmt((post[3] - pre[3]) / n),
+    states = ("sleep", "awake", "unknown")
+    # per stage: the sleep, awake and unknown minutes of the cohort and their total
+    totals = []
+    for stage in ("pre", "after_rules_1_2", "post"):
+        counts = [
+            sum(getattr(getattr(s, stage), f"{state}_min") for s in stats) for state in states
         ]
-    )
-    pct_names = ("sleep_pct", "awake_pct", "unknown_pct")
-    for i, name in enumerate(pct_names):
-        writer.writerow(
-            [
-                name,
-                _fmt(100.0 * pre[i] / pre[3]) if pre[3] else "",
-                _fmt(100.0 * mid[i] / mid[3]) if mid[3] else "",
-                _fmt(100.0 * post[i] / post[3]) if post[3] else "",
-                _fmt(100.0 * (post[i] / post[3] - pre[i] / pre[3])) if pre[3] else "",
-            ]
-        )
-    writer.writerow(
-        ["rule1_min_per_user", "", _fmt(sum(s.rule1_min for s in stats) / n), "", ""]
-    )
-    writer.writerow(
-        ["rule2_min_per_user", "", _fmt(sum(s.rule2_min for s in stats) / n), "", ""]
-    )
-    writer.writerow(
-        ["rule3_min_per_user", "", "", _fmt(sum(s.rule3_min for s in stats) / n), ""]
-    )
-    writer.writerow(
-        ["cohort_total_min", str(pre[3]), str(mid[3]), str(post[3]), str(post[3] - pre[3])]
-    )
-    return buf.getvalue()
+        totals.append((*counts, sum(counts)))
+    pre, _, post = totals
+    rows = [
+        [f"{name}_min_per_user", *(_fmt(t[i] / n) for t in totals), _fmt((post[i] - pre[i]) / n)]
+        for i, name in enumerate((*states, "total"))
+    ]
+    rows += [
+        [
+            f"{name}_pct",
+            *(_fmt(100.0 * t[i] / t[3]) if t[3] else "" for t in totals),
+            _fmt(100.0 * (post[i] / post[3] - pre[i] / pre[3])) if pre[3] else "",
+        ]
+        for i, name in enumerate(states)
+    ]
+    # rules 1 and 2 resolve minutes after_rules_1_2, rule 3 after all three
+    for rule, stage in ((1, 1), (2, 1), (3, 2)):
+        cells = ["", "", ""]
+        cells[stage] = _fmt(sum(getattr(s, f"rule{rule}_min") for s in stats) / n)
+        rows.append([f"rule{rule}_min_per_user", *cells, ""])
+    rows.append(["cohort_total_min", *(str(t[3]) for t in totals), str(post[3] - pre[3])])
+    return csv_text(STATS_HEADER, rows)

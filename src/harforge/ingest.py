@@ -22,7 +22,6 @@ into lists of records, row by row.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -39,6 +38,7 @@ from .core import (
     ScheduleBlock,
     SleepState,
     as_utc,
+    csv_text,
     epoch_second,
     format_number,
 )
@@ -421,14 +421,6 @@ def format_timestamp(ts: datetime) -> str:
     return format_epoch_second(epoch_second(ts), {})
 
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def serialize_hr_stream(hr: HrStream) -> str:
     """Canonical HR text of a stream, in its sorted order."""
     return serialize_hr_columns(hr.users, hr.user, hr.second, hr.bpm)
@@ -469,7 +461,7 @@ def serialize_hr_columns(
 
 
 def serialize_activity_blocks(blocks: Sequence[RawActivityBlock]) -> str:
-    return _csv_text(
+    return csv_text(
         ACTIVITY_HEADER,
         (
             (
@@ -484,7 +476,7 @@ def serialize_activity_blocks(blocks: Sequence[RawActivityBlock]) -> str:
 
 
 def serialize_sleep_segments(segments: Sequence[RawSleepSegment]) -> str:
-    return _csv_text(
+    return csv_text(
         SLEEP_HEADER,
         (
             (
@@ -499,7 +491,7 @@ def serialize_sleep_segments(segments: Sequence[RawSleepSegment]) -> str:
 
 
 def serialize_schedule(blocks: Sequence[ScheduleBlock]) -> str:
-    return _csv_text(
+    return csv_text(
         SCHEDULE_HEADER,
         (
             (b.user_id, format_timestamp(b.start), format_timestamp(b.end), b.label)

@@ -45,6 +45,7 @@ from .core import (
     EPOCH_ORDINAL,
     MINUTES_PER_DAY,
     SleepState,
+    csv_text,
     write_text,
 )
 from .ingest import (
@@ -223,9 +224,9 @@ def _user_ids(n_users: int) -> list[str]:
 
 def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
     """Build one cohort; identical configs yield byte-identical output."""
-    act_rows: list[str] = [",".join(ACTIVITY_HEADER)]
-    sleep_rows: list[str] = [",".join(SLEEP_HEADER)]
-    sched_rows: list[str] = [",".join(SCHEDULE_HEADER)]
+    act_rows: list[tuple] = []
+    sleep_rows: list[tuple] = []
+    sched_rows: list[tuple] = []
     # HR samples as columns, one array per user-day, in generation order
     hr_user: list[np.ndarray] = [np.empty(0, np.int64)]
     hr_second: list[np.ndarray] = [np.empty(0, np.int64)]
@@ -328,14 +329,12 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
                 if block_steps[b] == 0 and block_dist[b] == 0.0:
                     continue
                 ts = format_epoch_second((day_base_min + b * 15) * 60, date_cache)
-                act_rows.append(
-                    f"{user},{ts},{int(block_steps[b])},{repr(float(block_dist[b]))}"
-                )
+                act_rows.append((user, ts, int(block_steps[b]), repr(float(block_dist[b]))))
 
             for start, end, label in realized:
                 s_ts = format_epoch_second((day_base_min + start) * 60, date_cache)
                 e_ts = format_epoch_second((day_base_min + end) * 60, date_cache)
-                sched_rows.append(f"{user},{s_ts},{e_ts},{label}")
+                sched_rows.append((user, s_ts, e_ts, label))
 
             truth.sleep[r] = np.where(sleep_mask, _ASLEEP, _AWAKE)
             truth.steps[r] = steps
@@ -358,16 +357,16 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
                     e_ts = format_epoch_second(
                         (local_base + chunk_start + chunk_len) * 60, date_cache
                     )
-                    sleep_rows.append(f"{user},{s_ts},{e_ts},{state_text}")
+                    sleep_rows.append((user, s_ts, e_ts, state_text))
                 chunk_start += chunk_len
 
     return Cohort(
         hr_csv=serialize_hr_columns(
             users, np.concatenate(hr_user), np.concatenate(hr_second), np.concatenate(hr_bpm)
         ),
-        activity_csv="\n".join(act_rows) + "\n",
-        sleep_csv="\n".join(sleep_rows) + "\n",
-        schedule_csv="\n".join(sched_rows) + "\n",
+        activity_csv=csv_text(ACTIVITY_HEADER, act_rows),
+        sleep_csv=csv_text(SLEEP_HEADER, sleep_rows),
+        schedule_csv=csv_text(SCHEDULE_HEADER, sched_rows),
         truth=truth,
     )
 

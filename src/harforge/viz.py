@@ -9,8 +9,6 @@ fixed formatting, so the same inputs always render byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import statistics
 from dataclasses import dataclass
@@ -20,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .align import DayGrid, PersonalHrProfile
-from .core import write_text
+from .core import csv_text, write_text
 
 METRICS = (
     "distance_per_min",
@@ -267,8 +265,4 @@ def save_radar(svg_text: str, path) -> None:
 def radar_index_csv(entries: Sequence[tuple[str, str, str]]) -> str:
     """Index of rendered charts: (user_id, activity, file) rows, quoted as
     csv.writer quotes them."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RADAR_INDEX_HEADER)
-    writer.writerows(entries)
-    return buf.getvalue()
+    return csv_text(RADAR_INDEX_HEADER, entries)

@@ -509,6 +509,43 @@ class TestArgumentHandling:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            (
+                "align.profile_scope = weekly\n", [],
+                "config key align.profile_scope: must be one of ('day', 'global'), got 'weekly'",
+            ),
+            (
+                "viz.band = wide\n", [],
+                "config key viz.band: must be one of ('sd', 'range'), got 'wide'",
+            ),
+            ("", ["--seed", "-1"], "config key cohort.seed: must be non-negative, got -1"),
+            ("cohort.seed = -1\n", [], "config key cohort.seed: must be non-negative, got -1"),
+            ("dataset.seed = -2\n", [], "config key dataset.seed: must be non-negative, got -2"),
+            ("split.seed = -3\n", [], "config key split.seed: must be non-negative, got -3"),
+            ("train.seed = -4\n", [], "config key train.seed: must be non-negative, got -4"),
+            ("split.modes = temporal,temporal\n", [], "split.modes names mode temporal twice"),
+            ("split.modes = user,temporal,user\n", [], "split.modes names mode user twice"),
+        ],
+        ids=[
+            "scope", "band", "seed-flag", "cohort-seed", "dataset-seed", "split-seed",
+            "train-seed", "modes-twice", "modes-apart",
+        ],
+    )
+    def test_bad_value_stops_the_pipeline_before_any_stage(
+        self, tmp_path, capsys, config, flags, message
+    ):
+        """A value that a later stage would reject is exit 2 when the config
+        is read, with a message naming its key, and nothing is written."""
+        path = tmp_path / "c.cfg"
+        path.write_text(TINY_CONFIG + config)
+        out = tmp_path / "out"
+        code = main(["pipeline", "--config", str(path), "--out", str(out), *flags])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_stage_without_inputs_reports_whats_missing(self, tmp_path, capsys):
         code = main(["align", "--out", str(tmp_path / "empty")])
         assert code == EXIT_INPUT

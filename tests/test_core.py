@@ -6,11 +6,21 @@ from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
-from harforge.align import ALIGNED_HEADER, align_cohort, read_aligned_csv
+from harforge.align import (
+    ALIGNED_HEADER,
+    PROFILE_HEADER,
+    PersonalHrProfile,
+    align_cohort,
+    read_aligned_csv,
+    read_profiles_csv,
+    write_aligned_csv,
+    write_profiles_csv,
+)
 from harforge.core import (
     ActivityTaxonomy,
     ScheduleBlock,
     SleepState,
+    TAXONOMY_HEADER,
     UnknownLabelError,
     as_utc,
     default_taxonomy,
@@ -28,6 +38,7 @@ from harforge.core import (
     LEVEL1_SLEEP,
     MINUTES_PER_DAY,
 )
+from harforge.synth import TRUTH_FORMAT, TRUTH_HEADER, CohortConfig, generate_cohort, read_truth_csv
 
 
 def utc(*args):
@@ -244,3 +255,59 @@ class TestValidateDaySeries:
 
     def test_sleep_state_values_are_csv_codes(self):
         assert {s.value for s in SleepState} == {"sleep", "awake", "unknown"}
+
+
+def _profiles_text():
+    profiles = {
+        (user, date(2024, 1, 1)): PersonalHrProfile(user, date(2024, 1, 1), 50.0, 150.5, 900, False)
+        for user in ("u1", "u2", "u3")
+    }
+    return write_profiles_csv(profiles)
+
+
+def _truth_text():
+    return TRUTH_FORMAT.write(generate_cohort(CohortConfig(n_users=1, n_days=1)).truth)
+
+
+# kind -> (header, a valid text of three or more rows, reader, writer of what it read)
+SMALL_CSV_READERS = {
+    "taxonomy": (
+        TAXONOMY_HEADER, lambda: default_taxonomy().to_csv_text(), read_taxonomy,
+        ActivityTaxonomy.to_csv_text,
+    ),
+    "profile": (PROFILE_HEADER, _profiles_text, read_profiles_csv, write_profiles_csv),
+    "aligned": (
+        ALIGNED_HEADER, lambda: _aligned_text(*range(MINUTES_PER_DAY)).getvalue(),
+        read_aligned_csv, write_aligned_csv,
+    ),
+    "truth": (TRUTH_HEADER, _truth_text, read_truth_csv, TRUTH_FORMAT.write),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_CSV_READERS))
+class TestSmallCsvReaders:
+    """Every reader built on core.csv_rows words a bad header and a bad field
+    count alike, numbers rows by their line in the file and skips blank lines."""
+
+    def test_wrong_header(self, kind):
+        header, make, read, _ = SMALL_CSV_READERS[kind]
+        rows = make().splitlines(keepends=True)[1:]
+        with pytest.raises(ValueError) as err:
+            read(io.StringIO("".join(["user,day\n", *rows])))
+        assert str(err.value) == f"{kind} CSV must start with header {','.join(header)!r}"
+
+    def test_short_row_names_its_line(self, kind):
+        header, make, read, _ = SMALL_CSV_READERS[kind]
+        lines = make().splitlines(keepends=True)
+        lines[2] = lines[2].rstrip("\n").rsplit(",", 1)[0] + "\n"
+        lines.insert(1, "\n")  # the short row is now on line 4
+        with pytest.raises(ValueError) as err:
+            read(io.StringIO("".join(lines)))
+        assert str(err.value) == f"{kind} CSV row 4 has {len(header) - 1} fields"
+
+    def test_blank_lines_skipped(self, kind):
+        _, make, read, write = SMALL_CSV_READERS[kind]
+        text = make()
+        lines = text.splitlines(keepends=True)
+        blanked = [lines[0], "\n", lines[1], "\n", "\n", *lines[2:], "\n"]
+        assert write(read(io.StringIO("".join(blanked)))) == text
