@@ -192,6 +192,13 @@ SEED_KEYS = ("cohort.seed", "dataset.seed", "split.seed", "train.seed")
 #: the keys whose value must be one of a declared set
 _CHOICES = {"align.profile_scope": PROFILE_SCOPES, "viz.band": BAND_MODES}
 
+#: the keys whose value must lie in a range: key -> (test, the range in words)
+_RANGES = {
+    **{key: (lambda v: v >= 0, "non-negative") for key in SEED_KEYS},
+    **{key: (lambda v: v >= 1, "at least 1") for key in ("cohort.n_users", "cohort.n_days")},
+    "dataset.label_threshold": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+}
+
 
 @contextlib.contextmanager
 def _section_check(section: str):
@@ -240,9 +247,9 @@ class PipelineConfig:
                 raise ConfigError(
                     f"config key {key}: must be one of {choices}, got {self._typed[key]!r}"
                 )
-        for key in SEED_KEYS:
-            if self._typed[key] < 0:
-                raise ConfigError(f"config key {key}: must be non-negative, got {self._typed[key]}")
+        for key, (within, bounds) in _RANGES.items():
+            if not within(self._typed[key]):
+                raise ConfigError(f"config key {key}: must be {bounds}, got {self._typed[key]}")
         modes = self._typed["split.modes"]
         bad = [m for m in modes if m not in SPLIT_MODES]
         if bad or not modes:

@@ -36,66 +36,56 @@ def accuracy(preds: Sequence[int], labels: Sequence[int]) -> float:
     return float((preds == labels).mean())
 
 
-def _class_counts(preds: np.ndarray, labels: np.ndarray, n_classes: int):
-    tp = np.zeros(n_classes)
-    fp = np.zeros(n_classes)
-    fn = np.zeros(n_classes)
-    for c in range(n_classes):
-        tp[c] = np.sum((preds == c) & (labels == c))
-        fp[c] = np.sum((preds == c) & (labels != c))
-        fn[c] = np.sum((preds != c) & (labels == c))
-    return tp, fp, fn
+def _class_counts(preds: Sequence[int], labels: Sequence[int], n_classes: int):
+    """True positives, false positives and false negatives of each class,
+    read off the label -> prediction count matrix."""
+    counts = confusion_matrix(preds, labels, n_classes)
+    tp = np.diag(counts)
+    return tp, counts.sum(axis=0) - tp, counts.sum(axis=1) - tp
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _class_scores(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray):
+    """Per-class precision, recall and F1 with 0/0 ratios defined as 0."""
+    precision, recall = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
+    return precision, recall, _ratio(2 * precision * recall, precision + recall)
 
 
 def precision_recall_f1(
     preds: Sequence[int], labels: Sequence[int], n_classes: int
 ) -> list[dict]:
     """Per-class precision/recall/F1 with 0/0 ratios defined as 0."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
     tp, fp, fn = _class_counts(preds, labels, n_classes)
-    out = []
-    for c in range(n_classes):
-        precision = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] > 0 else 0.0
-        recall = tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] > 0 else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall > 0
-            else 0.0
-        )
-        out.append(
-            {
-                "class": c,
-                "support": int(tp[c] + fn[c]),
-                "precision": float(precision),
-                "recall": float(recall),
-                "f1": float(f1),
-            }
-        )
-    return out
+    precision, recall, f1 = _class_scores(tp, fp, fn)
+    return [
+        {
+            "class": c,
+            "support": int(tp[c] + fn[c]),
+            "precision": float(precision[c]),
+            "recall": float(recall[c]),
+            "f1": float(f1[c]),
+        }
+        for c in range(n_classes)
+    ]
 
 
 def macro_f1(preds: Sequence[int], labels: Sequence[int], n_classes: int) -> float:
     """Mean per-class F1 over classes present in predictions or labels."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.size == 0:
+    if np.size(preds) == 0:
         raise ValueError("cannot score an empty prediction set")
-    rows = precision_recall_f1(preds, labels, n_classes)
-    present = [
-        r["f1"]
-        for c, r in enumerate(rows)
-        if np.any(preds == c) or np.any(labels == c)
-    ]
-    if not present:
+    tp, fp, fn = _class_counts(preds, labels, n_classes)
+    # a class is present when it is predicted or labelled at least once
+    present = tp + fp + fn > 0
+    if not present.any():
         raise ValueError("no classes present")
-    return float(np.mean(present))
+    return float(np.mean(_class_scores(tp, fp, fn)[2][present]))
 
 
 def micro_f1(preds: Sequence[int], labels: Sequence[int], n_classes: int) -> float:
     """Globally pooled F1; for single-label classification this equals accuracy."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
     tp, fp, fn = _class_counts(preds, labels, n_classes)
     denom = 2 * tp.sum() + fp.sum() + fn.sum()
     return float(2 * tp.sum() / denom) if denom > 0 else 0.0

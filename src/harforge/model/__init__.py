@@ -16,8 +16,6 @@ from .network import (
     ModelParams,
     encoder_backward,
     encoder_forward,
-    heads_backward,
-    heads_forward,
     init_params,
     make_dropout_mask,
     model_backward,
@@ -56,8 +54,6 @@ __all__ = [
     "encoder_backward",
     "encoder_forward",
     "focal_transform",
-    "heads_backward",
-    "heads_forward",
     "hierarchical_focal_loss",
     "hierarchical_focal_loss_grads",
     "hierarchical_loss",

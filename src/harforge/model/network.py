@@ -9,6 +9,11 @@ the two final hidden states of layer 2 (the forward direction's last step
 and the backward direction's first step), or the mean over time of the
 concatenated outputs when mean pooling is selected.
 
+Each layer runs through ``_layer_forward`` and ``_layer_backward``, which
+loop over its two directions, or units (``enc1_fwd`` ...): a unit's cache
+is keyed by its name and its arrays and gradients are ``<unit>_wx``,
+``<unit>_wh`` and ``<unit>_b``. The model pass applies the two heads.
+
 Each direction allocates one (B, W, 4H) slab per forward pass, and the
 slab holds three things in turn. The forward pass computes ``x @ wx + b``
 into it for every step at once and writes each step's activated gates over
@@ -21,12 +26,12 @@ and ``e/(1+e)`` otherwise, and then overwrites the cell block with its
 tanh. The step loops allocate nothing: their scratch buffers are made once
 per call and filled with ``out=``.
 
-The backward pass therefore consumes its cache: ``encoder_backward`` pops
-each direction's cache before it backpropagates through it, so a
-direction's slabs are freed before the next direction runs, and a second
-backward pass on the same cache is an error. Results are bit-identical to
-the earlier per-gate kernel (four gate caches and a masked sigmoid per
-gate), which the tests keep as a reference.
+The backward pass therefore consumes its cache: ``_layer_backward`` pops
+each direction's cache before it backpropagates through it, layer 2
+before layer 1, so a direction's slabs are freed before the next
+direction runs, and a second backward pass on the same cache is an error.
+Results are bit-identical to the earlier per-gate kernel (four gate caches
+and a masked sigmoid per gate), which the tests keep as a reference.
 
 Everything runs in float64: the backward pass is checked coordinate by
 coordinate against central finite differences, and that comparison needs
@@ -44,6 +49,12 @@ N_LEVEL1 = 3
 GATE_BLOCKS = 4  # input, forget, cell, output
 
 POOLING_MODES = ("final", "mean")
+
+#: The encoder layers, the directions of each as (name, reverse) and the
+#: heads, one per taxonomy level; ``enc1_fwd`` is a unit, one direction.
+_LAYERS = ("enc1", "enc2")
+_DIRECTIONS = (("fwd", False), ("bwd", True))
+_HEADS = ("head1", "head2")
 
 
 def _check_size(name: str, value) -> None:
@@ -101,24 +112,14 @@ def _array_shapes(
     input_size: int, hidden_size: int, n_level1: int, n_level2: int
 ) -> dict[str, tuple[int, ...]]:
     h = hidden_size
-    return {
-        "enc1_fwd_wx": (input_size, 4 * h),
-        "enc1_fwd_wh": (h, 4 * h),
-        "enc1_fwd_b": (4 * h,),
-        "enc1_bwd_wx": (input_size, 4 * h),
-        "enc1_bwd_wh": (h, 4 * h),
-        "enc1_bwd_b": (4 * h,),
-        "enc2_fwd_wx": (2 * h, 4 * h),
-        "enc2_fwd_wh": (h, 4 * h),
-        "enc2_fwd_b": (4 * h,),
-        "enc2_bwd_wx": (2 * h, 4 * h),
-        "enc2_bwd_wh": (h, 4 * h),
-        "enc2_bwd_b": (4 * h,),
-        "head1_w": (2 * h, n_level1),
-        "head1_b": (n_level1,),
-        "head2_w": (2 * h, n_level2),
-        "head2_b": (n_level2,),
-    }
+    shapes = {}
+    for layer, d_in in zip(_LAYERS, (input_size, 2 * h)):
+        for direction, _ in _DIRECTIONS:
+            unit = f"{layer}_{direction}"
+            shapes |= {f"{unit}_wx": (d_in, 4 * h), f"{unit}_wh": (h, 4 * h), f"{unit}_b": (4 * h,)}
+    for head, n_out in zip(_HEADS, (n_level1, n_level2)):
+        shapes |= {f"{head}_w": (2 * h, n_out), f"{head}_b": (n_out,)}
+    return shapes
 
 
 #: Construction order of the parameter arrays. Initialization draws follow
@@ -307,6 +308,32 @@ def make_dropout_mask(
     return np.divide(keep, 1.0 - dropout, dtype=np.float64)
 
 
+def _layer_forward(layer: str, x: np.ndarray, arrays: dict[str, np.ndarray]):
+    """Run both directions of one layer over x. Returns their hidden
+    sequences in direction order and their caches keyed by unit name."""
+    h_seqs, caches = [], {}
+    for direction, reverse in _DIRECTIONS:
+        unit = f"{layer}_{direction}"
+        wx, wh, b = (arrays[f"{unit}_{part}"] for part in ("wx", "wh", "b"))
+        h_seq, caches[unit] = _lstm_forward(x, wx, wh, b, reverse)
+        h_seqs.append(h_seq)
+    return h_seqs, caches
+
+
+def _layer_backward(layer: str, dh_seqs, cache, arrays, **flags):
+    """Backpropagate both directions of one layer, popping each unit's cache
+    (joined by ``flags``) as it goes. Returns the input gradients in
+    direction order and the units' gradients keyed by array name."""
+    dxs, grads = [], {}
+    for (direction, _), dh_seq in zip(_DIRECTIONS, dh_seqs):
+        unit = f"{layer}_{direction}"
+        wx, wh = arrays[f"{unit}_wx"], arrays[f"{unit}_wh"]
+        dx, *unit_grads = _lstm_backward(dh_seq, cache.pop(unit) | flags, wx, wh)
+        grads |= zip((f"{unit}_wx", f"{unit}_wh", f"{unit}_b"), unit_grads)
+        dxs.append(dx)
+    return dxs, grads
+
+
 def encoder_forward(
     x: np.ndarray,
     params: ModelParams,
@@ -323,8 +350,7 @@ def encoder_forward(
     """
     x = _check_input(x, params)
     a = params.arrays
-    h1f, cache1f = _lstm_forward(x, a["enc1_fwd_wx"], a["enc1_fwd_wh"], a["enc1_fwd_b"], False)
-    h1b, cache1b = _lstm_forward(x, a["enc1_bwd_wx"], a["enc1_bwd_wh"], a["enc1_bwd_b"], True)
+    (h1f, h1b), cache = _layer_forward("enc1", x, a)
     out1 = np.concatenate([h1f, h1b], axis=2)
 
     dropout = params.config.dropout
@@ -338,23 +364,14 @@ def encoder_forward(
             mask = make_dropout_mask(out1.shape, dropout, rng or np.random.default_rng())
         out1 *= mask
 
-    h2f, cache2f = _lstm_forward(out1, a["enc2_fwd_wx"], a["enc2_fwd_wh"], a["enc2_fwd_b"], False)
-    h2b, cache2b = _lstm_forward(out1, a["enc2_bwd_wx"], a["enc2_bwd_wh"], a["enc2_bwd_b"], True)
+    (h2f, h2b), caches2 = _layer_forward("enc2", out1, a)
 
     if params.config.pooling == "final":
         features = np.concatenate([h2f[:, -1], h2b[:, 0]], axis=1)
     else:
         features = np.concatenate([h2f, h2b], axis=2).mean(axis=1)
 
-    cache = {
-        "cache1f": cache1f,
-        "cache1b": cache1b,
-        "cache2f": cache2f,
-        "cache2b": cache2b,
-        "mask": mask,
-        "width": x.shape[1],
-        "pooling": params.config.pooling,
-    }
+    cache |= caches2 | {"mask": mask, "width": x.shape[1], "pooling": params.config.pooling}
     return features, cache
 
 
@@ -365,7 +382,7 @@ def encoder_backward(dfeatures: np.ndarray, cache, params: ModelParams):
     backpropagating through it, so that direction's slabs are freed before
     the next one runs. A second backward pass on the same cache raises
     ValueError; run the forward pass again instead."""
-    if "cache2f" not in cache:
+    if "enc2_fwd" not in cache:
         raise ValueError(
             "the forward cache was consumed by an earlier backward pass; "
             "run the forward pass again"
@@ -384,63 +401,15 @@ def encoder_backward(dfeatures: np.ndarray, cache, params: ModelParams):
         dh2f += dfeatures[:, None, :h] / width
         dh2b += dfeatures[:, None, h:] / width
 
-    dx2f, dwx2f, dwh2f, db2f = _lstm_backward(dh2f, cache.pop("cache2f"), a["enc2_fwd_wx"], a["enc2_fwd_wh"])
-    dx2b, dwx2b, dwh2b, db2b = _lstm_backward(dh2b, cache.pop("cache2b"), a["enc2_bwd_wx"], a["enc2_bwd_wh"])
-    dout1 = dx2f
+    (dout1, dx2b), grads2 = _layer_backward("enc2", (dh2f, dh2b), cache, a)
     dout1 += dx2b
     if cache["mask"] is not None:
         dout1 *= cache["mask"]
-
-    dh1f = dout1[:, :, :h]
-    dh1b = dout1[:, :, h:]
     # nothing takes the gradient of the model input, so layer 1 skips it
-    _, dwx1f, dwh1f, db1f = _lstm_backward(
-        dh1f, cache.pop("cache1f") | {"input_grad": False}, a["enc1_fwd_wx"], a["enc1_fwd_wh"]
+    _, grads1 = _layer_backward(
+        "enc1", (dout1[:, :, :h], dout1[:, :, h:]), cache, a, input_grad=False
     )
-    _, dwx1b, dwh1b, db1b = _lstm_backward(
-        dh1b, cache.pop("cache1b") | {"input_grad": False}, a["enc1_bwd_wx"], a["enc1_bwd_wh"]
-    )
-
-    return {
-        "enc1_fwd_wx": dwx1f,
-        "enc1_fwd_wh": dwh1f,
-        "enc1_fwd_b": db1f,
-        "enc1_bwd_wx": dwx1b,
-        "enc1_bwd_wh": dwh1b,
-        "enc1_bwd_b": db1b,
-        "enc2_fwd_wx": dwx2f,
-        "enc2_fwd_wh": dwh2f,
-        "enc2_fwd_b": db2f,
-        "enc2_bwd_wx": dwx2b,
-        "enc2_bwd_wh": dwh2b,
-        "enc2_bwd_b": db2b,
-    }
-
-
-def heads_forward(features: np.ndarray, params: ModelParams):
-    """Affine logits for both taxonomy levels."""
-    a = params.arrays
-    if features.ndim != 2 or features.shape[1] != params.feature_size:
-        raise ValueError(
-            f"expected features of shape (batch, {params.feature_size}), "
-            f"got {features.shape}"
-        )
-    logits1 = features @ a["head1_w"] + a["head1_b"]
-    logits2 = features @ a["head2_w"] + a["head2_b"]
-    return logits1, logits2
-
-
-def heads_backward(features, dlogits1, dlogits2, params: ModelParams):
-    """Head gradients plus the gradient flowing back into the features."""
-    a = params.arrays
-    grads = {
-        "head1_w": features.T @ dlogits1,
-        "head1_b": dlogits1.sum(axis=0),
-        "head2_w": features.T @ dlogits2,
-        "head2_b": dlogits2.sum(axis=0),
-    }
-    dfeatures = dlogits1 @ a["head1_w"].T + dlogits2 @ a["head2_w"].T
-    return grads, dfeatures
+    return grads1 | grads2
 
 
 def model_forward(
@@ -455,7 +424,8 @@ def model_forward(
     features, cache = encoder_forward(
         x, params, train_mode=train_mode, dropout_mask=dropout_mask, rng=rng
     )
-    logits1, logits2 = heads_forward(features, params)
+    a = params.arrays
+    logits1, logits2 = (features @ a[f"{head}_w"] + a[f"{head}_b"] for head in _HEADS)
     cache["features"] = features
     return logits1, logits2, cache
 
@@ -465,7 +435,10 @@ def model_backward(dlogits1, dlogits2, cache, params: ModelParams):
 
     The pass consumes ``cache`` (see ``encoder_backward``): a second
     backward pass on the same cache raises ValueError."""
-    head_grads, dfeatures = heads_backward(cache["features"], dlogits1, dlogits2, params)
-    grads = encoder_backward(dfeatures, cache, params)
-    grads.update(head_grads)
-    return grads
+    a, features = params.arrays, cache["features"]
+    head_grads = {}
+    for head, dlogits in zip(_HEADS, (dlogits1, dlogits2)):
+        head_grads[f"{head}_w"] = features.T @ dlogits
+        head_grads[f"{head}_b"] = dlogits.sum(axis=0)
+    dfeatures = dlogits1 @ a["head1_w"].T + dlogits2 @ a["head2_w"].T
+    return encoder_backward(dfeatures, cache, params) | head_grads

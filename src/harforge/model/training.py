@@ -23,7 +23,7 @@ import numpy as np
 
 from ..core import ActivityTaxonomy, write_text
 from ..dataset import WindowSet
-from .losses import LossConfig, hierarchical_focal_loss, hierarchical_focal_loss_grads
+from .losses import LossConfig, hierarchical_focal_loss, hierarchical_focal_loss_grads, softmax
 from .network import ModelConfig, ModelParams, _array_shapes, model_backward, model_forward
 from .optim import (
     OptimState,
@@ -111,8 +111,6 @@ class Predictions:
 
 def predict(params: ModelParams, x: np.ndarray, batch_size: int = 1024) -> Predictions:
     """Class probabilities and argmax predictions for both levels."""
-    from .losses import softmax
-
     probs1_parts = []
     probs2_parts = []
     for lo in range(0, x.shape[0], batch_size):

@@ -546,6 +546,37 @@ class TestArgumentHandling:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (
+                "dataset.label_threshold = 1.5",
+                "config key dataset.label_threshold: must be in (0, 1], got 1.5",
+            ),
+            (
+                "dataset.label_threshold = 0",
+                "config key dataset.label_threshold: must be in (0, 1], got 0.0",
+            ),
+            ("cohort.n_users = 0", "config key cohort.n_users: must be at least 1, got 0"),
+            ("cohort.n_days = 0", "config key cohort.n_days: must be at least 1, got 0"),
+        ],
+        ids=["threshold-above-1", "threshold-0", "no-users", "no-days"],
+    )
+    def test_out_of_range_value_stops_the_pipeline_before_any_stage(
+        self, tmp_path, capsys, line, message
+    ):
+        """A label threshold above 1 keeps no window and one of 0 keeps every
+        window whatever its labels; an empty cohort has nothing to impute.
+        Each is exit 2 when the config is read, naming the key, instead of
+        a failure stages later."""
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{TINY_CONFIG}{line}\n")
+        out = tmp_path / "out"
+        code = main(["pipeline", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_stage_without_inputs_reports_whats_missing(self, tmp_path, capsys):
         code = main(["align", "--out", str(tmp_path / "empty")])
         assert code == EXIT_INPUT

@@ -91,6 +91,17 @@ class TestInit:
             want = rng.uniform(-bound, bound, size=p.arrays[name].shape)
             np.testing.assert_array_equal(p.arrays[name], want)
 
+    def test_array_order_is_the_literal_sixteen_names(self):
+        # the draw-order test above replays _ARRAY_ORDER itself, so this
+        # literal is what pins the random stream behind every checkpoint
+        assert _ARRAY_ORDER == (
+            "enc1_fwd_wx", "enc1_fwd_wh", "enc1_fwd_b",
+            "enc1_bwd_wx", "enc1_bwd_wh", "enc1_bwd_b",
+            "enc2_fwd_wx", "enc2_fwd_wh", "enc2_fwd_b",
+            "enc2_bwd_wx", "enc2_bwd_wh", "enc2_bwd_b",
+            "head1_w", "head1_b", "head2_w", "head2_b",
+        )
+
     def test_seed_determines_values(self):
         a = init_params(5, 8, 13, seed=4)
         b = init_params(5, 8, 13, seed=4)
