@@ -518,9 +518,14 @@ class MinuteFormat:
     fields: tuple[MinuteField, ...]
 
     def write(self, days: DayGrid) -> str:
-        """The canonical CSV text of ``days``, in row order: each distinct
-        value formatted once, and users and labels quoted as csv.writer
-        quotes them."""
+        """The canonical CSV text of ``days`` (the text of ``chunks``)."""
+        return codec.text_of(self.chunks(days))
+
+    def chunks(self, days: DayGrid) -> Iterator[bytes | memoryview]:
+        """The canonical CSV bytes of ``days``, in row order, a block of
+        user-days at a time (see codec.join_rows): each distinct value
+        formatted once, and users and labels quoted as csv.writer quotes
+        them."""
         per_block = max(codec.BLOCK_ROWS // MINUTES_PER_DAY, 1)
         users = codec.csv_fields(user for user, _ in days.keys)
         last = len(self.fields) - 1
@@ -541,7 +546,7 @@ class MinuteFormat:
                     *(codes[minutes] for _, codes in encoded),
                 )
 
-        return codec.join_rows(",".join(self.header) + "\n", tables, blocks)
+        return codec.join_rows(",".join(self.header) + "\n", tables, blocks())
 
     def read(self, stream: Iterable[str] | IO[str]) -> DayGrid:
         """Parse the text back into a grid.
@@ -573,13 +578,13 @@ class MinuteFormat:
         columns = [np.frombuffer(values, values.typecode) for values in columns]
         return _sorted_grid(keys, labels, dict(zip((f.column for f in self.fields), columns)))
 
-    def _read_columns(self, rest: list[bytes], start: int) -> DayGrid:
-        """The grid in the bytes popped from ``rest``, from ``start``, when
-        its rows are canonical (see ``minute_columns``); raises
-        codec.NotCanonical otherwise."""
+    def _read_columns(self, n: int, lines) -> DayGrid:
+        """The grid in the ``n`` rows of the blocks of ``lines`` (see
+        codec.parse_whole) when they are canonical (see ``minute_columns``);
+        raises codec.NotCanonical otherwise."""
         labels: dict[str, int] = {}
         converters = [(f.converter(labels), _COLUMNS[f.column][0]) for f in self.fields]
-        keys, columns = minute_columns(rest, start, self.header, converters)
+        keys, columns = minute_columns(n, lines, converters)
         return _sorted_grid(keys, labels, dict(zip((f.column for f in self.fields), columns)))
 
 
@@ -669,35 +674,32 @@ _MINUTE_AT = np.cumsum([0, *(len(str(m)) for m in range(MINUTES_PER_DAY))])
 
 
 def minute_columns(
-    rest: list[bytes],
-    start: int,
-    header: Sequence[str],
+    n: int,
+    lines: Iterable[tuple[np.ndarray, np.ndarray]],
     fields: Sequence[tuple[Callable[[str], object], type]],
 ) -> tuple[list[tuple[str, date]], list[np.ndarray]]:
     """The columnar reader of a per-minute CSV whose fields start with user,
     date and minute (``minute_rows`` is its per-row reader).
 
-    Reads the bytes popped from ``rest`` (see ``codec.parse_whole``), from
-    ``start``, when its rows are canonical: ``len(header)`` unquoted fields
-    per row, every user-day on 1440 consecutive rows with minutes 0..1439
-    in order, written as ``str(minute)``, each user-day once, and every
-    field accepted by its converter. ``fields`` holds ``(convert, dtype)``
-    for each column after the minute: the per-row converter (see
-    MinuteField), applied once to each distinct text of a block, in order
-    of first appearance, so a converter that numbers what it meets numbers
-    it as a per-row read does. Returns the user-days in file order and each
+    Reads the ``n`` rows of the blocks of ``lines`` (see
+    ``codec.parse_whole``) when they are canonical: unquoted fields, every
+    user-day on 1440 consecutive rows with minutes 0..1439 in order,
+    written as ``str(minute)``, each user-day once, and every field
+    accepted by its converter. ``fields`` holds ``(convert, dtype)`` for
+    each column after the minute: the per-row converter (see MinuteField),
+    applied once to each distinct text of a block, in order of first
+    appearance, so a converter that numbers what it meets numbers it as a
+    per-row read does. Returns the user-days in file order and each
     field's column, one row per minute; raises codec.NotCanonical for
     anything else, a text the converter rejects included.
     """
-    data = rest.pop()
-    n = data.count(b"\n", start)
     if n % MINUTES_PER_DAY:
         raise codec.NotCanonical
     columns = [np.empty(n, dtype) for _, dtype in fields]
     heads: list[bytes] = []
     previous = b""
     r = 0
-    for block, ends in codec.split_lines(data, start, len(header)):
+    for block, ends in lines:
         rows = slice(r, r + len(ends))
         minute = np.arange(rows.start, rows.stop) % MINUTES_PER_DAY
         expected = _MINUTES, _MINUTE_AT[minute], _MINUTE_AT[minute + 1]

@@ -29,7 +29,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+# The stages write the bulk files a block at a time (``hr_chunks``,
+# ``MinuteFormat.chunks``). The whole-text writers ``serialize_hr_stream`` and
+# ``write_aligned_csv`` stay importable from here: bench/harbench/tracing.py
+# patches them by name.
 from .align import (
+    ALIGNED_FORMAT,
     PROFILE_SCOPES,
     align_cohort,
     read_aligned_csv,
@@ -65,6 +70,7 @@ from .dataset import (
 from .evaluation import confusion_to_csv, evaluate_run, report_to_json, trend_csv
 from .impute import ImputeConfig, impute_cohort, write_stats_report
 from .ingest import (
+    hr_chunks,
     parse_activity_blocks,
     parse_hr_stream,
     parse_schedule,
@@ -427,7 +433,7 @@ def _parse_streams(lay: Layout, dirname: str, taxonomy: ActivityTaxonomy) -> tup
 def _stage_ingest(cfg: PipelineConfig, lay: Layout) -> dict:
     taxonomy = cfg.taxonomy()
     hr, blocks, segments, schedule = _parse_streams(lay, "raw", taxonomy)
-    write_text(lay.path("canonical", "hr.csv"), serialize_hr_stream(hr))
+    write_text(lay.path("canonical", "hr.csv"), hr_chunks(hr.users, hr.user, hr.second, hr.bpm))
     write_text(lay.path("canonical", "activity.csv"), serialize_activity_blocks(blocks))
     write_text(lay.path("canonical", "sleep.csv"), serialize_sleep_segments(segments))
     write_text(lay.path("canonical", "schedule.csv"), serialize_schedule(schedule))
@@ -451,7 +457,8 @@ def _stage_align(cfg: PipelineConfig, lay: Layout) -> dict:
         tz_offset_minutes=cfg["align.tz_offset_minutes"],
         profile_scope=cfg["align.profile_scope"],
     )
-    write_text(lay.path("aligned", "aligned.csv"), write_aligned_csv(aligned.days))
+    del hr, blocks, segments, schedule  # only the grid is written
+    write_text(lay.path("aligned", "aligned.csv"), ALIGNED_FORMAT.chunks(aligned.days))
     write_text(lay.path("aligned", "profiles.csv"), write_profiles_csv(aligned.profiles))
     low = sum(1 for p in aligned.profiles.values() if p.low_confidence)
     return {
@@ -467,7 +474,7 @@ def _stage_impute(cfg: PipelineConfig, lay: Layout) -> dict:
     with open(lay.path("aligned", "profiles.csv"), encoding="utf-8") as fh:
         profiles = read_profiles_csv(fh)
     post_days, stats, marks = impute_cohort(pre_days, profiles, cfg.impute_config())
-    write_text(lay.path("imputed", "imputed.csv"), write_aligned_csv(post_days))
+    write_text(lay.path("imputed", "imputed.csv"), ALIGNED_FORMAT.chunks(post_days))
     write_text(lay.path("imputed", "impute_stats.csv"), write_stats_report(stats))
     counts: dict = {
         "user_days": len(post_days),
@@ -515,6 +522,7 @@ def _stage_dataset(cfg: PipelineConfig, lay: Layout) -> dict:
         for mode, result in sorted(results.items()):
             entry[mode] = {name: len(result.part(name)) for name in SPLIT_NAMES}
         counts[f"w{width}"] = entry
+        del windows, sampled, results  # before the next width's are built
     return counts
 
 

@@ -5,27 +5,33 @@ an ``align.MinuteFormat``, whose one writer, columnar reader and per-row
 reader are built on these codecs.
 
 Writing: every field of a row is one entry of a small table of distinct
-texts (each distinct value is formatted once), and the output is built by
-copying table bytes into one byte buffer of the output's size, one block of
-rows and one byte column at a time; the text is decoded from that buffer
-once, so a writer holds at most one copy of its output beside the returned
-text.
+texts (each distinct value is formatted once). The output is made one
+block of rows at a time, by copying table bytes one byte column at a time
+into a byte buffer of that block's size, and handed on as UTF-8 bytes
+(``join_rows``): ``core.write_text`` writes each block as it comes, so no
+writer holds its whole output. The text writers, whose results tests and
+the generator keep as ``str``, decode the joined blocks once (``text_of``).
 
 Reading: a file is split into fields with numpy only when every line has
 the canonical shape the writers emit: ASCII, no double quote, no control
 byte other than the line feed, a final line feed and the same number of
-fields on every line (so no blank line). A UTF-8 file is read as bytes from
-its byte buffer and never decoded; other text streams are read and encoded
-a block at a time. Each distinct field text is then converted once with the
-same converter the per-row parser applies. Any file that is not in that
-shape, or whose values a converter rejects, goes whole to the format's
-per-row parser, which defines the format and is the only source of error
-messages and line numbers.
+fields on every line (so no blank line). The stream is read twice, a block
+at a time, and never held whole: once to count its lines, which sizes the
+columns, and once to parse them, in blocks of whole lines of about
+BLOCK_BYTES, the partial last line of each read carried into the next
+block. A UTF-8 file is read from its byte buffer straight into the block
+and never decoded; other text streams are read and encoded a block at a
+time. Each distinct field text is then converted once with the same
+converter the per-row parser applies. Any file that is not in that shape,
+in any block, or whose values a converter rejects, goes whole to the
+format's per-row parser, which defines the format and is the only source of
+error messages and line numbers.
 """
 
 from __future__ import annotations
 
 import codecs
+import io
 from itertools import chain, islice
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -50,11 +56,13 @@ MAX_WIDTH = 64
 _COMMA, _LF = ord(","), ord("\n")
 
 #: Bytes no canonical line holds: control bytes other than the line feed,
-#: DEL and the double quote (a quoted field is the csv module's business).
+#: DEL, the double quote (a quoted field is the csv module's business) and
+#: every byte that is not ASCII.
 FORBIDDEN = np.zeros(256, bool)
 FORBIDDEN[:32] = True
 FORBIDDEN[_LF] = False
 FORBIDDEN[[ord('"'), 127]] = True
+FORBIDDEN[128:] = True  # canonical text is ASCII
 
 
 class NotCanonical(Exception):
@@ -64,79 +72,122 @@ class NotCanonical(Exception):
 def parse_whole(
     stream: Iterable[str] | IO[str],
     header: Sequence[str],
-    parse_columns: Callable[[list[bytes], int], T],
+    parse_columns: Callable[[int, Iterator[tuple[np.ndarray, np.ndarray]]], T],
     parse_rows: Callable[[Iterable[str] | IO[str]], T],
+    forbidden: np.ndarray = FORBIDDEN,
 ) -> T:
-    """``parse_columns(rest, start)`` on the rest of a seekable text stream
-    as bytes, when it is ASCII and starts with the exact header line (data
-    rows begin at byte ``start``); otherwise, or when ``parse_columns``
-    raises NotCanonical, ``parse_rows`` on the stream from the same
-    position. Plain iterables of lines always go to ``parse_rows``.
+    """``parse_columns(n, lines)`` on the rest of a seekable text stream
+    when it starts with the exact header line: ``n`` is the number of line
+    feeds after the header, counted in a first pass, and ``lines`` yields
+    the blocks of ``split_blocks`` read in a second. Otherwise, or when
+    either pass raises NotCanonical, ``parse_rows`` on the stream from the
+    same position. Plain iterables of lines always go to ``parse_rows``.
 
-    ``rest`` is a list holding the bytes as its only item and their only
-    reference: ``parse_columns`` pops them, so it can drop them before it
-    builds its result. The file is held once, as bytes (see ``_ascii_rest``).
+    Neither pass holds more of the stream than one block (see ``_line_blocks``).
     """
     try:
         pos = stream.tell()
     except (AttributeError, OSError):
         return parse_rows(stream)
     head = (",".join(header) + "\n").encode()
-    rest = [_ascii_rest(stream, pos)]
-    if rest[0] is not None and rest[0].startswith(head):
-        try:
-            return parse_columns(rest, len(head))
-        except NotCanonical:
-            pass
-    rest.clear()  # the per-row parse reads the stream again
+    try:
+        n = sum(int(np.count_nonzero(b == _LF)) for b in _line_blocks(_reader(stream, pos, head)))
+        lines = split_blocks(_line_blocks(_reader(stream, pos, head)), len(header), forbidden)
+        return parse_columns(n, lines)
+    except NotCanonical:
+        pass
+    # through the end first, so a buffered stream drops what it read ahead and
+    # the per-row parser reads the same chunks as from a fresh stream (a decode
+    # error then names the same position)
+    stream.seek(0, io.SEEK_END)
     stream.seek(pos)
     return parse_rows(stream)
 
 
-def _ascii_rest(stream: IO[str], pos: int) -> bytes | None:
-    """The rest of a text stream from ``pos``, as bytes, or None when it is
-    not ASCII (or not text in its encoding). A UTF-8 file with no decoded
-    text pending is read from its byte buffer: ASCII bytes are their own
-    text, so nothing is decoded. Any other text stream is read a block of
-    text at a time, each block encoded and dropped, so no ``str`` of the
-    whole stream is built either way."""
+def _reader(stream: IO[str], pos: int, head: bytes) -> Callable[[memoryview], int]:
+    """A ``readinto`` of a text stream's bytes after the header line at
+    ``pos``; NotCanonical when the stream holds another header there, or
+    text that is not ASCII (or not text in its encoding). A UTF-8 file with
+    no decoded text pending is read from its byte buffer: ASCII bytes are
+    their own text, so nothing is decoded. Any other text stream is read a
+    block of text at a time, each block encoded into the caller's buffer."""
+    stream.seek(pos)  # drops any text decoded ahead of ``pos``
     buffer = getattr(stream, "buffer", None)
-    if buffer is not None and codecs.lookup(stream.encoding).name == "utf-8":
-        stream.seek(pos)  # drops any text decoded ahead of ``pos``
-        if buffer.tell() == pos:
-            data = buffer.read()
-            return data if data.isascii() else None
-    parts = []
+    utf8 = buffer is not None and codecs.lookup(stream.encoding).name == "utf-8"
+    if utf8 and buffer.tell() == pos:
+        if buffer.read(len(head)) != head:
+            raise NotCanonical
+        return buffer.readinto
+    if _ascii(stream, len(head)) != head:
+        raise NotCanonical
+
+    def readinto(view: memoryview) -> int:
+        data = _ascii(stream, len(view))
+        view[: len(data)] = data
+        return len(data)
+
+    return readinto
+
+
+def _ascii(stream: IO[str], size: int) -> bytes:
+    """The next ``size`` characters of a text stream as bytes; NotCanonical
+    when they are not ASCII."""
     try:
-        while text := stream.read(BLOCK_BYTES):
-            if not text.isascii():
-                return None
-            parts.append(text.encode("ascii"))
+        text = stream.read(size)
     except UnicodeDecodeError:
-        return None  # the per-row parser reports the error
-    return b"".join(parts)
+        raise NotCanonical from None  # the per-row parser reports the error
+    if not text.isascii():
+        raise NotCanonical
+    return text.encode("ascii")
+
+
+def _line_blocks(readinto: Callable[[memoryview], int]) -> Iterator[np.ndarray]:
+    """Blocks of whole lines read with ``readinto``: each ends at the last
+    line feed of the next BLOCK_BYTES bytes, and the partial line after it
+    starts the next block. Every block is a view of one buffer that the next
+    block overwrites. Raises NotCanonical for a missing final line feed or a
+    line longer than a block."""
+    buf = bytearray(BLOCK_BYTES)
+    view = memoryview(buf)
+    have = 0
+    while True:
+        got = readinto(view[have:])
+        have += got
+        if got and have < len(buf):
+            continue  # a short read: fill the block first
+        end = buf.rfind(b"\n", 0, have) + 1 if got else have
+        if not end:
+            if got:
+                raise NotCanonical  # one line longer than a block
+            return
+        if buf[end - 1] != _LF:
+            raise NotCanonical  # no final line feed
+        yield np.frombuffer(buf, np.uint8, end)
+        if not got:
+            return
+        view[: have - end] = view[end:have]
+        have -= end
 
 
 def split_lines(
     data: bytes, start: int, n_fields: int, forbidden: np.ndarray = FORBIDDEN
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of whole lines of ``data[start:]``, about BLOCK_BYTES each.
+    """``split_blocks`` of the lines of ``data[start:]``, in the blocks a
+    stream of the same bytes is read in."""
+    buffer = io.BytesIO(data)
+    buffer.seek(start)
+    return split_blocks(_line_blocks(buffer.readinto), n_fields, forbidden)
 
-    Yields ``(block, ends)``: the block's bytes and, per line, the offsets in
-    the block of the ``n_fields`` bytes that end its fields (the commas and
-    the line feed), as a ``(lines, n_fields)`` array. Raises NotCanonical
-    for a missing final line feed, a byte marked in ``forbidden`` or a line
-    with another number of fields.
+
+def split_blocks(
+    blocks: Iterable[np.ndarray], n_fields: int, forbidden: np.ndarray = FORBIDDEN
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block of whole lines with, per line, the offsets in the block of
+    the ``n_fields`` bytes that end its fields (the commas and the line
+    feed), as a ``(lines, n_fields)`` array. Raises NotCanonical for a byte
+    marked in ``forbidden`` or a line with another number of fields.
     """
-    if not data.endswith(b"\n") and len(data) > start:
-        raise NotCanonical
-    arr = np.frombuffer(data, np.uint8)
-    lo = start
-    while lo < len(data):
-        hi = data.rfind(b"\n", lo, lo + BLOCK_BYTES) + 1
-        if hi <= lo:
-            raise NotCanonical  # one line longer than a block
-        block = arr[lo:hi]
+    for block in blocks:
         if forbidden[block].any():
             raise NotCanonical
         ends = np.flatnonzero((block == _COMMA) | (block == _LF))
@@ -146,7 +197,6 @@ def split_lines(
         if (block[ends[:, :-1]] == _LF).any() or not (block[ends[:, -1]] == _LF).all():
             raise NotCanonical
         yield block, ends
-        lo = hi
 
 
 def field_bounds(ends: np.ndarray, field: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,54 +310,50 @@ def number_texts(keys: np.ndarray, suffix: str, nan_text: str | None = None) -> 
 def join_rows(
     header: str,
     tables: Iterable[Iterable[str]],
-    blocks: Callable[[], Iterable[Sequence[np.ndarray]]],
-) -> str:
-    """CSV text of the line ``header`` and the rows whose row i is
-    ``tables[f][codes[f][i]]`` concatenated over the fields f (each table
-    text carries its own trailing separator). ``blocks()`` yields the code
-    arrays of one block of rows at a time; it is called twice, once to size
-    the output and once to fill it. Each table is encoded as it comes, so
-    when ``tables`` is a generator no table's texts outlive their encoding.
-    The rows are copied into one byte buffer of the output's size, decoded
-    once: it is the only copy of the output beside the returned text."""
+    blocks: Iterable[Sequence[np.ndarray]],
+) -> Iterator[bytes | memoryview]:
+    """The UTF-8 CSV bytes of the line ``header`` and the rows whose row i
+    is ``tables[f][codes[f][i]]`` concatenated over the fields f (each table
+    text carries its own trailing separator), one chunk per item of
+    ``blocks``, which yields the code arrays of one block of rows. Each
+    table is encoded as it comes, so when ``tables`` is a generator no
+    table's texts outlive their encoding; a block's bytes are the only
+    copy of its rows, made as the block is asked for."""
     encoded = [_byte_table(table) for table in tables]
-    head = np.frombuffer(header.encode("utf-8"), np.uint8)
-    size = len(head) + sum(
-        int(length[c].sum()) for codes in blocks() for (_, length, _), c in zip(encoded, codes)
-    )
-    out = np.empty(size, np.uint8)
-    out[: len(head)] = head
-    _fill_rows(out, len(head), encoded, blocks())
-    del encoded
-    return str(out, "utf-8")
+    yield header.encode("utf-8")
+    for codes in blocks:
+        yield _fill_rows(encoded, codes).data
+
+
+def text_of(chunks: Iterable[bytes | memoryview]) -> str:
+    """The text of UTF-8 byte chunks (``join_rows``), decoded once."""
+    return str(b"".join(chunks), "utf-8")
 
 
 def _fill_rows(
-    out: np.ndarray,
-    offset: int,
     tables: Sequence[tuple[np.ndarray, np.ndarray, dict[int, bytes]]],
-    blocks: Iterable[Sequence[np.ndarray]],
-) -> None:
-    """Write into ``out``, from byte ``offset`` on, the rows of each block
-    of codes into the byte tables (see join_rows and _byte_table)."""
-    for codes in blocks:
-        lengths = [length[c] for (_, length, _), c in zip(tables, codes)]
-        row_length = sum(lengths)
-        at = np.cumsum(row_length) - row_length + offset
-        offset += int(row_length.sum())
-        for (matrix, _, long), c, n in zip(tables, codes, lengths):
-            shortest = int(n.min(initial=0))
-            for j in range(min(int(n.max(initial=0)), matrix.shape[1])):
-                if j < shortest:
-                    out[at + j] = matrix[c, j]
-                else:
-                    rows = n > j
-                    out[at[rows] + j] = matrix[c[rows], j]
-            if long:
-                for i in np.flatnonzero(n > matrix.shape[1]).tolist():
-                    text = long[int(c[i])]
-                    out[at[i] : at[i] + len(text)] = np.frombuffer(text, np.uint8)
-            at += n
+    codes: Sequence[np.ndarray],
+) -> np.ndarray:
+    """The bytes of the rows of one block of codes into the byte tables
+    (see join_rows and _byte_table)."""
+    lengths = [length[c] for (_, length, _), c in zip(tables, codes)]
+    row_length = sum(lengths)
+    at = np.cumsum(row_length) - row_length
+    out = np.empty(int(row_length.sum()), np.uint8)
+    for (matrix, _, long), c, n in zip(tables, codes, lengths):
+        shortest = int(n.min(initial=0))
+        for j in range(min(int(n.max(initial=0)), matrix.shape[1])):
+            if j < shortest:
+                out[at + j] = matrix[c, j]
+            else:
+                rows = n > j
+                out[at[rows] + j] = matrix[c[rows], j]
+        if long:
+            for i in np.flatnonzero(n > matrix.shape[1]).tolist():
+                text = long[int(c[i])]
+                out[at[i] : at[i] + len(text)] = np.frombuffer(text, np.uint8)
+        at += n
+    return out
 
 
 def _byte_table(texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray, dict[int, bytes]]:

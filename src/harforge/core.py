@@ -242,17 +242,24 @@ def json_text(obj) -> str:
 WRITE_CHARS = 1 << 20
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, a chunk of WRITE_CHARS characters
-    encoded at a time. The text goes to a temporary file in the same
-    directory that then replaces ``path``, so a write that fails leaves the
-    old file whole and no temporary file behind."""
+def write_text(path, text: str | Iterable[bytes]) -> None:
+    """Write ``text`` to ``path``: a ``str`` as UTF-8, a chunk of WRITE_CHARS
+    characters encoded at a time, or an iterable of byte chunks as they
+    come, so a writer that makes its output a block at a time never holds
+    all of it. The bytes go to a temporary file in the same directory that
+    then replaces ``path``, so a write that fails, also one whose chunks
+    raise partway, leaves the old file whole and no temporary file behind."""
+    chunks = text
+    if isinstance(text, str):
+        chunks = (
+            text[lo : lo + WRITE_CHARS].encode("utf-8") for lo in range(0, len(text), WRITE_CHARS)
+        )
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            for lo in range(0, len(text), WRITE_CHARS):
-                fh.write(text[lo : lo + WRITE_CHARS].encode("utf-8"))
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -131,9 +131,14 @@ def confusion_matrix(
     n_classes: int,
     row_normalize: bool = False,
 ) -> np.ndarray:
-    """Counts (or row-normalized rates) of label -> prediction pairs."""
+    """Counts (or row-normalized rates) of label -> prediction pairs; a label
+    or prediction outside [0, n_classes) is a ValueError naming it."""
     preds = np.asarray(preds)
     labels = np.asarray(labels)
+    for name, values in (("label", labels), ("prediction", preds)):
+        bad = (values < 0) | (values >= n_classes)
+        if bad.any():
+            raise ValueError(f"{name} {values[bad][0]} outside [0, {n_classes})")
     matrix = np.zeros((n_classes, n_classes))
     np.add.at(matrix, (labels.astype(np.int64), preds.astype(np.int64)), 1)
     if row_normalize:

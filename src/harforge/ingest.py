@@ -26,7 +26,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -173,7 +173,7 @@ def parse_hr_stream(stream: Iterable[str] | IO[str]) -> HrStream:
     A seekable text stream in the canonical form is parsed as columns
     (``_parse_hr_columns``); anything else, and any error, goes through
     ``parse_hr_rows``, so both give the same result."""
-    return codec.parse_whole(stream, HR_HEADER, _parse_hr_columns, parse_hr_rows)
+    return codec.parse_whole(stream, HR_HEADER, _parse_hr_columns, parse_hr_rows, _HR_FORBIDDEN)
 
 
 def parse_hr_rows(stream: Iterable[str] | IO[str]) -> HrStream:
@@ -204,21 +204,18 @@ _HR_FORBIDDEN = codec.FORBIDDEN.copy()
 _HR_FORBIDDEN[ord(" ")] = True  # the per-row parser strips spaces around fields
 
 
-def _parse_hr_columns(rest: list[bytes], start: int) -> HrStream:
-    """The HR rows of the bytes popped from ``rest``, from ``start``, when
-    every row is canonical: ``user,YYYY-MM-DDTHH:MM:SSZ,bpm`` with a
+def _parse_hr_columns(n: int, lines) -> HrStream:
+    """The ``n`` HR rows of the blocks of ``lines`` (see codec.parse_whole)
+    when every row is canonical: ``user,YYYY-MM-DDTHH:MM:SSZ,bpm`` with a
     non-empty user id without spaces, a valid date and time, and a bpm
     that ``_parse_bpm`` accepts. Raises codec.NotCanonical otherwise."""
-    data = rest.pop()
-    n = data.count(b"\n", start)
     code_of: dict[str, int] = {}
     day_of: dict[int, int] = {}
     user = np.empty(n, np.int64)
     second = np.empty(n, np.int64)
     bpm = np.empty(n, np.float64)
     r = 0
-    block = ends = None  # views of ``data`` once bound
-    for block, ends in codec.split_lines(data, start, len(HR_HEADER), _HR_FORBIDDEN):
+    for block, ends in lines:
         rows = slice(r, r + len(ends))
         r += len(ends)
         names, _, inv = codec.distinct(block, *codec.field_bounds(ends, 0))
@@ -228,7 +225,6 @@ def _parse_hr_columns(rest: list[bytes], start: int) -> HrStream:
         second[rows] = _canonical_seconds(block, *codec.field_bounds(ends, 1), day_of)
         texts, _, inv = codec.distinct(block, *codec.field_bounds(ends, 2))
         bpm[rows] = codec.convert(texts, _parse_bpm, np.float64)[inv]
-    del data, block, ends  # the columns are all that is left of the file
     return _hr_stream(code_of, user, second, bpm)
 
 
@@ -246,14 +242,14 @@ def _canonical_seconds(
         if expect == ord("0"):
             column = column - ord("0")  # wraps below 0, so a non-digit is > 9
             bad |= column > 9
-            digits.append(column.astype(np.int64))
+            digits.append(column)
         else:
             bad |= column != expect
     if bad.any():
         raise codec.NotCanonical
 
-    def number(*positions):
-        value = digits[positions[0]]
+    def number(*positions):  # at most 8 digits: an int32
+        value = digits[positions[0]].astype(np.int32)
         for k in positions[1:]:
             value = value * 10 + digits[k]
         return value
@@ -430,9 +426,17 @@ def serialize_hr_columns(
     users: Sequence[str], user: np.ndarray, second: np.ndarray, bpm: np.ndarray
 ) -> str:
     """Canonical HR text of the rows ``users[user[i]], second[i], bpm[i]``
-    in the order given: the timestamp as its day, hour, minute and second
-    fields, each value formatted once (``format_epoch_second`` and
-    ``format_number`` forms)."""
+    in the order given (the text of ``hr_chunks``)."""
+    return codec.text_of(hr_chunks(users, user, second, bpm))
+
+
+def hr_chunks(
+    users: Sequence[str], user: np.ndarray, second: np.ndarray, bpm: np.ndarray
+) -> Iterator[bytes | memoryview]:
+    """Canonical HR bytes of the rows ``users[user[i]], second[i], bpm[i]``
+    in the order given, a block of rows at a time (see codec.join_rows):
+    the timestamp as its day, hour, minute and second fields, each value
+    formatted once (``format_epoch_second`` and ``format_number`` forms)."""
     days = np.unique(second // SECONDS_PER_DAY)
     values, value_code = codec.value_codes(codec.float_keys(bpm))
     tables = (
@@ -457,7 +461,7 @@ def serialize_hr_columns(
                 value_code[rows],
             )
 
-    return codec.join_rows(",".join(HR_HEADER) + "\n", tables, blocks)
+    return codec.join_rows(",".join(HR_HEADER) + "\n", tables, blocks())
 
 
 def serialize_activity_blocks(blocks: Sequence[RawActivityBlock]) -> str:

@@ -379,7 +379,7 @@ def write_cohort(cohort: Cohort, out_dir) -> dict[str, str]:
         ("activity.csv", cohort.activity_csv),
         ("sleep.csv", cohort.sleep_csv),
         ("schedule.csv", cohort.schedule_csv),
-        ("truth.csv", TRUTH_FORMAT.write(cohort.truth)),
+        ("truth.csv", TRUTH_FORMAT.chunks(cohort.truth)),
     ):
         paths[name] = os.path.join(out_dir, name)
         write_text(paths[name], text)

@@ -255,6 +255,21 @@ class TestConfusionMatrix:
         got = confusion_matrix(preds, labels, 13, row_normalize=True)
         assert got.tobytes() == rates.tobytes()
 
+    @pytest.mark.parametrize(
+        "preds, labels, message",
+        [
+            ([0, 0], [-1, 0], r"label -1 outside \[0, 3\)"),
+            ([0, 3], [0, 0], r"prediction 3 outside \[0, 3\)"),
+            ([0, -2], [0, 5], r"label 5 outside \[0, 3\)"),
+        ],
+    )
+    def test_class_index_outside_the_classes_rejected(self, preds, labels, message):
+        """Not counted into the class at the other end, nor a bare IndexError,
+        also through the metrics read off the matrix."""
+        for metric in (confusion_matrix, macro_f1, micro_f1, precision_recall_f1):
+            with pytest.raises(ValueError, match=message):
+                metric(preds, labels, 3)
+
 
 class TestHierarchyConsistency:
     def test_counts_rollup_agreement(self, taxonomy):
