@@ -409,7 +409,7 @@ def _stage_synth(cfg: PipelineConfig, lay: Layout) -> dict:
     return {
         "users": cfg["cohort.n_users"],
         "days": cfg["cohort.n_days"],
-        "hr_rows": _count_rows(cohort.hr_csv),
+        "hr_rows": len(cohort.hr[1]),
         "activity_rows": _count_rows(cohort.activity_csv),
         "sleep_rows": _count_rows(cohort.sleep_csv),
         "schedule_rows": _count_rows(cohort.schedule_csv),

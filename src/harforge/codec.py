@@ -9,8 +9,8 @@ texts (each distinct value is formatted once). The output is made one
 block of rows at a time, by copying table bytes one byte column at a time
 into a byte buffer of that block's size, and handed on as UTF-8 bytes
 (``join_rows``): ``core.write_text`` writes each block as it comes, so no
-writer holds its whole output. The text writers, whose results tests and
-the generator keep as ``str``, decode the joined blocks once (``text_of``).
+writer holds its whole output. The text writers, whose ``str`` results
+tests compare, decode the joined blocks once (``text_of``).
 
 Reading: a file is split into fields with numpy only when every line has
 the canonical shape the writers emit: ASCII, no double quote, no control

@@ -219,17 +219,21 @@ def csv_rows(
 ) -> Iterator[tuple[int, list[str]]]:
     """The rows after the header of a small CSV, as ``(line, row)``, blank
     rows skipped. A missing header or one other than ``header`` (each field
-    stripped) and a row with another number of fields than ``header`` are a
-    ValueError naming the row; ``kind`` names the file in the message."""
+    stripped), a row with another number of fields than ``header`` and one
+    the csv module cannot read are a ValueError naming the row; ``kind``
+    names the file in the message."""
     reader = csv.reader(stream)
-    got = next(reader, None)
-    if got is None or tuple(h.strip() for h in got) != tuple(header):
-        raise ValueError(f"{kind} CSV must start with header {','.join(header)!r}")
-    for row in reader:
-        if row:
-            if len(row) != len(header):
-                raise ValueError(f"{kind} CSV row {reader.line_num} has {len(row)} fields")
-            yield reader.line_num, row
+    try:
+        got = next(reader, None)
+        if got is None or tuple(h.strip() for h in got) != tuple(header):
+            raise ValueError(f"{kind} CSV must start with header {','.join(header)!r}")
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise ValueError(f"{kind} CSV row {reader.line_num} has {len(row)} fields")
+                yield reader.line_num, row
+    except csv.Error as error:
+        raise ValueError(f"{kind} CSV row {reader.line_num}: {error}") from None
 
 
 def json_text(obj) -> str:

@@ -12,11 +12,12 @@ key keep the first entry of the sorted group, so shuffling the input rows of
 a file never changes the parsed result.
 
 Heart rate, by far the largest stream, parses into one HrStream of numpy
-columns. A file in the canonical form ``serialize_hr_stream`` writes is
-split into columns with numpy (``harforge.codec``); any other file, and
-every file with an error, goes row by row through ``parse_hr_rows``, which
-defines the format and its error messages. The three small streams parse
-into lists of records, row by row.
+columns. A file in the canonical form of ``hr_chunks``, the one HR writer
+(of ``canonical/hr.csv`` and the generator's ``raw/hr.csv``), is split into
+columns with numpy (``harforge.codec``); any other file, and every file
+with an error, goes row by row through ``parse_hr_rows``, which defines the
+format and its error messages. The three small streams parse into lists of
+records, row by row.
 """
 
 from __future__ import annotations
@@ -100,24 +101,28 @@ class RawSleepSegment:
 
 
 def _iter_rows(stream: Iterable[str] | IO[str], header: Sequence[str]):
+    """``(line, row)`` of each row after the header; a bad row, also one the
+    csv module cannot read, is a StreamFormatError with its line."""
     reader = csv.reader(stream)
     try:
-        got = next(reader)
-    except StopIteration:
-        raise StreamFormatError("missing header row") from None
-    if tuple(h.strip() for h in got) != tuple(header):
-        raise StreamFormatError(
-            f"expected header {','.join(header)!r}, got {','.join(got)!r}", line=1
-        )
-    n_fields = len(header)
-    for row in reader:
-        if not row:
-            continue  # tolerate blank lines, they carry no data
-        if len(row) != n_fields:
+        got = next(reader, None)
+        if got is None:
+            raise StreamFormatError("missing header row")
+        if tuple(h.strip() for h in got) != tuple(header):
             raise StreamFormatError(
-                f"expected {n_fields} fields, got {len(row)}", line=reader.line_num
+                f"expected header {','.join(header)!r}, got {','.join(got)!r}", line=1
             )
-        yield reader.line_num, row
+        n_fields = len(header)
+        for row in reader:
+            if not row:
+                continue  # tolerate blank lines, they carry no data
+            if len(row) != n_fields:
+                raise StreamFormatError(
+                    f"expected {n_fields} fields, got {len(row)}", line=reader.line_num
+                )
+            yield reader.line_num, row
+    except csv.Error as error:
+        raise StreamFormatError(str(error), line=reader.line_num) from None
 
 
 def _parse_user(text: str, line: int) -> str:
@@ -418,16 +423,9 @@ def format_timestamp(ts: datetime) -> str:
 
 
 def serialize_hr_stream(hr: HrStream) -> str:
-    """Canonical HR text of a stream, in its sorted order."""
-    return serialize_hr_columns(hr.users, hr.user, hr.second, hr.bpm)
-
-
-def serialize_hr_columns(
-    users: Sequence[str], user: np.ndarray, second: np.ndarray, bpm: np.ndarray
-) -> str:
-    """Canonical HR text of the rows ``users[user[i]], second[i], bpm[i]``
-    in the order given (the text of ``hr_chunks``)."""
-    return codec.text_of(hr_chunks(users, user, second, bpm))
+    """Canonical HR text of a stream, in its sorted order (the text of
+    ``hr_chunks``)."""
+    return codec.text_of(hr_chunks(hr.users, hr.user, hr.second, hr.bpm))
 
 
 def hr_chunks(

@@ -100,10 +100,6 @@ class ModelParams:
         for name in ("input_size", "n_level1", "n_level2"):
             _check_size(name, getattr(self, name))
 
-    @property
-    def feature_size(self) -> int:
-        return 2 * self.config.hidden_size
-
     def copy(self) -> "ModelParams":
         return replace(self, arrays={k: v.copy() for k, v in self.arrays.items()})
 

@@ -53,7 +53,7 @@ from .ingest import (
     SCHEDULE_HEADER,
     SLEEP_HEADER,
     format_epoch_second,
-    serialize_hr_columns,
+    hr_chunks,
 )
 
 TRUTH_HEADER = (
@@ -187,9 +187,11 @@ class CohortConfig:
 
 @dataclass
 class Cohort:
-    """Generator output: the four raw stream files plus the truth."""
+    """Generator output: the four raw streams plus the truth. ``hr`` is the
+    HR samples in generation order as ``ingest.hr_chunks`` takes them: user
+    ids, int64 codes into them, int64 epoch seconds and float64 bpm."""
 
-    hr_csv: str
+    hr: tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
     activity_csv: str
     sleep_csv: str
     schedule_csv: str
@@ -227,10 +229,11 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
     act_rows: list[tuple] = []
     sleep_rows: list[tuple] = []
     sched_rows: list[tuple] = []
-    # HR samples as columns, one array per user-day, in generation order
-    hr_user: list[np.ndarray] = [np.empty(0, np.int64)]
-    hr_second: list[np.ndarray] = [np.empty(0, np.int64)]
-    hr_bpm: list[np.ndarray] = [np.empty(0, np.float64)]
+    # HR samples as columns in generation order, filled up to n_hr and
+    # trimmed at the end; a user-day has at most four samples a minute
+    size = config.n_users * config.n_days * MINUTES_PER_DAY * len(_SAMPLE_SECONDS)
+    hr_user, hr_second, hr_bpm = (np.empty(size, t) for t in (np.int64, np.int64, np.float64))
+    n_hr = 0
     date_cache: dict[int, str] = {}
 
     labels_sorted = sorted(config.activity_profiles)
@@ -318,10 +321,11 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
             minute_sec = (day_base_min + kept) * 60
             seconds = minute_sec[:, None] + _SAMPLE_SECONDS + sec_jitter[kept]
             values = np.maximum(25.0, hr_minute[kept, None] + val_noise[kept])
-            bpm = round2(values.ravel())
-            hr_user.append(np.full(len(bpm), user_index, np.int64))
-            hr_second.append(seconds.ravel())
-            hr_bpm.append(bpm)
+            samples = slice(n_hr, n_hr + values.size)
+            n_hr = samples.stop
+            hr_user[samples] = user_index
+            hr_second[samples] = seconds.ravel()
+            hr_bpm[samples] = round2(values.ravel())
 
             block_steps = steps.reshape(-1, 15).sum(axis=1)
             block_dist = distance.reshape(-1, 15).sum(axis=1)
@@ -361,9 +365,7 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
                 chunk_start += chunk_len
 
     return Cohort(
-        hr_csv=serialize_hr_columns(
-            users, np.concatenate(hr_user), np.concatenate(hr_second), np.concatenate(hr_bpm)
-        ),
+        hr=(users, hr_user[:n_hr], hr_second[:n_hr], hr_bpm[:n_hr]),
         activity_csv=csv_text(ACTIVITY_HEADER, act_rows),
         sleep_csv=csv_text(SLEEP_HEADER, sleep_rows),
         schedule_csv=csv_text(SCHEDULE_HEADER, sched_rows),
@@ -375,7 +377,7 @@ def write_cohort(cohort: Cohort, out_dir) -> dict[str, str]:
     """Write the five files (see core.write_text); returns name -> path."""
     paths = {}
     for name, text in (
-        ("hr.csv", cohort.hr_csv),
+        ("hr.csv", hr_chunks(*cohort.hr)),
         ("activity.csv", cohort.activity_csv),
         ("sleep.csv", cohort.sleep_csv),
         ("schedule.csv", cohort.schedule_csv),

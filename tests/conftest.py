@@ -5,10 +5,11 @@ from datetime import date, datetime
 import numpy as np
 import pytest
 
+from harforge import codec
 from harforge.align import SLEEP_CODE, DayGrid
 from harforge.core import MINUTES_PER_DAY, SleepState, default_taxonomy
 from harforge.dataset import N_CHANNELS, WindowSet
-from harforge.ingest import HR_HEADER, parse_hr_stream
+from harforge.ingest import HR_HEADER, hr_chunks, parse_hr_stream
 
 DAY = date(2024, 3, 4)
 
@@ -117,6 +118,16 @@ def make_hr_stream(rows=()):
 @pytest.fixture
 def hr_factory():
     return make_hr_stream
+
+
+def cohort_hr_text(cohort):
+    """The raw ``hr.csv`` text ``synth.write_cohort`` writes for ``cohort``."""
+    return codec.text_of(hr_chunks(*cohort.hr))
+
+
+@pytest.fixture(scope="session")
+def hr_text():
+    return cohort_hr_text
 
 
 def make_windows(n=None, *, user="u1", day=DAY, start=0, l1=None, l2="Other",

@@ -139,11 +139,11 @@ def _keepends(text):
     return text.splitlines(keepends=True)
 
 
-def _aligned_chain(config):
+def _aligned_chain(config, hr_text):
     cohort = generate_cohort(config)
     taxonomy = default_taxonomy()
     aligned = align_cohort(
-        parse_hr_stream(_keepends(cohort.hr_csv)),
+        parse_hr_stream(_keepends(hr_text(cohort))),
         parse_activity_blocks(_keepends(cohort.activity_csv)),
         parse_sleep_segments(_keepends(cohort.sleep_csv)),
         parse_schedule(_keepends(cohort.schedule_csv), taxonomy),
@@ -152,9 +152,9 @@ def _aligned_chain(config):
     return cohort, taxonomy, aligned
 
 
-def test_default_cohort_imputation_quality_and_speed():
+def test_default_cohort_imputation_quality_and_speed(hr_text):
     start = time.perf_counter()
-    cohort, _, aligned = _aligned_chain(CohortConfig())
+    cohort, _, aligned = _aligned_chain(CohortConfig(), hr_text)
     post, _, marks = impute_cohort(aligned.days, aligned.profiles)
     report = mask_report(cohort.truth, aligned.days, post, marks)
     elapsed = time.perf_counter() - start
@@ -250,10 +250,10 @@ def test_short_daily_activity_visible_only_to_narrow_windows(grid_factory, taxon
     print(f"PASS granularity: 20-min bout yields {narrow} windows at w=15, {wide} at w=60")
 
 
-def test_temporal_split_outperforms_user_split_on_level1():
+def test_temporal_split_outperforms_user_split_on_level1(hr_text):
     start = time.perf_counter()
     config = CohortConfig(n_users=10, n_days=10, seed=13, user_frac_jitter_sd=0.04)
-    _, taxonomy, aligned = _aligned_chain(config)
+    _, taxonomy, aligned = _aligned_chain(config, hr_text)
     post, _, _ = impute_cohort(aligned.days, aligned.profiles)
     results = {}
     for width in (15, 30, 45, 60):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import harforge.cli as cli
@@ -393,8 +394,10 @@ def _save_checkpoint(path, text, monkeypatch):
 #: Each writer that goes through ``core.write_text``, given the path it
 #: writes and a text that cannot be encoded: ``write(path, text, monkeypatch)``.
 TEXT_WRITERS = {
+    # the text is the one user id of hr.csv, encoded as the file is written
     "write_cohort": lambda path, text, mp: write_cohort(
-        Cohort(text, "", "", "", DayGrid.empty([])), path.parent
+        Cohort(([text], *np.zeros((2, 1), np.int64), np.ones(1)), "", "", "", DayGrid.empty([])),
+        path.parent,
     ),
     "save_taxonomy": lambda path, text, mp: save_taxonomy(
         ActivityTaxonomy((text,), {text: "Activity"}), path

@@ -305,6 +305,15 @@ class TestSmallCsvReaders:
             read(io.StringIO("".join(lines)))
         assert str(err.value) == f"{kind} CSV row 4 has {len(header) - 1} fields"
 
+    def test_lone_cr_names_its_line(self, kind):
+        # a StringIO does not split at a lone CR: the csv module rejects it
+        _, make, read, _ = SMALL_CSV_READERS[kind]
+        lines = make().splitlines(keepends=True)
+        lines[2] = lines[2].replace(",", ",\r", 1)
+        with pytest.raises(ValueError) as err:
+            read(io.StringIO("".join(lines)))
+        assert str(err.value).startswith(f"{kind} CSV row 3: new-line character")
+
     def test_blank_lines_skipped(self, kind):
         _, make, read, write = SMALL_CSV_READERS[kind]
         text = make()

@@ -97,6 +97,28 @@ class TestHeaderAndShape:
         rows = lines(HR_OK, "", "u1,2024-03-04T00:00:00Z,61", "")
         assert len(parse_hr_stream(rows)) == 1
 
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (
+                parse_hr_stream,
+                lines(HR_OK, "u1,2024-03-04T00:00:00Z,61", "u1,2024-03-03T22:52:1\rZ,65.63"),
+            ),
+            (
+                parse_activity_blocks,
+                lines(",".join(ingest.ACTIVITY_HEADER), "u1,2024-03-04T00:00:00Z,10,7.0",
+                      "u1,2024-03-04T00:15\r:00Z,1,2.0"),
+            ),
+        ],
+        ids=["hr", "activity"],
+    )
+    def test_lone_cr_without_universal_newlines_reports_line(self, parse, text):
+        # a StringIO does not split at a lone CR: the csv module rejects it
+        with pytest.raises(StreamFormatError) as exc:
+            parse(io.StringIO("".join(text)))
+        assert exc.value.line == 3
+        assert "new-line character" in str(exc.value)
+
 
 class TestTimestamps:
     def test_z_and_offset_forms_are_equal(self):

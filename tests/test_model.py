@@ -63,7 +63,6 @@ class TestInit:
         assert p.arrays["head2_w"].shape == (2 * h, 13)
         assert p.arrays["head2_b"].shape == (13,)
         assert set(p.arrays) == set(_ARRAY_ORDER)
-        assert p.feature_size == 8
 
     def test_bounds_follow_fan_in(self):
         p = init_params(5, 32, 13, seed=3)

@@ -2,6 +2,7 @@
 and truth-based imputation scoring."""
 
 import io
+import tracemalloc
 from dataclasses import replace as dc_replace
 from datetime import date
 
@@ -256,23 +257,23 @@ def keepends(text):
 
 
 class TestDeterminism:
-    def test_same_config_is_byte_identical(self, small_cohort):
+    def test_same_config_is_byte_identical(self, small_cohort, hr_text):
         again = generate_cohort(SMALL)
-        assert again.hr_csv == small_cohort.hr_csv
+        assert hr_text(again) == hr_text(small_cohort)
         assert again.activity_csv == small_cohort.activity_csv
         assert again.sleep_csv == small_cohort.sleep_csv
         assert again.schedule_csv == small_cohort.schedule_csv
         assert TRUTH_FORMAT.write(again.truth) == TRUTH_FORMAT.write(small_cohort.truth)
 
-    def test_seed_changes_output(self, small_cohort):
+    def test_seed_changes_output(self, small_cohort, hr_text):
         other = generate_cohort(dc_replace(SMALL, seed=12))
-        assert other.hr_csv != small_cohort.hr_csv
+        assert hr_text(other) != hr_text(small_cohort)
 
-    def test_users_are_independent_streams(self, small_cohort):
+    def test_users_are_independent_streams(self, small_cohort, hr_text):
         # dropping the second user must not disturb the first user's rows
         solo = generate_cohort(dc_replace(SMALL, n_users=1))
-        u1_rows = [r for r in small_cohort.hr_csv.splitlines() if r.startswith("u001,")]
-        assert solo.hr_csv.splitlines()[1:] == u1_rows
+        u1_rows = [r for r in hr_text(small_cohort).splitlines() if r.startswith("u001,")]
+        assert hr_text(solo).splitlines()[1:] == u1_rows
 
 
 #: Blocks that overlap each other (a later entry wins the shared minutes)
@@ -286,14 +287,17 @@ OVERLAPPING_TEMPLATE = (
 )
 
 
-def cohort_files(cohort: Cohort) -> tuple[str, ...]:
-    return (cohort.hr_csv, cohort.activity_csv, cohort.sleep_csv, cohort.schedule_csv)
+def cohort_files(cohort: Cohort, out_dir) -> tuple[str, ...]:
+    """The four stream files ``write_cohort`` writes for ``cohort``."""
+    write_cohort(cohort, out_dir)
+    names = ("hr.csv", "activity.csv", "sleep.csv", "schedule.csv")
+    return tuple((out_dir / name).read_bytes().decode("utf-8") for name in names)
 
 
-def assert_matches_reference(config: CohortConfig) -> Cohort:
+def assert_matches_reference(config: CohortConfig, out_dir) -> Cohort:
     cohort = generate_cohort(config)
     texts, truth = reference_generate_cohort(config)
-    assert cohort_files(cohort) == texts
+    assert cohort_files(cohort, out_dir) == texts
     assert_truth_rows(cohort.truth, truth)
     assert TRUTH_FORMAT.write(cohort.truth) == reference_truth_text(truth)
     return cohort
@@ -325,16 +329,17 @@ class TestMatchesReference:
         ],
         ids=["small", "seed7", "no-dropout", "tz-45", "tz+345", "overlap", "no-users", "no-days"],
     )
-    def test_same_files(self, config):
-        assert_matches_reference(config)
+    def test_same_files(self, config, tmp_path):
+        assert_matches_reference(config, tmp_path)
 
-    def test_same_files_with_unsorted_user_ids(self, monkeypatch):
+    def test_same_files_with_unsorted_user_ids(self, monkeypatch, tmp_path):
         # with 1000 users or more, generation order is not sorted order
         # ("u1000" sorts before "u101"); hr.csv keeps generation order
         monkeypatch.setattr(synth, "_user_ids", lambda n: ["u2", "u10"][:n])
         config = CohortConfig(n_users=2, n_days=1, seed=8)
-        cohort = assert_matches_reference(config)
-        users = [row.split(",", 1)[0] for row in cohort.hr_csv.splitlines()[1:]]
+        cohort = assert_matches_reference(config, tmp_path)
+        hr_csv = (tmp_path / "hr.csv").read_text(encoding="utf-8")
+        users = [row.split(",", 1)[0] for row in hr_csv.splitlines()[1:]]
         assert users.index("u10") == users.count("u2")
         assert [user for user, _ in cohort.truth.keys] == ["u10", "u2"]
 
@@ -363,9 +368,9 @@ class TestRound2:
 
 
 class TestEmptyCohort:
-    def test_zero_users_yield_headers_only(self):
+    def test_zero_users_yield_headers_only(self, hr_text):
         cohort = generate_cohort(CohortConfig(n_users=0, n_days=5))
-        assert cohort.hr_csv == "user_id,timestamp,hr_bpm\n"
+        assert hr_text(cohort) == "user_id,timestamp,hr_bpm\n"
         assert cohort.activity_csv == "user_id,block_start,steps,distance_m\n"
         assert cohort.sleep_csv == "user_id,start,end,state\n"
         assert cohort.schedule_csv == "user_id,start,end,activity_l2\n"
@@ -374,29 +379,67 @@ class TestEmptyCohort:
         assert TRUTH_FORMAT.write(cohort.truth) == ",".join(TRUTH_HEADER) + "\n"
 
 
+class TestHrColumns:
+    """The cohort keeps its HR samples as columns, and ``write_cohort``
+    streams them into ``hr.csv``."""
+
+    def test_written_hr_csv_parses_back_to_the_columns(self, tmp_path):
+        # below 1000 users generation order is key order, so the parse keeps it
+        cohort = generate_cohort(dc_replace(SMALL, n_users=3, tz_offset_minutes=-45))
+        paths = write_cohort(cohort, tmp_path)
+        with open(paths["hr.csv"], encoding="utf-8") as fh:
+            hr = parse_hr_stream(fh)
+        users, user, second, bpm = cohort.hr
+        assert hr.users == tuple(users) == ("u001", "u002", "u003")
+        for got, want in zip((hr.user, hr.second, hr.bpm), (user, second, bpm)):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n_users, n_days", [(0, 5), (2, 0)])
+    def test_empty_cohort_writes_a_header_only_hr_csv(self, tmp_path, n_users, n_days):
+        cohort = generate_cohort(CohortConfig(n_users=n_users, n_days=n_days))
+        assert all(len(column) == 0 for column in cohort.hr[1:])
+        write_cohort(cohort, tmp_path)
+        assert (tmp_path / "hr.csv").read_bytes() == b"user_id,timestamp,hr_bpm\n"
+
+    def test_generate_and_write_peak_under_tracemalloc(self, tmp_path):
+        """Generating and writing the 4x10 cohort (226 k HR samples in 5.5 MB
+        of preallocated columns) peaks at about 16 MiB; holding the HR text
+        whole as well, as a str and the bytes it was decoded from, took it to
+        28.7 MiB."""
+        config = CohortConfig(n_users=4, n_days=10, seed=7)
+        tracemalloc.start()
+        try:
+            write_cohort(generate_cohort(config), tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, peak
+
+
 class TestStreamValidity:
-    def test_all_four_files_parse_cleanly(self, small_cohort):
+    def test_all_four_files_parse_cleanly(self, small_cohort, hr_text):
         taxonomy = default_taxonomy()
-        hr = parse_hr_stream(keepends(small_cohort.hr_csv))
+        hr = parse_hr_stream(keepends(hr_text(small_cohort)))
         blocks = parse_activity_blocks(keepends(small_cohort.activity_csv))
         segments = parse_sleep_segments(keepends(small_cohort.sleep_csv))
         schedule = parse_schedule(keepends(small_cohort.schedule_csv), taxonomy)
         assert hr and blocks and segments and schedule
 
-    def test_hr_sample_count_without_dropout(self):
+    def test_hr_sample_count_without_dropout(self, hr_text):
         cfg = dc_replace(SMALL, n_users=1, n_days=2, hr_dropout=0.0)
         cohort = generate_cohort(cfg)
-        rows = cohort.hr_csv.splitlines()[1:]
+        rows = hr_text(cohort).splitlines()[1:]
         assert len(rows) == 4 * 1440 * 2
 
-    def test_hr_dropout_removes_whole_minutes(self, small_cohort):
-        rows = small_cohort.hr_csv.splitlines()[1:]
+    def test_hr_dropout_removes_whole_minutes(self, small_cohort, hr_text):
+        rows = hr_text(small_cohort).splitlines()[1:]
         assert len(rows) % 4 == 0
         dropped = 1.0 - len(rows) / (4 * 1440 * 3 * 2)
         assert dropped == pytest.approx(SMALL.hr_dropout, abs=0.02)
 
-    def test_hr_values_positive_and_rounded(self, small_cohort):
-        for row in small_cohort.hr_csv.splitlines()[1:50]:
+    def test_hr_values_positive_and_rounded(self, small_cohort, hr_text):
+        for row in hr_text(small_cohort).splitlines()[1:50]:
             value = row.rsplit(",", 1)[1]
             assert float(value) >= 25.0
             assert len(value.split(".")[-1]) <= 2
@@ -582,10 +625,10 @@ class TestConfigValidation:
 
 
 @pytest.fixture(scope="module")
-def imputed_chain(small_cohort):
+def imputed_chain(small_cohort, hr_text):
     taxonomy = default_taxonomy()
     aligned = align_cohort(
-        parse_hr_stream(keepends(small_cohort.hr_csv)),
+        parse_hr_stream(keepends(hr_text(small_cohort))),
         parse_activity_blocks(keepends(small_cohort.activity_csv)),
         parse_sleep_segments(keepends(small_cohort.sleep_csv)),
         parse_schedule(keepends(small_cohort.schedule_csv), taxonomy),
