@@ -11,9 +11,10 @@ The fused result is a DayGrid: one row of 1440 local minutes per user-day
 and one numpy array per column, so every later stage reads columns rather
 than per-minute objects.
 
-Steps are apportioned as integers with the largest-remainder method, so the
-block total is conserved exactly; distance is split proportionally as a real
-number.
+Every activity block of the cohort is spread in one array pass (see
+``redistribute``): one row of 15 minutes per block. Steps are apportioned
+as integers with the largest-remainder method, so each block total is
+conserved exactly; distance is split proportionally as a real number.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ MAX_HR_PERCENTILE = 99.97
 MIN_CONFIDENT_PULSES = 60
 
 #: A minute participates in block redistribution only while its pulse
-#: exceeds cutoff_factor * min_hr.
+#: exceeds LTM_CUTOFF_FACTOR * min_hr.
 LTM_CUTOFF_FACTOR = 1.05
 
 ALIGNED_HEADER = (
@@ -218,65 +219,49 @@ def compute_hr_profile(
     )
 
 
-def largest_remainder(total: int, weights: Sequence[float]) -> list[int]:
-    """Apportion ``total`` integer units proportionally to ``weights``.
+def _row_sums(weights: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``weights``, added left to right one column at
+    a time: ``ndarray.sum`` adds pairwise and Python 3.12's ``sum`` is
+    compensated, so either would change the low bits of some sums."""
+    sums = np.zeros(len(weights))
+    for column in weights.T:
+        sums += column
+    return sums
 
-    Every slot gets the floor of its exact quota; leftover units go to the
-    largest fractional parts, ties broken toward the lower index. The result
-    always sums to ``total`` exactly.
+
+def apportion(totals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Apportion each ``totals[i]`` integer units over row ``weights[i]`` in
+    proportion to its weights, by the largest-remainder method.
+
+    Every slot gets the floor of its quota ``total * w / s``; the leftover
+    units go to the largest fractional parts, ties broken toward the lower
+    index. Each row of the int64 result sums to its total exactly. A total
+    must be non-negative and each row's weights must have a positive sum.
     """
-    if total < 0:
-        raise ValueError("cannot apportion a negative total")
-    s = float(sum(weights))
-    if not s > 0:
-        raise ValueError("weights must have a positive sum")
-    quotas = [total * w / s for w in weights]
-    base = [math.floor(q) for q in quotas]
-    leftover = total - sum(base)
-    order = sorted(range(len(weights)), key=lambda i: (base[i] - quotas[i], i))
-    for i in order[:leftover]:
-        base[i] += 1
-    return base
+    quotas = totals[:, None] * weights / _row_sums(weights)[:, None]
+    base = np.floor(quotas).astype(np.int64)
+    order = np.argsort(base - quotas, axis=1, kind="stable")
+    leftover = totals - base.sum(axis=1)
+    # order.argsort is each slot's place in order
+    return base + (order.argsort(axis=1) < leftover[:, None])
 
 
-def ltm_redistribute(
-    steps: int,
-    distance_m: float,
-    pulses: Sequence[float | None],
-    min_hr: float,
-    *,
-    cutoff_factor: float = LTM_CUTOFF_FACTOR,
-    block_minutes: int = BLOCK_MINUTES,
-) -> list[tuple[int, float]]:
-    """Spread one block's steps and distance over its minutes.
+def redistribute(
+    steps: np.ndarray, distance_m: np.ndarray, pulses: np.ndarray, min_hr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spread each block's steps and distance over its minutes.
 
-    Each minute carries weight max(0, pulse - cutoff_factor * min_hr); a
-    missing pulse counts as below the cutoff. When every weight is zero the
-    block is spread uniformly. Returns (steps, distance) per minute; the
-    step column sums to ``steps`` exactly.
+    Row i is one block: ``steps[i]``, ``distance_m[i]``, the pulses of its
+    minutes ``pulses[i]`` and its day's ``min_hr[i]``. Each minute carries
+    weight max(0, pulse - LTM_CUTOFF_FACTOR * min_hr); a NaN pulse or min_hr
+    gives weight 0, and a block whose weights are all zero is spread
+    uniformly. Returns the per-minute steps (``apportion``, so each row
+    sums to its block's steps exactly) and distances ``d * w / s``.
     """
-    if len(pulses) != block_minutes:
-        raise ValueError(
-            f"expected {block_minutes} per-minute pulses, got {len(pulses)}"
-        )
-    if steps < 0 or distance_m < 0:
-        raise ValueError("steps and distance must be non-negative")
-    cutoff = cutoff_factor * min_hr
-    weights = []
-    for p in pulses:
-        if p is None or (isinstance(p, float) and math.isnan(p)):
-            weights.append(0.0)
-        else:
-            weights.append(max(0.0, p - cutoff))
-    total_w = sum(weights)
-    if total_w <= 0.0:
-        weights = [1.0] * block_minutes
-        total_w = float(block_minutes)
-    step_parts = largest_remainder(steps, weights)
-    return [
-        (step_parts[i], distance_m * weights[i] / total_w)
-        for i in range(block_minutes)
-    ]
+    weights = np.fmax(pulses - LTM_CUTOFF_FACTOR * min_hr[:, None], 0.0)
+    weights[_row_sums(weights) <= 0.0] = 1.0
+    s = _row_sums(weights)
+    return apportion(steps, weights), distance_m[:, None] * weights / s[:, None]
 
 
 def align_cohort(
@@ -344,6 +329,7 @@ def align_cohort(
     total = np.bincount(cells, hr.bpm, minlength=grid.pulse.size).reshape(grid.pulse.shape)
     has = count > 0
     grid.pulse[has] = total[has] / count[has]
+    del hr_minute, hr_key, cells, count, total
 
     profiles: dict[tuple[str, date], PersonalHrProfile] = {}
     if profile_scope == "day":
@@ -357,20 +343,23 @@ def align_cohort(
                 shared = compute_hr_profile(user, None, grid.pulse[rows][has[rows]].tolist())
                 profiles.update((key, shared) for key in grid.keys[rows])
 
-    for user, minute, b in blocks:
-        r, idx = divmod(cell(user, minute), MINUTES_PER_DAY)
-        if idx % BLOCK_MINUTES != 0:
-            raise ValueError(f"activity block at minute {idx} does not fit the local grid")
-        profile = profiles.get(grid.keys[r])
-        span = slice(idx, idx + BLOCK_MINUTES)
-        parts = ltm_redistribute(
-            b.steps,
-            b.distance_m,
-            grid.pulse[r, span].tolist(),
-            profile.min_hr if profile is not None else math.inf,
-        )
-        grid.steps[r, span] += [s for s, _ in parts]
-        grid.distance_m[r, span] += [d for _, d in parts]
+    # every block as one row of its 15 flat grid cells; a block's steps and
+    # distance are added, so a block listed twice counts twice and a -0.0
+    # distance lands as +0.0
+    first = np.array([cell(user, minute) for user, minute, _ in blocks], np.int64)
+    misfit = np.flatnonzero(first % BLOCK_MINUTES)
+    if misfit.size:
+        minute = first[misfit[0]] % MINUTES_PER_DAY
+        raise ValueError(f"activity block at minute {minute} does not fit the local grid")
+    steps = np.array([b.steps for _, _, b in blocks], np.int64)
+    distance = np.array([b.distance_m for _, _, b in blocks], np.float64)
+    if (steps < 0).any() or (distance < 0).any():
+        raise ValueError("steps and distance must be non-negative")
+    cells = first[:, None] + np.arange(BLOCK_MINUTES)
+    min_hr = grid.profile_columns(profiles)[0][first // MINUTES_PER_DAY]
+    parts = redistribute(steps, distance, grid.pulse.reshape(-1)[cells], min_hr)
+    np.add.at(grid.steps.reshape(-1), cells, parts[0])
+    np.add.at(grid.distance_m.reshape(-1), cells, parts[1])
 
     # a user's consecutive days are consecutive rows, so an interval that
     # crosses local midnight is one slice of the flattened column

@@ -922,10 +922,7 @@ def main(argv: list[str] | None = None) -> int:
                     return code
             return EXIT_OK
         return run_stage(args.stage, cfg, args.out, force=args.force)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except StageInputError as err:
+    except (ConfigError, StageInputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except StaleConfigError as err:

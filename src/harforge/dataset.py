@@ -262,7 +262,7 @@ class SplitSpec:
             raise ValueError(f"unknown split mode {self.mode!r}")
         if len(self.fractions) != 3 or any(f < 0 for f in self.fractions):
             raise ValueError("fractions must be three non-negative numbers")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
+        if abs(math.fsum(self.fractions) - 1.0) > 1e-9:
             raise ValueError("fractions must sum to 1")
 
 

@@ -435,7 +435,10 @@ def hr_chunks(
     in the order given, a block of rows at a time (see codec.join_rows):
     the timestamp as its day, hour, minute and second fields, each value
     formatted once (``format_epoch_second`` and ``format_number`` forms)."""
-    days = np.unique(second // SECONDS_PER_DAY)
+    # the distinct days a block at a time: no temporary as long as ``second``
+    starts = range(0, len(second), codec.BLOCK_ROWS)
+    per_block = (np.unique(second[lo : lo + codec.BLOCK_ROWS] // SECONDS_PER_DAY) for lo in starts)
+    days = np.unique(np.concatenate([second[:0], *per_block]))
     values, value_code = codec.value_codes(codec.float_keys(bpm))
     tables = (
         [field + "," for field in codec.csv_fields(users)],
@@ -447,7 +450,7 @@ def hr_chunks(
     )
 
     def blocks():
-        for lo in range(0, len(second), codec.BLOCK_ROWS):
+        for lo in starts:
             rows = slice(lo, lo + codec.BLOCK_ROWS)
             day, rem = np.divmod(second[rows], SECONDS_PER_DAY)
             hour, rem = np.divmod(rem, 3600)

@@ -19,7 +19,7 @@ from harforge.align import (
     PersonalHrProfile,
     align_cohort,
     compute_hr_profile,
-    ltm_redistribute,
+    redistribute,
 )
 from harforge.cli import main as cli_main
 from harforge.core import SleepState, default_taxonomy
@@ -71,13 +71,16 @@ def test_step_conservation_over_ten_thousand_blocks():
     start = time.perf_counter()
     for _ in range(10_000):
         pulses = [
-            None if rng.random() < 0.2 else float(rng.uniform(35.0, 190.0))
+            math.nan if rng.random() < 0.2 else float(rng.uniform(35.0, 190.0))
             for _ in range(15)
         ]
         steps = int(rng.integers(0, 2000))
         distance = float(steps * rng.uniform(0.5, 1.1))
         min_hr = float(rng.uniform(40.0, 70.0))
-        per_minute = ltm_redistribute(steps, distance, pulses, min_hr)
+        step_parts, distance_parts = redistribute(
+            np.array([steps]), np.array([distance]), np.array([pulses]), np.array([min_hr])
+        )
+        per_minute = list(zip(step_parts[0].tolist(), distance_parts[0].tolist()))
         step_sum = sum(s for s, _ in per_minute)
         dist_sum = sum(d for _, d in per_minute)
         assert step_sum == steps

@@ -12,20 +12,22 @@ import pytest
 
 from harforge.align import (
     ALIGNED_HEADER,
+    LTM_CUTOFF_FACTOR,
+    DayGrid,
     NoProfileError,
     PersonalHrProfile,
     align_cohort,
+    apportion,
     compute_hr_profile,
-    largest_remainder,
-    ltm_redistribute,
     percentile_linear,
+    redistribute,
     read_aligned_csv,
     read_profiles_csv,
     write_aligned_csv,
     write_profiles_csv,
 )
 from harforge.core import ScheduleBlock, SleepState, epoch_minute, local_day_and_index
-from harforge.ingest import RawActivityBlock, RawSleepSegment
+from harforge.ingest import RawActivityBlock, RawSleepSegment, parse_activity_blocks
 
 UTC = timezone.utc
 DAY = date(2024, 3, 4)
@@ -83,21 +85,34 @@ def apportion_oracle(total, weights):
     return out
 
 
+def apportion_row(total, weights):
+    """``apportion`` of one row, as a list."""
+    return apportion(np.array([total]), np.array([weights], float))[0].tolist()
+
+
+def redistribute_row(steps, distance_m, pulses, min_hr):
+    """``redistribute`` of one block, as its per-minute (steps, distance) pairs."""
+    step_parts, distance_parts = redistribute(
+        np.array([steps]), np.array([distance_m]), np.array([pulses], float), np.array([min_hr])
+    )
+    return list(zip(step_parts[0].tolist(), distance_parts[0].tolist()))
+
+
 class TestLargestRemainder:
     def test_hand_example(self):
         # quotas 2.5 / 1.25 / 1.25: slot 0 takes the single leftover unit
-        assert largest_remainder(5, [2.0, 1.0, 1.0]) == [3, 1, 1]
+        assert apportion_row(5, [2.0, 1.0, 1.0]) == [3, 1, 1]
 
     def test_tie_goes_to_lower_index(self):
-        assert largest_remainder(1, [1.0, 1.0]) == [1, 0]
-        assert largest_remainder(3, [1.0, 1.0]) == [2, 1]
+        assert apportion_row(1, [1.0, 1.0]) == [1, 0]
+        assert apportion_row(3, [1.0, 1.0]) == [2, 1]
 
     def test_zero_total(self):
-        assert largest_remainder(0, [0.3, 0.7]) == [0, 0]
+        assert apportion_row(0, [0.3, 0.7]) == [0, 0]
 
     def test_zero_weight_slot_can_still_get_a_unit(self):
         # floor quotas [0,0,0], all fractional parts 2/3 except the zero slot
-        assert largest_remainder(2, [1.0, 1.0, 1.0, 0.0]) == [1, 1, 0, 0]
+        assert apportion_row(2, [1.0, 1.0, 1.0, 0.0]) == [1, 1, 0, 0]
 
     def test_matches_exact_rational_oracle(self):
         # continuous weights: exact rational ties between distinct slots do
@@ -107,7 +122,7 @@ class TestLargestRemainder:
             n = rng.randint(1, 40)
             weights = [rng.uniform(0.01, 5.0) for _ in range(n)]
             total = rng.randint(0, 10_000)
-            got = largest_remainder(total, weights)
+            got = apportion_row(total, weights)
             assert got == apportion_oracle(total, weights)
             assert sum(got) == total
 
@@ -119,74 +134,88 @@ class TestLargestRemainder:
             if sum(weights) == 0:
                 weights[rng.randrange(n)] = 1
             total = rng.randint(0, 2_000)
-            got = largest_remainder(total, weights)
+            got = apportion_row(total, weights)
             assert sum(got) == total
             s = sum(weights)
             for g, w in zip(got, weights):
                 assert abs(g - total * w / s) < 1.0 + 1e-9
 
-    def test_negative_total_rejected(self):
-        with pytest.raises(ValueError, match="negative total"):
-            largest_remainder(-1, [1.0])
-
-    def test_nonpositive_weight_sum_rejected(self):
-        with pytest.raises(ValueError, match="positive sum"):
-            largest_remainder(5, [0.0, 0.0])
+    def test_rows_are_apportioned_independently(self):
+        rng = random.Random(5)
+        rows = [[rng.uniform(0.01, 5.0) for _ in range(15)] for _ in range(200)]
+        totals = [rng.randint(0, 3000) for _ in rows]
+        got = apportion(np.array(totals), np.array(rows)).tolist()
+        assert got == [apportion_oracle(t, w) for t, w in zip(totals, rows)]
 
 
 class TestLtmRedistribute:
     def test_weights_are_pulse_above_cutoff(self):
         # cutoff 52.5: weights 7.5 / 17.5 / 0 split 100 steps as 30 / 70 / 0
-        parts = ltm_redistribute(
-            100, 50.0, [60.0, 70.0, 50.0], 50.0, block_minutes=3
-        )
+        parts = redistribute_row(100, 50.0, [60.0, 70.0, 50.0], 50.0)
         assert [s for s, _ in parts] == [30, 70, 0]
         assert [d for _, d in parts] == pytest.approx([15.0, 35.0, 0.0])
 
     def test_missing_pulse_gets_zero_weight(self):
-        parts = ltm_redistribute(90, 9.0, [None, 70.0, 50.0], 50.0, block_minutes=3)
+        # a minute without a reading holds the grid's empty pulse
+        pulses = DayGrid.empty([("u1", DAY)]).pulse[0, :3].copy()
+        pulses[1:] = (70.0, 50.0)
+        parts = redistribute_row(90, 9.0, pulses, 50.0)
         assert [s for s, _ in parts] == [0, 90, 0]
 
     def test_nan_pulse_gets_zero_weight(self):
-        parts = ltm_redistribute(
-            90, 9.0, [float("nan"), 70.0, 50.0], 50.0, block_minutes=3
-        )
+        parts = redistribute_row(90, 9.0, [math.nan, 70.0, 50.0], 50.0)
         assert [s for s, _ in parts] == [0, 90, 0]
 
     def test_all_below_cutoff_falls_back_to_uniform(self):
-        parts = ltm_redistribute(
-            10, 3.0, [50.0, 51.0, 52.0], 50.0, block_minutes=3
-        )
+        parts = redistribute_row(10, 3.0, [50.0, 51.0, 52.0], 50.0)
         assert [s for s, _ in parts] == [4, 3, 3]
         assert [d for _, d in parts] == pytest.approx([1.0, 1.0, 1.0])
 
     def test_pulse_exactly_at_cutoff_has_zero_weight(self):
-        parts = ltm_redistribute(
-            6, 0.0, [52.5, 60.0, 52.5], 50.0, block_minutes=3
-        )
+        parts = redistribute_row(6, 0.0, [52.5, 60.0, 52.5], 50.0)
         assert [s for s, _ in parts] == [0, 6, 0]
 
     def test_conservation_over_random_blocks(self):
         rng = random.Random(11)
         for _ in range(200):
             pulses = [
-                None if rng.random() < 0.2 else rng.uniform(40.0, 180.0)
+                math.nan if rng.random() < 0.2 else rng.uniform(40.0, 180.0)
                 for _ in range(15)
             ]
             steps = rng.randint(0, 4000)
             dist = rng.uniform(0.0, 3000.0)
-            parts = ltm_redistribute(steps, dist, pulses, 55.0)
+            parts = redistribute_row(steps, dist, pulses, 55.0)
             assert sum(s for s, _ in parts) == steps
             assert sum(d for _, d in parts) == pytest.approx(dist, abs=1e-9)
             assert all(s >= 0 and d >= -0.0 for s, d in parts)
 
-    def test_wrong_window_length_rejected(self):
-        with pytest.raises(ValueError, match="15 per-minute pulses"):
-            ltm_redistribute(10, 1.0, [60.0] * 14, 50.0)
+    def test_distance_is_share_of_left_to_right_weight_sum(self):
+        # s is each row's weights added left to right; ndarray.sum adds
+        # pairwise, and its sum differs on some of these rows
+        rng = np.random.default_rng(17)
+        pulses = rng.uniform(40.0, 180.0, (2000, 15))
+        pulses[rng.random(pulses.shape) < 0.2] = np.nan
+        min_hr = rng.uniform(40.0, 80.0, 2000)
+        min_hr[rng.random(2000) < 0.05] = np.nan
+        distance = rng.uniform(0.0, 3000.0, 2000)
+        _, got = redistribute(rng.integers(0, 4000, 2000), distance, pulses, min_hr)
+        differs = 0
+        for row, d, p, m in zip(got.tolist(), distance.tolist(), pulses.tolist(), min_hr.tolist()):
+            w = [max(0.0, x - LTM_CUTOFF_FACTOR * m) if x == x and m == m else 0.0 for x in p]
+            s = 0.0
+            for x in w:
+                s += x
+            if s <= 0.0:
+                w, s = [1.0] * 15, 15.0
+            differs += float(np.array(w).sum()) != s
+            assert row == [d * x / s for x in w]
+        assert differs > 0
 
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ltm_redistribute(-1, 0.0, [60.0] * 15, 50.0)
+    def test_negative_inputs_rejected(self, hr_factory):
+        for steps, distance in ((-1, 0.0), (5, -1.0)):
+            block = RawActivityBlock("u1", utc(12, 0), steps, distance)
+            with pytest.raises(ValueError, match="non-negative"):
+                align_cohort(hr_factory(), [block], [], [], tz_offset_minutes=0)
 
 
 class TestHrProfile:
@@ -388,6 +417,37 @@ class TestAlignCohort:
         labels = grid_values(data.days, "schedule", ("u1", DAY))
         assert labels[8 * 60 : 9 * 60 + 1] == ["Other"] * 60 + [None]
 
+    def test_block_listed_twice_adds_twice(self, grid_values, hr_factory):
+        samples = [hr_minute("u1", 10, m, 60.0) for m in range(60)]
+        samples += [hr_minute("u1", 12, m, 70.0 + 9 * m) for m in range(0, 15, 4)]
+        hr = hr_factory(samples)
+        block = RawActivityBlock("u1", utc(12, 0), 301, 210.7)
+        once = align_cohort(hr, [block], [], [], tz_offset_minutes=0).days
+        twice = align_cohort(hr, [block, block], [], [], tz_offset_minutes=0).days
+        steps = grid_values(once, "steps", ("u1", DAY))
+        distance = grid_values(once, "distance_m", ("u1", DAY))
+        assert len(set(steps[12 * 60 : 12 * 60 + 15])) > 2
+        assert grid_values(twice, "steps", ("u1", DAY)) == [2 * s for s in steps]
+        assert grid_values(twice, "distance_m", ("u1", DAY)) == [d + d for d in distance]
+
+    def test_block_off_the_local_grid_rejected(self, hr_factory):
+        # the first misfit in list order is named, not the first in key order
+        blocks = [
+            RawActivityBlock("u1", utc(9, 0), 10, 1.0),
+            RawActivityBlock("u2", utc(12, 5), 10, 1.0),
+            RawActivityBlock("u1", utc(10, 7), 10, 1.0),
+        ]
+        with pytest.raises(ValueError, match="activity block at minute 725 does not fit"):
+            align_cohort(hr_factory(), blocks, [], [], tz_offset_minutes=0)
+
+    def test_negative_zero_distance_aligns_to_positive_zero(self, hr_factory):
+        text = "user_id,block_start,steps,distance_m\nu1,2024-03-04T12:00:00Z,30,-0.0\n"
+        blocks = parse_activity_blocks(io.StringIO(text))
+        assert math.copysign(1.0, blocks[0].distance_m) == -1.0
+        days = align_cohort(hr_factory(), blocks, [], [], tz_offset_minutes=0).days
+        assert np.signbit(days.distance_m).sum() == 0
+        assert days.steps.sum() == 30
+
 
 GRID_COLUMNS = ("pulse", "steps", "distance_m", "sleep", "schedule")
 
@@ -444,9 +504,9 @@ class TestBuildAlignedDay:
         assert [i for i, p in enumerate(pulse) if p is not None] == [540]
 
     def test_without_profile_blocks_spread_uniformly(self):
-        # align_cohort passes min_hr = inf for a day without a profile, which
-        # puts every pulse below the cutoff
-        parts = ltm_redistribute(15, 0.0, [150.0] * 15, math.inf)
+        # align_cohort passes min_hr = NaN for a day without a profile (see
+        # DayGrid.profile_columns), which gives every minute weight 0
+        parts = redistribute_row(15, 0.0, [150.0] * 15, math.nan)
         assert [s for s, _ in parts] == [1] * 15
 
     def test_interval_clipped_to_day(self, grid_values, hr_factory):
@@ -679,11 +739,12 @@ def test_cohort_matches_per_minute_reference(grid_values, hr_factory):
         steps = [0] * 1440
         distance = [0.0] * 1440
         profile = data.profiles.get(key)
-        min_hr = profile.min_hr if profile else math.inf
+        min_hr = profile.min_hr if profile else math.nan
         for b in blocks:
             b_day, i = slot(b.block_start)
             if (b.user_id, b_day) == key:
-                parts = ltm_redistribute(b.steps, b.distance_m, pulse[i : i + 15], min_hr)
+                block_pulse = [math.nan if p is None else p for p in pulse[i : i + 15]]
+                parts = redistribute_row(b.steps, b.distance_m, block_pulse, min_hr)
                 for j, (s, d) in enumerate(parts):
                     steps[i + j] += s
                     distance[i + j] += d
