@@ -9,7 +9,11 @@ segments and schedule blocks are painted onto the same grid.
 
 The fused result is a DayGrid: one row of 1440 local minutes per user-day
 and one numpy array per column, so every later stage reads columns rather
-than per-minute objects.
+than per-minute objects. Each row also carries its user-day's personal
+heart-rate envelope (``min_hr``, ``max_hr``): percentiles of the day's
+pulses, or of the user's whole history, taken for all rows at once (see
+``percentile_rows``). ``profiles.csv`` stores the envelope beside the
+per-minute file, and ``read_profiles_csv`` fills it back into a grid.
 
 Every activity block of the cohort is spread in one array pass (see
 ``redistribute``): one row of 15 minutes per block. Steps are apportioned
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from functools import partial
 from itertools import groupby
@@ -48,7 +52,8 @@ from .ingest import BLOCK_MINUTES, HrStream, RawActivityBlock, RawSleepSegment
 MIN_HR_PERCENTILE = 5.0
 MAX_HR_PERCENTILE = 99.97
 
-#: Days with fewer per-minute pulses than this get a low-confidence profile.
+#: An envelope from fewer pulse minutes than this is low-confidence in
+#: profiles.csv.
 MIN_CONFIDENT_PULSES = 60
 
 #: A minute participates in block redistribution only while its pulse
@@ -89,28 +94,6 @@ _ORDINAL_BITS = 22
 _ORDINAL_MASK = (1 << _ORDINAL_BITS) - 1
 
 
-class NoProfileError(ValueError):
-    """No pulses were available to derive a heart-rate profile from."""
-
-
-@dataclass(frozen=True, slots=True)
-class PersonalHrProfile:
-    """Per-user heart-rate envelope for one day (or the whole history).
-
-    min_hr is the 5th percentile of the day's per-minute pulses and max_hr
-    the 99.97th, so a handful of spurious readings cannot drag the envelope
-    around. Profiles built from fewer than MIN_CONFIDENT_PULSES minutes are
-    marked low-confidence but still used.
-    """
-
-    user_id: str
-    day: date | None
-    min_hr: float
-    max_hr: float
-    n_pulses: int
-    low_confidence: bool
-
-
 @dataclass(eq=False)
 class DayGrid:
     """Per-minute columns of a set of user-days.
@@ -123,6 +106,11 @@ class DayGrid:
     - ``distance_m``: float64 redistributed distance
     - ``sleep``: int8 ``SLEEP_CODE`` of the minute's sleep state
     - ``schedule``: int16 index into ``labels``, -1 where nothing is scheduled
+
+    ``min_hr`` and ``max_hr`` hold one float64 per row: the personal
+    heart-rate envelope of the row's user-day, the MIN_HR_PERCENTILE and
+    MAX_HR_PERCENTILE of its pulses (or of all its user's pulses; see
+    align_cohort), NaN for a user-day without one.
     """
 
     keys: tuple[tuple[str, date], ...]
@@ -132,15 +120,20 @@ class DayGrid:
     distance_m: np.ndarray
     sleep: np.ndarray
     schedule: np.ndarray
+    min_hr: np.ndarray
+    max_hr: np.ndarray
 
     @classmethod
     def empty(cls, keys: Sequence[tuple[str, date]], labels: Sequence[str] = ()) -> DayGrid:
-        """Rows for sorted ``keys``: no pulse or movement, Unknown sleep, no schedule."""
+        """Rows for sorted ``keys``: no pulse or movement, Unknown sleep, no
+        schedule, no envelope."""
         shape = (len(keys), MINUTES_PER_DAY)
         return cls(
             tuple(keys),
             tuple(labels),
             **{name: np.full(shape, empty, dtype) for name, (dtype, empty) in _COLUMNS.items()},
+            min_hr=np.full(len(keys), np.nan),
+            max_hr=np.full(len(keys), np.nan),
         )
 
     def __len__(self) -> int:
@@ -161,62 +154,32 @@ class DayGrid:
             start = end
         return rows
 
-    def profile_columns(
-        self, profiles: Mapping[tuple[str, date], PersonalHrProfile]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row min_hr and max_hr; NaN for a day without a profile."""
-        envelope = np.full((len(self.keys), 2), np.nan)
-        for r, key in enumerate(self.keys):
-            profile = profiles.get(key)
-            if profile is not None:
-                envelope[r] = (profile.min_hr, profile.max_hr)
-        return envelope[:, 0], envelope[:, 1]
-
 
 @dataclass
 class AlignedData:
-    """Cohort-wide alignment result: the fused grid and the profile of each
-    (user_id, local day) that had pulses."""
+    """Cohort-wide alignment result: the fused grid, its heart-rate envelope
+    filled in, and ``n_pulses``, the int64 number of pulse minutes each row's
+    envelope was derived from (0 for a row without one)."""
 
     days: DayGrid
-    profiles: dict[tuple[str, date], PersonalHrProfile]
+    n_pulses: np.ndarray
 
 
-def percentile_linear(values: Sequence[float], q: float) -> float:
-    """Percentile with linear interpolation between order statistics.
+def percentile_rows(pulse: np.ndarray, q: float) -> np.ndarray:
+    """The q-th percentile of each row's non-NaN values, NaN for a row with
+    none.
 
-    The rank of percentile q over n sorted values is q/100 * (n-1); a
-    fractional rank interpolates between its two neighbours.
+    Linear interpolation between order statistics: the rank of q over a
+    row's n sorted values is q/100 * (n-1), and a fractional rank
+    interpolates between its two neighbours.
     """
-    n = len(values)
-    if n == 0:
-        raise ValueError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile q={q} outside [0, 100]")
-    v = sorted(values)
-    rank = (q / 100.0) * (n - 1)
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return float(v[lo])
-    return v[lo] + (rank - lo) * (v[hi] - v[lo])
-
-
-def compute_hr_profile(
-    user_id: str, day: date | None, pulses: Sequence[float]
-) -> PersonalHrProfile:
-    """Derive the personal envelope from one day's per-minute pulses."""
-    n = len(pulses)
-    if n == 0:
-        raise NoProfileError(f"no pulses for user {user_id!r} on {day}")
-    return PersonalHrProfile(
-        user_id=user_id,
-        day=day,
-        min_hr=percentile_linear(pulses, MIN_HR_PERCENTILE),
-        max_hr=percentile_linear(pulses, MAX_HR_PERCENTILE),
-        n_pulses=n,
-        low_confidence=n < MIN_CONFIDENT_PULSES,
-    )
+    v = np.sort(pulse, axis=1)  # NaN last
+    n = np.count_nonzero(~np.isnan(pulse), axis=1)
+    rank = (q / 100.0) * (np.maximum(n, 1) - 1)
+    lo, rows = np.floor(rank), np.arange(len(v))
+    low = v[rows, lo.astype(np.intp)]
+    high = v[rows, np.ceil(rank).astype(np.intp)]
+    return low + (rank - lo) * (high - low)
 
 
 def _row_sums(weights: np.ndarray) -> np.ndarray:
@@ -276,8 +239,10 @@ def align_cohort(
     """Fuse all four streams for a whole cohort.
 
     Every user-day that any stream touches gets a grid row. profile_scope
-    picks where the heart-rate envelope comes from: "day" derives one per
-    user-day, "global" pools each user's whole history.
+    picks where each row's heart-rate envelope (``DayGrid.min_hr`` and
+    ``max_hr``) comes from: "day" derives it from the user-day's own
+    pulses, "global" pools each user's whole history and every row of the
+    user shares it. A row without pulses to derive it from keeps NaN.
 
     The offset must be a multiple of 15 so that device blocks stay inside a
     single local day.
@@ -329,19 +294,17 @@ def align_cohort(
     total = np.bincount(cells, hr.bpm, minlength=grid.pulse.size).reshape(grid.pulse.shape)
     has = count > 0
     grid.pulse[has] = total[has] / count[has]
-    del hr_minute, hr_key, cells, count, total
+    del hr_minute, hr_key, cells, count, total, has
 
-    profiles: dict[tuple[str, date], PersonalHrProfile] = {}
-    if profile_scope == "day":
-        for r, (user, day) in enumerate(grid.keys):
-            if has[r].any():
-                pulses = grid.pulse[r][has[r]].tolist()
-                profiles[(user, day)] = compute_hr_profile(user, day, pulses)
-    else:
-        for user, rows in grid.user_rows().items():
-            if has[rows].any():
-                shared = compute_hr_profile(user, None, grid.pulse[rows][has[rows]].tolist())
-                profiles.update((key, shared) for key in grid.keys[rows])
+    # the envelope of each row: percentiles of its own day's pulses, or of
+    # all its user's pulses as one row shared by every day of the user; a
+    # user at a time, so the sorted copy is one user's rows
+    n_pulses = np.zeros(len(grid), np.int64)
+    for rows in grid.user_rows().values():
+        pulse = grid.pulse[rows] if profile_scope == "day" else grid.pulse[rows].reshape(1, -1)
+        grid.min_hr[rows] = percentile_rows(pulse, MIN_HR_PERCENTILE)
+        grid.max_hr[rows] = percentile_rows(pulse, MAX_HR_PERCENTILE)
+        n_pulses[rows] = np.count_nonzero(~np.isnan(pulse), axis=1)
 
     # every block as one row of its 15 flat grid cells; a block's steps and
     # distance are added, so a block listed twice counts twice and a -0.0
@@ -356,7 +319,7 @@ def align_cohort(
     if (steps < 0).any() or (distance < 0).any():
         raise ValueError("steps and distance must be non-negative")
     cells = first[:, None] + np.arange(BLOCK_MINUTES)
-    min_hr = grid.profile_columns(profiles)[0][first // MINUTES_PER_DAY]
+    min_hr = grid.min_hr[first // MINUTES_PER_DAY]
     parts = redistribute(steps, distance, grid.pulse.reshape(-1)[cells], min_hr)
     np.add.at(grid.steps.reshape(-1), cells, parts[0])
     np.add.at(grid.distance_m.reshape(-1), cells, parts[1])
@@ -366,7 +329,7 @@ def align_cohort(
     for column, user, start, end, code in paints:
         first = cell(user, start)
         getattr(grid, column).reshape(-1)[first : first + end - start] = code
-    return AlignedData(days=grid, profiles=profiles)
+    return AlignedData(days=grid, n_pulses=n_pulses)
 
 
 class NotFinite(ValueError):
@@ -740,22 +703,30 @@ def _sorted_grid(
             else np.full(shape, empty, dtype)
             for name, (dtype, empty) in _COLUMNS.items()
         },
+        min_hr=np.full(len(keys), np.nan),
+        max_hr=np.full(len(keys), np.nan),
     )
 
 
-def write_profiles_csv(profiles: Mapping[tuple[str, date], PersonalHrProfile]) -> str:
+def write_profiles_csv(aligned: AlignedData) -> str:
+    """The profiles CSV of ``aligned``: one row per user-day with an
+    envelope, in key order, marked low-confidence when its envelope comes
+    from fewer than MIN_CONFIDENT_PULSES pulse minutes."""
+    days = aligned.days
+    rows = zip(days.keys, days.min_hr.tolist(), days.max_hr.tolist(), aligned.n_pulses.tolist())
     return csv_text(
         PROFILE_HEADER,
         (
             (
                 user,
                 day.isoformat(),
-                format_number(p.min_hr),
-                format_number(p.max_hr),
-                str(p.n_pulses),
-                "1" if p.low_confidence else "0",
+                format_number(min_hr),
+                format_number(max_hr),
+                str(n),
+                "1" if n < MIN_CONFIDENT_PULSES else "0",
             )
-            for (user, day), p in sorted(profiles.items())
+            for (user, day), min_hr, max_hr, n in rows
+            if n > 0
         ),
     )
 
@@ -766,22 +737,26 @@ _PROFILE_FIELDS: dict[int, Callable[[str], object]] = {
 }
 
 
-def read_profiles_csv(
-    stream: Iterable[str] | IO[str],
-) -> dict[tuple[str, date], PersonalHrProfile]:
-    """The profiles of a ``write_profiles_csv`` text by (user, day). A row
-    with a bad field or a second row of a user-day is a ValueError naming
-    the row."""
-    profiles: dict[tuple[str, date], PersonalHrProfile] = {}
+def read_profiles_csv(stream: Iterable[str] | IO[str], days: DayGrid) -> DayGrid:
+    """``days`` with the envelope of a ``write_profiles_csv`` text filled in;
+    a user-day without a row keeps NaN. A row with a bad field, a second row
+    of a user-day and a row whose user-day is not a row of ``days`` are a
+    ValueError naming the row."""
+    row_of = {key: r for r, key in enumerate(days.keys)}
+    seen: set[tuple[str, date]] = set()
+    min_hr = np.full(len(days), np.nan)
+    max_hr = np.full(len(days), np.nan)
     for line, row in csv_rows(stream, PROFILE_HEADER, "profile"):
         try:
-            day, min_hr, max_hr, n_pulses = (f(row[c]) for c, f in _PROFILE_FIELDS.items())
+            day, low, high, _ = (f(row[c]) for c, f in _PROFILE_FIELDS.items())
         except ValueError:
             raise field_error("profile", PROFILE_HEADER, line, row, _PROFILE_FIELDS) from None
-        if (row[0], day) in profiles:
+        key = (row[0], day)
+        if key in seen:
             raise ValueError(f"profile CSV row {line}: user {row[0]!r} has a second row for {day}")
-        profiles[(row[0], day)] = PersonalHrProfile(
-            user_id=row[0], day=day, min_hr=min_hr, max_hr=max_hr, n_pulses=n_pulses,
-            low_confidence=row[5] == "1",
-        )
-    return profiles
+        if key not in row_of:
+            raise ValueError(f"profile CSV row {line}: user {row[0]!r} has no grid row for {day}")
+        seen.add(key)
+        min_hr[row_of[key]] = low
+        max_hr[row_of[key]] = high
+    return replace(days, min_hr=min_hr, max_hr=max_hr)

@@ -35,7 +35,9 @@ import numpy as np
 # patches them by name.
 from .align import (
     ALIGNED_FORMAT,
+    MIN_CONFIDENT_PULSES,
     PROFILE_SCOPES,
+    DayGrid,
     align_cohort,
     read_aligned_csv,
     read_profiles_csv,
@@ -459,21 +461,27 @@ def _stage_align(cfg: PipelineConfig, lay: Layout) -> dict:
     )
     del hr, blocks, segments, schedule  # only the grid is written
     write_text(lay.path("aligned", "aligned.csv"), ALIGNED_FORMAT.chunks(aligned.days))
-    write_text(lay.path("aligned", "profiles.csv"), write_profiles_csv(aligned.profiles))
-    low = sum(1 for p in aligned.profiles.values() if p.low_confidence)
+    write_text(lay.path("aligned", "profiles.csv"), write_profiles_csv(aligned))
+    n = aligned.n_pulses
     return {
         "user_days": len(aligned.days),
-        "profiles": len(aligned.profiles),
-        "low_confidence_profiles": low,
+        "profiles": int(np.count_nonzero(n)),
+        "low_confidence_profiles": int(np.count_nonzero((n > 0) & (n < MIN_CONFIDENT_PULSES))),
     }
 
 
-def _stage_impute(cfg: PipelineConfig, lay: Layout) -> dict:
-    with open(lay.path("aligned", "aligned.csv"), encoding="utf-8") as fh:
-        pre_days = read_aligned_csv(fh)
+def _read_days(lay: Layout, dirname: str, name: str) -> DayGrid:
+    """The per-minute file ``dirname/name`` with the heart-rate envelope of
+    ``aligned/profiles.csv`` filled in."""
+    with open(lay.path(dirname, name), encoding="utf-8") as fh:
+        days = read_aligned_csv(fh)
     with open(lay.path("aligned", "profiles.csv"), encoding="utf-8") as fh:
-        profiles = read_profiles_csv(fh)
-    post_days, stats, marks = impute_cohort(pre_days, profiles, cfg.impute_config())
+        return read_profiles_csv(fh, days)
+
+
+def _stage_impute(cfg: PipelineConfig, lay: Layout) -> dict:
+    pre_days = _read_days(lay, "aligned", "aligned.csv")
+    post_days, stats, marks = impute_cohort(pre_days, cfg.impute_config())
     write_text(lay.path("imputed", "imputed.csv"), ALIGNED_FORMAT.chunks(post_days))
     write_text(lay.path("imputed", "impute_stats.csv"), write_stats_report(stats))
     counts: dict = {
@@ -502,14 +510,11 @@ def _stage_impute(cfg: PipelineConfig, lay: Layout) -> dict:
 
 def _stage_dataset(cfg: PipelineConfig, lay: Layout) -> dict:
     taxonomy = load_taxonomy(lay.path("canonical", "taxonomy.csv"))
-    with open(lay.path("imputed", "imputed.csv"), encoding="utf-8") as fh:
-        days = read_aligned_csv(fh)
-    with open(lay.path("aligned", "profiles.csv"), encoding="utf-8") as fh:
-        profiles = read_profiles_csv(fh)
+    days = _read_days(lay, "imputed", "imputed.csv")
     counts: dict = {}
     for width in cfg.widths:
         windows = build_windows(
-            days, profiles, width, taxonomy, cfg["dataset.label_threshold"]
+            days, width=width, taxonomy=taxonomy, threshold=cfg["dataset.label_threshold"]
         )
         sampled = stratified_sample(windows, width, cfg["dataset.seed"])
         write_window_store(sampled, lay.path("dataset", f"windows_w{width}.jsonl"))
@@ -673,10 +678,7 @@ def _slug(label: str) -> str:
 
 def _stage_viz(cfg: PipelineConfig, lay: Layout) -> dict:
     band = cfg["viz.band"]
-    with open(lay.path("imputed", "imputed.csv"), encoding="utf-8") as fh:
-        days = read_aligned_csv(fh)
-    with open(lay.path("aligned", "profiles.csv"), encoding="utf-8") as fh:
-        profiles = read_profiles_csv(fh)
+    days = _read_days(lay, "imputed", "imputed.csv")
     users = list(days.user_rows())
     activities = sorted(days.labels)
     entries: list[tuple[str, str, str]] = []
@@ -685,7 +687,7 @@ def _stage_viz(cfg: PipelineConfig, lay: Layout) -> dict:
         sets = []
         for user in users:
             try:
-                sets.append(activity_metrics(user, activity, days, profiles))
+                sets.append(activity_metrics(user, activity, days))
             except ValueError:
                 continue
         try:

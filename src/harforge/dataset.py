@@ -3,7 +3,9 @@
 A window covers ``width`` consecutive minutes of one user-day and carries a
 5-channel feature matrix per minute: pulse, pulse relative to the personal
 daily minimum, pulse relative to the personal daily maximum, steps, and
-distance. Minutes without a pulse contribute zero to the three pulse
+distance. The minimum and maximum are the day's heart-rate envelope, the
+grid's per-row ``min_hr`` and ``max_hr``; a day without one yields no
+windows. Minutes without a pulse contribute zero to the three pulse
 channels. The sleep state is deliberately not a feature; it drives labels
 only.
 
@@ -33,7 +35,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .align import SLEEP_CODE, DayGrid, PersonalHrProfile
+from .align import SLEEP_CODE, DayGrid
 from .core import (
     ActivityTaxonomy, LEVEL1_AWAKE, LEVEL1_SLEEP, MINUTES_PER_DAY, SleepState, json_text,
     write_text,
@@ -135,25 +137,23 @@ def modal_labels(
 
 def build_windows(
     days: DayGrid,
-    profiles: Mapping[tuple[str, date], PersonalHrProfile],
     width: int,
     taxonomy: ActivityTaxonomy,
     threshold: float = LABEL_THRESHOLD,
 ) -> WindowSet:
     """Slide over every user-day and keep the label-clean windows.
 
-    Days without a heart-rate profile are skipped: the relative pulse
-    channels cannot be computed for them.
+    Days without a heart-rate envelope (``days.min_hr`` NaN) are skipped:
+    the relative pulse channels cannot be computed for them.
     """
-    min_hr, max_hr = days.profile_columns(profiles)
-    rows = np.flatnonzero(~np.isnan(min_hr))
+    rows = np.flatnonzero(~np.isnan(days.min_hr))
     pulse = days.pulse[rows]
     has = ~np.isnan(pulse)
     feats = np.stack(
         [
             np.where(has, pulse, 0.0),
-            np.where(has, pulse / min_hr[rows, None], 0.0),
-            np.where(has, pulse / max_hr[rows, None], 0.0),
+            np.where(has, pulse / days.min_hr[rows, None], 0.0),
+            np.where(has, pulse / days.max_hr[rows, None], 0.0),
             days.steps[rows],
             days.distance_m[rows],
         ],
@@ -403,26 +403,34 @@ def write_window_store(windows: WindowSet, path) -> None:
 
 
 def read_window_store(stream: Iterable[str] | IO[str]) -> WindowSet:
-    """Parse a window store; every line must hold a window of one width."""
+    """Parse a window store; every line must hold a window of one width.
+    Anything else is a ValueError naming the store line."""
     rows = []
-    for line in stream:
-        line = line.strip()
-        if not line:
+    for number, line in enumerate(stream, 1):
+        if not line.strip():
             continue
-        obj = json.loads(line)
-        features = np.asarray(obj["features"], dtype=np.float64)
-        if features.shape != (obj["width"], N_CHANNELS):
-            raise ValueError(
-                f"window features must be {obj['width']}x{N_CHANNELS}, "
-                f"got {features.shape}"
+        try:
+            obj = json.loads(line)
+            features = np.asarray(obj["features"], dtype=np.float64)
+            if features.shape != (obj["width"], N_CHANNELS):
+                raise ValueError(
+                    f"window features must be {obj['width']}x{N_CHANNELS}, "
+                    f"got {features.shape}"
+                )
+            if rows and features.shape != rows[0][3].shape:
+                raise ValueError(f"store mixes widths {rows[0][3].shape[0]} and {obj['width']}")
+            rows.append(
+                (obj["user"], date.fromisoformat(obj["date"]), int(obj["start_minute"]),
+                 features, obj["label_l1"], obj["label_l2"], bool(obj["synthetic"]))
             )
-        if rows and features.shape != rows[0][3].shape:
-            raise ValueError(f"window store mixes widths {rows[0][3].shape[0]} and {obj['width']}")
-        day = date.fromisoformat(obj["date"])
-        rows.append(
-            (obj["user"], day, int(obj["start_minute"]), features,
-             obj["label_l1"], obj["label_l2"], bool(obj["synthetic"]))
-        )
+        except json.JSONDecodeError as err:
+            raise ValueError(
+                f"window store line {number}: bad JSON: {err.msg} at column {err.colno}"
+            ) from None
+        except KeyError as err:
+            raise ValueError(f"window store line {number}: missing key {err}") from None
+        except (ValueError, TypeError) as err:
+            raise ValueError(f"window store line {number}: {err}") from None
     users, days, starts, blocks, label_l1, label_l2, synthetic = list(zip(*rows)) or [()] * 7
     return WindowSet(
         users=np.array(users, dtype=str),

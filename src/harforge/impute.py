@@ -13,8 +13,10 @@ no-op:
       states agree takes that state. Runs touching either day boundary are
       left alone.
 
-All comparisons are strict inequalities; a pulse exactly on a threshold is
-a no-decision. Minutes without a pulse can only be resolved by the step
+The personal daily minimum is the grid's per-row ``min_hr``, the low edge
+of the day's heart-rate envelope; a day without an envelope is left as it
+is. All comparisons are strict inequalities; a pulse exactly on a threshold
+is a no-decision. Minutes without a pulse can only be resolved by the step
 clause of Rule 2 or by Rule 3.
 """
 
@@ -22,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .align import SLEEP_CODE, DayGrid, PersonalHrProfile
+from .align import SLEEP_CODE, DayGrid
 from .core import MINUTES_PER_DAY, SleepState, csv_text
 
 SLEEP = SLEEP_CODE[SleepState.SLEEP]
@@ -83,12 +85,12 @@ class ImputationStats:
     skipped_days: tuple[date, ...] = ()
 
 
-def _undecided(grid: DayGrid, min_hr: np.ndarray) -> np.ndarray:
+def _undecided(grid: DayGrid) -> np.ndarray:
     """Unknown minutes of the rows that have a personal minimum."""
-    return (grid.sleep == UNKNOWN) & ~np.isnan(min_hr)[:, None]
+    return (grid.sleep == UNKNOWN) & ~np.isnan(grid.min_hr)[:, None]
 
 
-def rule1_sleep(grid: DayGrid, min_hr: np.ndarray, config: ImputeConfig) -> np.ndarray:
+def rule1_sleep(grid: DayGrid, config: ImputeConfig) -> np.ndarray:
     """Minutes Rule 1 scores Sleep: quiet, with a pulse below the night or day
     multiple of the row's ``min_hr``."""
     factor = np.where(
@@ -97,17 +99,17 @@ def rule1_sleep(grid: DayGrid, min_hr: np.ndarray, config: ImputeConfig) -> np.n
         config.day_sleep_factor,
     )
     return (
-        _undecided(grid, min_hr)
+        _undecided(grid)
         & (grid.steps == 0)
-        & (grid.pulse < factor * min_hr[:, None])
+        & (grid.pulse < factor * grid.min_hr[:, None])
     )
 
 
-def rule2_awake(grid: DayGrid, min_hr: np.ndarray, config: ImputeConfig) -> np.ndarray:
+def rule2_awake(grid: DayGrid, config: ImputeConfig) -> np.ndarray:
     """Minutes Rule 2 scores Awake: any steps, or a pulse above the awake
     multiple of the row's ``min_hr``."""
-    return _undecided(grid, min_hr) & (
-        (grid.steps > 0) | (grid.pulse > config.awake_factor * min_hr[:, None])
+    return _undecided(grid) & (
+        (grid.steps > 0) | (grid.pulse > config.awake_factor * grid.min_hr[:, None])
     )
 
 
@@ -136,25 +138,23 @@ def _tally(sleep: np.ndarray) -> StageCounts:
 
 
 def impute_cohort(
-    days: DayGrid,
-    profiles: Mapping[tuple[str, date], PersonalHrProfile],
-    config: ImputeConfig = ImputeConfig(),
+    days: DayGrid, config: ImputeConfig = ImputeConfig()
 ) -> tuple[DayGrid, list[ImputationStats], np.ndarray]:
-    """Apply the rule cascade to every day with a profile.
+    """Apply the rule cascade to every day with a heart-rate envelope
+    (``days.min_hr`` not NaN).
 
-    Days without a profile are left as-is and reported in their user's
+    Days without one are left as-is and reported in their user's
     ``skipped_days``. Returns the imputed grid, per-user stats in user order,
     and an int8 array shaped like the grid recording which rule (1, 2 or 3)
     resolved each minute, 0 for untouched minutes.
     """
-    min_hr, _ = days.profile_columns(profiles)
-    rule1 = rule1_sleep(days, min_hr, config)
-    rule2 = rule2_awake(days, min_hr, config) & ~rule1
+    rule1 = rule1_sleep(days, config)
+    rule2 = rule2_awake(days, config) & ~rule1
     mid = days.sleep.copy()
     mid[rule1] = SLEEP
     mid[rule2] = AWAKE
     post = mid.copy()
-    active = ~np.isnan(min_hr)
+    active = ~np.isnan(days.min_hr)
     post[active] = rule3_fill(mid[active], config.max_gap_minutes)
     marks = np.zeros(mid.shape, dtype=np.int8)
     marks[post != mid] = 3

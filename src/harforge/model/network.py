@@ -342,7 +342,8 @@ def encoder_forward(
 
     In train mode, inter-layer dropout uses ``dropout_mask`` when given
     (fixed per call, which keeps gradient checks exact) or draws one from
-    ``rng``. Returns (features, cache).
+    ``rng``; with neither it is a ValueError, so no mask comes from an
+    unseeded generator. Returns (features, cache).
     """
     x = _check_input(x, params)
     a = params.arrays
@@ -356,8 +357,10 @@ def encoder_forward(
             mask = np.asarray(dropout_mask, dtype=np.float64)
             if mask.shape != out1.shape:
                 raise ValueError(f"dropout mask shape {mask.shape} != {out1.shape}")
+        elif rng is not None:
+            mask = make_dropout_mask(out1.shape, dropout, rng)
         else:
-            mask = make_dropout_mask(out1.shape, dropout, rng or np.random.default_rng())
+            raise ValueError("train-mode dropout needs a dropout_mask or an rng")
         out1 *= mask
 
     (h2f, h2b), caches2 = _layer_forward("enc2", out1, a)

@@ -1,9 +1,11 @@
 """Radar charts comparing one user's activity signature to the group.
 
 Five per-minute metrics are computed as medians over the minutes a user
-spent in a given activity, normalized to the group's observed range, and
-drawn as two overlaid polygons (group median in red, the individual in
-blue) with an optional spread band. Output is plain SVG text built with
+spent in a given activity (the two pulse ratios against each day's
+heart-rate envelope, the grid's per-row ``min_hr`` and ``max_hr``),
+normalized to the group's observed range, and drawn as two overlaid
+polygons (group median in red, the individual in blue) with an optional
+spread band. Output is plain SVG text built with
 fixed formatting, so the same inputs always render byte-identical files.
 """
 
@@ -12,12 +14,11 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from datetime import date
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .align import DayGrid, PersonalHrProfile
+from .align import DayGrid
 from .core import csv_text, write_text
 
 METRICS = (
@@ -47,7 +48,7 @@ class ActivityMetricSet:
     """Median per-minute metrics for one user in one activity.
 
     Pulse-derived entries are None when none of the activity minutes had
-    a pulse reading (or, for the ratios, no day profile to divide by).
+    a pulse reading (or, for the ratios, no day envelope to divide by).
     """
 
     user_id: str
@@ -69,20 +70,21 @@ def activity_metrics(
     user_id: str,
     activity: str,
     days: DayGrid,
-    profiles: Mapping[tuple[str, date], PersonalHrProfile],
 ) -> ActivityMetricSet:
-    """Summarize one user's minutes in one activity across their days."""
+    """Summarize one user's minutes in one activity across their days; the
+    pulse ratios divide by each day's envelope (``days.min_hr`` and
+    ``max_hr``)."""
     rows = days.user_rows().get(user_id, slice(0, 0))
     picked = days.map_schedule([label == activity for label in days.labels], False, rows)
     if not picked.any():
         raise ValueError(f"user {user_id!r} has no minutes labeled {activity!r}")
-    min_hr, max_hr = days.profile_columns(profiles)
+    min_hr, max_hr = days.min_hr[rows, None], days.max_hr[rows, None]
     pulse = days.pulse[rows]
     with_pulse = picked & ~np.isnan(pulse)
-    with_ratio = with_pulse & ~np.isnan(min_hr[rows, None])
+    with_ratio = with_pulse & ~np.isnan(min_hr)
     pulses = pulse[with_pulse].tolist()
-    min_ratios = (pulse / min_hr[rows, None])[with_ratio].tolist()
-    max_ratios = (pulse / max_hr[rows, None])[with_ratio].tolist()
+    min_ratios = (pulse / min_hr)[with_ratio].tolist()
+    max_ratios = (pulse / max_hr)[with_ratio].tolist()
     return ActivityMetricSet(
         user_id=user_id,
         activity=activity,

@@ -41,6 +41,8 @@ def make_grid(days=None, **columns):
     ``schedule`` (a label or None). Each spec is one value for every minute,
     a {minute: value} dict, or a 1440-long sequence; unlisted minutes keep
     the empty-day defaults (no pulse, no movement, Unknown, no schedule).
+    ``min_hr`` and ``max_hr`` take the day's envelope, one float each; a day
+    without them has none (NaN).
     """
     if days is None:
         days = {("u001", DAY): columns}
@@ -64,6 +66,9 @@ def make_grid(days=None, **columns):
     for r, key in enumerate(keys):
         for column, spec in days[key].items():
             target = getattr(grid, column)
+            if column in ("min_hr", "max_hr"):
+                target[r] = spec
+                continue
             for minute, value in _per_minute(spec):
                 target[r, minute] = encode[column](value)
     return grid

@@ -15,12 +15,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from harforge.align import (
-    PersonalHrProfile,
-    align_cohort,
-    compute_hr_profile,
-    redistribute,
-)
+from harforge.align import align_cohort, percentile_rows, redistribute
 from harforge.cli import main as cli_main
 from harforge.core import SleepState, default_taxonomy
 from harforge.dataset import (
@@ -63,7 +58,6 @@ from harforge.viz import (
     render_radar,
 )
 
-DAY = date(2024, 3, 4)
 
 
 def test_step_conservation_over_ten_thousand_blocks():
@@ -94,12 +88,13 @@ def test_step_conservation_over_ten_thousand_blocks():
 def test_metric_implementations_match_independent_oracles():
     rng = np.random.default_rng(202)
 
-    for _ in range(1000):
+    pulses = np.full((1000, 200), np.nan)
+    for row in pulses:
         n = int(rng.integers(1, 200))
-        pulses = rng.uniform(35.0, 200.0, size=n).tolist()
-        profile = compute_hr_profile("u1", DAY, pulses)
-        assert abs(profile.min_hr - np.percentile(pulses, 5.0)) <= 1e-12
-        assert abs(profile.max_hr - np.percentile(pulses, 99.97)) <= 1e-12
+        row[:n] = rng.uniform(35.0, 200.0, size=n)
+    for q in (5.0, 99.97):
+        for row, got in zip(pulses, percentile_rows(pulses, q)):
+            assert abs(got - np.percentile(row[~np.isnan(row)], q)) <= 1e-12
 
     for _ in range(1000):
         k = int(rng.integers(2, 13))
@@ -135,7 +130,7 @@ def test_metric_implementations_match_independent_oracles():
             aucs.append((wins + 0.5 * ties) / (len(pos) * len(neg)))
         assert abs(got - sum(aucs) / len(aucs)) <= 1e-12
 
-    print("PASS oracles: profile, macro F1 and OVR AUC agree on 1000 fixtures each")
+    print("PASS oracles: envelope, macro F1 and OVR AUC agree on 1000 fixtures each")
 
 
 def _keepends(text):
@@ -158,7 +153,7 @@ def _aligned_chain(config, hr_text):
 def test_default_cohort_imputation_quality_and_speed(hr_text):
     start = time.perf_counter()
     cohort, _, aligned = _aligned_chain(CohortConfig(), hr_text)
-    post, _, marks = impute_cohort(aligned.days, aligned.profiles)
+    post, _, marks = impute_cohort(aligned.days)
     report = mask_report(cohort.truth, aligned.days, post, marks)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"pipeline too slow: {elapsed:.1f}s"
@@ -216,14 +211,12 @@ def test_loss_identities():
 
 
 def test_window_counts_match_enumeration(grid_factory, taxonomy):
-    days = grid_factory(pulse=70.0, steps=0, sleep=SleepState.AWAKE)
-    profile = PersonalHrProfile("u001", DAY, 50.0, 180.0, 1440, False)
-    profiles = {("u001", DAY): profile}
+    days = grid_factory(pulse=70.0, steps=0, sleep=SleepState.AWAKE, min_hr=50.0, max_hr=180.0)
     expected = {15: 143, 30: 68, 45: 46, 60: 33}
     for width, want in expected.items():
         stride = window_stride(width)
         oracle = len(range(0, 1440 - width + 1, stride))
-        got = len(build_windows(days, profiles, width, taxonomy))
+        got = len(build_windows(days, width, taxonomy))
         assert got == oracle == want, (width, got, oracle)
     print(f"PASS windows: counts {expected} match enumeration")
 
@@ -231,7 +224,6 @@ def test_window_counts_match_enumeration(grid_factory, taxonomy):
 def test_short_daily_activity_visible_only_to_narrow_windows(grid_factory, taxonomy):
     bout = range(400, 420)  # 20 minutes every day
     columns = {}
-    profiles = {}
     for offset in range(3):
         day = date(2024, 3, 4 + offset)
         columns[("u001", day)] = {
@@ -239,12 +231,13 @@ def test_short_daily_activity_visible_only_to_narrow_windows(grid_factory, taxon
             "steps": 0,
             "sleep": SleepState.AWAKE,
             "schedule": {i: "Fitness Test" for i in bout},
+            "min_hr": 50.0,
+            "max_hr": 180.0,
         }
-        profiles[("u001", day)] = PersonalHrProfile("u001", day, 50.0, 180.0, 1440, False)
     days = grid_factory(columns)
 
     def labeled(width):
-        wins = build_windows(days, profiles, width, taxonomy)
+        wins = build_windows(days, width, taxonomy)
         return int((wins.label_l2 == "Fitness Test").sum())
 
     wide, narrow = labeled(60), labeled(15)
@@ -257,10 +250,10 @@ def test_temporal_split_outperforms_user_split_on_level1(hr_text):
     start = time.perf_counter()
     config = CohortConfig(n_users=10, n_days=10, seed=13, user_frac_jitter_sd=0.04)
     _, taxonomy, aligned = _aligned_chain(config, hr_text)
-    post, _, _ = impute_cohort(aligned.days, aligned.profiles)
+    post, _, _ = impute_cohort(aligned.days)
     results = {}
     for width in (15, 30, 45, 60):
-        windows = build_windows(post, aligned.profiles, width, taxonomy)
+        windows = build_windows(post, width, taxonomy)
         sampled = stratified_sample(windows, width, 0)
         accs = {}
         for mode in ("temporal", "user"):

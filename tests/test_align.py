@@ -13,13 +13,13 @@ import pytest
 from harforge.align import (
     ALIGNED_HEADER,
     LTM_CUTOFF_FACTOR,
+    MAX_HR_PERCENTILE,
+    MIN_HR_PERCENTILE,
+    AlignedData,
     DayGrid,
-    NoProfileError,
-    PersonalHrProfile,
     align_cohort,
     apportion,
-    compute_hr_profile,
-    percentile_linear,
+    percentile_rows,
     redistribute,
     read_aligned_csv,
     read_profiles_csv,
@@ -37,39 +37,67 @@ def utc(hour, minute=0, second=0, day=4):
     return datetime(2024, 3, day, hour, minute, second, tzinfo=UTC)
 
 
+def percentile_oracle(values, q):
+    """Percentile with linear interpolation, in Python floats: the rank of q
+    over n sorted values is q/100 * (n-1), and a fractional rank
+    interpolates between its two neighbours. ``percentile_rows`` must match
+    it bit for bit."""
+    v = sorted(values)
+    rank = (q / 100.0) * (len(v) - 1)
+    lo, hi = math.floor(rank), math.ceil(rank)
+    if lo == hi:
+        return float(v[lo])
+    return v[lo] + (rank - lo) * (v[hi] - v[lo])
+
+
+#: The two percentiles of the heart-rate envelope.
+PERCENTILES = (MIN_HR_PERCENTILE, MAX_HR_PERCENTILE)
+
+
+def percentile_row(values, q):
+    """``percentile_rows`` of one row holding ``values`` and trailing NaNs."""
+    row = np.array([*values, math.nan, math.nan])
+    return float(percentile_rows(row[None, :], q)[0])
+
+
 class TestPercentileLinear:
+    """``percentile_rows``: linear interpolation between order statistics,
+    one row per case."""
+
     def test_single_value(self):
-        assert percentile_linear([7.0], 33.0) == 7.0
+        assert percentile_row([7.0], 33.0) == 7.0
 
     def test_endpoints(self):
         vals = [5.0, 1.0, 3.0]
-        assert percentile_linear(vals, 0.0) == 1.0
-        assert percentile_linear(vals, 100.0) == 5.0
+        assert percentile_row(vals, 0.0) == 1.0
+        assert percentile_row(vals, 100.0) == 5.0
 
     def test_interpolates_between_order_statistics(self):
         # rank 0.25 * 3 = 0.75 between sorted values 1 and 2
-        assert percentile_linear([4.0, 3.0, 2.0, 1.0], 25.0) == pytest.approx(1.75)
+        assert percentile_row([4.0, 3.0, 2.0, 1.0], 25.0) == pytest.approx(1.75)
 
     def test_median_of_even_count(self):
-        assert percentile_linear([1.0, 2.0, 3.0, 4.0], 50.0) == pytest.approx(2.5)
+        assert percentile_row([1.0, 2.0, 3.0, 4.0], 50.0) == pytest.approx(2.5)
+
+    def test_row_without_values_is_nan(self):
+        rows = np.array([[math.nan, math.nan], [2.0, math.nan]])
+        got = percentile_rows(rows, 50.0)
+        assert math.isnan(got[0]) and got[1] == 2.0
 
     def test_matches_numpy_linear_method(self):
+        # one call over rows of random length, their NaNs in random places
         rng = random.Random(41)
-        for _ in range(300):
+        rows = np.full((300, 200), math.nan)
+        for row in rows:
             n = rng.randint(1, 200)
-            vals = [rng.uniform(30.0, 200.0) for _ in range(n)]
-            q = rng.uniform(0.0, 100.0)
-            want = float(np.percentile(vals, q, method="linear"))
-            assert percentile_linear(vals, q) == pytest.approx(want, abs=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            percentile_linear([], 50.0)
-
-    @pytest.mark.parametrize("q", [-0.5, 100.5])
-    def test_out_of_range_q_rejected(self, q):
-        with pytest.raises(ValueError, match="outside"):
-            percentile_linear([1.0], q)
+            row[rng.sample(range(200), n)] = [rng.uniform(30.0, 200.0) for _ in range(n)]
+        for q in [rng.uniform(0.0, 100.0) for _ in range(3)] + list(PERCENTILES):
+            got = percentile_rows(rows, q).tolist()
+            for row, value in zip(rows, got):
+                vals = row[~np.isnan(row)].tolist()
+                assert value == percentile_oracle(vals, q)
+                want = float(np.percentile(vals, q, method="linear"))
+                assert value == pytest.approx(want, abs=1e-9)
 
 
 def apportion_oracle(total, weights):
@@ -229,26 +257,56 @@ class TestHrProfile:
 
     def test_envelope_of_1_to_100(self):
         pulses = [float(v) for v in range(1, 101)]
-        p = compute_hr_profile("u1", DAY, pulses)
         # 5th pct: rank 4.95 between 5 and 6; 99.97th: rank 98.9703
-        assert p.min_hr == pytest.approx(5.95)
-        assert p.max_hr == pytest.approx(99.9703)
-        assert p.n_pulses == 100
-        assert not p.low_confidence
-
-    def test_low_confidence_below_60_pulses(self):
-        assert compute_hr_profile("u1", DAY, [60.0] * 59).low_confidence
-        assert not compute_hr_profile("u1", DAY, [60.0] * 60).low_confidence
-
-    def test_empty_raises(self):
-        with pytest.raises(NoProfileError):
-            compute_hr_profile("u1", DAY, [])
+        assert percentile_row(pulses, MIN_HR_PERCENTILE) == pytest.approx(5.95)
+        assert percentile_row(pulses, MAX_HR_PERCENTILE) == pytest.approx(99.9703)
 
     def test_order_insensitive(self):
+        # a row's percentiles depend neither on its order nor on where its
+        # NaNs sit
         vals = [80.0, 55.0, 140.0, 61.0, 72.0]
-        a = compute_hr_profile("u1", DAY, vals)
-        b = compute_hr_profile("u1", DAY, sorted(vals, reverse=True))
-        assert (a.min_hr, a.max_hr) == (b.min_hr, b.max_hr)
+        rows = np.array(
+            [vals + [math.nan] * 3, [math.nan, *reversed(vals), math.nan, math.nan]]
+        )
+        for q in PERCENTILES:
+            got = percentile_rows(rows, q).tolist()
+            assert got == [percentile_oracle(vals, q)] * 2
+
+    def test_low_confidence_below_60_pulses(self, hr_factory):
+        # 59 pulse minutes on the 4th, 60 on the 5th
+        samples = [hr_minute("u1", 10 + m // 60, m % 60, 60.0 + m) for m in range(59)]
+        samples += [hr_minute("u1", 10 + m // 60, m % 60, 60.0 + m, day=5) for m in range(60)]
+        data = align_cohort(hr_factory(samples), [], [], [], tz_offset_minutes=0)
+        assert data.n_pulses.tolist() == [59, 60]
+        rows = write_profiles_csv(data).splitlines()[1:]
+        assert [row.split(",")[4:] for row in rows] == [["59", "1"], ["60", "0"]]
+
+    @pytest.mark.parametrize("scope", ["day", "global"])
+    def test_day_and_user_without_pulses(self, hr_factory, scope):
+        # u1 has pulses on the 4th only; u0 has none at all
+        samples = [hr_minute("u1", 10, m, 60.0 + m) for m in range(50)]
+        night = (utc(0, 0, day=5), utc(6, 0, day=5))
+        segs = [RawSleepSegment(user, *night, SleepState.SLEEP) for user in ("u0", "u1")]
+        data = align_cohort(
+            hr_factory(samples), [], segs, [], tz_offset_minutes=0, profile_scope=scope
+        )
+        days = data.days
+        assert days.keys == (("u0", date(2024, 3, 5)), ("u1", DAY), ("u1", date(2024, 3, 5)))
+        pulses = [60.0 + m for m in range(50)]
+        envelope = [percentile_oracle(pulses, q) for q in PERCENTILES]
+        rows = list(zip(days.min_hr.tolist(), days.max_hr.tolist()))
+        assert np.isnan(rows[0]).all()
+        assert list(rows[1]) == envelope
+        written = [row.split(",") for row in write_profiles_csv(data).splitlines()[1:]]
+        if scope == "day":
+            assert np.isnan(rows[2]).all()
+            assert data.n_pulses.tolist() == [0, 50, 0]
+            assert [row[:2] for row in written] == [["u1", "2024-03-04"]]
+        else:
+            assert list(rows[2]) == envelope
+            assert data.n_pulses.tolist() == [0, 50, 50]
+            assert [row[:2] for row in written] == [["u1", "2024-03-04"], ["u1", "2024-03-05"]]
+        assert {row[5] for row in written} == {"1"}  # 50 pulse minutes
 
 
 def hr_minute(user, hour, minute, bpm, day=4):
@@ -362,26 +420,24 @@ class TestAlignCohort:
         samples = [hr_minute("u1", 10, m, 60.0 + m) for m in range(30)]
         samples += [hr_minute("u1", 10, m, 80.0 + m, day=5) for m in range(30)]
         data = align_cohort(hr_factory(samples), [], [], [], tz_offset_minutes=0)
-        p1 = data.profiles[("u1", DAY)]
-        p2 = data.profiles[("u1", date(2024, 3, 5))]
-        assert p1.day == DAY and p2.day == date(2024, 3, 5)
-        assert p1.min_hr < p2.min_hr
-        assert p1.low_confidence  # only 30 pulses
+        assert data.days.keys == (("u1", DAY), ("u1", date(2024, 3, 5)))
+        assert data.days.min_hr[0] < data.days.min_hr[1]
+        assert data.days.max_hr[0] < data.days.max_hr[1]
+        assert data.n_pulses.tolist() == [30, 30]
 
     def test_global_scope_shares_one_profile(self, hr_factory):
         samples = [hr_minute("u1", 10, m, 60.0 + m) for m in range(30)]
         samples += [hr_minute("u1", 10, m, 80.0 + m, day=5) for m in range(30)]
-        data = align_cohort(hr_factory(), [], [], [], tz_offset_minutes=0)
-        assert data.profiles == {}
+        data = align_cohort(hr_factory(), [], [], [], tz_offset_minutes=0, profile_scope="global")
+        assert len(data.days) == 0 and len(data.n_pulses) == 0
         data = align_cohort(
             hr_factory(samples), [], [], [], tz_offset_minutes=0, profile_scope="global"
         )
-        p1 = data.profiles[("u1", DAY)]
-        p2 = data.profiles[("u1", date(2024, 3, 5))]
-        assert p1 == p2
-        assert p1.day is None
-        assert p1.n_pulses == 60
-        assert not p1.low_confidence
+        days = data.days
+        assert days.min_hr[0] == days.min_hr[1] and days.max_hr[0] == days.max_hr[1]
+        pulses = [60.0 + m for m in range(30)] + [80.0 + m for m in range(30)]
+        assert days.min_hr[0] == percentile_oracle(pulses, MIN_HR_PERCENTILE)
+        assert data.n_pulses.tolist() == [60, 60]
 
     def test_bad_offset_rejected(self, hr_factory):
         with pytest.raises(ValueError, match="multiple of 15"):
@@ -409,7 +465,8 @@ class TestAlignCohort:
         blk = ScheduleBlock("u1", utc(8, 0), utc(9, 0), "Other")
         data = align_cohort(hr, [block], [seg], [blk], tz_offset_minutes=0)
         assert data.days.keys == (("u1", DAY), ("u2", DAY))
-        assert data.profiles == {}
+        assert np.isnan(data.days.min_hr).all() and np.isnan(data.days.max_hr).all()
+        assert data.n_pulses.tolist() == [0, 0]
         assert np.isnan(data.days.pulse).all()
         assert grid_values(data.days, "steps", ("u2", DAY))[12 * 60 : 12 * 60 + 15] == [2] * 15
         sleep = grid_values(data.days, "sleep", ("u1", DAY))
@@ -491,7 +548,10 @@ class TestBuildAlignedDay:
         assert len(cohort.days) == 4
         for column in GRID_COLUMNS:
             assert grid_values(one.days, column, key) == grid_values(cohort.days, column, key)
-        assert one.profiles[key] == cohort.profiles[key]
+        r = cohort.days.keys.index(key)
+        assert one.days.min_hr[0] == cohort.days.min_hr[r]
+        assert one.days.max_hr[0] == cohort.days.max_hr[r]
+        assert one.n_pulses[0] == cohort.n_pulses[r]
 
     def test_other_users_and_days_ignored(self, grid_values, hr_factory):
         samples = [
@@ -504,8 +564,8 @@ class TestBuildAlignedDay:
         assert [i for i, p in enumerate(pulse) if p is not None] == [540]
 
     def test_without_profile_blocks_spread_uniformly(self):
-        # align_cohort passes min_hr = NaN for a day without a profile (see
-        # DayGrid.profile_columns), which gives every minute weight 0
+        # align_cohort passes min_hr = NaN for a day without an envelope,
+        # which gives every minute weight 0
         parts = redistribute_row(15, 0.0, [150.0] * 15, math.nan)
         assert [s for s, _ in parts] == [1] * 15
 
@@ -629,25 +689,52 @@ class TestAlignedCsv:
             read_aligned_csv(io.StringIO("".join(lines)))
 
 
+def enveloped(envelopes):
+    """An empty grid of the sorted keys of ``envelopes`` ((user, day) ->
+    (min_hr, max_hr)) with that envelope."""
+    keys = sorted(envelopes)
+    days = DayGrid.empty(keys)
+    for r, key in enumerate(keys):
+        days.min_hr[r], days.max_hr[r] = envelopes[key]
+    return days
+
+
+#: One user-day's envelope from 930 pulse minutes.
+ONE_PROFILE = AlignedData(enveloped({("u1", DAY): (52.75, 148.2)}), np.array([930]))
+
+
 class TestProfilesCsv:
     def test_round_trip(self):
-        profiles = {
-            ("u1", DAY): PersonalHrProfile("u1", DAY, 52.75, 148.2, 930, False),
-            ("u2", DAY): PersonalHrProfile("u2", DAY, 61.0, 132.0, 45, True),
-        }
-        text = write_profiles_csv(profiles)
-        assert read_profiles_csv(io.StringIO(text)) == profiles
+        days = enveloped(
+            {
+                ("u1", DAY): (52.75, 148.2),
+                ("u2", DAY): (61.0, 132.0),
+                ("u3", DAY): (math.nan, math.nan),
+            }
+        )
+        aligned = AlignedData(days, np.array([930, 45, 0]))
+        text = write_profiles_csv(aligned)
+        assert text.splitlines()[1:] == [
+            "u1,2024-03-04,52.75,148.2,930,0",
+            "u2,2024-03-04,61.0,132.0,45,1",
+        ]
+        bare = DayGrid.empty(days.keys)
+        again = read_profiles_csv(io.StringIO(text), bare)
+        assert again.min_hr[:2].tolist() == [52.75, 61.0]
+        assert again.max_hr[:2].tolist() == [148.2, 132.0]
+        assert np.isnan([again.min_hr[2], again.max_hr[2]]).all()
+        assert again.pulse is bare.pulse and np.isnan(bare.min_hr).all()
+        assert write_profiles_csv(AlignedData(again, aligned.n_pulses)) == text
 
     def test_header_enforced(self):
         with pytest.raises(ValueError, match="header"):
-            read_profiles_csv(io.StringIO("user_id,min_hr\n"))
+            read_profiles_csv(io.StringIO("user_id,min_hr\n"), DayGrid.empty([]))
 
     def test_field_count_enforced(self):
-        text = write_profiles_csv(
-            {("u1", DAY): PersonalHrProfile("u1", DAY, 52.75, 148.2, 930, False)}
-        )
+        text = write_profiles_csv(ONE_PROFILE)
+        days = DayGrid.empty([("u1", DAY), ("u2", DAY)])
         with pytest.raises(ValueError, match="profile CSV row 3 has 3 fields"):
-            read_profiles_csv(io.StringIO(text + "u2,2024-03-04,61.0\n"))
+            read_profiles_csv(io.StringIO(text + "u2,2024-03-04,61.0\n"), days)
 
     @pytest.mark.parametrize(
         "column, value, message",
@@ -661,24 +748,29 @@ class TestProfilesCsv:
     def test_bad_field_names_row_and_field(self, column, value, message):
         row = ["u2", "2024-03-04", "61.0", "132.0", "45", "1"]
         row[column] = value
-        text = write_profiles_csv(
-            {("u1", DAY): PersonalHrProfile("u1", DAY, 52.75, 148.2, 930, False)}
-        )
+        text = write_profiles_csv(ONE_PROFILE)
+        days = DayGrid.empty([("u1", DAY), ("u2", DAY)])
         with pytest.raises(ValueError) as err:
-            read_profiles_csv(io.StringIO(text + ",".join(row) + "\n"))
+            read_profiles_csv(io.StringIO(text + ",".join(row) + "\n"), days)
         assert str(err.value) == f"profile CSV row 3: {message}"
 
     def test_second_row_of_a_user_day_rejected(self):
-        text = write_profiles_csv(
-            {("u1", DAY): PersonalHrProfile("u1", DAY, 52.75, 148.2, 930, False)}
-        )
+        text = write_profiles_csv(ONE_PROFILE)
         again = text.splitlines(keepends=True)[1].replace("52.75", "50.0")
         with pytest.raises(ValueError, match="profile CSV row 3: user 'u1' has a second row"):
-            read_profiles_csv(io.StringIO(text + again))
+            read_profiles_csv(io.StringIO(text + again), ONE_PROFILE.days)
+
+    @pytest.mark.parametrize("user, day", [("u2", "2024-03-04"), ("u1", "2024-03-05")])
+    def test_row_outside_the_grid_rejected(self, user, day):
+        text = write_profiles_csv(ONE_PROFILE) + f"{user},{day},61.0,132.0,45,1\n"
+        with pytest.raises(ValueError) as err:
+            read_profiles_csv(io.StringIO(text), ONE_PROFILE.days)
+        assert str(err.value) == f"profile CSV row 3: user {user!r} has no grid row for {day}"
 
 
 def test_cohort_matches_per_minute_reference(grid_values, hr_factory):
-    """align_cohort against a loop over samples and painted minutes."""
+    """align_cohort against a loop over samples and painted minutes, and its
+    envelope against ``percentile_oracle`` in both scopes."""
     from datetime import timedelta
 
     rng = random.Random(23)
@@ -717,7 +809,7 @@ def test_cohort_matches_per_minute_reference(grid_values, hr_factory):
     def slot(ts):
         return local_day_and_index(epoch_minute(ts), offset)
 
-    sums, counts, sleep, labels = {}, {}, {}, {}
+    sums, counts, sleep, labels, pooled = {}, {}, {}, {}, {}
     # sum the parsed rows in stream order, the order align adds them in
     for code, second, bpm in zip(hr.user.tolist(), hr.second.tolist(), hr.bpm.tolist()):
         cell = (hr.users[code], *slot(datetime.fromtimestamp(second, UTC)))
@@ -736,20 +828,28 @@ def test_cohort_matches_per_minute_reference(grid_values, hr_factory):
         want_sleep = [sleep.get(c, SleepState.UNKNOWN) for c in cells]
         assert grid_values(data.days, "sleep", key) == want_sleep
         assert grid_values(data.days, "schedule", key) == [labels.get(c) for c in cells]
+        present = [p for p in pulse if p is not None]
+        pooled.setdefault(key[0], []).extend(present)
+        envelope = [percentile_oracle(present, q) if present else math.nan for q in PERCENTILES]
+        r = data.days.keys.index(key)
+        np.testing.assert_array_equal([data.days.min_hr[r], data.days.max_hr[r]], envelope)
+        assert data.n_pulses[r] == len(present)
         steps = [0] * 1440
         distance = [0.0] * 1440
-        profile = data.profiles.get(key)
-        min_hr = profile.min_hr if profile else math.nan
         for b in blocks:
             b_day, i = slot(b.block_start)
             if (b.user_id, b_day) == key:
                 block_pulse = [math.nan if p is None else p for p in pulse[i : i + 15]]
-                parts = redistribute_row(b.steps, b.distance_m, block_pulse, min_hr)
+                parts = redistribute_row(b.steps, b.distance_m, block_pulse, envelope[0])
                 for j, (s, d) in enumerate(parts):
                     steps[i + j] += s
                     distance[i + j] += d
         assert grid_values(data.days, "steps", key) == steps
         assert grid_values(data.days, "distance_m", key) == distance
-        present = [p for p in pulse if p is not None]
-        if present:
-            assert profile == compute_hr_profile(*key, present)
+    # global scope: each user's pulses of every day pooled into one envelope
+    shared = align_cohort(hr, blocks, segs, sched, tz_offset_minutes=offset, profile_scope="global")
+    assert shared.days.keys == data.days.keys
+    for r, (user, _) in enumerate(shared.days.keys):
+        envelope = [percentile_oracle(pooled[user], q) for q in PERCENTILES]
+        assert [shared.days.min_hr[r], shared.days.max_hr[r]] == envelope
+        assert shared.n_pulses[r] == len(pooled[user])

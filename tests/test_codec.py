@@ -18,11 +18,15 @@ definitions.
   byte order mark, positioned past the start, StringIO) reads as the
   per-row parsers read it, and a UTF-8 file is read as bytes, its text
   never decoded.
+- Seeded random mutations of small canonical texts read alike both ways,
+  in read blocks of the default size and of 257 bytes.
 """
 
 import csv
+import dataclasses
 import io
 import os
+import random
 from datetime import date
 
 import numpy as np
@@ -501,6 +505,61 @@ def test_every_stream_reads_as_the_per_row_parser_reads_it(texts, fmt, kind, tmp
 
     columnar, per_row = READERS[fmt]
     assert outcome(lambda: parse(columnar)) == outcome(lambda: parse(per_row))
+
+
+#: What a mutation writes over a byte, or inserts before one.
+MUTANT_TEXTS = (*"0123456789", ",", '"', "\r", " ", "e", "nan", "\u00fc")
+
+
+def mutate(text, rng):
+    """``text`` with one mutation drawn from ``rng``, and its name: a byte
+    substituted, deleted or inserted, or a line duplicated or swapped with
+    the next one."""
+    kind = rng.choice(("substitute", "delete", "insert", "duplicate", "swap"))
+    if kind in ("duplicate", "swap"):
+        lines = text.splitlines(keepends=True)
+        i = rng.randrange(len(lines) - 1)
+        lines[i : i + 2] = [lines[i]] * 2 if kind == "duplicate" else lines[i + 1 : i - 1 : -1]
+        return "".join(lines), f"{kind} line {i}"
+    at = rng.randrange(len(text))
+    new = "" if kind == "delete" else rng.choice(MUTANT_TEXTS)
+    return text[:at] + new + text[at + (kind != "insert") :], f"{kind} {new!r} at {at}"
+
+
+def _one_day(grid):
+    """The first user-day of ``grid``."""
+    rows = {f.name: getattr(grid, f.name)[:1] for f in dataclasses.fields(grid)}
+    return dataclasses.replace(grid, **rows | {"labels": grid.labels})
+
+
+#: A small canonical text of each format.
+SMALL_TEXTS = {
+    "hr": lambda: serialize_hr_stream(seeded_hr(5, n=200)),
+    "aligned": lambda: write_aligned_csv(_one_day(seeded_grid(5))),
+    "truth": lambda: TRUTH_FORMAT.write(_one_day(seeded_truth(5))),
+}
+
+
+@pytest.mark.parametrize("block", [codec.BLOCK_BYTES, 257])
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_mutated_texts_read_alike_both_ways(fmt, block, monkeypatch):
+    """The reader (columnar where the text allows) and the per-row reader
+    give bit-identical columns, or the same exception and message, on one
+    or two seeded mutations of a small canonical text."""
+    columnar, per_row = READERS[fmt]
+    text = SMALL_TEXTS[fmt]()
+    monkeypatch.setattr(codec, "BLOCK_BYTES", block)
+    rng = random.Random(f"{fmt} {block}")
+    accepted = 0
+    for _ in range(30):
+        mutant, done = text, []
+        for _ in range(rng.randint(1, 2)):
+            mutant, name = mutate(mutant, rng)
+            done.append(name)
+        want = outcome(per_row, mutant)
+        assert outcome(columnar, mutant) == want, done
+        accepted += not isinstance(want[0], type)
+    assert accepted  # some mutants are still valid text
 
 
 def test_head_change_at_a_block_boundary_is_read_row_by_row(truth_csv_text, monkeypatch):

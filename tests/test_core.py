@@ -4,12 +4,14 @@ import io
 import random
 from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from harforge.align import (
     ALIGNED_HEADER,
     PROFILE_HEADER,
-    PersonalHrProfile,
+    AlignedData,
+    DayGrid,
     align_cohort,
     read_aligned_csv,
     read_profiles_csv,
@@ -257,12 +259,22 @@ class TestValidateDaySeries:
         assert {s.value for s in SleepState} == {"sleep", "awake", "unknown"}
 
 
+#: The user-days of ``_profiles_text``, each with 900 pulse minutes.
+_PROFILE_DAYS = [(user, date(2024, 1, 1)) for user in ("u1", "u2", "u3")]
+
+
+def _write_profiles(days):
+    return write_profiles_csv(AlignedData(days, np.full(len(days), 900)))
+
+
+def _read_profiles(stream):
+    return read_profiles_csv(stream, DayGrid.empty(_PROFILE_DAYS))
+
+
 def _profiles_text():
-    profiles = {
-        (user, date(2024, 1, 1)): PersonalHrProfile(user, date(2024, 1, 1), 50.0, 150.5, 900, False)
-        for user in ("u1", "u2", "u3")
-    }
-    return write_profiles_csv(profiles)
+    days = DayGrid.empty(_PROFILE_DAYS)
+    days.min_hr[:], days.max_hr[:] = 50.0, 150.5
+    return _write_profiles(days)
 
 
 def _truth_text():
@@ -275,7 +287,7 @@ SMALL_CSV_READERS = {
         TAXONOMY_HEADER, lambda: default_taxonomy().to_csv_text(), read_taxonomy,
         ActivityTaxonomy.to_csv_text,
     ),
-    "profile": (PROFILE_HEADER, _profiles_text, read_profiles_csv, write_profiles_csv),
+    "profile": (PROFILE_HEADER, _profiles_text, _read_profiles, _write_profiles),
     "aligned": (
         ALIGNED_HEADER, lambda: _aligned_text(*range(MINUTES_PER_DAY)).getvalue(),
         read_aligned_csv, write_aligned_csv,

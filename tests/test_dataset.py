@@ -9,7 +9,6 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from harforge.align import PersonalHrProfile
 from harforge.core import LEVEL1_AWAKE, LEVEL1_SLEEP, SleepState
 from harforge.dataset import (
     OVERSAMPLE_NOISE_SD,
@@ -170,7 +169,9 @@ class TestLabelWindow:
 
 
 class TestBuildWindows:
-    def _day(self, grid_factory):
+    def _day(self, grid_factory, **envelope):
+        """One day; ``min_hr=50.0, max_hr=140.0`` unless ``envelope`` says
+        otherwise."""
         sleep = [S if i < 420 else A for i in range(1440)]
         pulse = [50.0 if i < 420 else 70.0 for i in range(1440)]
         steps = [0] * 1440
@@ -180,15 +181,15 @@ class TestBuildWindows:
             pulse[i], steps[i], distance[i] = 140.0, 100, 80.0
             schedule[i] = "Running Exercise"
         pulse[700], steps[700], distance[700] = None, 3, 2.0
+        envelope = {"min_hr": 50.0, "max_hr": 140.0, **envelope}
         return grid_factory(
-            pulse=pulse, steps=steps, distance_m=distance, sleep=sleep, schedule=schedule
+            pulse=pulse, steps=steps, distance_m=distance, sleep=sleep, schedule=schedule,
+            **envelope,
         )
 
     def test_channels_and_labels(self, taxonomy, grid_factory):
-        profile = PersonalHrProfile("u001", DAY, 50.0, 140.0, 1440, False)
         days = self._day(grid_factory)
-        profiles = {("u001", DAY): profile}
-        windows = build_windows(days, profiles, 15, taxonomy)
+        windows = build_windows(days, 15, taxonomy)
         assert len(windows), "expected at least one window"
         by_start = {start: i for i, start in enumerate(windows.start_minute.tolist())}
 
@@ -210,21 +211,19 @@ class TestBuildWindows:
     def test_mixed_windows_are_dropped(self, taxonomy, grid_factory):
         # the sleep-to-awake boundary at 420 leaves no 15-minute window
         # aligned to start 410 (8 sleep + 7 awake fails the 70% rule)
-        profile = PersonalHrProfile("u001", DAY, 50.0, 140.0, 1440, False)
         days = self._day(grid_factory)
-        windows = build_windows(days, {("u001", DAY): profile}, 15, taxonomy)
+        windows = build_windows(days, 15, taxonomy)
         assert 410 not in windows.start_minute.tolist()
 
     def test_day_without_profile_is_skipped(self, taxonomy, grid_factory):
-        days = self._day(grid_factory)
-        windows = build_windows(days, {}, 15, taxonomy)
+        days = self._day(grid_factory, min_hr=float("nan"), max_hr=float("nan"))
+        windows = build_windows(days, 15, taxonomy)
         assert len(windows) == 0
         assert windows.features.shape == (0, 15, 5)
 
     def test_windows_never_synthetic(self, taxonomy, grid_factory):
-        profile = PersonalHrProfile("u001", DAY, 50.0, 140.0, 1440, False)
         days = self._day(grid_factory)
-        windows = build_windows(days, {("u001", DAY): profile}, 60, taxonomy)
+        windows = build_windows(days, 60, taxonomy)
         assert len(windows) > 0
         assert not windows.synthetic.any()
 
@@ -455,15 +454,32 @@ class TestWindowStore:
     def test_shape_mismatch_rejected(self, window_factory):
         text = window_store_text(window_factory(1))
         broken = text.replace('"width":15', '"width":14')
-        with pytest.raises(ValueError, match="features must be"):
+        with pytest.raises(ValueError, match="window store line 1: window features must be"):
             read_window_store(io.StringIO(broken))
 
     def test_mixed_widths_rejected(self, window_factory):
         text = window_store_text(window_factory(1)) + window_store_text(
             window_factory(1, width=60)
         )
-        with pytest.raises(ValueError, match="mixes widths 15 and 60"):
+        with pytest.raises(ValueError) as err:
             read_window_store(io.StringIO(text))
+        assert str(err.value) == "window store line 2: store mixes widths 15 and 60"
+
+    def test_bad_json_names_its_store_line(self, window_factory):
+        lines = window_store_text(window_factory(3)).splitlines(keepends=True)
+        lines.insert(1, "\n")  # a blank line still counts
+        lines[3] = lines[3][:40] + "\n"
+        with pytest.raises(ValueError) as err:
+            read_window_store(io.StringIO("".join(lines)))
+        assert str(err.value).startswith("window store line 4: bad JSON: ")
+        assert "line 1" not in str(err.value)
+
+    def test_missing_key_names_its_store_line(self, window_factory):
+        lines = window_store_text(window_factory(3)).splitlines(keepends=True)
+        lines[1] = lines[1].replace('"features"', '"feats"')
+        with pytest.raises(ValueError) as err:
+            read_window_store(io.StringIO("".join(lines)))
+        assert str(err.value) == "window store line 2: missing key 'features'"
 
 
 class TestSplitManifest:
@@ -661,15 +677,14 @@ def test_windows_match_per_window_reference(grid_factory, grid_values, taxonomy)
             "sleep": sleep,
             "schedule": schedule,
         }
+    envelopes = {("u1", DAY): (52.0, 171.0), ("u2", DAY): (49.0, 166.0)}
+    for key, (min_hr, max_hr) in envelopes.items():
+        days[key].update(min_hr=min_hr, max_hr=max_hr)
     grid = grid_factory(days)
-    profiles = {
-        ("u1", DAY): PersonalHrProfile("u1", DAY, 52.0, 171.0, 1300, False),
-        ("u2", DAY): PersonalHrProfile("u2", DAY, 49.0, 166.0, 1300, False),
-    }
     for width in (15, 60):
         want = []
-        for key in sorted(profiles):
-            p = profiles[key]
+        for key in sorted(envelopes):
+            min_hr, max_hr = envelopes[key]
             pulse = grid_values(grid, "pulse", key)
             steps = grid_values(grid, "steps", key)
             distance = grid_values(grid, "distance_m", key)
@@ -679,7 +694,7 @@ def test_windows_match_per_window_reference(grid_factory, grid_values, taxonomy)
                 [
                     [0.0, 0.0, 0.0, steps[i], distance[i]]
                     if pulse[i] is None
-                    else [pulse[i], pulse[i] / p.min_hr, pulse[i] / p.max_hr, steps[i], distance[i]]
+                    else [pulse[i], pulse[i] / min_hr, pulse[i] / max_hr, steps[i], distance[i]]
                     for i in range(1440)
                 ]
             )
@@ -691,7 +706,7 @@ def test_windows_match_per_window_reference(grid_factory, grid_values, taxonomy)
                 modal, count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
                 if count >= 0.70 * width:
                     want.append((key, start, modal, feats[start : start + width]))
-        got = build_windows(grid, profiles, width, taxonomy)
+        got = build_windows(grid, width, taxonomy)
         assert got.width == width
         assert len(got) == len(want) > 0
         for row, (key, start, modal, feats) in zip(window_rows(got), want):

@@ -6,7 +6,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from harforge.align import SLEEP_CODE, PersonalHrProfile
+from harforge.align import SLEEP_CODE
 from harforge.core import SleepState
 from harforge.impute import (
     ImputeConfig,
@@ -19,8 +19,8 @@ from harforge.impute import (
 
 DAY = date(2024, 3, 4)
 CFG = ImputeConfig()
-PROFILE = PersonalHrProfile("u001", DAY, min_hr=50.0, max_hr=150.0, n_pulses=600, low_confidence=False)
-MIN_HR = np.array([PROFILE.min_hr])
+#: The heart-rate envelope of a test day.
+ENVELOPE = {"min_hr": 50.0, "max_hr": 150.0}
 
 U = SleepState.UNKNOWN
 S = SleepState.SLEEP
@@ -28,9 +28,10 @@ A = SleepState.AWAKE
 
 
 def decide(rule, grid, index):
-    """What ``rule`` says about one minute of a one-day grid: its state, or
-    None for no decision."""
-    if not rule(grid, MIN_HR, CFG)[0, index]:
+    """What ``rule`` says about one minute of a one-day grid with the day's
+    ``ENVELOPE``: its state, or None for no decision."""
+    grid.min_hr[:] = ENVELOPE["min_hr"]
+    if not rule(grid, CFG)[0, index]:
         return None
     return S if rule is rule1_sleep else A
 
@@ -143,12 +144,14 @@ class TestRule3Fill:
         assert rule3_fill(codes, 120).tolist() == codes.tolist()
 
 
-def day_columns(spec):
-    """spec maps index -> (pulse, steps, sleep); all other slots default."""
+def day_columns(spec, envelope=ENVELOPE):
+    """spec maps index -> (pulse, steps, sleep); all other slots default.
+    The day's envelope is ``envelope``; pass ``{}`` for a day without one."""
     return {
         "pulse": {i: pulse for i, (pulse, _, _) in spec.items()},
         "steps": {i: steps for i, (_, steps, _) in spec.items()},
         "sleep": {i: sleep for i, (_, _, sleep) in spec.items()},
+        **envelope,
     }
 
 
@@ -167,7 +170,7 @@ class TestImputeDay:
             900: (55.0, 0, A),   # device state, untouched
         }
         grid = grid_factory(**day_columns(spec))
-        out, _, marks = impute_cohort(grid, {("u001", DAY): PROFILE})
+        out, _, marks = impute_cohort(grid)
         sleep, marks = grid_values(out, "sleep"), marks[0]
         assert sleep[100] is S and marks[100] == 1
         assert sleep[102] is S and marks[102] == 3
@@ -184,7 +187,7 @@ class TestImputeDay:
             sleep = rng.choice([U, U, S, A])
             spec[i] = (pulse, steps, sleep)
         grid = grid_factory(**day_columns(spec))
-        out, _, marks = impute_cohort(grid, {("u001", DAY): PROFILE})
+        out, _, marks = impute_cohort(grid)
         before, after = grid_values(grid, "sleep"), grid_values(out, "sleep")
         for was, now, mark in zip(before, after, marks[0].tolist()):
             if was is not U:
@@ -210,9 +213,8 @@ class TestImputeDay:
             )
             for i in range(1440)
         }
-        profiles = {("u001", DAY): PROFILE}
-        once, _, _ = impute_cohort(grid_factory(**day_columns(spec)), profiles)
-        twice, _, marks = impute_cohort(once, profiles)
+        once, _, _ = impute_cohort(grid_factory(**day_columns(spec)))
+        twice, _, marks = impute_cohort(once)
         for column in COLUMNS:
             assert grid_values(twice, column) == grid_values(once, column)
         assert marks[0].tolist() == [0] * 1440
@@ -220,7 +222,7 @@ class TestImputeDay:
     def test_boundary_runs_survive(self, grid_factory, grid_values):
         # day starts and ends Unknown with no pulse; rule 3 must not reach in
         spec = {700: (52.0, 0, S), 701: (52.0, 0, S)}
-        out, _, _ = impute_cohort(grid_factory(**day_columns(spec)), {("u001", DAY): PROFILE})
+        out, _, _ = impute_cohort(grid_factory(**day_columns(spec)))
         sleep = grid_values(out, "sleep")
         assert sleep[0] is U
         assert sleep[1439] is U
@@ -236,7 +238,7 @@ class TestImputeUser:
             720: (90.0, 0, U),
         }
         grid = grid_factory(**day_columns(spec))
-        out, [stats], marks = impute_cohort(grid, {("u001", DAY): PROFILE})
+        out, [stats], marks = impute_cohort(grid)
         assert stats.pre.total_min == 1440
         assert stats.post.total_min == 1440
         assert stats.pre.sleep_min == 1
@@ -257,10 +259,10 @@ class TestImputeUser:
         grid = grid_factory(
             {
                 ("u001", DAY): day_columns({100: (52.0, 0, U)}),
-                ("u001", other): day_columns({100: (52.0, 0, U)}),
+                ("u001", other): day_columns({100: (52.0, 0, U)}, envelope={}),
             }
         )
-        out, [stats], marks = impute_cohort(grid, {("u001", DAY): PROFILE})
+        out, [stats], marks = impute_cohort(grid)
         assert stats.skipped_days == (other,)
         for column in COLUMNS:
             assert grid_values(out, column, ("u001", other)) == grid_values(
@@ -270,7 +272,7 @@ class TestImputeUser:
         assert grid_values(out, "sleep")[100] is S
 
     def test_unknown_only_resolved_never_invented(self, grid_factory):
-        _, [stats], _ = impute_cohort(grid_factory(), {("u001", DAY): PROFILE})
+        _, [stats], _ = impute_cohort(grid_factory(**ENVELOPE))
         # nothing resolvable: no pulses, no steps anywhere
         assert stats.post.unknown_min == 1440
 
@@ -283,11 +285,7 @@ class TestImputeCohort:
                 ("u1", DAY): day_columns({100: (90.0, 0, U)}),
             }
         )
-        profiles = {
-            ("u1", DAY): PROFILE,
-            ("u2", DAY): PROFILE,
-        }
-        out, stats, marks = impute_cohort(grid, profiles)
+        out, stats, marks = impute_cohort(grid)
         assert [s.user_id for s in stats] == ["u1", "u2"]
         assert grid_values(out, "sleep", ("u1", DAY))[100] is A
         assert grid_values(out, "sleep", ("u2", DAY))[100] is S
@@ -298,7 +296,7 @@ class TestImputeCohort:
 class TestStatsReport:
     def test_report_totals(self, grid_factory):
         grid = grid_factory({("u1", DAY): day_columns({100: (52.0, 0, U)})})
-        _, stats, _ = impute_cohort(grid, {("u1", DAY): PROFILE})
+        _, stats, _ = impute_cohort(grid)
         text = write_stats_report(stats)
         rows = text.splitlines()
         assert rows[0] == "metric,pre,after_rules_1_2,after_rules_1_2_3,net"
@@ -352,12 +350,14 @@ def test_cascade_matches_per_minute_reference(grid_factory, grid_values, config)
         }
         for key in keys
     }
-    grid = grid_factory({key: day_columns(day) for key, day in spec.items()})
-    profiles = {keys[0]: PROFILE, keys[2]: PersonalHrProfile("u2", DAY, 47.5, 140.0, 900, False)}
-    out, _, marks = impute_cohort(grid, profiles, config)
+    envelopes = {keys[0]: ENVELOPE, keys[2]: {"min_hr": 47.5, "max_hr": 140.0}}
+    grid = grid_factory(
+        {key: day_columns(day, envelopes.get(key, {})) for key, day in spec.items()}
+    )
+    out, _, marks = impute_cohort(grid, config)
     for r, key in enumerate(out.keys):
         before = grid_values(grid, "sleep", key)
-        if key not in profiles:
+        if key not in envelopes:
             assert grid_values(out, "sleep", key) == before
             assert marks[r].tolist() == [0] * 1440
             continue
@@ -365,7 +365,7 @@ def test_cascade_matches_per_minute_reference(grid_factory, grid_values, config)
             before,
             grid_values(grid, "pulse", key),
             grid_values(grid, "steps", key),
-            profiles[key].min_hr,
+            envelopes[key]["min_hr"],
             config,
         )
         assert grid_values(out, "sleep", key) == want

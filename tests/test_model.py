@@ -429,6 +429,16 @@ class TestPoolingAndInput:
         with pytest.raises(ValueError, match="non-finite"):
             model_forward(bad, p)
 
+    def test_train_mode_dropout_needs_a_mask_or_an_rng(self):
+        # an unseeded draw would break the same-seeds promise
+        p = init_params(5, 4, 13, dropout=0.2)
+        x = np.random.default_rng(1).normal(size=(2, 6, 5))
+        with pytest.raises(ValueError, match="needs a dropout_mask or an rng"):
+            model_forward(x, p, train_mode=True)
+        # nothing is drawn without dropout or outside train mode
+        model_forward(x, init_params(5, 4, 13, dropout=0.0), train_mode=True)
+        model_forward(x, p)
+
 
 class TestLossMath:
     def test_log_softmax_matches_naive(self):

@@ -634,7 +634,7 @@ def imputed_chain(small_cohort, hr_text):
         parse_schedule(keepends(small_cohort.schedule_csv), taxonomy),
         tz_offset_minutes=SMALL.tz_offset_minutes,
     )
-    post, _, marks = impute_cohort(aligned.days, aligned.profiles)
+    post, _, marks = impute_cohort(aligned.days)
     return aligned.days, post, marks
 
 

@@ -7,7 +7,6 @@ from datetime import date
 
 import pytest
 
-from harforge.align import PersonalHrProfile
 from harforge.viz import (
     BAND_MODES,
     METRICS,
@@ -26,15 +25,8 @@ DAY = date(2024, 3, 4)
 RUN = "Running Exercise"
 
 
-def profile(day=DAY, min_hr=50.0, max_hr=190.0):
-    return PersonalHrProfile(
-        user_id="u001",
-        day=day,
-        min_hr=min_hr,
-        max_hr=max_hr,
-        n_pulses=600,
-        low_confidence=False,
-    )
+#: The heart-rate envelope of a test day.
+ENVELOPE = {"min_hr": 50.0, "max_hr": 190.0}
 
 
 def metric_set(user, values, activity=RUN, n_minutes=5):
@@ -54,9 +46,10 @@ def metric_set(user, values, activity=RUN, n_minutes=5):
 class TestActivityMetrics:
     def test_single_minute_values(self, grid_factory):
         days = grid_factory(
-            pulse={600: 120.0}, steps={600: 100}, distance_m={600: 160.0}, schedule={600: RUN}
+            pulse={600: 120.0}, steps={600: 100}, distance_m={600: 160.0}, schedule={600: RUN},
+            **ENVELOPE,
         )
-        m = activity_metrics("u001", RUN, days, {("u001", DAY): profile()})
+        m = activity_metrics("u001", RUN, days)
         assert m.n_minutes == 1
         assert m.distance_per_min == 160.0
         assert m.steps_per_min == 100.0
@@ -73,17 +66,18 @@ class TestActivityMetrics:
                     "steps": {0: 10, 1: 20},
                     "distance_m": {0: 1.0, 1: 2.0},
                     "schedule": {0: RUN, 1: RUN},
+                    **ENVELOPE,
                 },
                 ("u001", day2): {
                     "pulse": {0: 150.0},
                     "steps": {0: 90},
                     "distance_m": {0: 9.0},
                     "schedule": {0: RUN},
+                    **ENVELOPE,
                 },
             }
         )
-        profiles = {("u001", DAY): profile(), ("u001", day2): profile(day2)}
-        m = activity_metrics("u001", RUN, days, profiles)
+        m = activity_metrics("u001", RUN, days)
         assert m.n_minutes == 3
         assert m.distance_per_min == 2.0
         assert m.steps_per_min == 20.0
@@ -95,26 +89,27 @@ class TestActivityMetrics:
             steps={0: 0, 1: 80},
             distance_m={0: 0.0, 1: 64.0},
             schedule={0: "Other", 1: RUN},
+            **ENVELOPE,
         )
-        m = activity_metrics("u001", RUN, days, {("u001", DAY): profile()})
+        m = activity_metrics("u001", RUN, days)
         assert m.n_minutes == 1
         assert m.pulse_per_min == 140.0
 
     def test_other_users_ignored(self, grid_factory):
         days = grid_factory(
             {
-                ("u001", DAY): {"pulse": {0: 100.0}, "schedule": {0: RUN}},
+                ("u001", DAY): {"pulse": {0: 100.0}, "schedule": {0: RUN}, **ENVELOPE},
                 ("u002", DAY): {"pulse": {0: 180.0, 1: 170.0}, "schedule": {0: RUN, 1: RUN}},
             }
         )
-        m = activity_metrics("u001", RUN, days, {("u001", DAY): profile()})
+        m = activity_metrics("u001", RUN, days)
         assert (m.n_minutes, m.pulse_per_min) == (1, 100.0)
         with pytest.raises(ValueError, match="no minutes labeled"):
-            activity_metrics("u003", RUN, days, {})
+            activity_metrics("u003", RUN, days)
 
     def test_pulse_metrics_none_without_readings(self, grid_factory):
-        days = grid_factory(steps={5: 30}, distance_m={5: 24.0}, schedule={5: RUN})
-        m = activity_metrics("u001", RUN, days, {("u001", DAY): profile()})
+        days = grid_factory(steps={5: 30}, distance_m={5: 24.0}, schedule={5: RUN}, **ENVELOPE)
+        m = activity_metrics("u001", RUN, days)
         assert m.pulse_per_min is None
         assert m.pulse_to_min_ratio is None
         assert m.pulse_to_max_ratio is None
@@ -123,15 +118,15 @@ class TestActivityMetrics:
         days = grid_factory(
             pulse={5: 120.0}, steps={5: 30}, distance_m={5: 24.0}, schedule={5: RUN}
         )
-        m = activity_metrics("u001", RUN, days, {})
+        m = activity_metrics("u001", RUN, days)
         assert m.pulse_per_min == 120.0
         assert m.pulse_to_min_ratio is None
         assert m.pulse_to_max_ratio is None
 
     def test_no_matching_minutes_rejected(self, grid_factory):
-        days = grid_factory(schedule={5: "Other"})
+        days = grid_factory(schedule={5: "Other"}, **ENVELOPE)
         with pytest.raises(ValueError, match="no minutes labeled"):
-            activity_metrics("u001", RUN, days, {("u001", DAY): profile()})
+            activity_metrics("u001", RUN, days)
 
     def test_unknown_metric_name(self):
         m = metric_set("u001", (1.0, 2.0, 3.0, 4.0, 5.0))
