@@ -708,6 +708,11 @@ def _sorted_grid(
     )
 
 
+def _low_confidence(n_pulses: int) -> str:
+    """The ``low_confidence`` field of a profile row with ``n_pulses``."""
+    return "1" if n_pulses < MIN_CONFIDENT_PULSES else "0"
+
+
 def write_profiles_csv(aligned: AlignedData) -> str:
     """The profiles CSV of ``aligned``: one row per user-day with an
     envelope, in key order, marked low-confidence when its envelope comes
@@ -723,7 +728,7 @@ def write_profiles_csv(aligned: AlignedData) -> str:
                 format_number(min_hr),
                 format_number(max_hr),
                 str(n),
-                "1" if n < MIN_CONFIDENT_PULSES else "0",
+                _low_confidence(n),
             )
             for (user, day), min_hr, max_hr, n in rows
             if n > 0
@@ -737,20 +742,41 @@ _PROFILE_FIELDS: dict[int, Callable[[str], object]] = {
 }
 
 
+def _profile_problem(low: float, high: float, n_pulses: int, flag: str) -> str | None:
+    """What ``write_profiles_csv`` could not have written in a row with this
+    envelope, pulse count and ``low_confidence`` field, or None."""
+    for name, value in (("min_hr", low), ("max_hr", high)):
+        if not math.isfinite(value) or value < 0.0:
+            return f"{name} must be finite and not negative, got {value!r}"
+    if high < low:
+        return f"max_hr {high!r} is below min_hr {low!r}"
+    if n_pulses < 1:
+        return f"n_pulses must be at least 1, got {n_pulses}"
+    want = _low_confidence(n_pulses)
+    if flag != want:
+        return f"low_confidence must be {want!r} for {n_pulses} pulses, got {flag!r}"
+    return None
+
+
 def read_profiles_csv(stream: Iterable[str] | IO[str], days: DayGrid) -> DayGrid:
     """``days`` with the envelope of a ``write_profiles_csv`` text filled in;
-    a user-day without a row keeps NaN. A row with a bad field, a second row
-    of a user-day and a row whose user-day is not a row of ``days`` are a
-    ValueError naming the row."""
+    a user-day without a row keeps NaN. A row with a bad field, an envelope
+    that is not finite, is negative or has ``max_hr`` below ``min_hr``, fewer
+    than one pulse, a ``low_confidence`` other than the one its pulse count
+    gives, a second row of a user-day or a user-day that is not a row of
+    ``days`` is a ValueError naming the row."""
     row_of = {key: r for r, key in enumerate(days.keys)}
     seen: set[tuple[str, date]] = set()
     min_hr = np.full(len(days), np.nan)
     max_hr = np.full(len(days), np.nan)
     for line, row in csv_rows(stream, PROFILE_HEADER, "profile"):
         try:
-            day, low, high, _ = (f(row[c]) for c, f in _PROFILE_FIELDS.items())
+            day, low, high, n_pulses = (f(row[c]) for c, f in _PROFILE_FIELDS.items())
         except ValueError:
             raise field_error("profile", PROFILE_HEADER, line, row, _PROFILE_FIELDS) from None
+        problem = _profile_problem(low, high, n_pulses, row[5])
+        if problem is not None:
+            raise ValueError(f"profile CSV row {line}: {problem}")
         key = (row[0], day)
         if key in seen:
             raise ValueError(f"profile CSV row {line}: user {row[0]!r} has a second row for {day}")

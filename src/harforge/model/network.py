@@ -12,7 +12,11 @@ concatenated outputs when mean pooling is selected.
 Each layer runs through ``_layer_forward`` and ``_layer_backward``, which
 loop over its two directions, or units (``enc1_fwd`` ...): a unit's cache
 is keyed by its name and its arrays and gradients are ``<unit>_wx``,
-``<unit>_wh`` and ``<unit>_b``. The model pass applies the two heads.
+``<unit>_wh`` and ``<unit>_b``. Each direction writes its hidden states
+straight into its half of the (B, W, 2H) layer output, so layer 1's output
+is built without a concatenation; layer 2 writes an output only under mean
+pooling, and final pooling reads the last step each direction returns. The
+model pass applies the two heads.
 
 Each direction allocates one (B, W, 4H) slab per forward pass, and the
 slab holds three things in turn. The forward pass computes ``x @ wx + b``
@@ -26,10 +30,30 @@ and ``e/(1+e)`` otherwise, and then overwrites the cell block with its
 tanh. The step loops allocate nothing: their scratch buffers are made once
 per call and filled with ``out=``.
 
-The backward pass therefore consumes its cache: ``_layer_backward`` pops
-each direction's cache before it backpropagates through it, layer 2
-before layer 1, so a direction's slabs are freed before the next
-direction runs, and a second backward pass on the same cache is an error.
+A direction's cache holds only what the backward pass cannot recompute bit
+for bit: its input, its gate slab and its (B, W, H) cell states. It holds
+no hidden states: step t of the backward pass recomputes
+``h_{t-1} = o_{t-1} * tanh(c_{t-1})`` with the forward pass's two ufunc
+calls, from slab row t-1, which still holds its gates because only rows t
+and later hold ``dz`` yet, and that tanh is step t-1's ``tanh(c)``. The
+cell states are dropped when the step loop ends, before the final GEMMs.
+A forward pass keeps its cache only when asked (``keep_cache``); an
+inference pass keeps none, so it holds one pre-activation slab at a time
+plus layer 1's output, the input of layer 2.
+
+The inverted-dropout mask between the layers is the boolean keep array
+(one byte per entry) that ``make_dropout_mask`` draws and ``dropout_mask=``
+takes. ``_apply_dropout`` multiplies by it and then by 1/(1-p), in place:
+the same IEEE products as a float mask of 1/(1-p) and 0.0, down to the
+-0.0 of a dropped negative.
+
+The backward pass consumes its cache: ``_layer_backward`` pops each
+direction's cache before it backpropagates through it, layer 2 before
+layer 1, so a direction's slabs are freed before the next direction runs,
+and a second backward pass on the same cache is an error. Under final
+pooling the gradient reaches each direction of layer 2 at its last step
+only, so it arrives as one (B, H) array, and under mean pooling as a
+broadcast view of one (B, H) array; neither needs a (B, W, H) slab.
 Results are bit-identical to the earlier per-gate kernel (four gate caches
 and a masked sigmoid per gate), which the tests keep as a reference.
 
@@ -162,22 +186,22 @@ def _gate_blocks(slab: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(slab[:, k * h_dim : (k + 1) * h_dim] for k in range(GATE_BLOCKS))
 
 
-def _lstm_forward(x, wx, wh, b, reverse: bool):
+def _lstm_forward(x, wx, wh, b, reverse: bool, h_seq=None, keep_cache: bool = True):
     """Run one direction of one layer over a (B, W, D) batch.
 
-    Returns the per-step hidden states in time order and the cache needed
-    by the backward pass: the activated (B, W, 4H) gate slab, the cell
-    states and the hidden states. The gates are written over the
-    pre-activation slab they come from: step t reads ``pre[:, t]`` once,
-    before it stores its gates there. ``_lstm_backward`` consumes the cache.
+    Writes each step's hidden state into ``h_seq``, a (B, W, H) array or
+    view, when it is given. Returns the last step's hidden state and the
+    cache needed by the backward pass: the input, the activated (B, W, 4H)
+    gate slab and the cell states, or None when ``keep_cache`` is False.
+    The gates are written over the pre-activation slab they come from:
+    step t reads ``pre[:, t]`` once, before it stores its gates there.
+    ``_lstm_backward`` consumes the cache.
     """
     batch, width, _ = x.shape
     h_dim = wh.shape[0]
     pre = x @ wx  # input contribution for every step at once
     pre += b
-    gates = pre
-    c_seq = np.empty((batch, width, h_dim))
-    h_seq = np.empty((batch, width, h_dim))
+    c_seq = np.empty((batch, width, h_dim)) if keep_cache else None
     # per-step scratch, filled in place so the loop allocates nothing
     z = np.empty((batch, 4 * h_dim))
     e = np.empty_like(z)
@@ -201,29 +225,36 @@ def _lstm_forward(x, wx, wh, b, reverse: bool):
         e += 1.0
         np.divide(act, e, out=act)
         np.tanh(z_g, out=g_t)
-        gates[:, t] = act
         c *= f_t
         np.multiply(i_t, g_t, out=tmp)
         c += tmp
         np.tanh(c, out=tmp)
         np.multiply(o_t, tmp, out=h)
-        c_seq[:, t] = c
-        h_seq[:, t] = h
-    cache = {"x": x, "gates": gates, "c": c_seq, "h": h_seq, "reverse": reverse}
-    return h_seq, cache
+        if keep_cache:
+            pre[:, t] = act
+            c_seq[:, t] = c
+        if h_seq is not None:
+            h_seq[:, t] = h
+    if not keep_cache:
+        return h, None
+    return h, {"x": x, "gates": pre, "c": c_seq, "reverse": reverse}
 
 
 def _lstm_backward(dh_seq, cache, wx, wh):
     """Backpropagate through one direction. dh_seq holds the gradient
-    arriving at every per-step hidden output. The input gradient ``dx`` is
-    None when the cache holds ``input_grad=False``.
+    arriving at every per-step hidden output; a (B, H) array is the
+    gradient at the direction's last step alone (final pooling). The input
+    gradient ``dx`` is None when the cache holds ``input_grad=False``.
 
     The pass consumes the cache: step t reads ``gates[:, t]`` once and then
-    stores its ``dz`` there, so afterwards the gate slab holds ``dz``."""
-    x, gates = cache["x"], cache["gates"]
-    c_seq, h_seq = cache["c"], cache["h"]
+    stores its ``dz`` there, so afterwards the gate slab holds ``dz``. The
+    hidden state ``h_{t-1} = o_{t-1} * tanh(c_{t-1})`` that step t needs is
+    recomputed with the forward pass's two ufunc calls from slab row t-1,
+    which still holds its gates, and that tanh is step t-1's ``tanh(c)``.
+    The cell states are dropped once the step loop is done."""
+    x, gates, c_seq = cache.pop("x"), cache.pop("gates"), cache.pop("c")
     reverse = cache["reverse"]
-    batch, width, h_dim = h_seq.shape
+    batch, width, h_dim = c_seq.shape
 
     dz_seq = gates
     d_wh = np.zeros_like(wh)
@@ -231,7 +262,14 @@ def _lstm_backward(dh_seq, cache, wx, wh):
     dh_carry = np.zeros((batch, h_dim))
     dc_carry = np.zeros((batch, h_dim))
     zeros = np.zeros((batch, h_dim))
+    if dh_seq.ndim == 2:
+        # the last step's gradient starts the carry: 0.0 + v is v + 0.0, so
+        # every step adds what a zero-filled (B, W, H) slab would
+        dh_carry[...] = dh_seq
+        dh_seq = np.broadcast_to(zeros[:, None], (batch, width, h_dim))
     tanh_c = np.empty((batch, h_dim))
+    tanh_prev = np.empty_like(tanh_c)
+    h_prev = np.empty_like(tanh_c)
     dh = np.empty_like(tanh_c)
     dc = np.empty_like(tanh_c)
     dz = np.zeros((batch, 4 * h_dim))
@@ -240,14 +278,19 @@ def _lstm_backward(dh_seq, cache, wx, wh):
     dz_i, dz_f, dz_g, dz_o = _gate_blocks(dz)
     slope_g = _gate_blocks(slope)[2]
     steps = range(width) if reverse else range(width - 1, -1, -1)
+    np.tanh(c_seq[:, steps[0]], out=tanh_prev)
     for t in steps:
         prev_t = t + 1 if reverse else t - 1
-        in_range = 0 <= prev_t < width
-        h_prev = h_seq[:, prev_t] if in_range else zeros
-        c_prev = c_seq[:, prev_t] if in_range else zeros
+        tanh_c, tanh_prev = tanh_prev, tanh_c
         act = gates[:, t]
         i_t, f_t, g_t, o_t = _gate_blocks(act)
-        np.tanh(c_seq[:, t], out=tanh_c)
+        if 0 <= prev_t < width:
+            c_prev = c_seq[:, prev_t]
+            np.tanh(c_prev, out=tanh_prev)
+            np.multiply(_gate_blocks(gates[:, prev_t])[3], tanh_prev, out=h_prev)
+            h_in = h_prev
+        else:
+            c_prev = h_in = zeros
 
         np.add(dh_seq[:, t], dh_carry, out=dh)
         np.multiply(dh, tanh_c, out=dz_o)
@@ -271,9 +314,10 @@ def _lstm_backward(dh_seq, cache, wx, wh):
         np.multiply(dc, f_t, out=dc_carry)
         dz_seq[:, t] = dz
 
-        np.matmul(h_prev.T, dz, out=d_wh_t)
+        np.matmul(h_in.T, dz, out=d_wh_t)
         d_wh += d_wh_t
         np.matmul(dz, wh.T, out=dh_carry)
+    del c_seq
 
     flat_x = x.reshape(batch * width, -1)
     flat_dz = dz_seq.reshape(batch * width, 4 * h_dim)
@@ -298,22 +342,38 @@ def _check_input(x: np.ndarray, params: ModelParams) -> np.ndarray:
 def make_dropout_mask(
     shape: tuple[int, ...], dropout: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Inverted dropout mask: zeros with probability ``dropout``, survivors
-    scaled by 1/(1-dropout) so the expected activation is unchanged."""
-    keep = rng.random(shape) >= dropout
-    return np.divide(keep, 1.0 - dropout, dtype=np.float64)
+    """Inverted dropout's boolean keep array: False with probability
+    ``dropout``. ``_apply_dropout`` scales the kept entries by
+    1/(1-dropout), so the expected activation is unchanged."""
+    return rng.random(shape) >= dropout
 
 
-def _layer_forward(layer: str, x: np.ndarray, arrays: dict[str, np.ndarray]):
-    """Run both directions of one layer over x. Returns their hidden
-    sequences in direction order and their caches keyed by unit name."""
-    h_seqs, caches = [], {}
-    for direction, reverse in _DIRECTIONS:
+def _apply_dropout(a: np.ndarray, keep: np.ndarray, dropout: float) -> None:
+    """Multiply ``a`` in place by ``keep`` (as 1.0 and 0.0), then by
+    1/(1-dropout). These are the IEEE products of ``a`` and a float mask of
+    1/(1-dropout) and 0.0, the -0.0 of a dropped negative included: v * 1.0
+    is v, and a signed zero times a positive factor keeps its sign. (Two
+    multiplies masked with ``where=`` give the same bits about 5x slower.)"""
+    a *= keep
+    a *= 1.0 / (1.0 - dropout)
+
+
+def _layer_forward(layer: str, x: np.ndarray, arrays, out, keep_cache: bool):
+    """Run both directions of one layer over x, writing their hidden states
+    into the two halves of ``out`` (B, W, 2H) when it is given. Returns the
+    last-step hidden states in direction order and the caches keyed by unit
+    name, which is empty without ``keep_cache``."""
+    lasts, caches = [], {}
+    for k, (direction, reverse) in enumerate(_DIRECTIONS):
         unit = f"{layer}_{direction}"
         wx, wh, b = (arrays[f"{unit}_{part}"] for part in ("wx", "wh", "b"))
-        h_seq, caches[unit] = _lstm_forward(x, wx, wh, b, reverse)
-        h_seqs.append(h_seq)
-    return h_seqs, caches
+        h_dim = wh.shape[0]
+        h_seq = None if out is None else out[:, :, k * h_dim : (k + 1) * h_dim]
+        last, cache = _lstm_forward(x, wx, wh, b, reverse, h_seq, keep_cache)
+        lasts.append(last)
+        if keep_cache:
+            caches[unit] = cache
+    return lasts, caches
 
 
 def _layer_backward(layer: str, dh_seqs, cache, arrays, **flags):
@@ -335,43 +395,60 @@ def encoder_forward(
     params: ModelParams,
     *,
     train_mode: bool = False,
+    keep_cache: bool = False,
     dropout_mask: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ):
     """Encode a batch of windows into fixed-size feature vectors.
 
-    In train mode, inter-layer dropout uses ``dropout_mask`` when given
-    (fixed per call, which keeps gradient checks exact) or draws one from
-    ``rng``; with neither it is a ValueError, so no mask comes from an
-    unseeded generator. Returns (features, cache).
+    In train mode, inter-layer dropout uses the boolean keep array
+    ``dropout_mask`` when given (fixed per call, which keeps gradient checks
+    exact) or draws one from ``rng``; with neither it is a ValueError, so no
+    mask comes from an unseeded generator. Returns (features, cache); the
+    cache is None unless ``keep_cache`` is set, and then it serves one
+    ``encoder_backward``.
     """
     x = _check_input(x, params)
     a = params.arrays
-    (h1f, h1b), cache = _layer_forward("enc1", x, a)
-    out1 = np.concatenate([h1f, h1b], axis=2)
-
-    dropout = params.config.dropout
-    mask = None
-    if train_mode and dropout > 0.0:
+    config = params.config
+    batch, width, _ = x.shape
+    out1 = np.empty((batch, width, 2 * config.hidden_size))
+    keep = None
+    if train_mode and config.dropout > 0.0:
         if dropout_mask is not None:
-            mask = np.asarray(dropout_mask, dtype=np.float64)
-            if mask.shape != out1.shape:
-                raise ValueError(f"dropout mask shape {mask.shape} != {out1.shape}")
+            keep = np.asarray(dropout_mask)
+            if keep.dtype != np.bool_:
+                raise ValueError(f"dropout mask must be a boolean keep array, not {keep.dtype}")
+            if keep.shape != out1.shape:
+                raise ValueError(f"dropout mask shape {keep.shape} != {out1.shape}")
         elif rng is not None:
-            mask = make_dropout_mask(out1.shape, dropout, rng)
+            keep = make_dropout_mask(out1.shape, config.dropout, rng)
         else:
             raise ValueError("train-mode dropout needs a dropout_mask or an rng")
-        out1 *= mask
 
-    (h2f, h2b), caches2 = _layer_forward("enc2", out1, a)
-
-    if params.config.pooling == "final":
-        features = np.concatenate([h2f[:, -1], h2b[:, 0]], axis=1)
-    else:
-        features = np.concatenate([h2f, h2b], axis=2).mean(axis=1)
-
-    cache |= caches2 | {"mask": mask, "width": x.shape[1], "pooling": params.config.pooling}
+    _, cache = _layer_forward("enc1", x, a, out1, keep_cache)
+    if keep is not None:
+        _apply_dropout(out1, keep, config.dropout)
+    # final pooling reads each direction's last step; mean pooling every step
+    out2 = np.empty_like(out1) if config.pooling == "mean" else None
+    lasts, caches2 = _layer_forward("enc2", out1, a, out2, keep_cache)
+    features = np.concatenate(lasts, axis=1) if out2 is None else out2.mean(axis=1)
+    if not keep_cache:
+        return features, None
+    cache |= caches2 | {"keep": keep, "width": width, "pooling": config.pooling}
     return features, cache
+
+
+def _check_cache(cache) -> None:
+    if cache is None:
+        raise ValueError(
+            "the forward pass kept no cache; run it with keep_cache=True to backpropagate"
+        )
+    if "enc2_fwd" not in cache:
+        raise ValueError(
+            "the forward cache was consumed by an earlier backward pass; "
+            "run the forward pass again"
+        )
 
 
 def encoder_backward(dfeatures: np.ndarray, cache, params: ModelParams):
@@ -379,31 +456,29 @@ def encoder_backward(dfeatures: np.ndarray, cache, params: ModelParams):
 
     The pass consumes ``cache``: it pops each direction's cache before
     backpropagating through it, so that direction's slabs are freed before
-    the next one runs. A second backward pass on the same cache raises
-    ValueError; run the forward pass again instead."""
-    if "enc2_fwd" not in cache:
-        raise ValueError(
-            "the forward cache was consumed by an earlier backward pass; "
-            "run the forward pass again"
-        )
+    the next one runs. A second backward pass on the same cache, or one on
+    the None cache of an inference pass, raises ValueError; run the forward
+    pass again with ``keep_cache=True`` instead."""
+    _check_cache(cache)
     a = params.arrays
     h = params.config.hidden_size
-    batch = dfeatures.shape[0]
     width = cache["width"]
 
-    dh2f = np.zeros((batch, width, h))
-    dh2b = np.zeros((batch, width, h))
     if cache["pooling"] == "final":
-        dh2f[:, -1] = dfeatures[:, :h]
-        dh2b[:, 0] = dfeatures[:, h:]
+        # each direction's last step alone reaches the features
+        dh2 = (dfeatures[:, :h], dfeatures[:, h:])
     else:
-        dh2f += dfeatures[:, None, :h] / width
-        dh2b += dfeatures[:, None, h:] / width
+        # every step gets dfeatures / width; adding 0.0 makes a -0.0 +0.0,
+        # so each step adds what a zero-filled slab holding the sum would
+        per_step = np.add(dfeatures / width, 0.0)[:, None]
+        shape = (dfeatures.shape[0], width, h)
+        dh2 = tuple(np.broadcast_to(half, shape) for half in (per_step[..., :h], per_step[..., h:]))
 
-    (dout1, dx2b), grads2 = _layer_backward("enc2", (dh2f, dh2b), cache, a)
+    (dout1, dx2b), grads2 = _layer_backward("enc2", dh2, cache, a)
     dout1 += dx2b
-    if cache["mask"] is not None:
-        dout1 *= cache["mask"]
+    del dx2b
+    if cache["keep"] is not None:
+        _apply_dropout(dout1, cache["keep"], params.config.dropout)
     # nothing takes the gradient of the model input, so layer 1 skips it
     _, grads1 = _layer_backward(
         "enc1", (dout1[:, :, :h], dout1[:, :, h:]), cache, a, input_grad=False
@@ -416,16 +491,20 @@ def model_forward(
     params: ModelParams,
     *,
     train_mode: bool = False,
+    keep_cache: bool = False,
     dropout_mask: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ):
-    """Full forward pass: (logits1, logits2, cache)."""
+    """Full forward pass: (logits1, logits2, cache). The cache is None
+    unless ``keep_cache`` is set: an inference pass holds one
+    pre-activation slab per direction at a time, plus layer 1's outputs."""
     features, cache = encoder_forward(
-        x, params, train_mode=train_mode, dropout_mask=dropout_mask, rng=rng
+        x, params, train_mode=train_mode, keep_cache=keep_cache, dropout_mask=dropout_mask, rng=rng
     )
     a = params.arrays
     logits1, logits2 = (features @ a[f"{head}_w"] + a[f"{head}_b"] for head in _HEADS)
-    cache["features"] = features
+    if cache is not None:
+        cache["features"] = features
     return logits1, logits2, cache
 
 
@@ -433,7 +512,9 @@ def model_backward(dlogits1, dlogits2, cache, params: ModelParams):
     """Gradients for every parameter array given the logit gradients.
 
     The pass consumes ``cache`` (see ``encoder_backward``): a second
-    backward pass on the same cache raises ValueError."""
+    backward pass on the same cache, or one on an inference pass's None
+    cache, raises ValueError."""
+    _check_cache(cache)
     a, features = params.arrays, cache["features"]
     head_grads = {}
     for head, dlogits in zip(_HEADS, (dlogits1, dlogits2)):

@@ -1,7 +1,11 @@
 """Training loop, batched prediction, and JSON checkpoints.
 
 Each epoch shuffles the training windows with a seeded generator, steps
-AdamW over the batches, then scores the validation set in eval mode. The
+AdamW over the batches, then scores the validation set in eval mode, as one
+batch because its loss is a mean over the set. Only ``loss_and_grads``
+keeps a forward cache for the backward pass; the validation pass,
+``predict`` and ``loss_value`` run inference forward passes, which keep
+none, so each LSTM direction holds one pre-activation slab at a time. The
 learning rate follows the plateau scheduler, the best validation snapshot
 is kept, and training stops early after a patience worth of epochs without
 a new best. A non-finite loss aborts the run and returns the last good
@@ -71,7 +75,8 @@ def loss_value(
     train_mode: bool = False,
     dropout_mask: np.ndarray | None = None,
 ) -> float:
-    """Forward-only loss; the finite-difference oracle calls this."""
+    """Forward-only loss; the finite-difference oracle calls this. The
+    forward pass keeps no cache (``dropout_mask`` is a boolean keep array)."""
     logits1, logits2, _ = model_forward(
         x, params, train_mode=train_mode, dropout_mask=dropout_mask
     )
@@ -90,9 +95,10 @@ def loss_and_grads(
     dropout_mask: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ):
-    """Loss plus analytic gradients for every parameter array."""
+    """Loss plus analytic gradients for every parameter array. The only
+    forward pass that keeps its cache, which the backward pass consumes."""
     logits1, logits2, cache = model_forward(
-        x, params, train_mode=train_mode, dropout_mask=dropout_mask, rng=rng
+        x, params, train_mode=train_mode, keep_cache=True, dropout_mask=dropout_mask, rng=rng
     )
     total, dlogits1, dlogits2, parts = hierarchical_focal_loss_grads(
         logits1, logits2, y1, y2, loss_config
@@ -110,7 +116,8 @@ class Predictions:
 
 
 def predict(params: ModelParams, x: np.ndarray, batch_size: int = 1024) -> Predictions:
-    """Class probabilities and argmax predictions for both levels."""
+    """Class probabilities and argmax predictions for both levels. Each
+    batch runs an inference forward pass, which keeps no cache."""
     probs1_parts = []
     probs2_parts = []
     for lo in range(0, x.shape[0], batch_size):

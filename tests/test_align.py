@@ -760,6 +760,40 @@ class TestProfilesCsv:
         with pytest.raises(ValueError, match="profile CSV row 3: user 'u1' has a second row"):
             read_profiles_csv(io.StringIO(text + again), ONE_PROFILE.days)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ("nan,132.0,45,1", "min_hr must be finite and not negative, got nan"),
+            ("61.0,inf,45,1", "max_hr must be finite and not negative, got inf"),
+            ("-5.0,132.0,45,1", "min_hr must be finite and not negative, got -5.0"),
+            ("61.0,-5.0,-7,maybe", "max_hr must be finite and not negative, got -5.0"),
+            ("61.0,50.0,45,1", "max_hr 50.0 is below min_hr 61.0"),
+            ("61.0,132.0,0,1", "n_pulses must be at least 1, got 0"),
+            ("61.0,132.0,-7,1", "n_pulses must be at least 1, got -7"),
+            ("61.0,132.0,45,maybe", "low_confidence must be '1' for 45 pulses, got 'maybe'"),
+            ("61.0,132.0,45,0", "low_confidence must be '1' for 45 pulses, got '0'"),
+            ("61.0,132.0,60,1", "low_confidence must be '0' for 60 pulses, got '1'"),
+        ],
+    )
+    def test_envelope_the_writer_cannot_write_rejected(self, fields, message):
+        text = write_profiles_csv(ONE_PROFILE) + f"u2,2024-03-04,{fields}\n"
+        days = DayGrid.empty([("u1", DAY), ("u2", DAY)])
+        with pytest.raises(ValueError) as err:
+            read_profiles_csv(io.StringIO(text), days)
+        assert str(err.value) == f"profile CSV row 3: {message}"
+
+    def test_flat_envelope_and_the_confidence_threshold_read(self):
+        # max_hr equal to min_hr, and the first pulse counts on either side
+        # of MIN_CONFIDENT_PULSES
+        days = DayGrid.empty([("u1", DAY), ("u2", DAY), ("u3", DAY)])
+        text = write_profiles_csv(ONE_PROFILE).splitlines(keepends=True)[0] + (
+            "u1,2024-03-04,70.0,70.0,1,1\nu2,2024-03-04,61.0,132.0,59,1\n"
+            "u3,2024-03-04,0.0,132.0,60,0\n"
+        )
+        again = read_profiles_csv(io.StringIO(text), days)
+        assert again.min_hr.tolist() == [70.0, 61.0, 0.0]
+        assert again.max_hr.tolist() == [70.0, 132.0, 132.0]
+
     @pytest.mark.parametrize("user, day", [("u2", "2024-03-04"), ("u1", "2024-03-05")])
     def test_row_outside_the_grid_rejected(self, user, day):
         text = write_profiles_csv(ONE_PROFILE) + f"{user},{day},61.0,132.0,45,1\n"

@@ -145,6 +145,13 @@ def lstm_oracle(x, wx, wh, b, reverse):
     return h_seq
 
 
+def hidden_states(x, wx, wh, b, reverse, keep_cache=True):
+    """Every step's hidden state of one production-kernel direction."""
+    h_seq = np.empty(x.shape[:2] + (wh.shape[0],))
+    _lstm_forward(x, wx, wh, b, reverse, h_seq, keep_cache)
+    return h_seq
+
+
 def ref_sigmoid(x):
     """The masked two-branch sigmoid of the per-gate reference kernel."""
     out = np.empty_like(x)
@@ -241,6 +248,25 @@ def ref_lstm_backward(dh_seq, cache, wx, wh):
     return dx, d_wx, d_wh, d_b
 
 
+def ref_unit_forward(x, wx, wh, b, reverse, h_seq=None, keep_cache=True):
+    """The reference kernel behind the production kernel's signature."""
+    h_ref, cache = ref_lstm_forward(x, wx, wh, b, reverse)
+    if h_seq is not None:
+        h_seq[...] = h_ref
+    return h_ref[:, 0 if reverse else -1].copy(), cache if keep_cache else None
+
+
+def ref_unit_backward(dh_seq, cache, wx, wh):
+    """The reference backward pass, given the gradient of a (B, H) last step
+    as the zero-filled (B, W, H) slab that carried it before."""
+    if dh_seq.ndim == 2:
+        h_seq = cache["h"]
+        last = 0 if cache["reverse"] else -1
+        dh_seq, dh_last = np.zeros_like(h_seq), dh_seq
+        dh_seq[:, last] = dh_last
+    return ref_lstm_backward(dh_seq, cache, wx, wh)
+
+
 class TestLstmForward:
     def test_matches_recurrence_oracle(self):
         rng = np.random.default_rng(2)
@@ -249,9 +275,8 @@ class TestLstmForward:
         wh = rng.normal(scale=0.4, size=(2, 8))
         b = rng.normal(scale=0.2, size=(8,))
         for reverse in (False, True):
-            h_seq, _ = _lstm_forward(x, wx, wh, b, reverse)
             np.testing.assert_allclose(
-                h_seq, lstm_oracle(x, wx, wh, b, reverse), atol=1e-12
+                hidden_states(x, wx, wh, b, reverse), lstm_oracle(x, wx, wh, b, reverse), atol=1e-12
             )
 
     def test_single_step_hand_computation(self):
@@ -260,7 +285,7 @@ class TestLstmForward:
         wx = np.array([[0.5, -0.25, 1.0, 0.75]])
         wh = np.zeros((1, 4))
         b = np.array([0.1, 0.2, -0.3, 0.0])
-        h_seq, _ = _lstm_forward(x, wx, wh, b, False)
+        h_seq = hidden_states(x, wx, wh, b, False)
         sig = lambda v: 1.0 / (1.0 + math.exp(-v))
         i = sig(2.0 * 0.5 + 0.1)
         f = sig(2.0 * -0.25 + 0.2)
@@ -279,61 +304,116 @@ class TestLstmForward:
         np.testing.assert_array_equal(logits2, np.zeros((2, 13)))
 
 
+def kernel_case(shape, hidden, reverse):
+    """Input and weights whose first step sees gate pre-activations of
+    exactly 0.0, of |z| > 40 and of |z| > 745 (see TestKernelMatchesReference)."""
+    rng = np.random.default_rng(sum(shape) + hidden)
+    scale = np.resize([0.0, 1.0, 60.0, 1500.0, 1e4], 4 * hidden)
+    x = rng.normal(size=shape)
+    wx = rng.normal(scale=0.5, size=(shape[2], 4 * hidden)) * scale
+    wh = rng.normal(scale=0.5, size=(hidden, 4 * hidden)) * scale
+    b = rng.normal(scale=0.2, size=4 * hidden) * scale
+    first = x[:, -1 if reverse else 0] @ wx + b  # the first step has h = 0
+    assert (first == 0.0).any()
+    assert (np.abs(first) > 40.0).any()
+    assert (np.abs(first) > 745.0).any()
+    return rng, x, wx, wh, b
+
+
+#: Widths 1 and 2 put every step of the backward pass at an edge of the
+#: recomputed h_{t-1}: no previous step, or a previous step that is the first.
+KERNEL_SHAPES = [
+    ((1, 1, 5), 3), ((3, 7, 5), 4), ((256, 60, 64), 32), ((4, 1, 5), 3), ((4, 2, 5), 3)
+]
+
+
 class TestKernelMatchesReference:
     """The fused kernel is bit-identical to the per-gate reference, including
     saturated and underflowing gates. Each weight column is scaled by one of
     0, 1, 60, 1500 or 10^4, so the gate blocks see pre-activations of exactly
     0.0 (zero column, zero bias), of |z| > 40 and of |z| beyond 745, where
     exp(-|z|) underflows to 0. (z = -0.0 cannot reach the gates: a
-    BLAS sum of zero products is +0.0.)"""
+    BLAS sum of zero products is +0.0.) The production cache holds no
+    hidden states: the backward pass recomputes them from the gates and the
+    cell states."""
 
-    @pytest.mark.parametrize(
-        "shape, hidden", [((1, 1, 5), 3), ((3, 7, 5), 4), ((256, 60, 64), 32)]
-    )
+    @pytest.mark.parametrize("shape, hidden", KERNEL_SHAPES)
     @pytest.mark.parametrize("reverse", [False, True])
     def test_forward_and_backward_are_bit_identical(self, shape, hidden, reverse):
-        rng = np.random.default_rng(sum(shape) + hidden)
-        scale = np.resize([0.0, 1.0, 60.0, 1500.0, 1e4], 4 * hidden)
-        x = rng.normal(size=shape)
-        wx = rng.normal(scale=0.5, size=(shape[2], 4 * hidden)) * scale
-        wh = rng.normal(scale=0.5, size=(hidden, 4 * hidden)) * scale
-        b = rng.normal(scale=0.2, size=4 * hidden) * scale
-        first = x[:, -1 if reverse else 0] @ wx + b  # the first step has h = 0
-        assert (first == 0.0).any()
-        assert (np.abs(first) > 40.0).any()
-        assert (np.abs(first) > 745.0).any()
-
+        rng, x, wx, wh, b = kernel_case(shape, hidden, reverse)
         h_ref, cache_ref = ref_lstm_forward(x, wx, wh, b, reverse)
-        h_new, cache_new = _lstm_forward(x, wx, wh, b, reverse)
+        h_new = np.empty_like(h_ref)
+        last, cache_new = _lstm_forward(x, wx, wh, b, reverse, h_new)
         np.testing.assert_array_equal(h_new, h_ref)
+        assert np.array_equal(last, h_ref[:, 0 if reverse else -1])
+        assert sorted(cache_new) == ["c", "gates", "reverse", "x"]
+        # an inference pass keeps no cache and computes the same states
+        last_inf, no_cache = _lstm_forward(x, wx, wh, b, reverse, keep_cache=False)
+        assert no_cache is None
+        assert np.array_equal(last_inf, last)
+        assert np.array_equal(hidden_states(x, wx, wh, b, reverse, keep_cache=False), h_ref)
+
         dh_seq = rng.normal(size=h_ref.shape)
         want = ref_lstm_backward(dh_seq, cache_ref, wx, wh)
         got = _lstm_backward(dh_seq, cache_new, wx, wh)
         for name, g, w in zip(("dx", "d_wx", "d_wh", "d_b"), got, want):
             assert np.array_equal(g, w), name
 
+    @pytest.mark.parametrize("shape, hidden", KERNEL_SHAPES)
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_last_step_gradient_matches_a_zero_filled_slab(self, shape, hidden, reverse):
+        # final pooling hands the backward pass the (B, H) gradient of the
+        # direction's last step; signed zeros included, it must act as the
+        # zero-filled (B, W, H) slab that carried it before
+        rng, x, wx, wh, b = kernel_case(shape, hidden, reverse)
+        dh_last = rng.normal(size=(shape[0], hidden))
+        dh_last[:, ::3] = -0.0
+        dh_slab = np.zeros(shape[:2] + (hidden,))
+        dh_slab[:, 0 if reverse else -1] = dh_last
+        want = ref_lstm_backward(dh_slab, ref_lstm_forward(x, wx, wh, b, reverse)[1], wx, wh)
+        got = _lstm_backward(dh_last, _lstm_forward(x, wx, wh, b, reverse)[1], wx, wh)
+        for name, g, w in zip(("dx", "d_wx", "d_wh", "d_b"), got, want):
+            assert np.array_equal(g, w), name
 
-def benchmark_batch(pooling="final"):
+
+def benchmark_batch(pooling="final", dropout=0.1, batch=256):
     """A batch at the train benchmark's shape: 256 windows of width 60,
     hidden size 32 and dropout 0.1."""
     rng = np.random.default_rng(21)
-    x = rng.normal(size=(256, 60, 5))
-    y1 = rng.integers(0, 3, size=256)
-    y2 = rng.integers(0, 13, size=256)
-    return init_params(5, 32, 13, seed=6, dropout=0.1, pooling=pooling), x, y1, y2
+    x = rng.normal(size=(batch, 60, 5))
+    y1 = rng.integers(0, 3, size=batch)
+    y2 = rng.integers(0, 13, size=batch)
+    return init_params(5, 32, 13, seed=6, dropout=dropout, pooling=pooling), x, y1, y2
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBenchmarkShape:
-    @pytest.mark.parametrize("pooling", POOLING_MODES)
-    def test_loss_and_grads_match_the_reference_kernel(self, pooling, monkeypatch):
-        params, x, y1, y2 = benchmark_batch(pooling)
+    @pytest.mark.parametrize(
+        "pooling, dropout",
+        [
+            pytest.param("final", 0.1, id="final"),
+            pytest.param("mean", 0.1, id="mean"),
+            pytest.param("final", 0.0, id="final-no-dropout"),
+            pytest.param("mean", 0.0, id="mean-no-dropout"),
+        ],
+    )
+    def test_loss_and_grads_match_the_reference_kernel(self, pooling, dropout, monkeypatch):
+        params, x, y1, y2 = benchmark_batch(pooling, dropout)
         fused = loss_and_grads(params, x, y1, y2, rng=np.random.default_rng(8))
-        # the same draws, scaled as the reference mask was: as float, then divided
-        keep = np.random.default_rng(8).random((256, 60, 64)) >= 0.1
-        mask = keep.astype(np.float64) / (1.0 - 0.1)
-        monkeypatch.setattr(network, "_lstm_forward", ref_lstm_forward)
-        monkeypatch.setattr(network, "_lstm_backward", ref_lstm_backward)
-        reference = loss_and_grads(params, x, y1, y2, dropout_mask=mask)
+        # the same draws as a keep array; without dropout nothing is drawn
+        keep = np.random.default_rng(8).random((256, 60, 64)) >= 0.1 if dropout else None
+        monkeypatch.setattr(network, "_lstm_forward", ref_unit_forward)
+        monkeypatch.setattr(network, "_lstm_backward", ref_unit_backward)
+        reference = loss_and_grads(params, x, y1, y2, dropout_mask=keep)
         assert fused[0] == reference[0]
         for name in _ARRAY_ORDER:
             assert np.array_equal(fused[1][name], reference[1][name]), name
@@ -341,18 +421,31 @@ class TestBenchmarkShape:
             assert np.array_equal(fused[2][name], part), name
 
     def test_loss_and_grads_peak_memory_is_bounded(self):
-        """Each direction holds one (B, W, 4H) slab, 15 MiB here, which holds
-        its pre-activations, then its gates, then dz; the backward pass frees
-        each direction's cache once it is through. One more such slab per
-        pass takes the traced peak (121 MiB) over the bound."""
+        """Each direction's cache holds one (B, W, 4H) slab, 15 MiB here,
+        which holds its pre-activations, then its gates, then dz, and its
+        cell states, 3.75 MiB; the backward pass recomputes the hidden
+        states and frees each direction's cache once it is through. One more
+        such slab per pass takes the traced peak (89 MiB) over the bound."""
         params, x, y1, y2 = benchmark_batch()
-        tracemalloc.start()
-        try:
-            loss_and_grads(params, x, y1, y2, rng=np.random.default_rng(8))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 130 * 2**20
+        peak = traced_peak(lambda: loss_and_grads(params, x, y1, y2, rng=np.random.default_rng(8)))
+        assert peak < 100 * 2**20
+
+    @pytest.mark.parametrize(
+        "batch, run, bound_mib",
+        [
+            pytest.param(879, lambda p, x: model_forward(x, p), 100, id="validation-forward"),
+            pytest.param(1024, lambda p, x: predict(p, x), 105, id="predict"),
+        ],
+    )
+    def test_inference_peak_memory_is_bounded(self, batch, run, bound_mib):
+        """An inference pass keeps no cache: each direction holds one
+        (B, W, 4H) pre-activation slab at a time (51.5 MiB for the 879
+        windows of the default cohort's width-60 validation set, 60 MiB for
+        a predict batch of 1024), and the layer-1 outputs (a quarter of that)
+        are the input of layer 2. Traced peaks 81 and 95 MiB; a gate slab kept
+        past its direction takes them over the bound."""
+        params, x, _, _ = benchmark_batch(batch=batch)
+        assert traced_peak(lambda: run(params, x)) < bound_mib * 2**20
 
 
 class TestBackwardConsumesCache:
@@ -363,7 +456,7 @@ class TestBackwardConsumesCache:
         params = init_params(5, 4, 6, seed=1, dropout=0.2)
         x = np.random.default_rng(3).normal(size=(3, 5, 5))
         logits1, logits2, cache = model_forward(
-            x, params, train_mode=True, rng=np.random.default_rng(0)
+            x, params, train_mode=True, keep_cache=True, rng=np.random.default_rng(0)
         )
         model_backward(np.ones_like(logits1), np.ones_like(logits2), cache, params)
         assert cache["width"] == 5  # the traced benchmark names its spans by it
@@ -373,10 +466,60 @@ class TestBackwardConsumesCache:
     def test_second_encoder_backward_raises(self):
         params = init_params(5, 4, 6, seed=1, dropout=0.0, pooling="mean")
         x = np.random.default_rng(3).normal(size=(3, 5, 5))
-        features, cache = encoder_forward(x, params, train_mode=True)
+        features, cache = encoder_forward(x, params, train_mode=True, keep_cache=True)
         encoder_backward(np.ones_like(features), cache, params)
         with pytest.raises(ValueError, match="consumed by an earlier backward pass"):
             encoder_backward(np.ones_like(features), cache, params)
+
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_backward_on_an_inference_pass_raises(self, train_mode):
+        params = init_params(5, 4, 6, seed=1, dropout=0.2)
+        x = np.random.default_rng(3).normal(size=(3, 5, 5))
+        logits1, logits2, cache = model_forward(
+            x, params, train_mode=train_mode, rng=np.random.default_rng(0)
+        )
+        assert cache is None
+        with pytest.raises(ValueError, match="kept no cache"):
+            model_backward(np.ones_like(logits1), np.ones_like(logits2), cache, params)
+        features, cache = encoder_forward(x, params)
+        with pytest.raises(ValueError, match="kept no cache"):
+            encoder_backward(np.ones_like(features), cache, params)
+
+
+class TestInferencePass:
+    @pytest.mark.parametrize("pooling", POOLING_MODES)
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_logits_match_a_caching_forward(self, pooling, train_mode):
+        params = init_params(5, 6, 13, seed=2, dropout=0.3, pooling=pooling)
+        x = np.random.default_rng(4).normal(size=(9, 11, 5))
+        keep = make_dropout_mask((9, 11, 12), 0.3, np.random.default_rng(5))
+        kwargs = {"train_mode": train_mode, "dropout_mask": keep}
+        *cached, cache = model_forward(x, params, keep_cache=True, **kwargs)
+        *inferred, no_cache = model_forward(x, params, **kwargs)
+        assert cache is not None and no_cache is None
+        for got, want in zip(inferred, cached):
+            assert np.array_equal(got, want)
+
+    def test_keep_array_applies_the_float_mask_products(self):
+        # the scaled float mask the keep array replaced, -0.0 of a dropped
+        # negative included
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(50, 7, 6))
+        keep = make_dropout_mask(a.shape, 0.4, rng)
+        assert keep.dtype == np.bool_ and keep.any() and not keep.all()
+        want = a * (keep.astype(np.float64) / (1.0 - 0.4))
+        got = a.copy()
+        network._apply_dropout(got, keep, 0.4)
+        assert np.signbit(got[~keep & (a < 0)]).all()
+        assert got.tobytes() == want.tobytes()
+
+    def test_float_dropout_mask_rejected(self):
+        params = init_params(5, 4, 6, dropout=0.2)
+        x = np.random.default_rng(3).normal(size=(3, 5, 5))
+        with pytest.raises(ValueError, match="boolean keep array"):
+            model_forward(x, params, train_mode=True, dropout_mask=np.ones((3, 5, 8)))
+        with pytest.raises(ValueError, match=r"shape \(3, 5, 6\) != \(3, 5, 8\)"):
+            model_forward(x, params, train_mode=True, dropout_mask=np.ones((3, 5, 6), bool))
 
 
 class TestPoolingAndInput:
@@ -386,17 +529,18 @@ class TestPoolingAndInput:
         from harforge.model import encoder_forward
 
         feats, cache = encoder_forward(x, p)
-        h2f, _ = _lstm_forward(
+        a = p.arrays
+        h2f = hidden_states(
             np.concatenate(
                 [
-                    _lstm_forward(x, p.arrays["enc1_fwd_wx"], p.arrays["enc1_fwd_wh"], p.arrays["enc1_fwd_b"], False)[0],
-                    _lstm_forward(x, p.arrays["enc1_bwd_wx"], p.arrays["enc1_bwd_wh"], p.arrays["enc1_bwd_b"], True)[0],
+                    hidden_states(x, a["enc1_fwd_wx"], a["enc1_fwd_wh"], a["enc1_fwd_b"], False),
+                    hidden_states(x, a["enc1_bwd_wx"], a["enc1_bwd_wh"], a["enc1_bwd_b"], True),
                 ],
                 axis=2,
             ),
-            p.arrays["enc2_fwd_wx"],
-            p.arrays["enc2_fwd_wh"],
-            p.arrays["enc2_fwd_b"],
+            a["enc2_fwd_wx"],
+            a["enc2_fwd_wh"],
+            a["enc2_fwd_b"],
             False,
         )
         np.testing.assert_allclose(feats[:, :4], h2f[:, -1], atol=1e-12)
@@ -410,13 +554,13 @@ class TestPoolingAndInput:
         a = p.arrays
         out1 = np.concatenate(
             [
-                _lstm_forward(x, a["enc1_fwd_wx"], a["enc1_fwd_wh"], a["enc1_fwd_b"], False)[0],
-                _lstm_forward(x, a["enc1_bwd_wx"], a["enc1_bwd_wh"], a["enc1_bwd_b"], True)[0],
+                hidden_states(x, a["enc1_fwd_wx"], a["enc1_fwd_wh"], a["enc1_fwd_b"], False),
+                hidden_states(x, a["enc1_bwd_wx"], a["enc1_bwd_wh"], a["enc1_bwd_b"], True),
             ],
             axis=2,
         )
-        h2f, _ = _lstm_forward(out1, a["enc2_fwd_wx"], a["enc2_fwd_wh"], a["enc2_fwd_b"], False)
-        h2b, _ = _lstm_forward(out1, a["enc2_bwd_wx"], a["enc2_bwd_wh"], a["enc2_bwd_b"], True)
+        h2f = hidden_states(out1, a["enc2_fwd_wx"], a["enc2_fwd_wh"], a["enc2_fwd_b"], False)
+        h2b = hidden_states(out1, a["enc2_bwd_wx"], a["enc2_bwd_wh"], a["enc2_bwd_b"], True)
         want = np.concatenate([h2f, h2b], axis=2).mean(axis=1)
         np.testing.assert_allclose(feats, want, atol=1e-12)
 
@@ -835,10 +979,10 @@ class TestTrainLoop:
 
         def counted_reference(*args):
             calls.append(args[0].shape)
-            return ref_lstm_forward(*args)
+            return ref_unit_forward(*args)
 
         monkeypatch.setattr(network, "_lstm_forward", counted_reference)
-        monkeypatch.setattr(network, "_lstm_backward", ref_lstm_backward)
+        monkeypatch.setattr(network, "_lstm_backward", ref_unit_backward)
         reference = run("reference.json")
         assert calls
         assert len(fused[1]) == 2
