@@ -401,10 +401,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _count_rows(csv_text: str) -> int:
-    return max(0, csv_text.count("\n") - 1)
-
-
 def _stage_synth(cfg: PipelineConfig, lay: Layout) -> dict:
     cohort = generate_cohort(cfg.cohort_config())
     write_cohort(cohort, lay.dir("raw"))
@@ -412,9 +408,9 @@ def _stage_synth(cfg: PipelineConfig, lay: Layout) -> dict:
         "users": cfg["cohort.n_users"],
         "days": cfg["cohort.n_days"],
         "hr_rows": len(cohort.hr[1]),
-        "activity_rows": _count_rows(cohort.activity_csv),
-        "sleep_rows": _count_rows(cohort.sleep_csv),
-        "schedule_rows": _count_rows(cohort.schedule_csv),
+        "activity_rows": len(cohort.activity),
+        "sleep_rows": len(cohort.sleep),
+        "schedule_rows": len(cohort.schedule),
     }
 
 

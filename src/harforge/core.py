@@ -20,7 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -178,6 +178,12 @@ def epoch_second(ts: datetime) -> int:
     taken as UTC."""
     delta = as_utc(ts) - _EPOCH
     return delta.days * SECONDS_PER_DAY + delta.seconds
+
+
+def from_epoch_second(sec: int) -> datetime:
+    """The aware UTC datetime ``sec`` seconds after the Unix epoch: the
+    inverse of epoch_second."""
+    return _EPOCH + timedelta(seconds=sec)
 
 
 def epoch_minute(ts: datetime) -> int:

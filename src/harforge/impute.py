@@ -53,6 +53,18 @@ class ImputeConfig:
     awake_factor: float = 1.2
     max_gap_minutes: int = 120
 
+    def __post_init__(self) -> None:
+        for name in ("night_start_minute", "night_end_minute"):
+            value = getattr(self, name)
+            if not 0 <= value < MINUTES_PER_DAY:
+                raise ValueError(f"{name} must be in [0, {MINUTES_PER_DAY}), got {value}")
+        for name in ("night_sleep_factor", "day_sleep_factor", "awake_factor"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if self.max_gap_minutes < 0:
+            raise ValueError(f"max_gap_minutes must be non-negative, got {self.max_gap_minutes}")
+
     def is_night(self, index):
         """Whether minute ``index`` (an int or an array of them) is nocturnal."""
         return (index >= self.night_start_minute) | (index <= self.night_end_minute)

@@ -17,7 +17,9 @@ columns. A file in the canonical form of ``hr_chunks``, the one HR writer
 columns with numpy (``harforge.codec``); any other file, and every file
 with an error, goes row by row through ``parse_hr_rows``, which defines the
 format and its error messages. The three small streams parse into lists of
-records, row by row.
+records, row by row, and each has one writer of records, ``serialize_*``
+(of ``canonical/`` and of the generator's ``raw/`` files), whose
+timestamps are ``format_timestamp``'s.
 """
 
 from __future__ import annotations
@@ -403,23 +405,12 @@ def parse_schedule(
     )
 
 
-def format_epoch_second(sec: int, day_cache: dict[int, str]) -> str:
-    """Canonical ISO-8601 UTC form of an epoch second, with a trailing Z;
-    ``day_cache`` keeps each epoch day's date text, so share it across calls."""
-    day, rem = divmod(sec, SECONDS_PER_DAY)
-    text = day_cache.get(day)
-    if text is None:
-        text = day_cache[day] = date.fromordinal(EPOCH_ORDINAL + day).isoformat()
-    h, rem = divmod(rem, 3600)
-    m, s = divmod(rem, 60)
-    return f"{text}T{h:02d}:{m:02d}:{s:02d}Z"
-
-
 def format_timestamp(ts: datetime) -> str:
-    """Canonical ISO-8601 UTC form with a trailing Z and whole seconds."""
+    """Canonical ISO-8601 UTC form with a trailing Z and whole seconds;
+    naive input is taken as UTC."""
     if ts.microsecond:
         raise ValueError("timestamps are stored at whole-second resolution")
-    return format_epoch_second(epoch_second(ts), {})
+    return as_utc(ts).isoformat()[:-6] + "Z"
 
 
 def serialize_hr_stream(hr: HrStream) -> str:
@@ -434,7 +425,7 @@ def hr_chunks(
     """Canonical HR bytes of the rows ``users[user[i]], second[i], bpm[i]``
     in the order given, a block of rows at a time (see codec.join_rows):
     the timestamp as its day, hour, minute and second fields, each value
-    formatted once (``format_epoch_second`` and ``format_number`` forms)."""
+    formatted once (``format_timestamp`` and ``format_number`` forms)."""
     # the distinct days a block at a time: no temporary as long as ``second``
     starts = range(0, len(second), codec.BLOCK_ROWS)
     per_block = (np.unique(second[lo : lo + codec.BLOCK_ROWS] // SECONDS_PER_DAY) for lo in starts)

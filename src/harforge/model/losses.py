@@ -30,10 +30,9 @@ class LossConfig:
     gamma: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        for name in ("lambda1", "lambda2", "alpha", "gamma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

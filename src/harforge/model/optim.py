@@ -47,6 +47,8 @@ class TrainConfig:
             raise ValueError("betas must be in [0, 1)")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
+        if self.early_stopping_patience < 1:
+            raise ValueError("early_stopping_patience must be at least 1")
 
 
 @dataclass

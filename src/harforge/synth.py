@@ -44,16 +44,18 @@ from .core import (
     DEFAULT_TZ_OFFSET_MINUTES,
     EPOCH_ORDINAL,
     MINUTES_PER_DAY,
+    ScheduleBlock,
     SleepState,
-    csv_text,
+    from_epoch_second,
     write_text,
 )
 from .ingest import (
-    ACTIVITY_HEADER,
-    SCHEDULE_HEADER,
-    SLEEP_HEADER,
-    format_epoch_second,
+    RawActivityBlock,
+    RawSleepSegment,
     hr_chunks,
+    serialize_activity_blocks,
+    serialize_schedule,
+    serialize_sleep_segments,
 )
 
 TRUTH_HEADER = (
@@ -189,12 +191,14 @@ class CohortConfig:
 class Cohort:
     """Generator output: the four raw streams plus the truth. ``hr`` is the
     HR samples in generation order as ``ingest.hr_chunks`` takes them: user
-    ids, int64 codes into them, int64 epoch seconds and float64 bpm."""
+    ids, int64 codes into them, int64 epoch seconds and float64 bpm. The
+    three small streams are the records ingest parses, in generation order,
+    and ingest's serializers write them."""
 
     hr: tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
-    activity_csv: str
-    sleep_csv: str
-    schedule_csv: str
+    activity: list[RawActivityBlock]
+    sleep: list[RawSleepSegment]
+    schedule: list[ScheduleBlock]
     truth: DayGrid
 
 
@@ -226,15 +230,14 @@ def _user_ids(n_users: int) -> list[str]:
 
 def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
     """Build one cohort; identical configs yield byte-identical output."""
-    act_rows: list[tuple] = []
-    sleep_rows: list[tuple] = []
-    sched_rows: list[tuple] = []
+    blocks: list[RawActivityBlock] = []
+    segments: list[RawSleepSegment] = []
+    schedule: list[ScheduleBlock] = []
     # HR samples as columns in generation order, filled up to n_hr and
     # trimmed at the end; a user-day has at most four samples a minute
     size = config.n_users * config.n_days * MINUTES_PER_DAY * len(_SAMPLE_SECONDS)
     hr_user, hr_second, hr_bpm = (np.empty(size, t) for t in (np.int64, np.int64, np.float64))
     n_hr = 0
-    date_cache: dict[int, str] = {}
 
     labels_sorted = sorted(config.activity_profiles)
     label_code = {label: code for code, label in enumerate(labels_sorted)}
@@ -329,16 +332,14 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
 
             block_steps = steps.reshape(-1, 15).sum(axis=1)
             block_dist = distance.reshape(-1, 15).sum(axis=1)
-            for b in range(block_steps.shape[0]):
-                if block_steps[b] == 0 and block_dist[b] == 0.0:
-                    continue
-                ts = format_epoch_second((day_base_min + b * 15) * 60, date_cache)
-                act_rows.append((user, ts, int(block_steps[b]), repr(float(block_dist[b]))))
+            for b in np.flatnonzero((block_steps != 0) | (block_dist != 0.0)).tolist():
+                ts = from_epoch_second((day_base_min + b * 15) * 60)
+                blocks.append(RawActivityBlock(user, ts, int(block_steps[b]), float(block_dist[b])))
 
             for start, end, label in realized:
-                s_ts = format_epoch_second((day_base_min + start) * 60, date_cache)
-                e_ts = format_epoch_second((day_base_min + end) * 60, date_cache)
-                sched_rows.append((user, s_ts, e_ts, label))
+                s_ts = from_epoch_second((day_base_min + start) * 60)
+                e_ts = from_epoch_second((day_base_min + end) * 60)
+                schedule.append(ScheduleBlock(user, s_ts, e_ts, label))
 
             truth.sleep[r] = np.where(sleep_mask, _ASLEEP, _AWAKE)
             truth.steps[r] = steps
@@ -351,24 +352,22 @@ def generate_cohort(config: CohortConfig = CohortConfig()) -> Cohort:
         changes = (np.flatnonzero(all_states[1:] != all_states[:-1]) + 1).tolist()
         bounds = [0, *changes, n_total] if n_total else []
         for pos, run_end in zip(bounds, bounds[1:]):
-            state_text = "sleep" if all_states[pos] else "awake"
+            state = SleepState.SLEEP if all_states[pos] else SleepState.AWAKE
             chunk_start = pos
             while chunk_start < run_end:
                 chunk_len = min(int(rng.integers(8, 26)), run_end - chunk_start)
                 keep = rng.random() >= config.sleep_dropout
                 if keep:
-                    s_ts = format_epoch_second((local_base + chunk_start) * 60, date_cache)
-                    e_ts = format_epoch_second(
-                        (local_base + chunk_start + chunk_len) * 60, date_cache
-                    )
-                    sleep_rows.append((user, s_ts, e_ts, state_text))
+                    s_ts = from_epoch_second((local_base + chunk_start) * 60)
+                    e_ts = from_epoch_second((local_base + chunk_start + chunk_len) * 60)
+                    segments.append(RawSleepSegment(user, s_ts, e_ts, state))
                 chunk_start += chunk_len
 
     return Cohort(
         hr=(users, hr_user[:n_hr], hr_second[:n_hr], hr_bpm[:n_hr]),
-        activity_csv=csv_text(ACTIVITY_HEADER, act_rows),
-        sleep_csv=csv_text(SLEEP_HEADER, sleep_rows),
-        schedule_csv=csv_text(SCHEDULE_HEADER, sched_rows),
+        activity=blocks,
+        sleep=segments,
+        schedule=schedule,
         truth=truth,
     )
 
@@ -378,9 +377,9 @@ def write_cohort(cohort: Cohort, out_dir) -> dict[str, str]:
     paths = {}
     for name, text in (
         ("hr.csv", hr_chunks(*cohort.hr)),
-        ("activity.csv", cohort.activity_csv),
-        ("sleep.csv", cohort.sleep_csv),
-        ("schedule.csv", cohort.schedule_csv),
+        ("activity.csv", serialize_activity_blocks(cohort.activity)),
+        ("sleep.csv", serialize_sleep_segments(cohort.sleep)),
+        ("schedule.csv", serialize_schedule(cohort.schedule)),
         ("truth.csv", TRUTH_FORMAT.chunks(cohort.truth)),
     ):
         paths[name] = os.path.join(out_dir, name)

@@ -151,20 +151,11 @@ def _point(angle_index: int, radius_frac: float) -> tuple[float, float]:
     return _CX + r * math.cos(theta), _CY + r * math.sin(theta)
 
 
-def _points_text(radii_pct: Sequence[float]) -> str:
-    parts = []
-    for k, pct in enumerate(radii_pct):
-        x, y = _point(k, pct / 100.0)
-        parts.append(f"{x:.3f},{y:.3f}")
-    return " ".join(parts)
-
-
-def _ring_path(radii_pct: Sequence[float]) -> str:
-    coords = []
-    for k, pct in enumerate(radii_pct):
-        x, y = _point(k, pct / 100.0)
-        coords.append(f"{x:.3f} {y:.3f}")
-    return "M " + " L ".join(coords) + " Z"
+def _coords(radii_pct: Sequence[float], within: str, between: str) -> str:
+    """The chart point of each radius, x and y joined by ``within`` and the
+    points by ``between``."""
+    points = (_point(k, pct / 100.0) for k, pct in enumerate(radii_pct))
+    return between.join(f"{x:.3f}{within}{y:.3f}" for x, y in points)
 
 
 def render_radar(
@@ -229,11 +220,11 @@ def render_radar(
         lines.append(
             f'<line class="axis" x1="{_CX:.3f}" y1="{_CY:.3f}" x2="{x:.3f}" y2="{y:.3f}"/>'
         )
-    band_path = _ring_path(band_hi_pct) + " " + _ring_path(band_lo_pct)
+    band_path = " ".join(f"M {_coords(pct, ' ', ' L ')} Z" for pct in (band_hi_pct, band_lo_pct))
     lines.append(f'<path class="band" fill-rule="evenodd" d="{band_path}"/>')
-    lines.append(f'<polygon class="series group" points="{_points_text(med_pct)}"/>')
+    lines.append(f'<polygon class="series group" points="{_coords(med_pct, ",", " ")}"/>')
     lines.append(
-        f'<polygon class="series individual" points="{_points_text(ind_pct)}"/>'
+        f'<polygon class="series individual" points="{_coords(ind_pct, ",", " ")}"/>'
     )
     for k, metric in enumerate(METRICS):
         x, y = _point(k, 1.13)

@@ -31,12 +31,7 @@ from harforge.dataset import (
 )
 from harforge.evaluation import evaluate_run, macro_f1, roc_auc_ovr
 from harforge.impute import impute_cohort
-from harforge.ingest import (
-    parse_activity_blocks,
-    parse_hr_stream,
-    parse_schedule,
-    parse_sleep_segments,
-)
+from harforge.ingest import parse_hr_stream
 from harforge.model import (
     LossConfig,
     TrainConfig,
@@ -142,9 +137,9 @@ def _aligned_chain(config, hr_text):
     taxonomy = default_taxonomy()
     aligned = align_cohort(
         parse_hr_stream(_keepends(hr_text(cohort))),
-        parse_activity_blocks(_keepends(cohort.activity_csv)),
-        parse_sleep_segments(_keepends(cohort.sleep_csv)),
-        parse_schedule(_keepends(cohort.schedule_csv), taxonomy),
+        cohort.activity,
+        cohort.sleep,
+        cohort.schedule,
         tz_offset_minutes=config.tz_offset_minutes,
     )
     return cohort, taxonomy, aligned

@@ -396,7 +396,7 @@ def _save_checkpoint(path, text, monkeypatch):
 TEXT_WRITERS = {
     # the text is the one user id of hr.csv, encoded as the file is written
     "write_cohort": lambda path, text, mp: write_cohort(
-        Cohort(([text], *np.zeros((2, 1), np.int64), np.ones(1)), "", "", "", DayGrid.empty([])),
+        Cohort(([text], *np.zeros((2, 1), np.int64), np.ones(1)), [], [], [], DayGrid.empty([])),
         path.parent,
     ),
     "save_taxonomy": lambda path, text, mp: save_taxonomy(
@@ -802,8 +802,42 @@ class TestPipelineEndToEnd:
             ("loss.gamma = -1", "train", "loss: gamma must be non-negative"),
             ("train.batch_size = 0", "train", "train: batch_size must be positive"),
             ("split.fractions = 0.5,0.2,0.2", "dataset", "split: fractions must sum to 1"),
+            (
+                "impute.night_start_minute = 5000", "impute",
+                "impute: night_start_minute must be in [0, 1440), got 5000",
+            ),
+            (
+                "impute.night_end_minute = -1", "impute",
+                "impute: night_end_minute must be in [0, 1440), got -1",
+            ),
+            (
+                "impute.awake_factor = -1", "impute",
+                "impute: awake_factor must be positive, got -1.0",
+            ),
+            (
+                "impute.night_sleep_factor = 0", "impute",
+                "impute: night_sleep_factor must be positive, got 0.0",
+            ),
+            (
+                "impute.max_gap_minutes = -3", "impute",
+                "impute: max_gap_minutes must be non-negative, got -3",
+            ),
+            ("loss.lambda1 = -2", "train", "loss: lambda1 must be non-negative"),
+            ("loss.lambda2 = -0.5", "train", "loss: lambda2 must be non-negative"),
+            (
+                "train.early_stopping_patience = -4", "train",
+                "train: early_stopping_patience must be at least 1",
+            ),
+            (
+                "train.early_stopping_patience = 0", "train",
+                "train: early_stopping_patience must be at least 1",
+            ),
         ],
-        ids=["dropout", "pooling", "gamma", "batch_size", "fractions"],
+        ids=[
+            "dropout", "pooling", "gamma", "batch_size", "fractions", "night_start",
+            "night_end", "awake_factor", "night_sleep_factor", "max_gap", "lambda1", "lambda2",
+            "patience", "patience_zero",
+        ],
     )
     def test_value_a_section_config_rejects_stops_before_any_output(
         self, pipeline_tree, tmp_path, capsys, line, stage, message, via
@@ -818,7 +852,7 @@ class TestPipelineEndToEnd:
         else:
             out = tmp_path / "tree"
             shutil.copytree(pipeline_tree[1], out)
-            gone = out / stage
+            gone = out / STAGE_TABLE[stage].writes[0].split("/")[0]
             shutil.rmtree(gone)
             os.remove(out / "reports" / f"{stage}.json")
         command = "pipeline" if via == "pipeline" else stage

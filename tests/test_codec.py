@@ -41,11 +41,11 @@ from harforge.align import (
     read_aligned_csv,
     write_aligned_csv,
 )
-from harforge.core import MINUTES_PER_DAY, SleepState, format_number
+from harforge.core import MINUTES_PER_DAY, SleepState, format_number, from_epoch_second
 from harforge.ingest import (
     HR_HEADER,
     HrStream,
-    format_epoch_second,
+    format_timestamp,
     parse_hr_rows,
     parse_hr_stream,
     serialize_hr_stream,
@@ -135,9 +135,8 @@ def reference_hr_text(hr: HrStream) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(HR_HEADER)
-    day_cache: dict = {}
     for u, sec, bpm in zip(hr.user.tolist(), hr.second.tolist(), hr.bpm.tolist()):
-        writer.writerow((hr.users[u], format_epoch_second(sec, day_cache), format_number(bpm)))
+        writer.writerow((hr.users[u], format_timestamp(from_epoch_second(sec)), format_number(bpm)))
     return buf.getvalue()
 
 

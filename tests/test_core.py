@@ -29,6 +29,7 @@ from harforge.core import (
     epoch_minute,
     epoch_second,
     format_number,
+    from_epoch_second,
     load_taxonomy,
     local_day_and_index,
     read_taxonomy,
@@ -98,6 +99,14 @@ class TestEpochSecond:
             ts = utc(1970, 1, 1) + timedelta(seconds=rng.randrange(-3 * 10**9, 3 * 10**9))
             assert epoch_second(ts) == int(ts.timestamp())
             assert epoch_minute(ts) == epoch_second(ts) // 60
+
+    def test_from_epoch_second_is_the_inverse(self):
+        assert from_epoch_second(-1) == utc(1969, 12, 31, 23, 59, 59)
+        assert from_epoch_second(0).tzinfo is timezone.utc
+        rng = random.Random(6)
+        for _ in range(2000):
+            sec = rng.randrange(-3 * 10**10, 3 * 10**10)
+            assert epoch_second(from_epoch_second(sec)) == sec
 
 
 class TestLocalDayAndIndex:

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from harforge import ingest
-from harforge.core import SleepState, epoch_second, format_number
+from harforge.core import SleepState, epoch_second, format_number, from_epoch_second
 from harforge.ingest import (
     RawActivityBlock,
     RawSleepSegment,
     StreamFormatError,
-    format_epoch_second,
     parse_activity_blocks,
     parse_hr_stream,
     parse_schedule,
@@ -264,7 +263,10 @@ class TestHrStream:
             rows.sort(key=lambda row: (["u2", "u10", "u1"].index(row[0]), row[1]))
         text_lines = lines(
             HR_OK,
-            *(f"{u},{format_epoch_second(sec, {})},{format_number(bpm)}" for u, sec, bpm in rows),
+            *(
+                f"{u},{format_timestamp(from_epoch_second(sec))},{format_number(bpm)}"
+                for u, sec, bpm in rows
+            ),
         )
         monkeypatch.setattr(ingest, "parse_hr_rows", None)  # the columnar path only
         if case == "in order":
@@ -511,11 +513,12 @@ def test_interval_error_messages_are_exact(kind, rows, message, taxonomy):
 
 class TestFormatTimestamp:
     def test_epoch_seconds_format(self):
-        cache = {}
-        assert format_epoch_second(0, cache) == "1970-01-01T00:00:00Z"
-        assert format_epoch_second(86400 + 3723, cache) == "1970-01-02T01:02:03Z"
-        assert format_epoch_second(-1, cache) == "1969-12-31T23:59:59Z"
-        assert sorted(cache) == [-1, 0, 1]
+        assert format_timestamp(from_epoch_second(0)) == "1970-01-01T00:00:00Z"
+        assert format_timestamp(from_epoch_second(86400 + 3723)) == "1970-01-02T01:02:03Z"
+        assert format_timestamp(from_epoch_second(-1)) == "1969-12-31T23:59:59Z"
+
+    def test_naive_is_utc(self):
+        assert format_timestamp(datetime(2024, 3, 4, 6, 5, 3)) == "2024-03-04T06:05:03Z"
 
     def test_matches_strftime_and_round_trips(self):
         rng = random.Random(9)
@@ -525,7 +528,7 @@ class TestFormatTimestamp:
             )
             text = format_timestamp(ts)
             assert text == f"{ts:%Y-%m-%dT%H:%M:%S}Z"
-            assert format_epoch_second(epoch_second(ts), {}) == text
+            assert from_epoch_second(epoch_second(ts)) == ts
 
     def test_years_before_1000_keep_four_digits_and_round_trip(self):
         ts = datetime(999, 12, 31, 23, 59, 58, tzinfo=UTC)

@@ -2,6 +2,7 @@
 and truth-based imputation scoring."""
 
 import io
+import time
 import tracemalloc
 from dataclasses import replace as dc_replace
 from datetime import date
@@ -25,7 +26,6 @@ from harforge.ingest import (
     HR_HEADER,
     SCHEDULE_HEADER,
     SLEEP_HEADER,
-    format_epoch_second,
     parse_activity_blocks,
     parse_hr_stream,
     parse_schedule,
@@ -53,6 +53,11 @@ SMALL = CohortConfig(n_users=2, n_days=3, seed=11)
 ReferenceTruth = dict[tuple[str, date], tuple[np.ndarray, list, np.ndarray, np.ndarray]]
 
 
+def utc_text(sec: int) -> str:
+    """The canonical timestamp text of an epoch second, from the C library."""
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(sec))
+
+
 def reference_generate_cohort(config: CohortConfig) -> tuple[tuple[str, ...], ReferenceTruth]:
     """The per-minute, per-sample generator: one Python iteration per minute
     for the targets and per HR sample for the text. Returns the four stream
@@ -63,7 +68,6 @@ def reference_generate_cohort(config: CohortConfig) -> tuple[tuple[str, ...], Re
     sleep_rows: list[str] = [",".join(SLEEP_HEADER)]
     sched_rows: list[str] = [",".join(SCHEDULE_HEADER)]
     truth: ReferenceTruth = {}
-    date_cache: dict[int, str] = {}
 
     labels_sorted = sorted(config.activity_profiles)
     base_ordinal = config.start_date.toordinal()
@@ -152,23 +156,21 @@ def reference_generate_cohort(config: CohortConfig) -> tuple[tuple[str, ...], Re
                 for k in range(4):
                     sec = _SAMPLE_SECONDS[k] + int(sec_jitter[i, k])
                     value = round(max(25.0, float(hr_minute[i] + val_noise[i, k])), 2)
-                    hr_rows.append(
-                        f"{user},{format_epoch_second(minute_sec + sec, date_cache)},{repr(value)}"
-                    )
+                    hr_rows.append(f"{user},{utc_text(minute_sec + sec)},{repr(value)}")
 
             block_steps = steps.reshape(-1, 15).sum(axis=1)
             block_dist = distance.reshape(-1, 15).sum(axis=1)
             for b in range(block_steps.shape[0]):
                 if block_steps[b] == 0 and block_dist[b] == 0.0:
                     continue
-                ts = format_epoch_second((day_base_min + b * 15) * 60, date_cache)
+                ts = utc_text((day_base_min + b * 15) * 60)
                 act_rows.append(
                     f"{user},{ts},{int(block_steps[b])},{repr(float(block_dist[b]))}"
                 )
 
             for start, end, label in realized:
-                s_ts = format_epoch_second((day_base_min + start) * 60, date_cache)
-                e_ts = format_epoch_second((day_base_min + end) * 60, date_cache)
+                s_ts = utc_text((day_base_min + start) * 60)
+                e_ts = utc_text((day_base_min + end) * 60)
                 sched_rows.append(f"{user},{s_ts},{e_ts},{label}")
 
             all_states[
@@ -189,10 +191,8 @@ def reference_generate_cohort(config: CohortConfig) -> tuple[tuple[str, ...], Re
                 chunk_len = min(int(rng.integers(8, 26)), run_end - chunk_start)
                 keep = rng.random() >= config.sleep_dropout
                 if keep:
-                    s_ts = format_epoch_second((local_base + chunk_start) * 60, date_cache)
-                    e_ts = format_epoch_second(
-                        (local_base + chunk_start + chunk_len) * 60, date_cache
-                    )
+                    s_ts = utc_text((local_base + chunk_start) * 60)
+                    e_ts = utc_text((local_base + chunk_start + chunk_len) * 60)
                     sleep_rows.append(f"{user},{s_ts},{e_ts},{state_text}")
                 chunk_start += chunk_len
             pos = run_end
@@ -260,9 +260,9 @@ class TestDeterminism:
     def test_same_config_is_byte_identical(self, small_cohort, hr_text):
         again = generate_cohort(SMALL)
         assert hr_text(again) == hr_text(small_cohort)
-        assert again.activity_csv == small_cohort.activity_csv
-        assert again.sleep_csv == small_cohort.sleep_csv
-        assert again.schedule_csv == small_cohort.schedule_csv
+        assert again.activity == small_cohort.activity
+        assert again.sleep == small_cohort.sleep
+        assert again.schedule == small_cohort.schedule
         assert TRUTH_FORMAT.write(again.truth) == TRUTH_FORMAT.write(small_cohort.truth)
 
     def test_seed_changes_output(self, small_cohort, hr_text):
@@ -371,9 +371,7 @@ class TestEmptyCohort:
     def test_zero_users_yield_headers_only(self, hr_text):
         cohort = generate_cohort(CohortConfig(n_users=0, n_days=5))
         assert hr_text(cohort) == "user_id,timestamp,hr_bpm\n"
-        assert cohort.activity_csv == "user_id,block_start,steps,distance_m\n"
-        assert cohort.sleep_csv == "user_id,start,end,state\n"
-        assert cohort.schedule_csv == "user_id,start,end,activity_l2\n"
+        assert cohort.activity == cohort.sleep == cohort.schedule == []
         assert cohort.truth.keys == ()
         assert cohort.truth.sleep.shape == (0, MINUTES_PER_DAY)
         assert TRUTH_FORMAT.write(cohort.truth) == ",".join(TRUTH_HEADER) + "\n"
@@ -418,13 +416,20 @@ class TestHrColumns:
 
 
 class TestStreamValidity:
-    def test_all_four_files_parse_cleanly(self, small_cohort, hr_text):
+    def test_all_four_files_parse_cleanly(self, small_cohort, tmp_path):
+        paths = write_cohort(small_cohort, tmp_path)
+        with open(paths["hr.csv"], encoding="utf-8") as fh:
+            assert len(parse_hr_stream(fh)) > 0
+        # generation order is each parser's sorted order for the default
+        # template, so each small file parses back to exactly the records
         taxonomy = default_taxonomy()
-        hr = parse_hr_stream(keepends(hr_text(small_cohort)))
-        blocks = parse_activity_blocks(keepends(small_cohort.activity_csv))
-        segments = parse_sleep_segments(keepends(small_cohort.sleep_csv))
-        schedule = parse_schedule(keepends(small_cohort.schedule_csv), taxonomy)
-        assert hr and blocks and segments and schedule
+        for name, parse, records in (
+            ("activity.csv", parse_activity_blocks, small_cohort.activity),
+            ("sleep.csv", parse_sleep_segments, small_cohort.sleep),
+            ("schedule.csv", lambda fh: parse_schedule(fh, taxonomy), small_cohort.schedule),
+        ):
+            with open(paths[name], encoding="utf-8") as fh:
+                assert records and parse(fh) == records, name
 
     def test_hr_sample_count_without_dropout(self, hr_text):
         cfg = dc_replace(SMALL, n_users=1, n_days=2, hr_dropout=0.0)
@@ -447,9 +452,8 @@ class TestStreamValidity:
 
 class TestConservation:
     def test_activity_blocks_match_truth_sums(self, small_cohort):
-        blocks = parse_activity_blocks(keepends(small_cohort.activity_csv))
         block_of = {}
-        for b in blocks:
+        for b in small_cohort.activity:
             day, idx = local_day_and_index(
                 epoch_minute(b.block_start), SMALL.tz_offset_minutes
             )
@@ -479,8 +483,7 @@ class TestConservation:
 
 class TestSleepSegments:
     def test_states_match_truth(self, small_cohort):
-        segments = parse_sleep_segments(keepends(small_cohort.sleep_csv))
-        for seg in segments:
+        for seg in small_cohort.sleep:
             day, idx = local_day_and_index(
                 epoch_minute(seg.start), SMALL.tz_offset_minutes
             )
@@ -491,9 +494,8 @@ class TestSleepSegments:
     def test_dropout_fraction_of_minutes_is_respected(self):
         cfg = CohortConfig(n_users=6, n_days=6, seed=3)
         cohort = generate_cohort(cfg)
-        segments = parse_sleep_segments(keepends(cohort.sleep_csv))
         covered = sum(
-            int((seg.end - seg.start).total_seconds()) // 60 for seg in segments
+            int((seg.end - seg.start).total_seconds()) // 60 for seg in cohort.sleep
         )
         total = 6 * 6 * 1440
         assert covered / total == pytest.approx(1.0 - cfg.sleep_dropout, abs=0.02)
@@ -626,12 +628,11 @@ class TestConfigValidation:
 
 @pytest.fixture(scope="module")
 def imputed_chain(small_cohort, hr_text):
-    taxonomy = default_taxonomy()
     aligned = align_cohort(
         parse_hr_stream(keepends(hr_text(small_cohort))),
-        parse_activity_blocks(keepends(small_cohort.activity_csv)),
-        parse_sleep_segments(keepends(small_cohort.sleep_csv)),
-        parse_schedule(keepends(small_cohort.schedule_csv), taxonomy),
+        small_cohort.activity,
+        small_cohort.sleep,
+        small_cohort.schedule,
         tz_offset_minutes=SMALL.tz_offset_minutes,
     )
     post, _, marks = impute_cohort(aligned.days)
