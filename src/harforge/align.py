@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass, replace
 from datetime import date
 from functools import partial
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -245,7 +245,8 @@ def align_cohort(
     user shares it. A row without pulses to derive it from keeps NaN.
 
     The offset must be a multiple of 15 so that device blocks stay inside a
-    single local day.
+    single local day. The HR stream is read about codec.BLOCK_ROWS samples
+    at a time, so no temporary is as long as the stream.
     """
     if tz_offset_minutes % BLOCK_MINUTES != 0:
         raise ValueError("tz offset must be a multiple of 15 minutes")
@@ -273,28 +274,56 @@ def align_cohort(
         one int, so keys sort by user, then day; works on arrays too."""
         return code << _ORDINAL_BITS | (minute // MINUTES_PER_DAY + EPOCH_ORDINAL)
 
-    hr_minute = hr.second // 60 + tz_offset_minutes
-    hr_key = pack(np.array([code_of[user] for user in hr.users], np.int64)[hr.user], hr_minute)
+    hr_code = np.array([code_of[user] for user in hr.users], np.int64)
+
+    def hr_blocks() -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """The HR samples about BLOCK_ROWS at a time, each block cut where
+        the (user, minute) key changes, so every minute's samples share one
+        block: its rows, and each sample's local minute and row key."""
+        lo = 0
+        while lo < len(hr):
+            hi = min(lo + codec.BLOCK_ROWS, len(hr))
+            # one sample per key, so a minute of a user runs at most 59 further
+            while hi < len(hr) and hr.user[hi] == hr.user[hi - 1] and (
+                hr.second[hi] // 60 == hr.second[hi - 1] // 60
+            ):
+                hi += 1
+            rows = slice(lo, hi)
+            minute = hr.second[rows] // 60 + tz_offset_minutes
+            yield rows, minute, pack(hr_code[hr.user[rows]], minute)
+            lo = hi
+
     touched = {pack(code_of[user], minute) for user, minute, _ in blocks}
     for _, user, start, end, _ in paints:
         touched.update(range(pack(code_of[user], start), pack(code_of[user], end - 1) + 1))
-    row_keys = np.unique(np.concatenate([hr_key, np.fromiter(touched, np.int64)])).tolist()
+    row_keys = codec.sorted_union(
+        chain((key for _, _, key in hr_blocks()), [np.fromiter(touched, np.int64)]),
+        hr_code[:0],
+    )
     grid = DayGrid.empty(
-        [(users[k >> _ORDINAL_BITS], date.fromordinal(k & _ORDINAL_MASK)) for k in row_keys],
+        [
+            (users[k >> _ORDINAL_BITS], date.fromordinal(k & _ORDINAL_MASK))
+            for k in row_keys.tolist()
+        ],
         labels,
     )
-    row_of = {k: r for r, k in enumerate(row_keys)}
+    row_of = {k: r for r, k in enumerate(row_keys.tolist())}
 
     def cell(user: str, minute: int) -> int:
         return row_of[pack(code_of[user], minute)] * MINUTES_PER_DAY + minute % MINUTES_PER_DAY
 
-    # per-minute mean pulse; bincount adds the samples in stream order
-    cells = np.searchsorted(row_keys, hr_key) * MINUTES_PER_DAY + hr_minute % MINUTES_PER_DAY
-    count = np.bincount(cells, minlength=grid.pulse.size).reshape(grid.pulse.shape)
-    total = np.bincount(cells, hr.bpm, minlength=grid.pulse.size).reshape(grid.pulse.shape)
-    has = count > 0
-    grid.pulse[has] = total[has] / count[has]
-    del hr_minute, hr_key, cells, count, total, has
+    # per-minute mean pulse over the span of cells of each block, whose
+    # cells no other block holds (the stream is sorted by user and second):
+    # bincount adds each cell's samples in stream order, as one bincount
+    # over the whole stream would
+    flat_pulse = grid.pulse.reshape(-1)
+    for rows, minute, key in hr_blocks():
+        cells = np.searchsorted(row_keys, key) * MINUTES_PER_DAY + minute % MINUTES_PER_DAY
+        lo = int(cells[0])
+        count = np.bincount(cells - lo)
+        total = np.bincount(cells - lo, hr.bpm[rows])
+        has = count > 0
+        flat_pulse[lo : lo + len(count)][has] = total[has] / count[has]
 
     # the envelope of each row: percentiles of its own day's pulses, or of
     # all its user's pulses as one row shared by every day of the user; a

@@ -26,6 +26,12 @@ converter the per-row parser applies. Any file that is not in that shape,
 in any block, or whose values a converter rejects, goes whole to the
 format's per-row parser, which defines the format and is the only source of
 error messages and line numbers.
+
+Blocks are small, BLOCK_BYTES of input or BLOCK_ROWS rows, so that the
+temporaries of one block fit in a core's L2 cache and a stage's working
+memory is its columns plus a few blocks, however large the cohort. The
+other blocked passes of the etl stages (align's heart-rate pass, ingest's
+order check, the window store) take their block size from BLOCK_ROWS too.
 """
 
 from __future__ import annotations
@@ -42,10 +48,13 @@ from .core import csv_text, format_number
 
 T = TypeVar("T")
 
-#: Input bytes per block of whole lines, and output rows per block; they
-#: bound the temporaries a codec holds at once.
-BLOCK_BYTES = 1 << 20
-BLOCK_ROWS = 1 << 15
+#: Input bytes per block of whole lines, and rows per block of the writers
+#: and the other blocked passes; they bound the temporaries a pass holds at
+#: once. At 256 KiB and 8192 rows one block's read buffer, field offsets and
+#: per-line columns fit in a core's L2 cache together, and the HR parse
+#: peaks at its three columns plus under six blocks.
+BLOCK_BYTES = 1 << 18
+BLOCK_ROWS = 1 << 13
 
 #: Longest field, in bytes, that the byte-column loops handle. A longer
 #: field sends the file it is read from to the per-row parser, and a longer
@@ -190,7 +199,9 @@ def split_blocks(
     for block in blocks:
         if forbidden[block].any():
             raise NotCanonical
-        ends = np.flatnonzero((block == _COMMA) | (block == _LF))
+        ends = block == _COMMA
+        ends |= block == _LF  # in place: one block-sized temporary, not two
+        ends = np.flatnonzero(ends)
         if len(ends) % n_fields:
             raise NotCanonical
         ends = ends.reshape(-1, n_fields)
@@ -278,17 +289,26 @@ def float_keys(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, np.float64).view(np.int64)
 
 
+def sorted_union(parts: Iterable[np.ndarray], empty: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of all ``parts``, each part made distinct
+    as it comes, so only the distinct values of each part are kept, not the
+    parts; ``empty`` gives the dtype when there are no parts."""
+    return np.unique(np.concatenate([empty, *map(np.unique, parts)]))
+
+
 def value_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct ``keys`` and the index of each key (flattened)
     into them, in the narrowest unsigned dtype that holds every index: the
-    code column of a writer's table of distinct values. The indices are
-    looked up BLOCK_ROWS keys at a time, so no temporary the size of
-    ``keys`` is made beside the sorted copy ``np.unique`` takes."""
+    code column of a writer's table of distinct values. The distinct keys
+    are merged from those of each block of BLOCK_ROWS keys, and the indices
+    looked up a block at a time, so no temporary the size of ``keys`` is
+    made."""
     keys = keys.reshape(-1)
-    values = np.unique(keys)
+    blocks = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(keys), BLOCK_ROWS)]
+    values = sorted_union((keys[rows] for rows in blocks), keys[:0])
     codes = np.empty(len(keys), np.min_scalar_type(max(len(values) - 1, 0)))
-    for lo in range(0, len(keys), BLOCK_ROWS):
-        codes[lo : lo + BLOCK_ROWS] = np.searchsorted(values, keys[lo : lo + BLOCK_ROWS])
+    for rows in blocks:
+        codes[rows] = np.searchsorted(values, keys[rows])
     return values, codes
 
 

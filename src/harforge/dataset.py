@@ -30,11 +30,12 @@ import math
 import statistics
 from dataclasses import dataclass, fields, replace
 from datetime import date
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import codec
 from .align import SLEEP_CODE, DayGrid
 from .core import (
     ActivityTaxonomy, LEVEL1_AWAKE, LEVEL1_SLEEP, MINUTES_PER_DAY, SleepState, json_text,
@@ -149,16 +150,15 @@ def build_windows(
     rows = np.flatnonzero(~np.isnan(days.min_hr))
     pulse = days.pulse[rows]
     has = ~np.isnan(pulse)
-    feats = np.stack(
-        [
-            np.where(has, pulse, 0.0),
-            np.where(has, pulse / days.min_hr[rows, None], 0.0),
-            np.where(has, pulse / days.max_hr[rows, None], 0.0),
-            days.steps[rows],
-            days.distance_m[rows],
-        ],
-        axis=-1,
-    )
+    # each channel written into one block; the pulse channels stay zero
+    # where there is no pulse
+    feats = np.zeros((len(rows), MINUTES_PER_DAY, N_CHANNELS))
+    np.copyto(feats[..., 0], pulse, where=has)
+    np.divide(pulse, days.min_hr[rows, None], out=feats[..., 1], where=has)
+    np.divide(pulse, days.max_hr[rows, None], out=feats[..., 2], where=has)
+    feats[..., 3] = days.steps[rows]
+    feats[..., 4] = days.distance_m[rows]
+    del pulse, has
     codes, names = effective_labels(days)
     starts = np.asarray(slide_windows(MINUTES_PER_DAY, width), dtype=np.int64)
     windows = sliding_window_view(codes[rows], width, axis=1)[:, starts]
@@ -375,9 +375,10 @@ def normalizer_from_json(text: str) -> Normalizer:
 _ROW_COLUMNS = ("users", "days", "start_minute", "label_l1", "label_l2", "synthetic")
 
 
-def window_store_text(windows: WindowSet) -> str:
-    """One JSON object per line; feature floats round-trip exactly."""
-    lines = [
+def window_lines(windows: WindowSet) -> str:
+    """The store lines of ``windows``: one JSON object per line, each line
+    ended by a line feed; feature floats round-trip exactly."""
+    return "".join(
         json.dumps(
             {
                 "user": user,
@@ -391,15 +392,30 @@ def window_store_text(windows: WindowSet) -> str:
             },
             separators=(",", ":"),
         )
+        + "\n"
         for user, day, start, label_l1, label_l2, synthetic, features in zip(
             *(getattr(windows, c).tolist() for c in _ROW_COLUMNS), windows.features
         )
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    )
+
+
+def window_store_chunks(windows: WindowSet) -> Iterator[bytes]:
+    """The UTF-8 bytes of the store, one chunk of ``window_lines`` per block
+    of windows that hold about codec.BLOCK_ROWS feature values, made as it
+    is asked for."""
+    per_block = max(codec.BLOCK_ROWS // (max(windows.width, 1) * N_CHANNELS), 1)
+    for lo in range(0, len(windows), per_block):
+        yield window_lines(windows.select(slice(lo, lo + per_block))).encode("utf-8")
+
+
+def window_store_text(windows: WindowSet) -> str:
+    """The text of the store (the text of ``window_store_chunks``)."""
+    return codec.text_of(window_store_chunks(windows))
 
 
 def write_window_store(windows: WindowSet, path) -> None:
-    write_text(path, window_store_text(windows))
+    """Write the store a block of windows at a time, never holding its text."""
+    write_text(path, window_store_chunks(windows))
 
 
 def read_window_store(stream: Iterable[str] | IO[str]) -> WindowSet:

@@ -232,6 +232,7 @@ def _parse_hr_columns(n: int, lines) -> HrStream:
         second[rows] = _canonical_seconds(block, *codec.field_bounds(ends, 1), day_of)
         texts, _, inv = codec.distinct(block, *codec.field_bounds(ends, 2))
         bpm[rows] = codec.convert(texts, _parse_bpm, np.float64)[inv]
+        del names, texts, inv  # not kept alive while the next block is split
     return _hr_stream(code_of, user, second, bpm)
 
 
@@ -280,34 +281,52 @@ def _hr_stream(
     code_of: dict[str, int], codes: np.ndarray, second: np.ndarray, bpm: np.ndarray
 ) -> HrStream:
     """Rows with ``codes`` into ``code_of`` (in any order), sorted by user
-    name and second, with one row per key. The three columns are renumbered
-    and sorted in place, so the caller must not use them afterwards."""
+    name and second, with one row per key. The three columns are renumbered,
+    sorted and cut to one row per key in place, so the caller must not use
+    them afterwards."""
     users = sorted(code_of)
     user = codes
     if users != list(code_of):  # codes are in order of first appearance
         rank = {name: r for r, name in enumerate(users)}
         user[:] = np.array([rank[name] for name in code_of], np.int64)[user]
-    same_user = user[1:] == user[:-1]
-    same_key = same_user & (second[1:] == second[:-1])
-    later = (
-        (user[1:] > user[:-1])
-        | (same_user & (second[1:] > second[:-1]))
-        | (same_key & (bpm[1:] >= bpm[:-1]))
-    )
+    columns = (user, second, bpm)
     # rows already in key order skip the sort: lexsort is stable, so it
     # would leave them in place; a NaN bpm compares false and is sorted
-    if not later.all():
+    if not all(later.all() for _, later in _row_steps(*columns)):
         order = np.lexsort((bpm, second, user))
-        for column in (user, second, bpm):
+        for column in columns:
             column[:] = column[order]
         del order
-        same_key = (user[1:] == user[:-1]) & (second[1:] == second[:-1])
-    if not same_key.any():
-        return HrStream(tuple(users), user, second, bpm)
-    # duplicate key: keep the first of the sorted group, the lowest value
-    first = np.ones(len(user), bool)
-    first[1:] = ~same_key
-    return HrStream(tuple(users), user[first], second[first], bpm[first])
+    if not any(same.any() for same, _ in _row_steps(*columns)):
+        return HrStream(tuple(users), *columns)
+    # duplicate key: keep the first of the sorted group, the lowest value;
+    # the kept rows move down in place, behind the block that is read
+    kept = min(len(user), 1)
+    for (same, _), lo in zip(_row_steps(*columns), range(1, len(user), codec.BLOCK_ROWS)):
+        keep = np.flatnonzero(~same) + lo
+        for column in columns:
+            column[kept : kept + len(keep)] = column[keep]
+        kept += len(keep)
+    return HrStream(tuple(users), *(column[:kept] for column in columns))
+
+
+def _row_steps(
+    user: np.ndarray, second: np.ndarray, bpm: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each row after the first, a block of BLOCK_ROWS rows at a time:
+    whether it has the key (user, second) of the row before it, and whether
+    it comes after that row in (user, second, bpm) order."""
+    for lo in range(1, len(user), codec.BLOCK_ROWS):
+        hi = min(lo + codec.BLOCK_ROWS, len(user))
+        rows, before = slice(lo, hi), slice(lo - 1, hi - 1)
+        same_user = user[rows] == user[before]
+        same_key = same_user & (second[rows] == second[before])
+        later = (
+            (user[rows] > user[before])
+            | (same_user & (second[rows] > second[before]))
+            | (same_key & (bpm[rows] >= bpm[before]))
+        )
+        yield same_key, later
 
 
 def parse_activity_blocks(stream: Iterable[str] | IO[str]) -> list[RawActivityBlock]:
@@ -428,8 +447,8 @@ def hr_chunks(
     formatted once (``format_timestamp`` and ``format_number`` forms)."""
     # the distinct days a block at a time: no temporary as long as ``second``
     starts = range(0, len(second), codec.BLOCK_ROWS)
-    per_block = (np.unique(second[lo : lo + codec.BLOCK_ROWS] // SECONDS_PER_DAY) for lo in starts)
-    days = np.unique(np.concatenate([second[:0], *per_block]))
+    per_block = (second[lo : lo + codec.BLOCK_ROWS] // SECONDS_PER_DAY for lo in starts)
+    days = codec.sorted_union(per_block, second[:0])
     values, value_code = codec.value_codes(codec.float_keys(bpm))
     tables = (
         [field + "," for field in codec.csv_fields(users)],

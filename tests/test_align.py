@@ -4,12 +4,14 @@ and whole-cohort alignment."""
 import io
 import math
 import random
+import tracemalloc
 from datetime import date, datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from harforge import codec
 from harforge.align import (
     ALIGNED_HEADER,
     LTM_CUTOFF_FACTOR,
@@ -27,7 +29,7 @@ from harforge.align import (
     write_profiles_csv,
 )
 from harforge.core import ScheduleBlock, SleepState, epoch_minute, local_day_and_index
-from harforge.ingest import RawActivityBlock, RawSleepSegment, parse_activity_blocks
+from harforge.ingest import HrStream, RawActivityBlock, RawSleepSegment, parse_activity_blocks
 
 UTC = timezone.utc
 DAY = date(2024, 3, 4)
@@ -887,3 +889,83 @@ def test_cohort_matches_per_minute_reference(grid_values, hr_factory):
         envelope = [percentile_oracle(pooled[user], q) for q in PERCENTILES]
         assert [shared.days.min_hr[r], shared.days.max_hr[r]] == envelope
         assert shared.n_pulses[r] == len(pooled[user])
+
+
+def dense_hr(seed, users, n, span_seconds, start=1709510400):
+    """An HrStream of ``n`` samples of ``users`` at distinct random seconds
+    of ``span_seconds`` from ``start``, bpm with full float64 mantissas so
+    the order of a sum shows in its low bits."""
+    rng = np.random.default_rng(seed)
+    per_user = n // len(users)
+    second = np.concatenate(
+        [np.sort(rng.choice(span_seconds, per_user, replace=False)) for _ in users]
+    )
+    return HrStream(
+        tuple(users),
+        np.repeat(np.arange(len(users)), per_user),
+        start + second.astype(np.int64),
+        rng.uniform(40.0, 190.0, len(second)),
+    )
+
+
+def straddles(hr, rows):
+    """Whether a minute of a user holds samples on both sides of a multiple
+    of ``rows``, where a block cut at ``rows`` samples would split it."""
+    cut = np.arange(rows, len(hr), rows)
+    same_user = hr.user[cut] == hr.user[cut - 1]
+    return bool((same_user & (hr.second[cut] // 60 == hr.second[cut - 1] // 60)).any())
+
+
+class TestBlockedHrPass:
+    """align_cohort reads the HR stream about codec.BLOCK_ROWS samples at a
+    time; the result must be that of one pass over the whole stream."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("scope", ["day", "global"])
+    def test_small_blocks_match_one_block(self, rows, scope, monkeypatch):
+        # about 8 samples a minute, so most block boundaries fall inside a
+        # minute; a sleep segment adds a day and a user without samples
+        hr = dense_hr(5, ("u1", "u3"), 3000, 3 * 3600, start=1709510400 + 22 * 3600)
+        night = (utc(1, day=6), utc(2, day=6))
+        segs = [RawSleepSegment(u, *night, SleepState.SLEEP) for u in ("u2", "u3")]
+        monkeypatch.setattr(codec, "BLOCK_ROWS", len(hr))
+        whole = align_cohort(hr, [], segs, [], tz_offset_minutes=60, profile_scope=scope)
+        monkeypatch.setattr(codec, "BLOCK_ROWS", rows)
+        assert rows == 1 or straddles(hr, rows)
+        blocked = align_cohort(hr, [], segs, [], tz_offset_minutes=60, profile_scope=scope)
+        assert blocked.days.keys == whole.days.keys
+        assert ("u2", date(2024, 3, 6)) in whole.days.keys
+        for name in ("pulse", "min_hr", "max_hr"):
+            assert getattr(blocked.days, name).tobytes() == getattr(whole.days, name).tobytes()
+        assert np.array_equal(blocked.n_pulses, whole.n_pulses)
+        assert whole.n_pulses[whole.days.keys.index(("u2", date(2024, 3, 6)))] == 0
+        assert whole.n_pulses.max() > 0
+
+    def test_empty_stream_aligns(self, hr_factory, monkeypatch):
+        monkeypatch.setattr(codec, "BLOCK_ROWS", 2)
+        data = align_cohort(hr_factory(), [], [], [], tz_offset_minutes=0)
+        assert data.days.keys == () and data.n_pulses.shape == (0,)
+        seg = RawSleepSegment("u1", utc(1), utc(2), SleepState.SLEEP)
+        block = RawActivityBlock("u1", utc(3), 40, 30.0)
+        data = align_cohort(hr_factory(), [block], [seg], [], tz_offset_minutes=0)
+        assert data.days.keys == (("u1", DAY),)
+        assert np.isnan(data.days.pulse).all() and np.isnan(data.days.min_hr).all()
+        assert data.days.steps.sum() == 40 and data.n_pulses.tolist() == [0]
+
+    def test_peak_memory_is_the_grid_plus_a_few_blocks(self):
+        """200,000 samples of 4 users over 2 days: the pass peaks under the
+        grid it returns plus 16 int64 blocks of BLOCK_ROWS, where any
+        temporary as long as the stream (1.6 MB) takes it over the bound."""
+        hr = dense_hr(9, ("u0", "u1", "u2", "u3"), 200_000, 2 * 86400)
+        align_cohort(dense_hr(9, ("u0",), 100, 3600), [], [], [])  # lazy imports first
+        tracemalloc.start()
+        try:
+            data = align_cohort(hr, [], [], [], tz_offset_minutes=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = ("pulse", "steps", "distance_m", "sleep", "schedule")
+        grid = sum(getattr(data.days, name).nbytes for name in columns)
+        bound = grid + 16 * 8 * codec.BLOCK_ROWS
+        assert len(data.days) == 8 and 8 * len(hr) > bound - grid
+        assert peak < bound, (peak, bound)

@@ -382,8 +382,13 @@ class TestCacheContract:
 
 
 def _write_window_store(path, text, monkeypatch):
-    monkeypatch.setattr(dataset, "window_store_text", lambda windows: text)
-    write_window_store(None, path)
+    monkeypatch.setattr(dataset, "window_lines", lambda windows: text)
+    label = np.array(["Sleep"])
+    one = dataset.WindowSet(
+        np.array(["u1"]), np.array(["2024-03-04"], "datetime64[D]"), np.zeros(1, np.int64),
+        np.zeros((1, 15, 5)), label, label, np.zeros(1, bool),
+    )
+    write_window_store(one, path)
 
 
 def _save_checkpoint(path, text, monkeypatch):

@@ -2,15 +2,20 @@
 
 import io
 import math
+import os
 import statistics
+import tracemalloc
 from collections import Counter
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+from harforge import codec
+from harforge.align import SLEEP_CODE
 from harforge.core import LEVEL1_AWAKE, LEVEL1_SLEEP, SleepState
 from harforge.dataset import (
+    N_CHANNELS,
     OVERSAMPLE_NOISE_SD,
     SAMPLING_RATES,
     STEPS_CHANNEL,
@@ -33,9 +38,13 @@ from harforge.dataset import (
     split_manifest_text,
     split_windows,
     stratified_sample,
+    window_store_chunks,
     window_store_text,
     window_stride,
+    write_window_store,
 )
+
+from test_codec import seeded_grid
 
 DAY = date(2024, 3, 4)
 
@@ -220,6 +229,32 @@ class TestBuildWindows:
         windows = build_windows(days, 15, taxonomy)
         assert len(windows) == 0
         assert windows.features.shape == (0, 15, 5)
+
+    def test_features_are_the_channels_bit_for_bit(self, taxonomy):
+        """Each window's features are the rows of the five channels, as
+        np.where and np.stack give them, down to the bits: missing pulses
+        zero in the three pulse channels, and a day without an envelope
+        skipped."""
+        days = seeded_grid(8)
+        days.sleep[:3, :720] = SLEEP_CODE[SleepState.SLEEP]
+        days.min_hr[:] = [41.5, 13.3, 20.0, np.nan]
+        days.max_hr[:] = [51.25, 52.0, 53.7, np.nan]
+        has = ~np.isnan(days.pulse)
+        channels = np.stack(
+            [
+                np.where(has, days.pulse, 0.0),
+                np.where(has, days.pulse / days.min_hr[:, None], 0.0),
+                np.where(has, days.pulse / days.max_hr[:, None], 0.0),
+                days.steps,
+                days.distance_m,
+            ],
+            axis=-1,
+        )
+        windows = build_windows(days, 15, taxonomy)
+        rows = [days.keys.index((u, d)) for u, d in zip(windows.users, windows.days.tolist())]
+        assert sorted(set(rows)) == [0, 1, 2]
+        for features, row, start in zip(windows.features, rows, windows.start_minute.tolist()):
+            assert features.tobytes() == channels[row, start : start + 15].tobytes()
 
     def test_windows_never_synthetic(self, taxonomy, grid_factory):
         days = self._day(grid_factory)
@@ -480,6 +515,53 @@ class TestWindowStore:
         with pytest.raises(ValueError) as err:
             read_window_store(io.StringIO("".join(lines)))
         assert str(err.value) == "window store line 2: missing key 'features'"
+
+
+class TestStreamedWindowStore:
+    """write_window_store writes the store a block of windows at a time."""
+
+    @staticmethod
+    def _windows(window_factory, n, width=15):
+        rng = np.random.default_rng(n)
+        return window_factory(
+            n,
+            user=[f"u{i % 3}" for i in range(n)],
+            start=list(range(n)),
+            features=rng.normal(0.0, 99.9, size=(n, width, N_CHANNELS)),
+            synthetic=[bool(i % 2) for i in range(n)],
+            width=width,
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 9])
+    def test_written_bytes_are_the_store_text(self, window_factory, n, tmp_path, monkeypatch):
+        """0 and 1 windows, and one window under, at and over a block of 4
+        and of 8, written in blocks of 4: the bytes of the store text."""
+        windows = self._windows(window_factory, n)
+        text = window_store_text(windows)  # one block
+        assert len(text.splitlines()) == n
+        monkeypatch.setattr(codec, "BLOCK_ROWS", 4 * 15 * N_CHANNELS)
+        assert len(list(window_store_chunks(windows))) == -(-n // 4)
+        path = tmp_path / "windows_w15.jsonl"
+        write_window_store(windows, str(path))
+        assert path.read_bytes() == text.encode("utf-8")
+        assert window_store_text(windows) == text
+
+    def test_write_peaks_at_a_few_chunks(self, window_factory, tmp_path):
+        """600 windows of width 60, a 3.4 MB store: one write peaks under
+        four of its chunks, where holding its text once would go over."""
+        windows = self._windows(window_factory, 600, width=60)
+        chunk = len(next(window_store_chunks(windows)))
+        path = str(tmp_path / "windows_w60.jsonl")
+        write_window_store(windows, path)  # lazy imports first
+        tracemalloc.start()
+        try:
+            write_window_store(windows, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 4 * chunk
+        assert os.path.getsize(path) > bound
+        assert peak < bound, (peak, bound)
 
 
 class TestSplitManifest:

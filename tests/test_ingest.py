@@ -9,7 +9,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from harforge import ingest
+from harforge import codec, ingest
 from harforge.core import SleepState, epoch_second, format_number, from_epoch_second
 from harforge.ingest import (
     RawActivityBlock,
@@ -277,6 +277,31 @@ class TestHrStream:
         assert [hr.users[c] for c in hr.user.tolist()] == [user for user, _, _ in want]
         assert hr.second.tolist() == [calendar.timegm(ts.timetuple()) for _, ts, _ in want]
         assert hr.bpm.tolist() == [bpm for _, _, bpm in want]
+
+    @pytest.mark.parametrize("case", ["in order", "repeats in order", "shuffled repeats"])
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_order_check_in_small_blocks(self, case, block, monkeypatch):
+        """The order and duplicate check compares each row with the one
+        before it a block of BLOCK_ROWS rows at a time, and drops repeated
+        keys a block at a time: in tiny blocks the parse is that of one
+        block, and text in key order, repeats included, skips the sort."""
+        rng = random.Random(case)
+        keys = {(rng.choice(["u2", "u1"]), rng.randrange(0, 86400)) for _ in range(200)}
+        rows = sorted((u, sec, round(rng.uniform(40, 180), 2)) for u, sec in keys)
+        if case != "in order":
+            for i in sorted(rng.sample(range(len(rows)), 60), reverse=True):
+                rows[i + 1 : i + 1] = [rows[i]] * rng.randint(1, 3)
+        if case == "shuffled repeats":
+            rng.shuffle(rows)
+        body = (f"{u},{format_timestamp(from_epoch_second(sec))},{bpm!r}" for u, sec, bpm in rows)
+        text = "".join(lines(HR_OK, *body))
+        whole = parse_hr_stream(io.StringIO(text))
+        assert len(whole) == len(keys)
+        monkeypatch.setattr(codec, "BLOCK_ROWS", block)
+        if case != "shuffled repeats":
+            monkeypatch.setattr(np, "lexsort", None)
+        assert_streams_equal(parse_hr_stream(io.StringIO(text)), whole)
+        assert_streams_equal(ingest.parse_hr_rows(io.StringIO(text)), whole)
 
     def test_header_only_stream_is_empty(self):
         hr = parse_hr_stream(lines(HR_OK))
